@@ -282,6 +282,9 @@ struct Runtime<'p> {
     inputs_dense: Vec<Vec<(u32, u64)>>,
     /// Reusable pin list for the task being issued.
     pinned_scratch: Vec<u32>,
+    /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
+    /// transfer distance while no link is dead.
+    hop_table: Vec<u64>,
     hbm: HbmModel,
     traffic: TrafficTracker,
     now: u64,
@@ -398,6 +401,7 @@ impl<'p> Runtime<'p> {
             use_rounds,
             inputs_dense,
             pinned_scratch: Vec::new(),
+            hop_table: cfg.mesh.hop_table(),
             hbm: HbmModel::new(cfg.hbm),
             traffic: TrafficTracker::new(cfg.mesh),
             now: 0,
@@ -712,23 +716,31 @@ impl<'p> Runtime<'p> {
         }
 
         // Nearest *reachable* on-chip copy by surviving-path hop count
-        // (unknown data is assumed DRAM-resident). Copies behind dead links
-        // are skipped; if every copy is unreachable and there is no DRAM
-        // fallback, the transfer is impossible.
+        // (unknown data is assumed DRAM-resident). While every link is up
+        // that is the hop table's Manhattan distance; once one dies, copies
+        // behind dead links are skipped, and if every copy is unreachable
+        // and there is no DRAM fallback, the transfer is impossible.
         let s = slot as usize;
+        let n = self.cfg.engines();
         let (src, stranded) = if self.loc_present[s] {
             let loc = &self.locations[s];
-            let src = loc
-                .engines
-                .iter()
-                .copied()
-                .filter_map(|src| {
-                    self.cfg
-                        .mesh
-                        .hops_avoiding(src, engine, &self.link_faults)
-                        .map(|h| (h, src))
-                })
-                .min();
+            let src = if self.link_faults.is_empty() {
+                // Hops are symmetric: `engine`'s row holds every distance
+                // to it.
+                let row = &self.hop_table[engine * n..(engine + 1) * n];
+                loc.engines.iter().map(|&src| (row[src], src)).min()
+            } else {
+                loc.engines
+                    .iter()
+                    .copied()
+                    .filter_map(|src| {
+                        self.cfg
+                            .mesh
+                            .hops_avoiding(src, engine, &self.link_faults)
+                            .map(|h| (h, src))
+                    })
+                    .min()
+            };
             let stranded = if !loc.engines.is_empty() && !loc.in_dram {
                 Some(loc.engines[0])
             } else {
@@ -745,7 +757,7 @@ impl<'p> Runtime<'p> {
         }
 
         let (noc_t, dram_ready, ready) = if let Some((hops, src)) = src {
-            if hops > self.cfg.mesh.hops(src, engine) {
+            if hops > self.hop_table[src * n + engine] {
                 self.degradation.rerouted_transfers += 1;
             }
             let cycles = self.cfg.mesh.transfer_cycles(bytes, hops);
@@ -1246,6 +1258,34 @@ mod tests {
                     s.total_cycles,
                     healthy.total_cycles
                 );
+            }
+            FaultedOutcome::Failed(r) => panic!("link fault is survivable: {r:?}"),
+        }
+    }
+
+    #[test]
+    fn link_dying_mid_run_switches_from_hop_table_to_detours() {
+        // Round 1 pulls `a` 0 -> 1 over healthy links (hop table). Link
+        // 1-2 dies at the round-2 barrier, so round 2's pull from the
+        // nearest copy (engine 1) detours 1 -> 9 -> 10 -> 2.
+        let mut p = Program::new();
+        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
+        let b = p.push_task(Task::compute(100, 0, 0, vec![Operand::task(a, 4096)]));
+        let c = p.push_task(Task::compute(100, 0, 0, vec![Operand::task(a, 4096)]));
+        p.push_round(vec![(a, 0)]);
+        p.push_round(vec![(b, 1)]);
+        p.push_round(vec![(c, 2)]);
+        let healthy = sim().run(&p).unwrap();
+        assert_eq!(healthy.degradation.rerouted_transfers, 0);
+        let plan = FaultPlan::none().with_event(FaultEvent {
+            cycle: 150,
+            kind: FaultKind::LinkFail { a: 1, b: 2 },
+        });
+        match sim().run_faulted(&p, &plan).unwrap() {
+            FaultedOutcome::Completed(s) => {
+                assert_eq!(s.degradation.dead_links, 1);
+                assert_eq!(s.degradation.rerouted_transfers, 1);
+                assert_eq!(s.noc_bytes, healthy.noc_bytes);
             }
             FaultedOutcome::Failed(r) => panic!("link fault is survivable: {r:?}"),
         }

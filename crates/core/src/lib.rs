@@ -23,11 +23,12 @@
 //! The stages are composed by the [`pipeline`] module: a [`PlanContext`]
 //! IR accumulates the artifacts (graph → DAG → schedule → mapping →
 //! program → stats) and each stage is a [`pipeline::Stage`] that records a
-//! wall-time + summary [`StageReport`]. [`Optimizer`] runs one
-//! [`pipeline::Pipeline`] per candidate granularity — up to
-//! [`OptimizerConfig::parallelism`] of them on concurrent scoped threads,
-//! with reductions in fixed candidate order so results are byte-identical
-//! for every thread count — and [`baselines`] expresses the paper's
+//! wall-time + summary [`StageReport`]. [`Optimizer`] generates atoms at
+//! every candidate granularity, judges each distinct atomization once
+//! through the rest of the pipeline and refines the winner — fanning out
+//! on one persistent [`ad_util::WorkerPool`], with reductions in fixed
+//! candidate order so results are byte-identical for every thread count —
+//! and [`baselines`] expresses the paper's
 //! comparison points (LS, CNN-P, IL-Pipe, Rammer, Ideal) as different
 //! stage lists over the same machinery, so every strategy is measured
 //! identically.

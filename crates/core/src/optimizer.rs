@@ -1,6 +1,8 @@
 //! The end-to-end atomic-dataflow optimization pipeline (paper Fig. 4) and
 //! the [`Strategy`] dispatcher used by the experiment harness.
 
+use std::sync::{Mutex, PoisonError};
+
 use accel_sim::{Program, SimConfig, SimStats};
 use ad_util::WorkerPool;
 use dnn_graph::Graph;
@@ -11,7 +13,7 @@ use crate::atomic_dag::AtomicDag;
 use crate::baselines;
 use crate::error::PipelineError;
 use crate::mapping::{Mapper, MappingConfig};
-use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, StageReport};
+use crate::pipeline::{AtomGenStage, Pipeline, PlanContext, PlanOutcome, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
 
@@ -33,8 +35,8 @@ pub struct OptimizerConfig {
     pub mapping: MappingConfig,
     /// Atom-granularity scales explored by the iterative optimizing loop of
     /// Fig. 4(b): each entry seeds the generator's `target_atoms_per_layer`,
-    /// the full pipeline runs per scale, and the cheapest simulated solution
-    /// is kept. Zero entries are skipped.
+    /// the rest of the pipeline runs once per distinct atomization, and the
+    /// cheapest simulated solution is kept. Zero entries are skipped.
     pub search_targets: [usize; 3],
     /// Worker threads for the candidate search (granularity-scale
     /// pipelines, SA chains, baseline sub-searches). Purely an *execution*
@@ -320,8 +322,11 @@ impl Optimizer {
     }
 
     /// Runs the full pipeline on `graph`: the iterative optimizing process
-    /// of Fig. 4(b) — candidate granularities are generated, scheduled,
-    /// mapped and evaluated, and the minimum-cost solution is returned.
+    /// of Fig. 4(b) — atoms are generated at every candidate granularity,
+    /// each distinct atomization is scheduled, mapped and evaluated once,
+    /// and the minimum-cost solution (refined under layer order when DP
+    /// scheduling is on) is returned. DESIGN.md §10 gives the soundness
+    /// argument.
     ///
     /// # Errors
     ///
@@ -329,25 +334,26 @@ impl Optimizer {
     /// or simulation of an inconsistent lowered schedule (the latter a bug,
     /// not a user error — surfaced rather than panicked for diagnosability).
     pub fn optimize(&self, graph: &Graph) -> Result<OptimizeResult, PipelineError> {
-        let targets: Vec<usize> = self
+        let mut targets: Vec<usize> = self
             .cfg
             .search_targets
             .iter()
             .copied()
             .filter(|&t| t != 0)
             .collect();
-        // One full candidate pipeline per granularity scale, evaluated on
-        // the run's worker pool (up to `parallelism` runners; nested SA
-        // chain fan-outs reuse the same pool, so live threads stay bounded
-        // by the pool size). The candidate set is fixed by the config and
-        // the reduction below visits candidates in index order
-        // (strictly-cheaper wins, earliest index breaks ties), so the result
-        // is byte-identical for every thread count. The candidates share one
-        // cost-oracle interner: atom costs are pure functions of
-        // (layer, extent), so each extent is evaluated once across the
-        // whole search instead of once per candidate — and one scratch-arena
-        // pool, so concurrent stages reuse buffer capacity instead of
-        // contending on the allocator.
+        // All targets zero: plan once at the configured default, unrefined.
+        let refine =
+            !targets.is_empty() && matches!(self.cfg.schedule_mode, ScheduleMode::Dp { .. });
+        if targets.is_empty() {
+            targets.push(self.cfg.atomgen.target_atoms_per_layer);
+        }
+        // Every fan-out runs on the request's worker pool (nested SA chain
+        // fan-outs reuse it, so live threads stay bounded by its size). The
+        // candidates share one cost-oracle interner — atom costs are pure
+        // functions of (layer, extent), so each extent is evaluated once
+        // across the search — and one scratch-arena pool, so concurrent
+        // stages reuse buffer capacity instead of contending on the
+        // allocator.
         let interner = std::sync::Arc::new(crate::atomic_dag::CostInterner::new());
         let pool = match &self.pool {
             Some(p) => p.clone(),
@@ -355,59 +361,82 @@ impl Optimizer {
         };
         let scratch = std::sync::Arc::new(crate::scratch::ScratchPool::new(pool.threads()));
         let t0 = std::time::Instant::now(); // ad-lint: allow(d2) — coarse deadline, gates whole refinement passes only
-        let candidates = pool.map(targets.len(), |i| {
-            self.optimize_at(
-                graph,
-                targets[i],
-                self.cfg.schedule_mode,
-                &interner,
-                &pool,
-                &scratch,
-            )
+
+        // Phase 1: atom generation (and DAG construction) per target.
+        let generated = pool.map(targets.len(), |i| {
+            let mut ctx = PlanContext::new(graph, self.cfg);
+            ctx.cost_interner = Some(interner.clone());
+            ctx.warm_specs = self.warm.clone();
+            ctx.pool = Some(pool.clone());
+            ctx.scratch = Some(scratch.clone());
+            Pipeline::new(vec![Box::new(AtomGenStage {
+                target: Some(targets[i]),
+            })])
+            .run(&mut ctx)
+            .map(|()| ctx)
         });
-        // Validation rejections disqualify a candidate without aborting the
-        // search (anytime semantics: keep the best *admitted* plan); every
-        // other error is a real failure and propagates.
-        let mut rejected = false;
-        let mut best: Option<(usize, OptimizeResult)> = None;
-        for (target, candidate) in targets.iter().zip(candidates) {
-            let candidate = match candidate {
-                Ok(c) => c,
-                Err(PipelineError::Validation(_)) => {
-                    rejected = true;
-                    continue;
-                }
+        // Phase 2: judge each distinct spec vector once. Every later stage
+        // is a deterministic function of (DAG, config, mode, budget), so a
+        // candidate whose specs equal an earlier one's would simulate to
+        // the same cycles — and the earliest-index tie-break below never
+        // picks it.
+        let specs = |i: usize| {
+            generated[i]
+                .as_ref()
+                .ok()
+                .and_then(|ctx| ctx.gen_report.as_ref())
+                .map(|r| &r.specs)
+        };
+        let duplicate: Vec<bool> = (0..generated.len())
+            .map(|i| specs(i).is_some_and(|s| (0..i).any(|j| specs(j) == Some(s))))
+            .collect();
+        let judged: Vec<usize> = (0..duplicate.len()).filter(|&i| !duplicate[i]).collect();
+        let slots: Vec<Mutex<Result<PlanContext<'_>, PipelineError>>> =
+            generated.into_iter().map(Mutex::new).collect();
+        pool.map(judged.len(), |k| {
+            let mut slot = slots[judged[k]]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let outcome = match &mut *slot {
+                Ok(ctx) => Pipeline::evaluate(None).run(ctx),
+                Err(_) => Ok(()),
+            };
+            if let Err(e) = outcome {
+                *slot = Err(e);
+            }
+        });
+        // Reduce in index order: strictly cheaper wins, so the earliest
+        // index breaks ties and the result is byte-identical for every
+        // thread count. Validation rejections disqualify a candidate
+        // without aborting the search (anytime semantics: keep the best
+        // *admitted* plan); every other error is a real failure.
+        let mut best: Option<(PlanContext<'_>, OptimizeResult)> = None;
+        for (slot, dup) in slots.into_iter().zip(duplicate) {
+            let mut ctx = match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                _ if dup => continue,
+                Ok(ctx) => ctx,
+                Err(PipelineError::Validation(_)) => continue,
                 Err(e) => return Err(e),
             };
+            let candidate = self.finish(&mut ctx)?;
             if best
                 .as_ref()
                 .is_none_or(|(_, b)| candidate.stats.total_cycles < b.stats.total_cycles)
             {
-                best = Some((*target, candidate));
+                best = Some((ctx, candidate));
             }
         }
-        let Some((best_target, mut best)) = best else {
-            if rejected {
-                // Every candidate failed admission: degrade gracefully to
-                // the greedy LS plan (which itself must pass admission).
-                return self.ls_fallback(graph);
-            }
-            // All targets zero: run once at the configured default.
-            return self.optimize_at(
-                graph,
-                self.cfg.atomgen.target_atoms_per_layer,
-                self.cfg.schedule_mode,
-                &interner,
-                &pool,
-                &scratch,
-            );
+        let Some((mut ctx, mut best)) = best else {
+            // Every candidate failed admission: degrade gracefully to the
+            // greedy LS plan (which itself must pass admission).
+            return self.ls_fallback(graph);
         };
-        // Layer-topological ordering is itself a point in Alg. 2's search
-        // space; when DP search is enabled, evaluate it at the winning
-        // granularity and keep whichever the simulator prefers. Skipped if
+        // Phase 3: layer-topological ordering is itself a point in Alg. 2's
+        // search space; when DP search is enabled, evaluate it on the
+        // winner's DAG and keep whichever the simulator prefers. Skipped if
         // the coarse deadline has passed — a whole-pass gate, so plan bytes
         // at a fixed iteration budget stay deterministic.
-        if matches!(self.cfg.schedule_mode, ScheduleMode::Dp { .. }) {
+        if refine {
             let deadline_hit = self
                 .cfg
                 .budget
@@ -419,15 +448,13 @@ impl Optimizer {
                     fallback: false,
                 };
             } else {
-                match self.optimize_at(
-                    graph,
-                    best_target,
-                    ScheduleMode::LayerOrder,
-                    &interner,
-                    &pool,
-                    &scratch,
-                ) {
-                    Ok(lo) => {
+                // The refined plan's reports start with the winner's atomgen
+                // report, so an atomgen truncation still sets its budget.
+                ctx.reset_plan();
+                ctx.reports.extend(best.stage_reports.first().cloned());
+                match Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx) {
+                    Ok(()) => {
+                        let lo = self.finish(&mut ctx)?;
                         if lo.stats.total_cycles < best.stats.total_cycles {
                             best = lo;
                         }
@@ -478,36 +505,25 @@ impl Optimizer {
         })
     }
 
-    /// One pass of the staged pipeline ([`Pipeline::standard`]) at a fixed
-    /// granularity scale and ordering, fanning out on `pool` and reusing
-    /// buffer capacity from `scratch`.
-    fn optimize_at(
-        &self,
-        graph: &Graph,
-        target: usize,
-        mode: ScheduleMode,
-        interner: &std::sync::Arc<crate::atomic_dag::CostInterner>,
-        pool: &std::sync::Arc<WorkerPool>,
-        scratch: &std::sync::Arc<crate::scratch::ScratchPool>,
-    ) -> Result<OptimizeResult, PipelineError> {
-        let mut ctx = PlanContext::new(graph, self.cfg);
-        ctx.cost_interner = Some(interner.clone());
-        ctx.warm_specs = self.warm.clone();
-        ctx.pool = Some(pool.clone());
-        ctx.scratch = Some(scratch.clone());
-        Pipeline::standard(Some(target), Some(mode)).run(&mut ctx)?;
+    /// Packages a judged candidate context as an [`OptimizeResult`], taking
+    /// its plan artifacts and reports but leaving the DAG and generation
+    /// report for a refinement pass.
+    fn finish(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizeResult, PipelineError> {
         let missing = |m: &'static str| PipelineError::StageOrder {
             stage: "optimize",
             missing: m,
         };
-        let gen_report = ctx.gen_report.take().ok_or_else(|| missing("gen report"))?;
-        let dag = ctx.dag.take().ok_or_else(|| missing("dag"))?;
+        let gen_report = ctx
+            .gen_report
+            .clone()
+            .ok_or_else(|| missing("gen report"))?;
+        let atoms = ctx.require_dag("optimize")?.atom_count();
         let sched = ctx.schedule.take().ok_or_else(|| missing("schedule"))?;
         let program = ctx.program.take().ok_or_else(|| missing("program"))?;
         let stats = ctx.stats.take().ok_or_else(|| missing("stats"))?;
+        let stage_reports = std::mem::take(&mut ctx.reports);
         // The run's budget outcome is the first truncation any stage hit.
-        let budget = ctx
-            .reports
+        let budget = stage_reports
             .iter()
             .map(|r| r.budget)
             .find(BudgetOutcome::is_truncated)
@@ -515,11 +531,11 @@ impl Optimizer {
         Ok(OptimizeResult {
             occupancy: sched.occupancy(self.cfg.engines()),
             rounds: sched.len(),
-            atoms: dag.atom_count(),
+            atoms,
             program,
             stats,
             gen_report,
-            stage_reports: ctx.reports,
+            stage_reports,
             budget,
         })
     }

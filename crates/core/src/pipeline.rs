@@ -11,7 +11,8 @@
 //! list, times each stage and collects a [`StageReport`] per stage.
 //!
 //! Everything runs through this machinery: [`crate::Optimizer::optimize`]
-//! executes one [`Pipeline::standard`] per candidate granularity, every
+//! runs an [`AtomGenStage`] per candidate granularity and the
+//! [`Pipeline::evaluate`] suffix once per distinct atomization, every
 //! baseline in [`crate::baselines`] is a different stage list over the same
 //! context (a planning stage of its own followed by the shared
 //! [`LowerStage`] and [`SimulateStage`]), and the fault-recovery loop
@@ -312,8 +313,16 @@ impl Pipeline {
     /// `target` overrides the generator's granularity target and `mode`
     /// the scheduling mode (both default to the context's config).
     pub fn standard(target: Option<usize>, mode: Option<ScheduleMode>) -> Self {
+        let mut pipeline = Self::evaluate(mode);
+        pipeline.stages.insert(0, Box::new(AtomGenStage { target }));
+        pipeline
+    }
+
+    /// The judging suffix of [`Pipeline::standard`]: scheduling → mapping
+    /// → lowering → simulation of the context's existing DAG. `mode`
+    /// overrides the scheduling mode.
+    pub fn evaluate(mode: Option<ScheduleMode>) -> Self {
         Self::new(vec![
-            Box::new(AtomGenStage { target }),
             Box::new(ScheduleStage { mode }),
             Box::new(MapStage),
             Box::new(LowerStage),

@@ -127,6 +127,21 @@ mod tests {
     }
 
     #[test]
+    fn hop_table_matches_fault_free_routing() {
+        let f = LinkFaults::new();
+        for m in [MeshConfig::grid(3, 5), MeshConfig::grid(8, 8)] {
+            let n = m.engines();
+            let table = m.hop_table();
+            assert_eq!(table.len(), n * n);
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(Some(table[a * n + b]), m.hops_avoiding(a, b, &f));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn routes_around_a_dead_link() {
         let m = MeshConfig::grid(4, 1); // a line: 0-1-2-3
         let mut f = LinkFaults::new();

@@ -74,6 +74,14 @@ impl MeshConfig {
         (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)) as u64
     }
 
+    /// Every pairwise [`MeshConfig::hops`] value, row-major: entry
+    /// `a * engines() + b` is `hops(a, b)`. Hot loops index it instead of
+    /// re-deriving both coordinates per query.
+    pub fn hop_table(&self) -> Vec<u64> {
+        let n = self.engines();
+        (0..n * n).map(|i| self.hops(i / n, i % n)).collect()
+    }
+
     /// The XY (dimension-ordered) route from `a` to `b`, inclusive of both
     /// endpoints: data travels along X first, then Y, matching the paper's
     /// deadlock-free routing policy.

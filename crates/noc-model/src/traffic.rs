@@ -29,18 +29,36 @@ impl TrafficTracker {
         }
     }
 
-    /// Records a `bytes`-sized transfer from engine `src` to engine `dst`.
+    /// Records a `bytes`-sized transfer from engine `src` to engine `dst`,
+    /// walking its XY route ([`MeshConfig::route`]) in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either engine is out of range.
     pub fn record(&mut self, src: usize, dst: usize, bytes: u64) {
         if src == dst || bytes == 0 {
             return;
         }
-        let route = self.mesh.route(src, dst);
+        let (from, to) = (self.mesh.coord(src), self.mesh.coord(dst));
         let n = self.mesh.engines();
-        for leg in route.windows(2) {
-            self.link_bytes[leg[0] * n + leg[1]] += bytes;
+        let (dx, dy) = (from.x.abs_diff(to.x), from.y.abs_diff(to.y));
+        // X first, then Y: (legs, index stride, towards higher indices).
+        let mut cur = src;
+        for (legs, stride, ascending) in
+            [(dx, 1, to.x > from.x), (dy, self.mesh.cols, to.y > from.y)]
+        {
+            for _ in 0..legs {
+                let next = if ascending {
+                    cur + stride
+                } else {
+                    cur - stride
+                };
+                self.link_bytes[cur * n + next] += bytes;
+                cur = next;
+            }
         }
         self.total_bytes += bytes;
-        self.total_byte_hops += bytes * self.mesh.hops(src, dst);
+        self.total_byte_hops += bytes * (dx + dy) as u64;
         self.transfers += 1;
     }
 
@@ -103,6 +121,27 @@ mod tests {
 
         t.record(1, 2, 80); // shares link 1->2
         assert_eq!(t.max_link_bytes(), 200);
+    }
+
+    #[test]
+    fn in_place_walk_matches_route_for_every_pair() {
+        for m in [MeshConfig::grid(3, 5), MeshConfig::grid(8, 8)] {
+            let n = m.engines();
+            for src in 0..n {
+                for dst in 0..n {
+                    let mut t = TrafficTracker::new(m);
+                    t.record(src, dst, 7);
+                    let mut expect = vec![0u64; n * n];
+                    if src != dst {
+                        for leg in m.route(src, dst).windows(2) {
+                            expect[leg[0] * n + leg[1]] += 7;
+                        }
+                    }
+                    assert_eq!(t.link_bytes, expect, "{src} -> {dst} on {m:?}");
+                    assert_eq!(t.total_byte_hops(), 7 * m.hops(src, dst));
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Applies `f` to every index in `0..k`, using up to `threads` scoped
 /// worker threads, and returns the results in index order.
@@ -207,13 +207,14 @@ struct PoolState {
 /// full contract).
 ///
 /// Created once per planning request ([`WorkerPool::new`]) and reused by
-/// every stage; `new(1)` (or `new(0)`) spawns no threads at all and every
-/// `map` runs inline, so the serial path pays nothing. Workers are joined
-/// in [`Drop`], preserving the scoped-thread join guarantee the ad-lint D3
-/// rule exists to protect.
+/// every stage. Workers start on the first fan-out that can use them, so
+/// a pool that only ever runs serial work — and `new(1)` (or `new(0)`)
+/// always — spawns no threads and every `map` runs inline. Workers are
+/// joined in [`Drop`], preserving the scoped-thread join guarantee the
+/// ad-lint D3 rule exists to protect.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: OnceLock<Vec<std::thread::JoinHandle<()>>>,
     threads: usize,
 }
 
@@ -221,7 +222,7 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.threads)
-            .field("workers", &self.workers.len())
+            .field("workers", &self.worker_count())
             .finish()
     }
 }
@@ -233,33 +234,37 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl WorkerPool {
     /// A pool of `threads` concurrent runners. The caller participates
     /// while blocked in [`WorkerPool::map`], so `threads - 1` worker
-    /// threads are spawned; `threads <= 1` spawns none and the pool is a
-    /// pure inline executor. A failed thread spawn degrades capacity
-    /// instead of failing the pool — correctness never depends on how many
-    /// workers actually started.
+    /// threads are spawned, on the first fan-out; `threads <= 1` spawns
+    /// none and the pool is a pure inline executor. A failed thread spawn
+    /// degrades capacity instead of failing the pool — correctness never
+    /// depends on how many workers actually started.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let workers = (1..threads)
-            .filter_map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new() // ad-lint: allow(d3) — workers are joined in Drop; the pool preserves the scoped join guarantee
-                    .name(format!("ad-worker-{i}"))
-                    .spawn(move || worker_loop(&shared)) // ad-lint: allow(d3) — see above: joined in Drop
-                    .ok()
-            })
-            .collect();
         Self {
-            shared,
-            workers,
-            threads,
+            shared: Arc::new(Shared {
+                state: Mutex::new(PoolState {
+                    queue: VecDeque::new(),
+                    shutdown: false,
+                }),
+                cv: Condvar::new(),
+            }),
+            workers: OnceLock::new(),
+            threads: threads.max(1),
         }
+    }
+
+    /// The worker threads, spawned by the first call.
+    fn workers(&self) -> &[std::thread::JoinHandle<()>] {
+        self.workers.get_or_init(|| {
+            (1..self.threads)
+                .filter_map(|i| {
+                    let shared = self.shared.clone();
+                    std::thread::Builder::new() // ad-lint: allow(d3) — workers are joined in Drop; the pool preserves the scoped join guarantee
+                        .name(format!("ad-worker-{i}"))
+                        .spawn(move || worker_loop(&shared)) // ad-lint: allow(d3) — see above: joined in Drop
+                        .ok()
+                })
+                .collect()
+        })
     }
 
     /// The configured runner count (caller + workers). The *execution*
@@ -268,10 +273,10 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Live worker threads (diagnostics; `threads - 1` unless spawning
-    /// failed).
+    /// Live worker threads (diagnostics; 0 before the first fan-out, then
+    /// `threads - 1` unless spawning failed).
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.workers.get().map_or(0, Vec::len)
     }
 
     /// Applies `f` to every index in `0..k` across the pool's runners and
@@ -289,7 +294,7 @@ impl WorkerPool {
         F: Fn(usize) -> T + Sync,
     {
         let runners = self.threads.min(k);
-        if runners <= 1 || self.workers.is_empty() {
+        if runners <= 1 || self.workers().is_empty() {
             return (0..k).map(f).collect();
         }
         let blocks = block_ranges(k, runners);
@@ -345,6 +350,7 @@ impl WorkerPool {
     where
         S: FnOnce(&TaskScope<'_, 'env>) -> R,
     {
+        self.workers();
         let ts = TaskScope {
             pool: self,
             batch: Arc::new(Latch::new()),
@@ -402,7 +408,7 @@ impl Drop for WorkerPool {
             state.shutdown = true;
         }
         self.shared.cv.notify_all();
-        for w in self.workers.drain(..) {
+        for w in self.workers.take().into_iter().flatten() {
             // Worker bodies only run caught jobs; a join error would mean
             // the loop itself panicked, which has nothing to propagate
             // into during teardown.
@@ -588,8 +594,14 @@ mod tests {
     fn pool_spawns_threads_minus_one_workers_and_joins_on_drop() {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.threads(), 4);
+        // Workers start on the first fan-out, not at construction.
+        assert_eq!(pool.worker_count(), 0);
+        assert_eq!(pool.map(1, |i| i), vec![0]);
+        assert_eq!(pool.worker_count(), 0, "a one-item map runs inline");
+        assert_eq!(pool.map(4, |i| i), vec![0, 1, 2, 3]);
         assert_eq!(pool.worker_count(), 3);
         let serial = WorkerPool::new(1);
+        serial.map(4, |i| i);
         assert_eq!(serial.worker_count(), 0);
         drop(pool);
         drop(serial);

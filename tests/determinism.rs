@@ -175,6 +175,144 @@ fn deep_graph_tight_budget_is_byte_identical_across_parallelism() {
     }
 }
 
+/// A plan of the reference candidate loop below.
+struct ReferencePlan {
+    stats: SimStats,
+    specs: Vec<atomic_dataflow::AtomSpec>,
+    rounds: usize,
+    program: Program,
+    budget: BudgetOutcome,
+    refine_won: bool,
+}
+
+/// The candidate search spelled out the long way: one cold
+/// [`Pipeline::standard`] per non-zero target, strictly cheaper wins
+/// (earliest index on ties), then a cold `LayerOrder` pipeline at the
+/// winning target when the schedule mode is DP. `Optimizer::optimize`
+/// judges each distinct atomization once and refines on the winner's DAG;
+/// it must land on exactly this plan.
+#[allow(clippy::unwrap_used)]
+fn reference_optimize(g: &Graph, cfg: OptimizerConfig) -> ReferencePlan {
+    let run = |target: usize, mode: ScheduleMode| {
+        let mut ctx = PlanContext::new(g, cfg);
+        Pipeline::standard(Some(target), Some(mode))
+            .run(&mut ctx)
+            .unwrap();
+        ReferencePlan {
+            budget: ctx
+                .reports
+                .iter()
+                .map(|r| r.budget)
+                .find(BudgetOutcome::is_truncated)
+                .unwrap_or(BudgetOutcome::Completed),
+            stats: ctx.stats.unwrap(),
+            specs: ctx.gen_report.unwrap().specs,
+            rounds: ctx.schedule.unwrap().len(),
+            program: ctx.program.unwrap(),
+            refine_won: false,
+        }
+    };
+    let mut best: Option<(usize, ReferencePlan)> = None;
+    for &t in cfg.search_targets.iter().filter(|&&t| t != 0) {
+        let c = run(t, cfg.schedule_mode);
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| c.stats.total_cycles < b.stats.total_cycles)
+        {
+            best = Some((t, c));
+        }
+    }
+    let (target, mut best) = best.unwrap();
+    if matches!(cfg.schedule_mode, ScheduleMode::Dp { .. }) {
+        let lo = run(target, ScheduleMode::LayerOrder);
+        if lo.stats.total_cycles < best.stats.total_cycles {
+            best = ReferencePlan {
+                refine_won: true,
+                ..lo
+            };
+        }
+    }
+    best
+}
+
+/// Runs both loops on `g` and demands the same plan; returns whether the
+/// layer-order refinement won.
+#[allow(clippy::unwrap_used)]
+fn assert_matches_reference(name: &str, g: &Graph, cfg: OptimizerConfig) -> bool {
+    let reference = reference_optimize(g, cfg);
+    let r = Optimizer::new(cfg).optimize(g).unwrap();
+    assert_eq!(
+        r.stats.to_json().to_compact(),
+        reference.stats.to_json().to_compact(),
+        "{name}: statistics diverged from the reference loop"
+    );
+    assert_eq!(r.gen_report.specs, reference.specs, "{name}: specs");
+    assert_eq!(r.rounds, reference.rounds, "{name}: rounds");
+    assert_eq!(
+        r.program.rounds(),
+        reference.program.rounds(),
+        "{name}: program rounds"
+    );
+    assert_eq!(r.budget, reference.budget, "{name}: budget outcome");
+    assert_eq!(r.stage_reports[0].stage, "atomgen", "{name}: stage reports");
+    reference.refine_won
+}
+
+/// Search knobs that force a duplicate atomization (two equal targets).
+fn duplicate_forcing_config() -> OptimizerConfig {
+    let mut cfg = OptimizerConfig::fast_test();
+    cfg.search_targets = [32, 32, 64];
+    cfg
+}
+
+/// Deduplicated candidate judging is a pure speedup: the optimizer
+/// returns the reference loop's plan on the hand-written graphs and ten
+/// random ones, with and without a tight SA budget.
+#[test]
+fn candidate_search_matches_the_reference_loop() {
+    let cfg = duplicate_forcing_config();
+    let tight = cfg.with_budget(PlanBudget::unlimited().with_sa_iters(5));
+    let mut cases = vec![
+        ("tiny_branchy".to_string(), models::tiny_branchy()),
+        ("tiny_cnn".to_string(), models::tiny_cnn()),
+    ];
+    for seed in 0..10 {
+        let g = models::random(&models::RandomGraphConfig::seeded(seed));
+        cases.push((format!("random seed {seed}"), g));
+    }
+    for (name, g) in &cases {
+        assert_matches_reference(name, g, cfg);
+        assert_matches_reference(&format!("{name}, 5 SA iterations"), g, tight);
+    }
+}
+
+/// The refinement reuses the winner's DAG instead of re-running atomgen,
+/// so its plan must still carry the winner's atomgen truncation: random
+/// seed 3 under a 5-iteration SA cap is a case where `LayerOrder` wins
+/// *and* atomgen was cut short.
+#[test]
+fn layer_order_refinement_keeps_the_atomgen_budget_outcome() {
+    let g = models::random(&models::RandomGraphConfig::seeded(3));
+    let cfg = duplicate_forcing_config();
+    assert!(
+        assert_matches_reference("random seed 3", &g, cfg),
+        "LayerOrder must win this case"
+    );
+    let tight = cfg.with_budget(PlanBudget::unlimited().with_sa_iters(5));
+    assert!(
+        assert_matches_reference("random seed 3, 5 SA iterations", &g, tight),
+        "LayerOrder must win this case"
+    );
+    let r = Optimizer::new(tight).optimize(&g).unwrap();
+    assert_eq!(
+        r.budget,
+        BudgetOutcome::Truncated {
+            stage: "atomgen",
+            fallback: false,
+        }
+    );
+}
+
 /// Recovery replans after an injected engine failure; the replan path
 /// (schedule_remaining + remapping onto survivors) must be reproducible.
 #[test]
