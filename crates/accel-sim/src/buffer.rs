@@ -1,3 +1,5 @@
+use ad_util::cast::u32_from_usize;
+
 use crate::program::{DataId, TaskId};
 
 /// Identity of a datum that can reside in an engine's global buffer: either
@@ -44,14 +46,23 @@ struct Entry {
 ///
 /// Entries are keyed by the runtime's dense datum slot (see [`Datum`]) and
 /// kept sorted by slot, so iteration and victim tie-breaking are
-/// deterministic and identical to the ordered-map layout this replaced,
-/// while lookups are allocation-free binary searches over a small, hot
-/// vector (buffers hold at most a few dozen tensors).
+/// deterministic and identical to the ordered-map layout this replaced.
+/// The layout is split so the hot operations move little memory: lookups
+/// binary-search the 4-byte `keys` alone, and an entry never moves once
+/// stored — inserts and removals shift only `keys` and the parallel 4-byte
+/// `at` index, not the 32-byte entries.
 #[derive(Debug, Clone)]
 pub struct BufferState {
     capacity: u64,
     used: u64,
-    entries: Vec<(u32, Entry)>,
+    /// Resident slots, ascending.
+    keys: Vec<u32>,
+    /// `at[i]` is the index in `vals` of `keys[i]`'s entry.
+    at: Vec<u32>,
+    /// Entry storage; indices listed in `free` hold no resident entry and
+    /// are reused first.
+    vals: Vec<Entry>,
+    free: Vec<u32>,
 }
 
 impl BufferState {
@@ -60,12 +71,23 @@ impl BufferState {
         Self {
             capacity,
             used: 0,
-            entries: Vec::new(),
+            keys: Vec::new(),
+            at: Vec::new(),
+            vals: Vec::new(),
+            free: Vec::new(),
         }
     }
 
     fn find(&self, slot: u32) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&slot, |(s, _)| *s)
+        self.keys.binary_search(&slot)
+    }
+
+    fn entry(&self, i: usize) -> &Entry {
+        &self.vals[self.at[i] as usize]
+    }
+
+    fn entry_mut(&mut self, i: usize) -> &mut Entry {
+        &mut self.vals[self.at[i] as usize]
     }
 
     /// Capacity in bytes.
@@ -90,17 +112,17 @@ impl BufferState {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// Iterates over resident data in ascending slot order.
     pub fn data(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.entries.iter().map(|(s, e)| (*s, e.bytes))
+        (0..self.keys.len()).map(|i| (self.keys[i], self.entry(i).bytes))
     }
 
     /// Inserts `slot`; the caller must have made room first. `next_use` is
@@ -124,10 +146,23 @@ impl BufferState {
         };
         match self.find(slot) {
             Ok(i) => {
-                self.used -= self.entries[i].1.bytes;
-                self.entries[i].1 = entry;
+                self.used -= self.entry(i).bytes;
+                *self.entry_mut(i) = entry;
             }
-            Err(i) => self.entries.insert(i, (slot, entry)),
+            Err(i) => {
+                let at = match self.free.pop() {
+                    Some(at) => {
+                        self.vals[at as usize] = entry;
+                        at
+                    }
+                    None => {
+                        self.vals.push(entry);
+                        u32_from_usize(self.vals.len() - 1)
+                    }
+                };
+                self.keys.insert(i, slot);
+                self.at.insert(i, at);
+            }
         }
         self.used += bytes;
     }
@@ -136,7 +171,7 @@ impl BufferState {
     /// (for LRU and invalid-occupation bookkeeping).
     pub fn touch(&mut self, slot: u32, round: u64, next_use: u64) {
         if let Ok(i) = self.find(slot) {
-            let e = &mut self.entries[i].1;
+            let e = self.entry_mut(i);
             e.last_used = round;
             e.next_use = next_use;
         }
@@ -144,14 +179,13 @@ impl BufferState {
 
     /// Removes `slot`, returning its size if it was resident.
     pub fn remove(&mut self, slot: u32) -> Option<u64> {
-        match self.find(slot) {
-            Ok(i) => {
-                let (_, e) = self.entries.remove(i);
-                self.used -= e.bytes;
-                Some(e.bytes)
-            }
-            Err(_) => None,
-        }
+        let i = self.find(slot).ok()?;
+        self.keys.remove(i);
+        let at = self.at.remove(i);
+        self.free.push(at);
+        let bytes = self.vals[at as usize].bytes;
+        self.used -= bytes;
+        Some(bytes)
     }
 
     /// Selects victims freeing at least `deficit` bytes, in eviction order,
@@ -167,10 +201,9 @@ impl BufferState {
         deficit: u64,
         pinned: &dyn Fn(u32) -> bool,
     ) -> Vec<u32> {
-        let mut scored: Vec<(u128, u32, u64)> = self
-            .entries
-            .iter()
-            .filter(|(s, _)| !pinned(*s))
+        let mut scored: Vec<(u128, u32, u64)> = (0..self.keys.len())
+            .map(|i| (self.keys[i], self.entry(i)))
+            .filter(|&(s, _)| !pinned(s))
             .map(|(s, e)| {
                 let score: u128 = match kind {
                     EvictionKind::InvalidOccupation => {
@@ -187,7 +220,7 @@ impl BufferState {
                     EvictionKind::Lru => u128::MAX - e.last_used as u128,
                     EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
                 };
-                (score, *s, e.bytes)
+                (score, s, e.bytes)
             })
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -229,6 +262,26 @@ mod tests {
         b.insert(0, 60, 1, NEVER);
         assert_eq!(b.used(), 60);
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn removed_entry_storage_is_reused() {
+        let mut b = BufferState::new(100);
+        b.insert(0, 10, 0, NEVER);
+        b.insert(1, 20, 0, NEVER);
+        b.insert(2, 30, 0, NEVER);
+        assert_eq!(b.remove(1), Some(20));
+        b.insert(5, 25, 3, 7);
+        assert_eq!(b.vals.len(), 3, "the freed entry is reused, not appended");
+        let data: Vec<(u32, u64)> = b.data().collect();
+        assert_eq!(data, vec![(0, 10), (2, 30), (5, 25)]);
+        assert_eq!(b.used(), 65);
+        // The reused entry carries the new datum's bookkeeping only.
+        let v = b.pick_victims(EvictionKind::Fifo, 9, 1, &|s| s != 5);
+        assert_eq!(v, vec![5]);
+        assert_eq!(b.remove(5), Some(25));
+        assert_eq!(b.remove(0), Some(10));
+        assert_eq!(b.data().collect::<Vec<_>>(), vec![(2, 30)]);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! - Rounds are barrier-synchronized: a round ends when its slowest engine
 //!   finishes (Sec. III "synchronized by the last finished one").
 //! - Each task first gathers operands: free if resident in the local buffer,
-//!   a NoC transfer if resident on a peer engine (nearest copy, XY routing),
+//!   a NoC transfer if resident on a peer engine (nearest copy by hops,
+//!   ties to the lowest engine index; XY routing),
 //!   a DRAM read otherwise (shared-bandwidth HBM channel).
 //! - Task outputs are written to the producing engine's buffer; overflow
 //!   triggers the configured [`EvictionKind`] (the paper's Alg. 3
@@ -41,6 +42,7 @@
 //! ```
 
 mod buffer;
+mod copyset;
 mod fault;
 mod program;
 mod sim;

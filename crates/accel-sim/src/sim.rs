@@ -4,6 +4,7 @@ use mem_model::{HbmConfig, HbmModel};
 use noc_model::{LinkFaults, MeshConfig, TrafficTracker};
 
 use crate::buffer::{BufferState, EvictionKind};
+use crate::copyset::CopySets;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::program::{Operand, Program, ProgramError, TaskId};
 use crate::stats::{DegradationStats, EnergyBreakdown, SimStats};
@@ -83,7 +84,7 @@ pub enum SimError {
     /// Link faults disconnected a transfer's endpoints and the data has no
     /// DRAM copy to fall back to.
     Unroutable {
-        /// Engine holding the only copies.
+        /// The lowest-index engine among those holding the stranded copies.
         from: usize,
         /// Engine that needed the data.
         to: usize,
@@ -161,15 +162,6 @@ pub enum FaultedOutcome {
     Completed(SimStats),
     /// An engine failure stopped the run; see the report for recovery state.
     Failed(FailureReport),
-}
-
-/// Where a datum currently lives.
-#[derive(Debug, Clone, Default)]
-struct Location {
-    /// Engines holding an on-chip copy.
-    engines: Vec<usize>,
-    /// Whether a valid copy exists in DRAM.
-    in_dram: bool,
 }
 
 /// Executes [`Program`]s against the system model. See the crate docs for
@@ -269,22 +261,36 @@ struct Runtime<'p> {
     buffers: Vec<BufferState>,
     /// Number of tasks = first external slot.
     n_tasks: usize,
-    /// Where each slot's datum currently lives; meaningful only where
-    /// `loc_present` is set (a cleared slot keeps its allocation).
-    locations: Vec<Location>,
+    /// Which engines hold each slot: the only copy record besides the
+    /// buffers themselves, and always their exact mirror (slot `s` is
+    /// resident in `buffers[e]` iff `copies.contains(s, e)`; checked after
+    /// every round in debug builds).
+    copies: CopySets,
+    /// Whether the slot's datum is tracked at all: once produced (task
+    /// outputs) or from the start (external data), until released.
     loc_present: Vec<bool>,
+    /// Whether a valid copy of the slot exists in DRAM.
+    in_dram: Vec<bool>,
     /// Remaining consumer references per slot.
     remaining_uses: Vec<u32>,
-    /// Sorted list of rounds in which each slot is consumed.
-    use_rounds: Vec<Vec<u64>>,
-    /// Per-task operand list as `(slot, bytes)`, precomputed once so the
-    /// hot path never re-resolves `Operand`s or clones input vectors.
-    inputs_dense: Vec<Vec<(u32, u64)>>,
-    /// Reusable pin list for the task being issued.
-    pinned_scratch: Vec<u32>,
+    /// Rounds in which each slot is consumed, flat and ascending per slot:
+    /// slot `s` owns `use_rounds[use_off[s]..use_off[s + 1]]`.
+    use_rounds: Vec<u64>,
+    use_off: Vec<usize>,
+    /// Per-slot cursor into `use_rounds`: the first use not yet behind the
+    /// current round. Rounds only advance, so the cursor only moves right.
+    use_cursor: Vec<usize>,
+    /// Operands as `(slot, bytes)`, precomputed once so the hot path never
+    /// re-resolves `Operand`s: task `t` owns `inputs[in_off[t]..in_off[t + 1]]`.
+    inputs: Vec<(u32, u64)>,
+    in_off: Vec<usize>,
     /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
     /// transfer distance while no link is dead.
     hop_table: Vec<u64>,
+    /// [`MeshConfig::nearest_first_table`]: per requesting engine, every
+    /// engine by `(hops, index)`; the first copy holder in a row is the
+    /// nearest copy while no link is dead.
+    nearest_first: Vec<usize>,
     hbm: HbmModel,
     traffic: TrafficTracker,
     now: u64,
@@ -346,45 +352,48 @@ impl<'p> Runtime<'p> {
                 }
             }
         };
-        let inputs_dense: Vec<Vec<(u32, u64)>> = program
-            .tasks()
-            .iter()
-            .map(|t| {
-                t.inputs
-                    .iter()
-                    .map(|op| (slot_of(op), op.bytes()))
-                    .collect()
-            })
-            .collect();
+        // Every task runs exactly once (validated), so counting uses per
+        // task counts them per round too.
+        let mut inputs = Vec::new();
+        let mut in_off = Vec::with_capacity(n_tasks + 1);
+        in_off.push(0);
+        let mut remaining_uses = vec![0u32; slots];
+        for t in program.tasks() {
+            for op in &t.inputs {
+                let slot = slot_of(op);
+                remaining_uses[slot as usize] += 1;
+                inputs.push((slot, op.bytes()));
+            }
+            in_off.push(inputs.len());
+        }
 
-        // Which round does each task run in? (Validated: exactly one.)
-        let mut task_round = vec![0u64; n_tasks];
+        // Lay the per-slot use lists out back to back, then fill them in
+        // round order, so each list comes out sorted.
+        let mut use_off = Vec::with_capacity(slots + 1);
+        use_off.push(0);
+        for &uses in &remaining_uses {
+            use_off.push(use_off[use_off.len() - 1] + uses as usize);
+        }
+        let mut use_rounds = vec![0u64; use_off[slots]];
+        let mut use_cursor = use_off[..slots].to_vec();
         for (r, round) in program.rounds().iter().enumerate() {
             for (tid, _) in round {
-                task_round[tid.index()] = r as u64;
-            }
-        }
-        let mut remaining_uses = vec![0u32; slots];
-        let mut use_rounds: Vec<Vec<u64>> = vec![Vec::new(); slots];
-        for round in program.rounds() {
-            for (tid, _) in round {
-                for &(slot, _) in &inputs_dense[tid.index()] {
-                    remaining_uses[slot as usize] += 1;
-                    use_rounds[slot as usize].push(task_round[tid.index()]);
+                for &(slot, _) in &inputs[in_off[tid.index()]..in_off[tid.index() + 1]] {
+                    let at = &mut use_cursor[slot as usize];
+                    use_rounds[*at] = r as u64;
+                    *at += 1;
                 }
             }
         }
-        for rounds in &mut use_rounds {
-            rounds.sort_unstable();
-        }
+        use_cursor.copy_from_slice(&use_off[..slots]);
 
         // External data starts in DRAM.
-        let mut locations = vec![Location::default(); slots];
         let mut loc_present = vec![false; slots];
+        let mut in_dram = vec![false; slots];
         for slot in n_tasks..slots {
             if remaining_uses[slot] > 0 {
                 loc_present[slot] = true;
-                locations[slot].in_dram = true;
+                in_dram[slot] = true;
             }
         }
 
@@ -395,13 +404,17 @@ impl<'p> Runtime<'p> {
                 .map(|_| BufferState::new(cfg.engine.buffer_bytes))
                 .collect(),
             n_tasks,
-            locations,
+            copies: CopySets::new(slots, engines),
             loc_present,
+            in_dram,
             remaining_uses,
             use_rounds,
-            inputs_dense,
-            pinned_scratch: Vec::new(),
+            use_off,
+            use_cursor,
+            inputs,
+            in_off,
             hop_table: cfg.mesh.hop_table(),
+            nearest_first: cfg.mesh.nearest_first_table(),
             hbm: HbmModel::new(cfg.hbm),
             traffic: TrafficTracker::new(cfg.mesh),
             now: 0,
@@ -467,14 +480,13 @@ impl<'p> Runtime<'p> {
     /// whose only copy lived here are returned as lost.
     fn kill_engine_copies(&mut self, engine: usize) -> Vec<TaskId> {
         let mut lost = Vec::new();
-        let resident: Vec<u32> = self.buffers[engine].data().map(|(s, _)| s).collect();
-        for slot in resident {
-            self.buffers[engine].remove(slot);
+        let capacity = self.buffers[engine].capacity();
+        let dead = std::mem::replace(&mut self.buffers[engine], BufferState::new(capacity));
+        for (slot, _) in dead.data() {
+            self.copies.remove(slot, engine);
             let s = slot as usize;
             if self.loc_present[s] {
-                let loc = &mut self.locations[s];
-                loc.engines.retain(|e| *e != engine);
-                let gone = loc.engines.is_empty() && !loc.in_dram;
+                let gone = self.copies.is_empty(slot) && !self.in_dram[s];
                 let needed = self.remaining_uses[s] > 0;
                 if gone && needed {
                     if s < self.n_tasks {
@@ -487,12 +499,11 @@ impl<'p> Runtime<'p> {
         lost
     }
 
-    /// Drops slot `slot`'s location entry, keeping its allocation for reuse.
+    /// Stops tracking slot `slot` (it holds no on-chip copy any more).
     fn clear_location(&mut self, slot: u32) {
         let s = slot as usize;
         self.loc_present[s] = false;
-        self.locations[s].engines.clear();
-        self.locations[s].in_dram = false;
+        self.in_dram[s] = false;
     }
 
     fn failure_report(&self, engine: usize, round: usize, lost: Vec<TaskId>) -> FailureReport {
@@ -542,14 +553,18 @@ impl<'p> Runtime<'p> {
                 let end = self.run_task(tid, engine, round_start)?;
                 round_end = round_end.max(end);
             }
+            debug_assert!(
+                self.copies_mirror_buffers(),
+                "round {r}: copy sets and buffer contents diverged"
+            );
 
             // Consume references and release dead data (Alg. 3 lines 8-12:
             // atoms no longer needed leave the buffers without write-back).
             // A slot at zero has already been released (the maps used to
             // drop the key entirely), so it is skipped, never re-released.
             for &(tid, _) in assignments {
-                for k in 0..self.inputs_dense[tid.index()].len() {
-                    let slot = self.inputs_dense[tid.index()][k].0;
+                for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
+                    let slot = self.inputs[k].0;
                     let uses = &mut self.remaining_uses[slot as usize];
                     if *uses > 0 {
                         *uses -= 1;
@@ -568,29 +583,51 @@ impl<'p> Runtime<'p> {
         Ok(None)
     }
 
-    /// Round of slot `slot`'s next consumption strictly after the current
-    /// round (`u64::MAX` when never used again).
-    fn next_use(&self, slot: u32) -> u64 {
-        let rounds = &self.use_rounds[slot as usize];
-        let idx = rounds.partition_point(|&r| r <= self.round_idx);
-        rounds.get(idx).copied().unwrap_or(u64::MAX)
+    /// Debug check: slot `s` is resident in `buffers[e]` exactly when its
+    /// copy set holds `e`.
+    fn copies_mirror_buffers(&self) -> bool {
+        let resident: usize = self.buffers.iter().map(BufferState::len).sum();
+        resident == self.copies.count()
+            && self
+                .buffers
+                .iter()
+                .enumerate()
+                .all(|(e, b)| b.data().all(|(slot, _)| self.copies.contains(slot, e)))
     }
 
-    /// Releases every copy of a dead datum (no write-back).
+    /// Round of slot `slot`'s next consumption strictly after the current
+    /// round (`u64::MAX` when never used again). Advances the slot's
+    /// cursor past every use at or before the current round; the round
+    /// index never decreases, so no use is skipped twice or revisited.
+    fn next_use(&mut self, slot: u32) -> u64 {
+        let s = slot as usize;
+        let end = self.use_off[s + 1];
+        let mut at = self.use_cursor[s];
+        while at < end && self.use_rounds[at] <= self.round_idx {
+            at += 1;
+        }
+        self.use_cursor[s] = at;
+        if at < end {
+            self.use_rounds[at]
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Releases every copy of a dead datum (no write-back). All of its uses
+    /// lie at or before the current round, so `next_use` already answers
+    /// "never" for it.
     fn release(&mut self, slot: u32) {
         let s = slot as usize;
         if self.loc_present[s] {
             self.loc_present[s] = false;
-            self.locations[s].in_dram = false;
-            let mut engines = std::mem::take(&mut self.locations[s].engines);
-            for &e in &engines {
+            self.in_dram[s] = false;
+            for e in self.copies.iter(slot) {
                 self.buffers[e].remove(slot);
             }
-            engines.clear();
-            self.locations[s].engines = engines;
+            self.copies.clear(slot);
         }
         self.remaining_uses[s] = 0;
-        self.use_rounds[s].clear();
     }
 
     /// Gathers operands and computes one task; returns its completion time.
@@ -602,14 +639,6 @@ impl<'p> Runtime<'p> {
         self.compute_energy_pj += task.compute_energy_pj;
         self.macs_done += task.macs;
 
-        // Pinned: this task's operands and its output must stay resident
-        // while the task runs. Both lists are reused allocations.
-        let inputs = std::mem::take(&mut self.inputs_dense[tid.index()]);
-        let mut pinned = std::mem::take(&mut self.pinned_scratch);
-        pinned.clear();
-        pinned.extend(inputs.iter().map(|&(slot, _)| slot));
-        pinned.push(tid.0);
-
         self.task_noc_cycles = 0;
         self.task_dram_cycles = 0;
         // NoC pulls serialize on the engine's port; DRAM requests are
@@ -618,26 +647,13 @@ impl<'p> Runtime<'p> {
         // `max(last DRAM completion, end of NoC streaming)`.
         let mut noc_t = round_start;
         let mut dram_ready = round_start;
-        let mut gather_err = None;
-        for &(slot, bytes) in &inputs {
+        for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
+            let (slot, bytes) = self.inputs[k];
             if bytes == 0 {
                 continue;
             }
-            match self.gather(slot, bytes, engine, round_start, noc_t, dram_ready, &pinned) {
-                Ok((new_noc_t, new_dram_ready)) => {
-                    noc_t = new_noc_t;
-                    dram_ready = new_dram_ready;
-                }
-                Err(e) => {
-                    gather_err = Some(e);
-                    break;
-                }
-            }
-        }
-        self.inputs_dense[tid.index()] = inputs;
-        if let Some(e) = gather_err {
-            self.pinned_scratch = pinned;
-            return Err(e);
+            (noc_t, dram_ready) =
+                self.gather(slot, bytes, engine, round_start, noc_t, dram_ready, tid)?;
         }
 
         let gather_cycles = noc_t.max(dram_ready) - round_start;
@@ -668,34 +684,31 @@ impl<'p> Runtime<'p> {
                 // Straight to DRAM: CNN-P semantics, or a network output.
                 self.hbm.write(compute_end, output_bytes);
                 self.set_location_dram(slot);
-            } else if self.make_room(engine, output_bytes, compute_end, &pinned) {
+            } else if self.make_room(engine, output_bytes, compute_end, tid) {
                 let nu = self.next_use(slot);
                 self.buffers[engine].insert(slot, output_bytes, self.round_idx, nu);
                 self.loc_present[s] = true;
-                self.locations[s].engines.clear();
-                self.locations[s].engines.push(engine);
-                self.locations[s].in_dram = false;
+                self.copies.insert(slot, engine);
+                self.in_dram[s] = false;
             } else {
                 // Does not fit even after eviction: spill to DRAM.
                 self.hbm.write(compute_end, output_bytes);
                 self.set_location_dram(slot);
             }
         }
-        self.pinned_scratch = pinned;
         Ok(compute_end)
     }
 
-    /// Marks slot `slot` as living only in DRAM.
+    /// Marks the freshly produced output `slot` as living only in DRAM.
     fn set_location_dram(&mut self, slot: u32) {
         let s = slot as usize;
         self.loc_present[s] = true;
-        self.locations[s].engines.clear();
-        self.locations[s].in_dram = true;
+        self.in_dram[s] = true;
     }
 
-    /// Fetches slot `slot` to `engine`. `noc_t` is the engine port's
-    /// streaming frontier, `dram_ready` the latest DRAM completion; returns
-    /// both updated.
+    /// Fetches slot `slot` to `engine` for task `tid`. `noc_t` is the
+    /// engine port's streaming frontier, `dram_ready` the latest DRAM
+    /// completion; returns both updated.
     #[allow(clippy::too_many_arguments)]
     fn gather(
         &mut self,
@@ -705,10 +718,10 @@ impl<'p> Runtime<'p> {
         round_start: u64,
         noc_t: u64,
         dram_ready: u64,
-        pinned: &[u32],
+        tid: TaskId,
     ) -> Result<(u64, u64), SimError> {
         // Local hit: free.
-        if self.buffers[engine].contains(slot) {
+        if self.copies.contains(slot, engine) {
             let nu = self.next_use(slot);
             self.buffers[engine].touch(slot, self.round_idx, nu);
             self.onchip_served += bytes;
@@ -716,42 +729,33 @@ impl<'p> Runtime<'p> {
         }
 
         // Nearest *reachable* on-chip copy by surviving-path hop count
-        // (unknown data is assumed DRAM-resident). While every link is up
-        // that is the hop table's Manhattan distance; once one dies, copies
-        // behind dead links are skipped, and if every copy is unreachable
-        // and there is no DRAM fallback, the transfer is impossible.
+        // (untracked data is assumed DRAM-resident). While every link is up
+        // that is the first holder in the requester's nearest-first row;
+        // once one dies, copies behind dead links are skipped, and if every
+        // copy is unreachable and there is no DRAM fallback, the transfer
+        // is impossible.
         let s = slot as usize;
         let n = self.cfg.engines();
-        let (src, stranded) = if self.loc_present[s] {
-            let loc = &self.locations[s];
-            let src = if self.link_faults.is_empty() {
-                // Hops are symmetric: `engine`'s row holds every distance
-                // to it.
-                let row = &self.hop_table[engine * n..(engine + 1) * n];
-                loc.engines.iter().map(|&src| (row[src], src)).min()
-            } else {
-                loc.engines
-                    .iter()
-                    .copied()
-                    .filter_map(|src| {
-                        self.cfg
-                            .mesh
-                            .hops_avoiding(src, engine, &self.link_faults)
-                            .map(|h| (h, src))
-                    })
-                    .min()
-            };
-            let stranded = if !loc.engines.is_empty() && !loc.in_dram {
-                Some(loc.engines[0])
-            } else {
-                None
-            };
-            (src, stranded)
+        let src = if self.copies.is_empty(slot) {
+            None
+        } else if self.link_faults.is_empty() {
+            let order = &self.nearest_first[engine * n..(engine + 1) * n];
+            self.copies
+                .nearest(slot, order)
+                .map(|src| (self.hop_table[src * n + engine], src))
         } else {
-            (None, None)
+            self.copies
+                .iter(slot)
+                .filter_map(|src| {
+                    self.cfg
+                        .mesh
+                        .hops_avoiding(src, engine, &self.link_faults)
+                        .map(|h| (h, src))
+                })
+                .min()
         };
-        if src.is_none() {
-            if let Some(from) = stranded {
+        if src.is_none() && !self.in_dram[s] {
+            if let Some(from) = self.copies.iter(slot).next() {
                 return Err(SimError::Unroutable { from, to: engine });
             }
         }
@@ -778,25 +782,22 @@ impl<'p> Runtime<'p> {
         // task (on this engine or as a NoC source for peers); last-use data
         // is streamed so it cannot evict reusable tensors.
         let reused_later = self.remaining_uses[s] > 1;
-        if reused_later && self.make_room(engine, bytes, ready, pinned) {
+        if reused_later && self.make_room(engine, bytes, ready, tid) {
             let nu = self.next_use(slot);
             self.buffers[engine].insert(slot, bytes, self.round_idx, nu);
             if !self.loc_present[s] {
                 self.loc_present[s] = true;
-                self.locations[s].engines.clear();
-                self.locations[s].in_dram = false;
+                self.in_dram[s] = false;
             }
-            let loc = &mut self.locations[s];
-            if !loc.engines.contains(&engine) {
-                loc.engines.push(engine);
-            }
+            self.copies.insert(slot, engine);
         }
         Ok((noc_t, dram_ready))
     }
 
-    /// Evicts until `bytes` fit in `engine`'s buffer. Returns `false` when
+    /// Evicts until `bytes` fit in `engine`'s buffer while task `tid` runs
+    /// there: its operands and its output are pinned. Returns `false` when
     /// the data cannot fit (streamed instead of cached).
-    fn make_room(&mut self, engine: usize, bytes: u64, t: u64, pinned: &[u32]) -> bool {
+    fn make_room(&mut self, engine: usize, bytes: u64, t: u64, tid: TaskId) -> bool {
         if bytes > self.buffers[engine].capacity() {
             return false;
         }
@@ -805,7 +806,8 @@ impl<'p> Runtime<'p> {
             return true;
         }
         let victims = {
-            let pinned_fn = |s: u32| pinned.contains(&s);
+            let operands = &self.inputs[self.in_off[tid.index()]..self.in_off[tid.index() + 1]];
+            let pinned_fn = |s: u32| s == tid.0 || operands.iter().any(|&(op, _)| op == s);
             self.buffers[engine].pick_victims(
                 self.cfg.eviction,
                 self.round_idx,
@@ -823,20 +825,19 @@ impl<'p> Runtime<'p> {
     /// the last copy of dirty, still-needed data.
     fn evict(&mut self, victim: u32, engine: usize, t: u64) {
         let bytes = self.buffers[engine].remove(victim).unwrap_or(0);
+        self.copies.remove(victim, engine);
         let v = victim as usize;
         if !self.loc_present[v] {
             return;
         }
-        let loc = &mut self.locations[v];
-        loc.engines.retain(|e| *e != engine);
         let still_needed = self.remaining_uses[v] > 0;
-        if loc.engines.is_empty() && !loc.in_dram {
+        if self.copies.is_empty(victim) && !self.in_dram[v] {
             if still_needed {
                 // Dirty write-back (does not block the engine: write-behind,
                 // but occupies the shared channel).
                 self.hbm.write(t, bytes);
             }
-            self.locations[v].in_dram = true;
+            self.in_dram[v] = true;
         }
     }
 

@@ -82,6 +82,22 @@ impl MeshConfig {
         (0..n * n).map(|i| self.hops(i / n, i % n)).collect()
     }
 
+    /// For every engine, every engine ordered nearest first, row-major:
+    /// row `a` (entries `a * engines() .. (a + 1) * engines()`) lists all
+    /// engines sorted by `(hops(a, b), b)`, starting with `a` itself.
+    /// Probing a row in order finds the closest member of any engine set,
+    /// ties to the lowest index, at the first hit.
+    pub fn nearest_first_table(&self) -> Vec<usize> {
+        let n = self.engines();
+        let mut table = Vec::with_capacity(n * n);
+        for a in 0..n {
+            let start = table.len();
+            table.extend(0..n);
+            table[start..].sort_by_cached_key(|&b| (self.hops(a, b), b));
+        }
+        table
+    }
+
     /// The XY (dimension-ordered) route from `a` to `b`, inclusive of both
     /// endpoints: data travels along X first, then Y, matching the paper's
     /// deadlock-free routing policy.

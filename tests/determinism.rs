@@ -467,3 +467,105 @@ fn incremental_replan_is_order_of_magnitude_faster_than_cold() {
     ctx.cfg.validate = ValidateMode::Deny;
     atomic_dataflow::validate::admit(&mut ctx).expect("incremental replan artifacts must admit");
 }
+
+// ---------------------------------------------------------------------------
+// Golden simulator pins. The JSON files under `tests/golden/` are literal
+// `SimStats` values recorded before the simulator's residency bookkeeping
+// (copy bitset, nearest-first probe, split buffer layout, next-use cursor)
+// was rewritten; every run below must keep reproducing them exactly.
+
+/// Plans `g` once with the standard pipeline on a `mesh`-sized fast-test
+/// machine; returns the simulator config, the lowered program and its
+/// simulated statistics.
+#[allow(clippy::unwrap_used)]
+fn golden_plan(g: &Graph, mesh: MeshConfig) -> (SimConfig, Program, SimStats) {
+    let mut cfg = OptimizerConfig::fast_test();
+    cfg.sim.mesh = mesh;
+    let mut ctx = PlanContext::new(g, cfg);
+    Pipeline::standard(None, None).run(&mut ctx).unwrap();
+    (cfg.sim, ctx.program.unwrap(), ctx.stats.unwrap())
+}
+
+fn assert_golden(stats: &SimStats, golden: &str, name: &str) {
+    assert_eq!(
+        stats.to_json().to_pretty(),
+        golden.trim_end(),
+        "{name}: simulated statistics drifted from the golden pin"
+    );
+}
+
+#[test]
+fn golden_sim_stats_tiny_branchy_8x8_with_and_without_a_dead_link() {
+    let (sim, program, stats) = golden_plan(&models::tiny_branchy(), MeshConfig::grid(8, 8));
+    assert_golden(
+        &stats,
+        include_str!("golden/sim_tiny_branchy_8x8.json"),
+        "tiny_branchy 8x8",
+    );
+
+    // A dead link in the middle of the mesh: transfers crossing it detour.
+    let plan = FaultPlan::none().with_event(accel_sim::FaultEvent {
+        cycle: 0,
+        kind: FaultKind::LinkFail { a: 27, b: 28 },
+    });
+    match Simulator::new(sim).run_faulted(&program, &plan).unwrap() {
+        accel_sim::FaultedOutcome::Completed(s) => {
+            assert_eq!(s.degradation.rerouted_transfers, 14);
+            assert_golden(
+                &s,
+                include_str!("golden/sim_tiny_branchy_8x8_dead_link.json"),
+                "tiny_branchy 8x8, link 27-28 dead",
+            );
+        }
+        accel_sim::FaultedOutcome::Failed(r) => panic!("a dead link is survivable: {r:?}"),
+    }
+}
+
+#[test]
+fn golden_sim_stats_resnet50_8x8_with_an_engine_death() {
+    let (sim, program, stats) = golden_plan(&models::resnet50(), MeshConfig::grid(8, 8));
+    assert_golden(
+        &stats,
+        include_str!("golden/sim_resnet50_8x8.json"),
+        "resnet50 8x8",
+    );
+
+    let plan = FaultPlan::engine_fail(9, stats.total_cycles / 2);
+    match Simulator::new(sim).run_faulted(&program, &plan).unwrap() {
+        accel_sim::FaultedOutcome::Failed(r) => {
+            assert_eq!((r.engine, r.cycle, r.round), (9, 196_223, 56));
+            assert_eq!(r.lost, vec![accel_sim::TaskId(3555)]);
+            let before: Vec<_> = program.rounds()[..56]
+                .iter()
+                .flatten()
+                .map(|&(t, _)| t)
+                .collect();
+            assert_eq!(r.completed.len(), 3568);
+            assert_eq!(
+                r.completed, before,
+                "completed = every task of rounds 0..56"
+            );
+            assert_golden(
+                &r.partial,
+                include_str!("golden/sim_resnet50_8x8_engine9_death_partial.json"),
+                "resnet50 8x8, engine 9 dies mid-run",
+            );
+        }
+        accel_sim::FaultedOutcome::Completed(_) => panic!("engine 9 still had work"),
+    }
+}
+
+/// 81 engines: the per-datum copy set spans two 64-bit words.
+#[test]
+fn golden_sim_stats_resnet50_9x9() {
+    let (_, program, stats) = golden_plan(&models::resnet50(), MeshConfig::grid(9, 9));
+    assert!(
+        program.rounds().iter().flatten().any(|&(_, e)| e >= 64),
+        "the pin must place work on engines past the first bitset word"
+    );
+    assert_golden(
+        &stats,
+        include_str!("golden/sim_resnet50_9x9.json"),
+        "resnet50 9x9",
+    );
+}
