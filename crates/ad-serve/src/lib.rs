@@ -28,8 +28,8 @@
 //!   ([`Graph::canonical_fingerprint`],
 //!   [`request::batchless_config_fingerprint`]) finds the cached plan of
 //!   the nearest graph differing only in batch size; its per-layer atom
-//!   specs seed the SA search of the miss (see
-//!   `atomic_dataflow::atomgen::generate_warm`). Warm starts change only
+//!   specs seed the SA search of the miss (see the `warm` argument of
+//!   `atomic_dataflow::atomgen::generate`). Warm starts change only
 //!   where the search *starts*; the admitted plan still passes Deny-mode
 //!   validation, and whatever plan is computed first for a key is what the
 //!   cache returns forever after (DESIGN.md §14).

@@ -8,10 +8,12 @@
 use std::time::Instant;
 
 use accel_sim::Simulator;
-use atomic_dataflow::atomgen::{self, AtomGenConfig, AtomGenMode, GaParams, SaParams};
+use atomic_dataflow::atomgen::{
+    self, AtomGenConfig, AtomGenMode, CandidateTable, GaParams, SaParams,
+};
 use atomic_dataflow::{
-    lower_to_program, request, LowerOptions, Optimizer, OptimizerConfig, PlanRequest, ScheduleMode,
-    Scheduler, SchedulerConfig, Strategy,
+    lower_to_program, request, Exec, LowerOptions, Optimizer, OptimizerConfig, PlanRequest,
+    ScheduleMode, Scheduler, SchedulerConfig, Strategy,
 };
 use dnn_graph::models;
 use engine_model::{ConvTask, Dataflow, HardwareConfig};
@@ -44,33 +46,32 @@ fn small_cfg() -> OptimizerConfig {
 fn bench_pipeline(iters: usize) {
     let g = models::resnet50();
     let engine = HardwareConfig::paper_default().engine_config();
-    time("atomgen/sa_resnet50", iters, || {
-        atomgen::generate(
-            &g,
-            &AtomGenConfig {
-                mode: AtomGenMode::Sa(SaParams {
-                    max_iters: 100,
-                    ..SaParams::default()
-                }),
-                ..AtomGenConfig::default()
-            },
-            &engine,
-            Dataflow::KcPartition,
-        )
+    let build = |cfg: &AtomGenConfig| {
+        CandidateTable::build(&g, cfg, &engine, Dataflow::KcPartition, Exec::serial())
+    };
+    time("atomgen/table_resnet50", iters, || {
+        build(&AtomGenConfig::default())
     });
+    let table = build(&AtomGenConfig::default());
+    let sa = AtomGenConfig {
+        mode: AtomGenMode::Sa(SaParams {
+            max_iters: 100,
+            ..SaParams::default()
+        }),
+        ..AtomGenConfig::default()
+    };
+    time("atomgen/sa_resnet50", iters, || {
+        atomgen::generate(&g, &table, &sa, None, None, Exec::serial())
+    });
+    let ga = AtomGenConfig {
+        mode: AtomGenMode::Ga(GaParams {
+            generations: 50,
+            ..GaParams::default()
+        }),
+        ..AtomGenConfig::default()
+    };
     time("atomgen/ga_resnet50", iters, || {
-        atomgen::generate(
-            &g,
-            &AtomGenConfig {
-                mode: AtomGenMode::Ga(GaParams {
-                    generations: 50,
-                    ..GaParams::default()
-                }),
-                ..AtomGenConfig::default()
-            },
-            &engine,
-            Dataflow::KcPartition,
-        )
+        atomgen::generate(&g, &table, &ga, None, None, Exec::serial())
     });
 
     let cfg = small_cfg();

@@ -6,7 +6,10 @@
 //!     faster and reaches a lower variance.
 
 use ad_bench::{Table, Workloads};
-use atomic_dataflow::atomgen::{self, AtomGenConfig, AtomGenMode, GaParams, SaParams};
+use atomic_dataflow::atomgen::{
+    self, AtomGenConfig, AtomGenMode, CandidateTable, GaParams, SaParams,
+};
+use atomic_dataflow::Exec;
 use engine_model::{Dataflow, HardwareConfig};
 
 fn main() {
@@ -17,6 +20,17 @@ fn main() {
         ]);
     }
     let engine = HardwareConfig::paper_default().engine_config();
+    // The candidate table depends on neither the search mode nor the SA
+    // hyper-parameters, so SA and GA read the same one.
+    let candidates = |graph| {
+        CandidateTable::build(
+            graph,
+            &AtomGenConfig::default(),
+            &engine,
+            Dataflow::KcPartition,
+            Exec::serial(),
+        )
+    };
 
     // ---- (a) cycle histograms under SA.
     let mut table = Table::new(
@@ -30,12 +44,8 @@ fn main() {
         ],
     );
     for (name, graph) in &w.list {
-        let rep = atomgen::generate(
-            graph,
-            &AtomGenConfig::default(),
-            &engine,
-            Dataflow::KcPartition,
-        );
+        let cfg = AtomGenConfig::default();
+        let rep = atomgen::generate(graph, &candidates(graph), &cfg, None, None, Exec::serial());
         let total_atoms: usize = rep.layer_cycles.iter().map(|(_, n)| n).sum();
         let near: usize = rep
             .layer_cycles
@@ -67,31 +77,23 @@ fn main() {
     // ---- (b) SA vs GA convergence on the first workload.
     let (name, graph) = &w.list[0];
     let iters = 200usize;
-    let sa = atomgen::generate(
-        graph,
-        &AtomGenConfig {
-            mode: AtomGenMode::Sa(SaParams {
-                max_iters: iters,
-                epsilon: 0.0,
-                ..SaParams::default()
-            }),
+    let table = candidates(graph);
+    let run = |mode| {
+        let cfg = AtomGenConfig {
+            mode,
             ..AtomGenConfig::default()
-        },
-        &engine,
-        Dataflow::KcPartition,
-    );
-    let ga = atomgen::generate(
-        graph,
-        &AtomGenConfig {
-            mode: AtomGenMode::Ga(GaParams {
-                generations: iters,
-                ..GaParams::default()
-            }),
-            ..AtomGenConfig::default()
-        },
-        &engine,
-        Dataflow::KcPartition,
-    );
+        };
+        atomgen::generate(graph, &table, &cfg, None, None, Exec::serial())
+    };
+    let sa = run(AtomGenMode::Sa(SaParams {
+        max_iters: iters,
+        epsilon: 0.0,
+        ..SaParams::default()
+    }));
+    let ga = run(AtomGenMode::Ga(GaParams {
+        generations: iters,
+        ..GaParams::default()
+    }));
 
     let mut conv = Table::new(
         format!("Fig. 5(b) — SA vs GA convergence on {name} (normalized Var)"),

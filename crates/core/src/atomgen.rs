@@ -203,90 +203,106 @@ struct Candidate {
     est_wall: u64,
 }
 
-/// Per-layer candidate table, sorted by cycles.
-struct CandidateTable {
-    /// `table[layer_id]` — empty for `Input` layers.
+/// Every layer's tiling candidates, sorted by cycles.
+///
+/// The table depends on the graph, the engine, the dataflow and three
+/// fields of [`AtomGenConfig`] (`max_working_set_frac`,
+/// `max_atoms_per_layer`, `engines`), never on the granularity target or
+/// the search mode. A planning request therefore builds it once and every
+/// [`generate`] run of the request (one per granularity target, every SA
+/// chain) reads it.
+#[derive(Debug)]
+pub struct CandidateTable {
+    /// `layers[layer_id]` — empty for `Input` layers.
     layers: Vec<Vec<Candidate>>,
     /// Whether the layer's atoms run on the PE array (participate in `Var`).
     is_array: Vec<bool>,
     /// Best (smallest) achievable estimated wall per layer — the reference
     /// point for the selection-time quality penalty.
     min_wall: Vec<u64>,
+    /// The SA hot loop's view of the same candidates.
+    soa: SaSoa,
+    /// The configuration the table was enumerated under:
+    /// `(max_working_set_frac bits, max_atoms_per_layer, engines)`.
+    built_for: (u64, usize, usize),
 }
 
-/// Runs the configured generator over `graph`.
-pub fn generate(
-    graph: &Graph,
-    cfg: &AtomGenConfig,
-    engine: &EngineConfig,
-    dataflow: Dataflow,
-) -> GenReport {
-    generate_budgeted(graph, cfg, engine, dataflow, None)
-}
-
-/// Like [`generate`], with an optional deterministic iteration cap
-/// ([`crate::PlanBudget::sa_iters`]). The cap bounds each SA chain's
-/// iteration count; the chain returns its best-so-far choice vector and the
-/// report is flagged [`GenReport::truncated`] when the cap fired before
-/// convergence. GA and uniform generation have fixed iteration structure
-/// and ignore the cap.
-pub fn generate_budgeted(
-    graph: &Graph,
-    cfg: &AtomGenConfig,
-    engine: &EngineConfig,
-    dataflow: Dataflow,
-    iter_budget: Option<usize>,
-) -> GenReport {
-    generate_warm(graph, cfg, engine, dataflow, iter_budget, None)
-}
-
-/// Like [`generate_budgeted`], with an optional *warm start*: per-layer
-/// atom specs from a previously planned, closely related request (the plan
-/// cache's nearest neighbor differing only in batch). SA chains initialize
-/// from the warm specs instead of the granularity-target heuristic —
-/// annealing then proceeds unchanged, so the result still passes the same
-/// admission checks; layers whose warm spec is not in the candidate table
-/// (different engine geometry) fall back to the default initialization.
-/// GA and uniform generation ignore the warm start.
-pub fn generate_warm(
-    graph: &Graph,
-    cfg: &AtomGenConfig,
-    engine: &EngineConfig,
-    dataflow: Dataflow,
-    iter_budget: Option<usize>,
-    warm: Option<&[AtomSpec]>,
-) -> GenReport {
-    generate_warm_exec(
-        graph,
-        cfg,
-        engine,
-        dataflow,
-        iter_budget,
-        warm,
-        Exec::serial(),
+/// The [`AtomGenConfig`] fields a [`CandidateTable`] depends on.
+fn table_key(cfg: &AtomGenConfig) -> (u64, usize, usize) {
+    (
+        cfg.max_working_set_frac.to_bits(),
+        cfg.max_atoms_per_layer,
+        cfg.engines,
     )
 }
 
-/// Like [`generate_warm`], running SA chain fan-outs and buffer
-/// acquisition through an explicit execution context (`exec`) — the
-/// planning pipeline passes the request's persistent worker pool and
-/// scratch arenas here. `Exec::serial()` reproduces [`generate_warm`]
-/// exactly (one-shot scoped threads, temporary buffers); the output is
-/// byte-identical either way.
-pub fn generate_warm_exec(
+impl CandidateTable {
+    /// Enumerates every layer's candidates. Layers fan out through `exec`
+    /// and the results are kept in layer order, so the table is the same
+    /// for every pool and thread count.
+    pub fn build(
+        graph: &Graph,
+        cfg: &AtomGenConfig,
+        engine: &EngineConfig,
+        dataflow: Dataflow,
+        exec: Exec<'_>,
+    ) -> Self {
+        let layers: Vec<&Layer> = graph.layers().collect();
+        let cands = exec.map(layers.len(), cfg.parallelism, |li| {
+            layer_candidates(layers[li], cfg, engine, dataflow)
+        });
+        let mut table = Self {
+            is_array: layers.iter().map(|l| l.is_array_op()).collect(),
+            min_wall: cands
+                .iter()
+                .map(|c| c.iter().map(|c| c.est_wall).min().unwrap_or(0))
+                .collect(),
+            layers: cands,
+            soa: SaSoa::default(),
+            built_for: table_key(cfg),
+        };
+        table.soa = SaSoa::build(&table);
+        table
+    }
+}
+
+/// Runs the configured generator over `graph`, reading its candidates from
+/// `table` (built by [`CandidateTable::build`] under the same `cfg`).
+///
+/// * `iter_budget` is a deterministic iteration cap
+///   ([`crate::PlanBudget::sa_iters`]). It bounds each SA chain's
+///   iteration count; the chain returns its best-so-far choice vector and
+///   the report is flagged [`GenReport::truncated`] when the cap fired
+///   before convergence.
+/// * `warm` is a *warm start*: per-layer atom specs from a previously
+///   planned, closely related request (the plan cache's nearest neighbor
+///   differing only in batch). SA chains initialize from the warm specs
+///   instead of the granularity-target heuristic. Annealing then proceeds
+///   unchanged, so the result still passes the same admission checks.
+///   Layers whose warm spec is not in the candidate table (different
+///   engine geometry) fall back to the default initialization.
+/// * `exec` carries the request's worker pool and scratch arenas for the
+///   SA chain fan-out; [`Exec::serial`] gives byte-identical output.
+///
+/// GA and uniform generation have a fixed iteration structure and ignore
+/// both the cap and the warm start.
+pub fn generate(
     graph: &Graph,
+    table: &CandidateTable,
     cfg: &AtomGenConfig,
-    engine: &EngineConfig,
-    dataflow: Dataflow,
     iter_budget: Option<usize>,
     warm: Option<&[AtomSpec]>,
     exec: Exec<'_>,
 ) -> GenReport {
-    let table = enumerate_candidates(graph, cfg, engine, dataflow);
+    debug_assert_eq!(
+        table.built_for,
+        table_key(cfg),
+        "candidate table built under a different generator configuration"
+    );
     match cfg.mode {
         AtomGenMode::Sa(p) => run_sa(
             graph,
-            &table,
+            table,
             p,
             cfg.target_atoms_per_layer,
             cfg.parallelism,
@@ -294,8 +310,8 @@ pub fn generate_warm_exec(
             warm,
             exec,
         ),
-        AtomGenMode::Ga(p) => run_ga(graph, &table, p),
-        AtomGenMode::Uniform { parts } => run_uniform(graph, &table, parts),
+        AtomGenMode::Ga(p) => run_ga(graph, table, p),
+        AtomGenMode::Uniform { parts } => run_uniform(graph, table, parts),
     }
 }
 
@@ -316,102 +332,87 @@ fn round_up_multiple(v: usize, m: usize, cap: usize) -> usize {
     (v.div_ceil(m) * m).min(cap).max(1)
 }
 
-fn enumerate_candidates(
-    graph: &Graph,
+/// One layer's candidates, sorted by cycles (stably, so equal-cycles
+/// candidates keep their enumeration order); empty for `Input` layers.
+fn layer_candidates(
+    layer: &Layer,
     cfg: &AtomGenConfig,
     engine: &EngineConfig,
     dataflow: Dataflow,
-) -> CandidateTable {
+) -> Vec<Candidate> {
+    if layer.op().is_input() {
+        return Vec::new();
+    }
     // `max_working_set_frac` ∈ [0, 1], so the product stays ≤ buffer_bytes.
     #[allow(clippy::cast_possible_truncation)]
     let budget = (engine.buffer_bytes as f64 * cfg.max_working_set_frac) as u64;
-    let mut layers = Vec::with_capacity(graph.layer_count());
-    let mut is_array = Vec::with_capacity(graph.layer_count());
-    let mut min_wall = Vec::with_capacity(graph.layer_count());
+    let out = layer.out_shape();
+    let mut cands: Vec<Candidate> = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
 
-    for layer in graph.layers() {
-        is_array.push(layer.is_array_op());
-        if layer.op().is_input() {
-            layers.push(Vec::new());
-            min_wall.push(0);
-            continue;
+    for &fh in &SPLITS {
+        if fh > out.h && fh != 1 {
+            break;
         }
-        let out = layer.out_shape();
-        let mut cands: Vec<Candidate> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-
-        for &fh in &SPLITS {
-            if fh > out.h && fh != 1 {
+        for &fw in &SPLITS {
+            if fw > out.w && fw != 1 {
                 break;
             }
-            for &fw in &SPLITS {
-                if fw > out.w && fw != 1 {
+            for &fc in &SPLITS {
+                if fc > out.c && fc != 1 {
                     break;
                 }
-                for &fc in &SPLITS {
-                    if fc > out.c && fc != 1 {
-                        break;
-                    }
-                    let spec = snapped_spec(layer, out, fh, fw, fc, engine, dataflow);
-                    if !seen.insert((spec.th, spec.tw, spec.tc)) {
-                        continue;
-                    }
-                    let count = spec.count(out);
-                    if count > cfg.max_atoms_per_layer {
-                        continue;
-                    }
-                    let coords = AtomCoords {
-                        h: Range::new(0, spec.th),
-                        w: Range::new(0, spec.tw),
-                        c: Range::new(0, spec.tc),
-                    };
-                    let cost = atom_cost(layer, &coords, engine, dataflow);
-                    // No hard working-set filter: operands larger than the
-                    // buffer are streamed (the simulator models exactly
-                    // that), and the resulting traffic is visible to the
-                    // outer Fig. 4(b) loop through full simulation. The
-                    // `max_working_set_frac` budget only softens selection
-                    // via the wall-time term below.
-                    let oversize_penalty = cost.working_set_bytes.saturating_sub(budget) / 64;
-                    let cycles = cost.cycles.max(1);
-                    // Effective per-atom time: compute, or the operand
-                    // gathering when the double buffer cannot hide it
-                    // (input bytes over a ~64 B/cycle link plus one DRAM
-                    // access latency). Tiny atoms with large halos are
-                    // gather-bound and make poor scheduling units.
-                    let gather_est = (cost.working_set_bytes - cost.output_bytes) / 64 + 150;
-                    let eff = cycles.max(gather_est);
-                    cands.push(Candidate {
-                        cycles,
-                        count,
-                        spec,
-                        est_wall: count.div_ceil(cfg.engines) as u64 * eff + oversize_penalty,
-                    });
+                let spec = snapped_spec(layer, out, fh, fw, fc, engine, dataflow);
+                if !seen.insert((spec.th, spec.tw, spec.tc)) {
+                    continue;
                 }
+                let count = spec.count(out);
+                if count > cfg.max_atoms_per_layer {
+                    continue;
+                }
+                let coords = AtomCoords {
+                    h: Range::new(0, spec.th),
+                    w: Range::new(0, spec.tw),
+                    c: Range::new(0, spec.tc),
+                };
+                let cost = atom_cost(layer, &coords, engine, dataflow);
+                // No hard working-set filter: operands larger than the
+                // buffer are streamed (the simulator models exactly
+                // that), and the resulting traffic is visible to the
+                // outer Fig. 4(b) loop through full simulation. The
+                // `max_working_set_frac` budget only softens selection
+                // via the wall-time term below.
+                let oversize_penalty = cost.working_set_bytes.saturating_sub(budget) / 64;
+                let cycles = cost.cycles.max(1);
+                // Effective per-atom time: compute, or the operand
+                // gathering when the double buffer cannot hide it
+                // (input bytes over a ~64 B/cycle link plus one DRAM
+                // access latency). Tiny atoms with large halos are
+                // gather-bound and make poor scheduling units.
+                let gather_est = (cost.working_set_bytes - cost.output_bytes) / 64 + 150;
+                let eff = cycles.max(gather_est);
+                cands.push(Candidate {
+                    cycles,
+                    count,
+                    spec,
+                    est_wall: count.div_ceil(cfg.engines) as u64 * eff + oversize_penalty,
+                });
             }
         }
-        if cands.is_empty() {
-            // Fall back to the whole layer even if it busts the budget.
-            let spec = AtomSpec::whole(out);
-            let cost = atom_cost(layer, &AtomCoords::full(out), engine, dataflow);
-            let cycles = cost.cycles.max(1);
-            let _ = cost;
-            cands.push(Candidate {
-                cycles,
-                count: 1,
-                spec,
-                est_wall: cycles,
-            });
-        }
-        cands.sort_by_key(|c| c.cycles);
-        min_wall.push(cands.iter().map(|c| c.est_wall).min().unwrap_or(0));
-        layers.push(cands);
     }
-    CandidateTable {
-        layers,
-        is_array,
-        min_wall,
+    if cands.is_empty() {
+        // Fall back to the whole layer even if it busts the budget.
+        let cost = atom_cost(layer, &AtomCoords::full(out), engine, dataflow);
+        let cycles = cost.cycles.max(1);
+        cands.push(Candidate {
+            cycles,
+            count: 1,
+            spec: AtomSpec::whole(out),
+            est_wall: cycles,
+        });
     }
+    cands.sort_by_key(|c| c.cycles);
+    cands
 }
 
 /// Builds a tile spec for split factors, snapping the spatially-unrolled
@@ -473,72 +474,95 @@ fn weighted_stats(choices: &[(u64, usize, bool)]) -> (f64, f64) {
     (mean, if mean > 0.0 { var / (mean * mean) } else { 0.0 })
 }
 
-/// Per-layer argmin of Alg. 1 line 13, extended with Sec. IV-A's target
-/// (1): the distance to the unified cycle `S` is penalized by the wall-time
-/// loss of the tile relative to the layer's best tile — a term that captures
-/// both PE utilization (coarse layers) and intra-layer parallelism (layers
-/// too small to fill a round), so balancing never trades them away.
-///
-/// Reference implementation: the SA hot loop runs [`SaSoa::closest`], which
-/// a test pins bit-for-bit against this scan.
-#[allow(dead_code)] // exercised by tests as the equivalence reference
-fn closest_candidate(cands: &[Candidate], target: f64, min_wall: u64) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f64::INFINITY;
-    for (i, c) in cands.iter().enumerate() {
-        let dist = (c.cycles as f64 - target).abs();
-        let quality = (c.est_wall - min_wall) as f64;
-        let score = dist + quality;
-        if score < best_score {
-            best_score = score;
-            best = i;
-        }
-    }
-    best
-}
+/// Largest `6·max_cycles + max_quality` for which collapsing equal-cycles
+/// runs keeps [`SaSoa::closest`] exact: below 2^52 every f64 has an ulp of
+/// at most 1/2, so `fl(dist + q)` is strictly increasing in integer `q`.
+const EXACT_SUM_LIMIT: u64 = 1 << 52;
 
-/// Structure-of-arrays mirror of a [`CandidateTable`], built once per SA
-/// run and shared read-only by every chain. All floats are the *same bits*
-/// the scalar path would produce (`cycles as f64`,
+/// Structure-of-arrays view of a [`CandidateTable`], built once with the
+/// table and shared read-only by every SA run. All floats are the *same
+/// bits* the scalar path would produce (`cycles as f64`,
 /// `(est_wall - min_wall) as f64`, `count as f64` and its products with the
 /// same association), and the variance fold visits layers in the same
-/// ascending order — so the SoA hot loop is bit-identical to re-deriving
-/// everything from the AoS table each iteration, just without the struct
-/// loads, casts, and per-iteration allocation.
+/// ascending order.
+///
+/// The per-layer argmin of Alg. 1 line 13 minimizes
+/// `|cycles - S| + (est_wall - min_wall)`: the distance to the unified
+/// cycle `S`, penalized by the wall-time loss of the tile relative to the
+/// layer's best tile (Sec. IV-A's target (1): a term that captures both PE
+/// utilization and intra-layer parallelism, so balancing never trades
+/// them away). Ties go to the lowest candidate index. [`SaSoa::closest`]
+/// returns exactly that argmin, visiting a few candidates instead of all;
+/// DESIGN.md §11 gives the rules.
+#[derive(Debug, Default)]
 struct SaSoa {
-    /// `cycles_f[layer][cand]` — candidate cycles, pre-cast to f64.
+    /// `cycles_f[layer][k]` — cycles of the layer's `k`-th argmin
+    /// representative, pre-cast to f64 (ascending).
     cycles_f: Vec<Vec<f64>>,
-    /// `quality[layer][cand]` — the wall-time penalty term of
-    /// [`closest_candidate`], pre-cast (always ≥ 0).
+    /// `quality[layer][k]` — the representative's wall-time penalty
+    /// `(est_wall - min_wall) as f64` (always ≥ 0).
     quality: Vec<Vec<f64>>,
+    /// `index[layer][k]` — the representative's index in the layer's
+    /// candidate list.
+    index: Vec<Vec<usize>>,
     /// Layers contributing to the variance objective (non-empty candidate
-    /// list and array op), ascending. Non-array layers are folded away
-    /// entirely: [`weighted_stats`] skips them anyway.
+    /// list and array op), ascending.
     active: Vec<usize>,
-    /// `(w, w·c, (w·c)·c)` per candidate of each active layer (empty for
-    /// inactive layers).
+    /// Non-array layers with candidates: outside the objective, so SA
+    /// resolves them once, from the final `S`.
+    passive: Vec<usize>,
+    /// `(w, w·c, (w·c)·c)` per candidate of each active layer, indexed like
+    /// the candidate list (empty for other layers).
     weights: Vec<Vec<(f64, f64, f64)>>,
 }
 
 impl SaSoa {
     fn build(table: &CandidateTable) -> Self {
-        let nl = table.layers.len();
-        let mut cycles_f = Vec::with_capacity(nl);
-        let mut quality = Vec::with_capacity(nl);
-        let mut weights = Vec::with_capacity(nl);
-        let mut active = Vec::new();
-        for li in 0..nl {
-            let cands = &table.layers[li];
-            cycles_f.push(cands.iter().map(|c| c.cycles as f64).collect());
-            quality.push(
-                cands
-                    .iter()
-                    .map(|c| (c.est_wall - table.min_wall[li]) as f64)
-                    .collect(),
-            );
-            if !cands.is_empty() && table.is_array[li] {
-                active.push(li);
-                weights.push(
+        let max_cycles = table
+            .layers
+            .iter()
+            .filter_map(|c| c.last())
+            .map(|c| c.cycles)
+            .max()
+            .unwrap_or(0);
+        let max_quality = table
+            .layers
+            .iter()
+            .zip(&table.min_wall)
+            .flat_map(|(cands, &min)| cands.iter().map(move |c| c.est_wall - min))
+            .max()
+            .unwrap_or(0);
+        // SA targets never exceed 6·max_cycles (`S` is clamped to 6·s0 and
+        // s0 is a mean of chosen cycles, at least 1), so no distance does.
+        let collapse = max_cycles.saturating_mul(6).saturating_add(max_quality) < EXACT_SUM_LIMIT;
+        let mut soa = Self::default();
+        for (li, cands) in table.layers.iter().enumerate() {
+            let (mut cycles_f, mut quality, mut index) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, c) in cands.iter().enumerate() {
+                let q = (c.est_wall - table.min_wall[li]) as f64;
+                let cf = c.cycles as f64;
+                // Equal cycles give bit-identical distances, so within a run
+                // the first minimum-quality member scores strictly best.
+                if collapse && cycles_f.last() == Some(&cf) {
+                    let k = cycles_f.len() - 1;
+                    if q < quality[k] {
+                        quality[k] = q;
+                        index[k] = i;
+                    }
+                    continue;
+                }
+                cycles_f.push(cf);
+                quality.push(q);
+                index.push(i);
+            }
+            soa.cycles_f.push(cycles_f);
+            soa.quality.push(quality);
+            soa.index.push(index);
+            if cands.is_empty() {
+                soa.weights.push(Vec::new());
+            } else if table.is_array[li] {
+                soa.active.push(li);
+                soa.weights.push(
                     cands
                         .iter()
                         .map(|c| {
@@ -550,15 +574,11 @@ impl SaSoa {
                         .collect(),
                 );
             } else {
-                weights.push(Vec::new());
+                soa.passive.push(li);
+                soa.weights.push(Vec::new());
             }
         }
-        Self {
-            cycles_f,
-            quality,
-            active,
-            weights,
-        }
+        soa
     }
 
     /// Weighted mean and normalized variance of `choice` — the same
@@ -582,31 +602,49 @@ impl SaSoa {
         (mean, if mean > 0.0 { var / (mean * mean) } else { 0.0 })
     }
 
-    /// [`closest_candidate`] over the SoA arrays with an exact early exit:
-    /// candidates are sorted by cycles, so once `cycles ≥ target` the
-    /// distance term grows monotonically, and when it *alone* strictly
-    /// exceeds the best score no later candidate can win
-    /// (`score = dist + quality ≥ dist`, quality ≥ 0, IEEE addition of
-    /// non-negatives is monotone). Strict `>` means equal-score candidates
-    /// are still visited, preserving the first-minimum tie-break of the
-    /// scalar loop bit for bit.
+    /// The argmin candidate index of layer `li` (which must have
+    /// candidates) at unified cycle `target`, exact for every target up to
+    /// 6× the table's largest cycles.
+    ///
+    /// The scan starts at the first representative with `cycles ≥ target`
+    /// and walks outward, always taking the nearer of the two frontier
+    /// representatives. Distances only grow outward on each side, and
+    /// `score = dist + quality ≥ dist` (quality ≥ 0, IEEE addition of
+    /// non-negatives is monotone), so once the nearer frontier's distance
+    /// alone strictly exceeds the best score nothing further out can win
+    /// or tie. Ties go to the lower index, as in a left-to-right scan.
     fn closest(&self, li: usize, target: f64) -> usize {
         let cycles = &self.cycles_f[li];
         let quality = &self.quality[li];
+        let start = cycles.partition_point(|&c| c < target);
+        // The next representative on the left is `lo - 1`, on the right `hi`.
+        let (mut lo, mut hi) = (start, start);
         let mut best = 0usize;
         let mut best_score = f64::INFINITY;
-        for i in 0..cycles.len() {
-            let dist = (cycles[i] - target).abs();
-            if cycles[i] >= target && dist > best_score {
+        loop {
+            let left = lo.checked_sub(1).map(|i| (i, (cycles[i] - target).abs()));
+            let right = cycles.get(hi).map(|&c| (hi, (c - target).abs()));
+            let (i, dist) = match (left, right) {
+                (Some(l), Some(r)) if l.1 <= r.1 => l,
+                (_, Some(r)) => r,
+                (Some(l), None) => l,
+                (None, None) => break,
+            };
+            if dist > best_score {
                 break;
             }
+            if i < start {
+                lo = i;
+            } else {
+                hi = i + 1;
+            }
             let score = dist + quality[i];
-            if score < best_score {
+            if score < best_score || (score == best_score && i < best) {
                 best_score = score;
                 best = i;
             }
         }
-        best
+        self.index[li][best]
     }
 }
 
@@ -668,24 +706,14 @@ fn run_sa(
     warm: Option<&[AtomSpec]>,
     exec: Exec<'_>,
 ) -> GenReport {
-    let soa = SaSoa::build(table);
     let chains = p.chains.max(1);
     if chains == 1 {
-        return run_sa_chain(graph, table, &soa, p, target_count, iter_budget, warm, exec);
+        return run_sa_chain(graph, table, p, target_count, iter_budget, warm, exec);
     }
     let reports = exec.map(chains, parallelism, |i| {
         let mut pi = p;
         pi.seed = chain_seed(p.seed, i);
-        run_sa_chain(
-            graph,
-            table,
-            &soa,
-            pi,
-            target_count,
-            iter_budget,
-            warm,
-            exec,
-        )
+        run_sa_chain(graph, table, pi, target_count, iter_budget, warm, exec)
     });
     let mut best: Option<GenReport> = None;
     for r in reports {
@@ -694,26 +722,23 @@ fn run_sa(
         }
     }
     // `chains >= 1`, so at least one report exists.
-    best.unwrap_or_else(|| {
-        run_sa_chain(graph, table, &soa, p, target_count, iter_budget, warm, exec)
-    })
+    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget, warm, exec))
 }
 
 /// One annealing chain (Algorithm 1), deterministic given `p.seed`. An
 /// `iter_budget` below `p.max_iters` truncates the chain (flagged in the
 /// report unless the chain converged first); the budget check is a pure
 /// iteration count, so a fixed budget yields byte-identical results.
-#[allow(clippy::too_many_arguments)]
 fn run_sa_chain(
     graph: &Graph,
     table: &CandidateTable,
-    soa: &SaSoa,
     p: SaParams,
     target_count: usize,
     iter_budget: Option<usize>,
     warm: Option<&[AtomSpec]>,
     exec: Exec<'_>,
 ) -> GenReport {
+    let soa = &table.soa;
     let mut rng = Rng64::new(p.seed);
     let nl = graph.layer_count();
 
@@ -757,30 +782,32 @@ fn run_sa_chain(
 
     let cap = p.max_iters.min(iter_budget.unwrap_or(usize::MAX));
     let mut converged = false;
+    let mut accepted = false;
     for _ in 0..cap {
         if e <= p.epsilon {
             converged = true;
             break;
         }
-        // Neighboring state (line 10) and per-layer argmin (lines 11-14).
-        // `S` is kept within a band around the initialization scale; the
-        // optimizer's outer loop (Fig. 4(b)) explores different scales and
-        // picks the cheapest by full simulation.
+        // Neighboring state (line 10) and per-layer argmin (lines 11-14)
+        // over the layers in the objective; non-array layers are resolved
+        // once after the loop. `S` is kept within a band around the
+        // initialization scale; the optimizer's outer loop (Fig. 4(b))
+        // explores different scales and picks the cheapest by full
+        // simulation.
         let s_move = (s + rng.range_f64(-1.0, 1.0) * p.move_len * s).clamp(s0 / 3.0, s0 * 6.0);
         cand_choice.copy_from_slice(&choice);
         let mut changed = false;
-        for (li, slot) in cand_choice.iter_mut().enumerate() {
-            if !table.layers[li].is_empty() {
-                let next = soa.closest(li, s_move);
-                if next != *slot {
-                    *slot = next;
-                    changed = true;
-                }
+        for &li in &soa.active {
+            let next = soa.closest(li, s_move);
+            if next != cand_choice[li] {
+                cand_choice[li] = next;
+                changed = true;
             }
         }
-        // The objective is a pure function of the choice vector, so a move
-        // that lands on the current vector re-uses the current energy
-        // instead of re-folding every layer (common once `S` settles).
+        // The objective is a pure function of the active layers' choices,
+        // so a move that lands on the current vector re-uses the current
+        // energy instead of re-folding every layer (common once `S`
+        // settles).
         let e_move = if changed { soa.eval(&cand_choice).1 } else { e };
 
         // Temperature update and transition probability (lines 16-22).
@@ -790,10 +817,19 @@ fn run_sa_chain(
             std::mem::swap(&mut choice, &mut cand_choice);
             s = s_move;
             e = e_move;
+            accepted = true;
         }
         history.push(e);
     }
     converged = converged || e <= p.epsilon;
+    // Every accepted move re-chose every layer at its `S`, so the
+    // non-array layers end at their argmin for the last accepted `S` (or
+    // keep their initialization when no move was accepted).
+    if accepted {
+        for &li in &soa.passive {
+            choice[li] = soa.closest(li, s);
+        }
+    }
 
     let mut report = report_from_choices(graph, table, &choice, history);
     report.truncated = iter_budget.is_some_and(|b| b < p.max_iters) && !converged;
@@ -1020,11 +1056,43 @@ mod tests {
         (models::tiny_branchy(), EngineConfig::paper_default())
     }
 
+    fn table(g: &Graph, cfg: &AtomGenConfig, e: &EngineConfig) -> CandidateTable {
+        CandidateTable::build(g, cfg, e, Dataflow::KcPartition, Exec::serial())
+    }
+
+    /// One serial generation run over a freshly built table.
+    fn run(
+        g: &Graph,
+        cfg: &AtomGenConfig,
+        e: &EngineConfig,
+        iter_budget: Option<usize>,
+        warm: Option<&[AtomSpec]>,
+    ) -> GenReport {
+        generate(g, &table(g, cfg, e), cfg, iter_budget, warm, Exec::serial())
+    }
+
+    /// The per-layer argmin spelled out as a left-to-right scan over every
+    /// candidate: strictly smaller scores win, so the first minimum does.
+    fn closest_candidate(cands: &[Candidate], target: f64, min_wall: u64) -> usize {
+        let mut best = 0usize;
+        let mut best_score = f64::INFINITY;
+        for (i, c) in cands.iter().enumerate() {
+            let dist = (c.cycles as f64 - target).abs();
+            let quality = (c.est_wall - min_wall) as f64;
+            let score = dist + quality;
+            if score < best_score {
+                best_score = score;
+                best = i;
+            }
+        }
+        best
+    }
+
     #[test]
     fn sa_reduces_variance() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let rep = run(&g, &cfg, &e, None, None);
         assert!(!rep.history.is_empty());
         let first = rep.history[0];
         let last = *rep.history.last().unwrap();
@@ -1039,8 +1107,8 @@ mod tests {
     fn sa_deterministic_given_seed() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let r1 = generate(&g, &cfg, &e, Dataflow::KcPartition);
-        let r2 = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let r1 = run(&g, &cfg, &e, None, None);
+        let r2 = run(&g, &cfg, &e, None, None);
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
     }
@@ -1051,16 +1119,16 @@ mod tests {
         let cfg = AtomGenConfig::default();
         // Tight cap: far below max_iters, and (for this graph/seed) below
         // the convergence point, so the truncated flag must be set.
-        let r1 = generate_budgeted(&g, &cfg, &e, Dataflow::KcPartition, Some(3));
-        let r2 = generate_budgeted(&g, &cfg, &e, Dataflow::KcPartition, Some(3));
+        let r1 = run(&g, &cfg, &e, Some(3), None);
+        let r2 = run(&g, &cfg, &e, Some(3), None);
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
         assert!(r1.history.len() <= 4); // initial E + ≤3 iterations
                                         // A budget at/above max_iters never truncates.
-        let full = generate_budgeted(&g, &cfg, &e, Dataflow::KcPartition, Some(10_000));
+        let full = run(&g, &cfg, &e, Some(10_000), None);
         assert!(!full.truncated);
         // An unlimited run is identical to budget=None.
-        let unb = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let unb = run(&g, &cfg, &e, None, None);
         assert_eq!(full.specs, unb.specs);
     }
 
@@ -1068,7 +1136,7 @@ mod tests {
     fn kc_candidates_snap_channels_to_pe_multiple() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let rep = run(&g, &cfg, &e, None, None);
         for layer in g.layers() {
             if !layer.is_array_op() {
                 continue;
@@ -1095,7 +1163,7 @@ mod tests {
             }),
             ..AtomGenConfig::default()
         };
-        let rep = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let rep = run(&g, &cfg, &e, None, None);
         assert!(rep.history.len() > 10);
         assert!(*rep.history.last().unwrap() <= rep.history[0]);
     }
@@ -1107,7 +1175,7 @@ mod tests {
             mode: AtomGenMode::Uniform { parts: 8 },
             ..AtomGenConfig::default()
         };
-        let rep = generate(&g, &cfg, &e, Dataflow::KcPartition);
+        let rep = run(&g, &cfg, &e, None, None);
         // Large layers should land near 8 atoms.
         let stem = g.layer_by_name("stem").unwrap();
         let n = rep.specs[stem.id().index()].count(stem.out_shape());
@@ -1121,7 +1189,7 @@ mod tests {
         // before streaming-aware candidates was Var > 40).
         let g = models::vgg19();
         let e = EngineConfig::paper_default();
-        let rep = generate(&g, &AtomGenConfig::default(), &e, Dataflow::KcPartition);
+        let rep = run(&g, &AtomGenConfig::default(), &e, None, None);
         assert!(rep.variance < 0.2, "variance = {}", rep.variance);
         // And the resulting specs split large conv layers into many atoms.
         let c12 = g.layer_by_name("conv1_2").unwrap();
@@ -1155,38 +1223,241 @@ mod tests {
         assert_eq!(closest_candidate(&cands, 100.0, 10), 0);
     }
 
+    /// Targets probing one layer's candidate list: below the smallest and
+    /// above the largest cycles, on a sample of candidate cycles (exact
+    /// distance ties) and between neighbors (equal left/right distances).
+    fn probe_targets(cands: &[Candidate]) -> Vec<f64> {
+        let (min, max) = (cands[0].cycles as f64, cands[cands.len() - 1].cycles as f64);
+        let mut targets = vec![0.0, min / 3.0, min - 0.5, min, max, max + 0.5, 2.0 * max];
+        targets.push(6.0 * max);
+        let stride = (cands.len() / 24).max(1);
+        for w in cands.windows(2).step_by(stride) {
+            let (a, b) = (w[0].cycles as f64, w[1].cycles as f64);
+            targets.extend([a, (a + b) / 2.0, a + 0.25]);
+        }
+        targets
+    }
+
     #[test]
     fn soa_matches_reference_argmin_and_eval() {
         // The SA hot loop runs on the SoA fast path; pin it bit-for-bit to
-        // the reference scan/fold it replaces, across targets spanning the
-        // candidate cycle range (including far outside it).
-        let g = models::vgg19();
+        // the reference scan/fold it replaces, on every zoo table, across
+        // targets spanning each layer's candidate cycle range (including
+        // outside it). Layers with an already-checked candidate list are
+        // skipped, which keeps the deep networks cheap.
         let e = EngineConfig::paper_default();
         let cfg = AtomGenConfig::default();
-        let table = enumerate_candidates(&g, &cfg, &e, Dataflow::KcPartition);
-        let soa = SaSoa::build(&table);
-        let nl = g.layer_count();
-        for &target in &[0.0, 1.0, 3e3, 5.5e4, 1.2e6, 9e7, 1e13] {
-            for li in 0..nl {
-                if table.layers[li].is_empty() {
+        let mut names = models::PAPER_WORKLOADS.to_vec();
+        names.extend(["tiny_cnn", "tiny_branchy"]);
+        let mut collapsed_runs = 0;
+        for name in names {
+            let g = models::by_name(name).unwrap();
+            let table = table(&g, &cfg, &e);
+            let soa = &table.soa;
+            let mut seen = std::collections::BTreeSet::new();
+            for (li, cands) in table.layers.iter().enumerate() {
+                let key: Vec<(u64, u64)> = cands
+                    .iter()
+                    .map(|c| (c.cycles, c.est_wall - table.min_wall[li]))
+                    .collect();
+                if cands.is_empty() || !seen.insert(key) {
                     continue;
                 }
-                assert_eq!(
-                    soa.closest(li, target),
-                    closest_candidate(&table.layers[li], target, table.min_wall[li]),
-                    "layer {li} target {target}"
-                );
+                collapsed_runs += cands.len() - soa.cycles_f[li].len();
+                for target in probe_targets(cands) {
+                    assert_eq!(
+                        soa.closest(li, target),
+                        closest_candidate(cands, target, table.min_wall[li]),
+                        "{name} layer {li} target {target}"
+                    );
+                }
             }
+            let nl = g.layer_count();
+            let choice: Vec<usize> = (0..nl).map(|li| table.layers[li].len() / 2).collect();
+            let stats: Vec<(u64, usize, bool)> = (0..nl)
+                .filter(|li| !table.layers[*li].is_empty())
+                .map(|li| {
+                    let c = table.layers[li][choice[li]];
+                    (c.cycles, c.count, table.is_array[li])
+                })
+                .collect();
+            assert_eq!(soa.eval(&choice), weighted_stats(&stats), "{name}");
         }
-        let choice: Vec<usize> = (0..nl).map(|li| table.layers[li].len() / 2).collect();
-        let stats: Vec<(u64, usize, bool)> = (0..nl)
-            .filter(|li| !table.layers[*li].is_empty())
+        // The collapsed path is the one under test.
+        assert!(collapsed_runs > 0);
+    }
+
+    #[test]
+    fn huge_cycles_keep_equal_cycles_runs_uncollapsed() {
+        // At 2^54 cycles a distance of ≈ 2^54 absorbs a quality of 1, so
+        // the two members of this equal-cycles run tie and the scan keeps
+        // the first; collapsing to the minimum-quality member would pick
+        // the second. The 2^52 guard must keep every member.
+        let c = |cycles: u64, est_wall: u64| Candidate {
+            cycles,
+            count: 1,
+            spec: AtomSpec {
+                th: 1,
+                tw: 1,
+                tc: 1,
+            },
+            est_wall,
+        };
+        let big = 1u64 << 54;
+        let mut table = CandidateTable {
+            layers: vec![vec![c(big, 11), c(big, 10), c(big + 8, 10)]],
+            is_array: vec![true],
+            min_wall: vec![10],
+            soa: SaSoa::default(),
+            built_for: table_key(&AtomGenConfig::default()),
+        };
+        table.soa = SaSoa::build(&table);
+        assert_eq!(table.soa.cycles_f[0].len(), 3, "runs must stay uncollapsed");
+        for target in [1.0, 1e9, big as f64, (big + 8) as f64, 6.0 * big as f64] {
+            assert_eq!(
+                table.soa.closest(0, target),
+                closest_candidate(&table.layers[0], target, 10),
+                "target {target}"
+            );
+        }
+        assert_eq!(table.soa.closest(0, 1.0), 0);
+
+        // Below the guard the same run collapses to its cheaper member.
+        let small = 1u64 << 40;
+        table.layers[0] = vec![c(small, 11), c(small, 10), c(small + 8, 10)];
+        table.soa = SaSoa::build(&table);
+        assert_eq!(table.soa.cycles_f[0].len(), 2);
+        assert_eq!(table.soa.closest(0, small as f64), 1);
+    }
+
+    /// Alg. 1 spelled out the long way: every layer with candidates is
+    /// re-chosen by the reference scan on every iteration, and the energy
+    /// is folded from scratch.
+    fn reference_chain(
+        g: &Graph,
+        table: &CandidateTable,
+        p: SaParams,
+        target_count: usize,
+        iter_budget: Option<usize>,
+    ) -> GenReport {
+        let mut rng = Rng64::new(p.seed);
+        let nl = g.layer_count();
+        let energy = |choice: &[usize]| {
+            let stats: Vec<(u64, usize, bool)> = (0..nl)
+                .filter(|li| !table.layers[*li].is_empty())
+                .map(|li| {
+                    let c = table.layers[li][choice[li]];
+                    (c.cycles, c.count, table.is_array[li])
+                })
+                .collect();
+            weighted_stats(&stats)
+        };
+        let mut choice: Vec<usize> = (0..nl)
             .map(|li| {
-                let c = table.layers[li][choice[li]];
-                (c.cycles, c.count, table.is_array[li])
+                table.layers[li]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
+                    .map_or(0, |(i, _)| i)
             })
             .collect();
-        assert_eq!(soa.eval(&choice), weighted_stats(&stats));
+        let (mut s, mut e) = energy(&choice);
+        let s0 = s.max(1.0);
+        let mut temp = p.temp;
+        let mut history = vec![e];
+        let cap = p.max_iters.min(iter_budget.unwrap_or(usize::MAX));
+        let mut converged = false;
+        for _ in 0..cap {
+            if e <= p.epsilon {
+                converged = true;
+                break;
+            }
+            let s_move = (s + rng.range_f64(-1.0, 1.0) * p.move_len * s).clamp(s0 / 3.0, s0 * 6.0);
+            let mut cand = choice.clone();
+            for (li, slot) in cand.iter_mut().enumerate() {
+                if !table.layers[li].is_empty() {
+                    *slot = closest_candidate(&table.layers[li], s_move, table.min_wall[li]);
+                }
+            }
+            let e_move = energy(&cand).1;
+            temp = (temp * p.lambda).max(1e-6);
+            let prob = ((e - e_move) / (p.lambda * temp)).exp();
+            if rng.next_f64() <= prob {
+                choice = cand;
+                s = s_move;
+                e = e_move;
+            }
+            history.push(e);
+        }
+        converged = converged || e <= p.epsilon;
+        let mut report = report_from_choices(g, table, &choice, history);
+        report.truncated = iter_budget.is_some_and(|b| b < p.max_iters) && !converged;
+        report
+    }
+
+    #[test]
+    fn sa_chain_matches_the_reference_loop() {
+        // Covers what the golden pins cannot enumerate: random graphs (with
+        // pooling, element-wise and concat layers outside the objective),
+        // budgets that stop before any move is accepted, and an epsilon
+        // that converges at once.
+        let e = EngineConfig::paper_default();
+        let mut graphs = vec![models::tiny_branchy(), models::tiny_cnn()];
+        graphs.extend((0..8).map(|seed| models::random(&models::RandomGraphConfig::seeded(seed))));
+        for (gi, g) in graphs.iter().enumerate() {
+            for (epsilon, target) in [(0.02, 128), (0.0, 16), (10.0, 64)] {
+                let p = SaParams {
+                    max_iters: 120,
+                    epsilon,
+                    seed: 11 + gi as u64,
+                    ..SaParams::default()
+                };
+                let cfg = AtomGenConfig {
+                    mode: AtomGenMode::Sa(p),
+                    target_atoms_per_layer: target,
+                    ..AtomGenConfig::default()
+                };
+                let table = table(g, &cfg, &e);
+                for budget in [None, Some(0), Some(1), Some(7)] {
+                    let fast = generate(g, &table, &cfg, budget, None, Exec::serial());
+                    let slow = reference_chain(g, &table, p, target, budget);
+                    let case = format!("graph {gi}, epsilon {epsilon}, budget {budget:?}");
+                    assert_eq!(fast.specs, slow.specs, "{case}");
+                    assert_eq!(fast.history, slow.history, "{case}");
+                    assert_eq!(
+                        fast.unified_cycle.to_bits(),
+                        slow.unified_cycle.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(fast.variance.to_bits(), slow.variance.to_bits(), "{case}");
+                    assert_eq!(fast.truncated, slow.truncated, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_is_the_same_for_every_thread_count() {
+        let g = models::resnet50();
+        let e = EngineConfig::paper_default();
+        let cfg = AtomGenConfig::default();
+        let serial = table(&g, &cfg, &e);
+        let pool = ad_util::WorkerPool::new(3);
+        let exec = Exec {
+            pool: Some(&pool),
+            scratch: None,
+        };
+        let pooled = CandidateTable::build(&g, &cfg, &e, Dataflow::KcPartition, exec);
+        let flat = |t: &CandidateTable| -> Vec<(u64, usize, AtomSpec, u64)> {
+            t.layers
+                .iter()
+                .flatten()
+                .map(|c| (c.cycles, c.count, c.spec, c.est_wall))
+                .collect()
+        };
+        assert_eq!(flat(&serial), flat(&pooled));
+        assert_eq!(serial.min_wall, pooled.min_wall);
+        assert_eq!(serial.soa.index, pooled.soa.index);
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The end-to-end atomic-dataflow optimization pipeline (paper Fig. 4) and
 //! the [`Strategy`] dispatcher used by the experiment harness.
 
-use std::sync::{Mutex, PoisonError};
+use std::time::Instant; // ad-lint: allow(d2) — deadline gate and reporting-only timing
 
 use accel_sim::{Program, SimConfig, SimStats};
 use ad_util::WorkerPool;
 use dnn_graph::Graph;
 use engine_model::{Dataflow, HardwareConfig};
 
-use crate::atomgen::{self, AtomGenConfig, GenReport};
+use crate::atomgen::{self, AtomGenConfig, CandidateTable, GenReport};
 use crate::atomic_dag::AtomicDag;
 use crate::baselines;
 use crate::error::PipelineError;
 use crate::mapping::{Mapper, MappingConfig};
-use crate::pipeline::{AtomGenStage, Pipeline, PlanContext, PlanOutcome, StageReport};
+use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
+use crate::scratch::Exec;
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
 
 /// Configuration of the full pipeline. Also consumed by the baselines so
@@ -92,9 +93,10 @@ impl OptimizerConfig {
     ///
     /// # Errors
     ///
-    /// [`engine_model::ConfigError::Degenerate`] from
+    /// [`engine_model::ConfigError::Degenerate`] or
+    /// [`engine_model::ConfigError::TooLarge`] from
     /// [`HardwareConfig::validate`] — the conversion refuses machines the
-    /// planner would divide by zero on.
+    /// planner would divide by zero on or overflow on.
     pub fn for_hardware(hw: &HardwareConfig) -> Result<Self, engine_model::ConfigError> {
         hw.validate()?;
         let mut cfg = Self::paper_default();
@@ -197,6 +199,20 @@ impl OptimizerConfig {
     pub fn engines(&self) -> usize {
         self.sim.engines()
     }
+
+    /// The atom-generation configuration every planning path runs: the
+    /// configured generator with the mesh's engine count and this config's
+    /// thread count filled in, and `target` (when given) as the
+    /// granularity target.
+    pub fn atomgen_config(&self, target: Option<usize>) -> AtomGenConfig {
+        let mut cfg = self.atomgen;
+        cfg.engines = self.engines();
+        cfg.parallelism = self.parallelism;
+        if let Some(t) = target {
+            cfg.target_atoms_per_layer = t;
+        }
+        cfg
+    }
 }
 
 impl Default for OptimizerConfig {
@@ -278,10 +294,15 @@ impl Optimizer {
     /// Runs atom generation and DAG construction only (used by experiments
     /// that study the generation stage, e.g. Fig. 5).
     pub fn build_dag(&self, graph: &Graph) -> (GenReport, AtomicDag) {
-        let mut gen_cfg = self.cfg.atomgen;
-        gen_cfg.engines = self.cfg.engines();
-        gen_cfg.parallelism = self.cfg.parallelism;
-        let report = atomgen::generate(graph, &gen_cfg, &self.cfg.sim.engine, self.cfg.dataflow);
+        let gen_cfg = self.cfg.atomgen_config(None);
+        let table = CandidateTable::build(
+            graph,
+            &gen_cfg,
+            &self.cfg.sim.engine,
+            self.cfg.dataflow,
+            Exec::serial(),
+        );
+        let report = atomgen::generate(graph, &table, &gen_cfg, None, None, Exec::serial());
         let dag = AtomicDag::build(
             graph,
             &report.specs,
@@ -322,11 +343,11 @@ impl Optimizer {
     }
 
     /// Runs the full pipeline on `graph`: the iterative optimizing process
-    /// of Fig. 4(b) — atoms are generated at every candidate granularity,
-    /// each distinct atomization is scheduled, mapped and evaluated once,
-    /// and the minimum-cost solution (refined under layer order when DP
-    /// scheduling is on) is returned. DESIGN.md §10 gives the soundness
-    /// argument.
+    /// of Fig. 4(b) — atoms are generated at every candidate granularity
+    /// from one candidate table, each distinct atomization is built into a
+    /// DAG, scheduled, mapped and evaluated once, and the minimum-cost
+    /// solution (refined under layer order when DP scheduling is on) is
+    /// returned. DESIGN.md §10 gives the soundness argument.
     ///
     /// # Errors
     ///
@@ -360,50 +381,58 @@ impl Optimizer {
             None => std::sync::Arc::new(WorkerPool::new(self.cfg.parallelism)),
         };
         let scratch = std::sync::Arc::new(crate::scratch::ScratchPool::new(pool.threads()));
-        let t0 = std::time::Instant::now(); // ad-lint: allow(d2) — coarse deadline, gates whole refinement passes only
+        let exec = Exec {
+            pool: Some(&pool),
+            scratch: Some(&scratch),
+        };
+        let t0 = Instant::now(); // ad-lint: allow(d2) — coarse deadline, gates whole refinement passes only
 
-        // Phase 1: atom generation (and DAG construction) per target.
+        // Phase 1: one candidate table for the request (it does not depend
+        // on the granularity target), then SA per target.
+        let table = CandidateTable::build(
+            graph,
+            &self.cfg.atomgen_config(None),
+            &self.cfg.sim.engine,
+            self.cfg.dataflow,
+            exec,
+        );
+        let warm = self.warm.as_deref().map(Vec::as_slice);
         let generated = pool.map(targets.len(), |i| {
+            let started = Instant::now(); // ad-lint: allow(d2) — reporting only
+            let report = atomgen::generate(
+                graph,
+                &table,
+                &self.cfg.atomgen_config(Some(targets[i])),
+                self.cfg.budget.sa_iter_cap(),
+                warm,
+                exec,
+            );
+            (report, started.elapsed().as_secs_f64() * 1e3)
+        });
+        // Judging never reads the table; free it before the DAGs exist.
+        drop(table);
+        // Phase 2: build, audit and judge each distinct spec vector once.
+        // The DAG and every later stage are deterministic functions of
+        // (specs, config, mode, budget), so a candidate whose specs equal
+        // an earlier one's would pass or fail admission alike and simulate
+        // to the same cycles — and the earliest-index tie-break below never
+        // picks it.
+        let distinct: Vec<usize> = (0..generated.len())
+            .filter(|&i| (0..i).all(|j| generated[j].0.specs != generated[i].0.specs))
+            .collect();
+        let judged = pool.map(distinct.len(), |k| {
+            let (report, sa_ms) = &generated[distinct[k]];
             let mut ctx = PlanContext::new(graph, self.cfg);
             ctx.cost_interner = Some(interner.clone());
-            ctx.warm_specs = self.warm.clone();
             ctx.pool = Some(pool.clone());
             ctx.scratch = Some(scratch.clone());
-            Pipeline::new(vec![Box::new(AtomGenStage {
-                target: Some(targets[i]),
-            })])
-            .run(&mut ctx)
-            .map(|()| ctx)
-        });
-        // Phase 2: judge each distinct spec vector once. Every later stage
-        // is a deterministic function of (DAG, config, mode, budget), so a
-        // candidate whose specs equal an earlier one's would simulate to
-        // the same cycles — and the earliest-index tie-break below never
-        // picks it.
-        let specs = |i: usize| {
-            generated[i]
-                .as_ref()
-                .ok()
-                .and_then(|ctx| ctx.gen_report.as_ref())
-                .map(|r| &r.specs)
-        };
-        let duplicate: Vec<bool> = (0..generated.len())
-            .map(|i| specs(i).is_some_and(|s| (0..i).any(|j| specs(j) == Some(s))))
-            .collect();
-        let judged: Vec<usize> = (0..duplicate.len()).filter(|&i| !duplicate[i]).collect();
-        let slots: Vec<Mutex<Result<PlanContext<'_>, PipelineError>>> =
-            generated.into_iter().map(Mutex::new).collect();
-        pool.map(judged.len(), |k| {
-            let mut slot = slots[judged[k]]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let outcome = match &mut *slot {
-                Ok(ctx) => Pipeline::evaluate(None).run(ctx),
-                Err(_) => Ok(()),
-            };
-            if let Err(e) = outcome {
-                *slot = Err(e);
+            ctx.gen_report = Some(report.clone());
+            let outcome = Pipeline::judge().run(&mut ctx);
+            // The atomgen row covers this target's annealing too.
+            if let Some(row) = ctx.reports.first_mut() {
+                row.wall_ms += sa_ms;
             }
+            outcome.map(|()| ctx)
         });
         // Reduce in index order: strictly cheaper wins, so the earliest
         // index breaks ties and the result is byte-identical for every
@@ -411,9 +440,8 @@ impl Optimizer {
         // without aborting the search (anytime semantics: keep the best
         // *admitted* plan); every other error is a real failure.
         let mut best: Option<(PlanContext<'_>, OptimizeResult)> = None;
-        for (slot, dup) in slots.into_iter().zip(duplicate) {
-            let mut ctx = match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                _ if dup => continue,
+        for outcome in judged {
+            let mut ctx = match outcome {
                 Ok(ctx) => ctx,
                 Err(PipelineError::Validation(_)) => continue,
                 Err(e) => return Err(e),

@@ -30,7 +30,7 @@ use std::time::Instant; // ad-lint: allow(d2) — reporting-only stage timing
 use accel_sim::{Program, SimStats, Simulator};
 use dnn_graph::Graph;
 
-use crate::atomgen::{self, GenReport};
+use crate::atomgen::{self, CandidateTable, GenReport};
 use crate::atomic_dag::{AtomId, AtomicDag, CostInterner};
 use crate::error::PipelineError;
 use crate::lower::{lower_remaining, LowerOptions};
@@ -330,6 +330,15 @@ impl Pipeline {
         ])
     }
 
+    /// [`Pipeline::standard`] for a context whose atoms are already
+    /// generated: DAG construction from its `gen_report`, then the
+    /// [`Pipeline::evaluate`] suffix.
+    pub(crate) fn judge() -> Self {
+        let mut pipeline = Self::evaluate(None);
+        pipeline.stages.insert(0, Box::new(AtomDagStage));
+        pipeline
+    }
+
     /// The re-planning suffix used between fault-recovery attempts:
     /// scheduling → mapping → lowering of the unfinished remainder (the
     /// faulted simulation itself is driven by the recovery loop).
@@ -441,32 +450,48 @@ impl Stage for AtomGenStage {
 
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let graph = ctx.require_graph(self.name())?;
-        let mut gen_cfg = ctx.cfg.atomgen;
-        gen_cfg.engines = ctx.cfg.engines();
-        gen_cfg.parallelism = ctx.cfg.parallelism;
-        if let Some(t) = self.target {
-            gen_cfg.target_atoms_per_layer = t;
-        }
-        let sa_budget = ctx
-            .cfg
-            .budget
-            .sa_iters
-            .map(|n| ad_util::cast::usize_from_u64(u64::from(n)));
+        let gen_cfg = ctx.cfg.atomgen_config(self.target);
         let pool = ctx.pool.clone();
         let scratch = ctx.scratch.clone();
         let exec = crate::scratch::Exec {
             pool: pool.as_deref(),
             scratch: scratch.as_deref(),
         };
-        let report = atomgen::generate_warm_exec(
+        let table =
+            CandidateTable::build(graph, &gen_cfg, &ctx.cfg.sim.engine, ctx.cfg.dataflow, exec);
+        ctx.gen_report = Some(atomgen::generate(
             graph,
+            &table,
             &gen_cfg,
-            &ctx.cfg.sim.engine,
-            ctx.cfg.dataflow,
-            sa_budget,
+            ctx.cfg.budget.sa_iter_cap(),
             ctx.warm_specs.as_deref().map(Vec::as_slice),
             exec,
-        );
+        ));
+        AtomDagStage.run(ctx)
+    }
+}
+
+/// The DAG-building half of [`AtomGenStage`], for a context whose
+/// `gen_report` is already generated: [`crate::Optimizer::optimize`]
+/// anneals every granularity target first and builds DAGs only for the
+/// distinct spec vectors. Reports under the `atomgen` name, so admission
+/// audits its DAG exactly as it audits [`AtomGenStage`]'s.
+///
+/// Consumes: graph, `gen_report`. Produces: `dag`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AtomDagStage;
+
+impl Stage for AtomDagStage {
+    fn name(&self) -> &'static str {
+        "atomgen"
+    }
+
+    fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
+        let graph = ctx.require_graph(self.name())?;
+        let report = ctx.gen_report.as_ref().ok_or(PipelineError::StageOrder {
+            stage: self.name(),
+            missing: "gen report",
+        })?;
         let dag = match &ctx.cost_interner {
             Some(interner) => AtomicDag::build_interned(
                 graph,
@@ -490,16 +515,14 @@ impl Stage for AtomGenStage {
             report.unified_cycle,
             report.variance
         );
-        let truncated = report.truncated;
-        ctx.gen_report = Some(report);
-        ctx.dag = Some(dag);
         let mut stage_report = StageReport::new(self.name(), summary);
-        if truncated {
+        if report.truncated {
             stage_report.budget = BudgetOutcome::Truncated {
                 stage: self.name(),
                 fallback: false,
             };
         }
+        ctx.dag = Some(dag);
         Ok(stage_report)
     }
 }

@@ -237,6 +237,12 @@ impl PlanBudget {
         self
     }
 
+    /// [`PlanBudget::sa_iters`] as the generator's iteration cap.
+    pub(crate) fn sa_iter_cap(&self) -> Option<usize> {
+        self.sa_iters
+            .map(|n| ad_util::cast::usize_from_u64(u64::from(n)))
+    }
+
     pub fn with_dp_expansions(mut self, expansions: u64) -> Self {
         self.dp_expansions = Some(expansions);
         self

@@ -89,11 +89,13 @@ pub(crate) fn estimate(cfg: &EngineConfig, task: &ConvTask, dataflow: Dataflow) 
     // layer-splitting across many engines inefficient (Fig. 2).
     let r = ramp(cfg);
     let cycles = tiles * (steps_per_tile + r) + r;
+    // In f64: `cycles · PE` can exceed u64 on a huge array, and the
+    // product is only ever used as this ratio's denominator.
     let pe = cfg.pe_count();
     let utilization = if cycles == 0 {
         0.0
     } else {
-        macs as f64 / (cycles * pe) as f64
+        macs as f64 / (cycles as f64 * pe as f64)
     };
 
     let e = &cfg.energy;

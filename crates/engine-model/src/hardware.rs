@@ -120,30 +120,64 @@ impl HardwareConfig {
     }
 
     /// Rejects degenerate machines that would make the planner divide by
-    /// zero or plan against non-existent resources. Every error names the
-    /// offending field.
+    /// zero or plan against non-existent resources, and machines so large
+    /// that cycle, byte or engine-count arithmetic could overflow. Every
+    /// error names the offending field.
+    ///
+    /// Upper bounds (inclusive): 64 engines per mesh side, 4096 PEs per
+    /// array side, 64 Ki vector lanes, 1 TiB engine buffer, 1 PiB HBM,
+    /// 1 MiB/cycle of link or HBM bandwidth, 1024 HBM channels, 64 Ki-cycle
+    /// hop and HBM latencies and a 1 THz clock — each far above any
+    /// machine the paper or this repository models.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Degenerate`] for the first zero-valued dimension,
-    /// bandwidth, capacity or clock encountered.
+    /// bandwidth, capacity or clock encountered, and
+    /// [`ConfigError::TooLarge`] for the first field above its bound.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let nonzero: [(&'static str, u64); 11] = [
-            ("mesh_cols", self.mesh_cols as u64),
-            ("mesh_rows", self.mesh_rows as u64),
-            ("link_bytes_per_cycle", self.link_bytes_per_cycle),
-            ("pe_x", self.pe_x as u64),
-            ("pe_y", self.pe_y as u64),
-            ("buffer_bytes", self.buffer_bytes),
-            ("freq_mhz", self.freq_mhz),
-            ("vector_lanes", self.vector_lanes as u64),
-            ("hbm_capacity_bytes", self.hbm_capacity_bytes),
-            ("hbm_bytes_per_cycle", self.hbm_bytes_per_cycle),
-            ("hbm_channels", self.hbm_channels as u64),
+        // (field, value, may be zero, inclusive upper bound)
+        let limits: [(&'static str, u64, bool, u64); 13] = [
+            ("mesh_cols", self.mesh_cols as u64, false, 64),
+            ("mesh_rows", self.mesh_rows as u64, false, 64),
+            (
+                "link_bytes_per_cycle",
+                self.link_bytes_per_cycle,
+                false,
+                1 << 20,
+            ),
+            ("hop_latency", self.hop_latency, true, 1 << 16),
+            ("pe_x", self.pe_x as u64, false, 4096),
+            ("pe_y", self.pe_y as u64, false, 4096),
+            ("buffer_bytes", self.buffer_bytes, false, 1 << 40),
+            ("freq_mhz", self.freq_mhz, false, 1_000_000),
+            ("vector_lanes", self.vector_lanes as u64, false, 1 << 16),
+            (
+                "hbm_capacity_bytes",
+                self.hbm_capacity_bytes,
+                false,
+                1 << 50,
+            ),
+            (
+                "hbm_bytes_per_cycle",
+                self.hbm_bytes_per_cycle,
+                false,
+                1 << 20,
+            ),
+            (
+                "hbm_access_latency_cycles",
+                self.hbm_access_latency_cycles,
+                true,
+                1 << 16,
+            ),
+            ("hbm_channels", self.hbm_channels as u64, false, 1024),
         ];
-        for (field, v) in nonzero {
-            if v == 0 {
+        for (field, v, zero_ok, max) in limits {
+            if v == 0 && !zero_ok {
                 return Err(ConfigError::Degenerate { field });
+            }
+            if v > max {
+                return Err(ConfigError::TooLarge { field, max });
             }
         }
         Ok(())
@@ -395,6 +429,14 @@ pub enum ConfigError {
         /// Offending field.
         field: &'static str,
     },
+    /// A field is above the largest value the planner's arithmetic is
+    /// sized for (see [`HardwareConfig::validate`]).
+    TooLarge {
+        /// Offending field.
+        field: &'static str,
+        /// The field's inclusive upper bound.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -412,6 +454,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::Degenerate { field } => {
                 write!(f, "hardware config field `{field}` must be non-zero")
+            }
+            ConfigError::TooLarge { field, max } => {
+                write!(f, "hardware config field `{field}` must be at most {max}")
             }
         }
     }
@@ -463,6 +508,27 @@ mod tests {
             let err = HardwareConfig::from_json_text(text).unwrap_err();
             assert_eq!(err, ConfigError::Degenerate { field }, "{text}");
         }
+    }
+
+    #[test]
+    fn oversized_fields_rejected_by_name() {
+        for (text, field, max) in [
+            (r#"{"mesh_cols": 65}"#, "mesh_cols", 64),
+            (r#"{"pe_x": 100000000, "pe_y": 100000000}"#, "pe_x", 4096),
+            (r#"{"pe_y": 4097}"#, "pe_y", 4096),
+            (r#"{"hop_latency": 65537}"#, "hop_latency", 1 << 16),
+            (r#"{"hbm_channels": 1025}"#, "hbm_channels", 1024),
+        ] {
+            let err = HardwareConfig::from_json_text(text).unwrap_err();
+            assert_eq!(err, ConfigError::TooLarge { field, max }, "{text}");
+            assert!(err.to_string().contains(field));
+        }
+        // Every bound is inclusive.
+        let hw = HardwareConfig::from_json_text(
+            r#"{"mesh_cols": 64, "pe_x": 4096, "pe_y": 4096, "hop_latency": 0}"#,
+        )
+        .unwrap();
+        assert_eq!(hw.engine_config().pe_count(), 1 << 24);
     }
 
     #[test]
