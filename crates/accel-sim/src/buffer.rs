@@ -42,27 +42,28 @@ struct Entry {
     next_use: u64,
 }
 
+/// `pos` marker of a slot that is not resident.
+const ABSENT: u32 = u32::MAX;
+
 /// Contents of one engine's global buffer.
 ///
-/// Entries are keyed by the runtime's dense datum slot (see [`Datum`]) and
-/// kept sorted by slot, so iteration and victim tie-breaking are
-/// deterministic and identical to the ordered-map layout this replaced.
-/// The layout is split so the hot operations move little memory: lookups
-/// binary-search the 4-byte `keys` alone, and an entry never moves once
-/// stored — inserts and removals shift only `keys` and the parallel 4-byte
-/// `at` index, not the 32-byte entries.
+/// Entries are keyed by the runtime's dense datum slot (see [`Datum`]).
+/// `pos` maps a slot straight to its entry, so lookup, insert, touch and
+/// remove are O(1): entries live unordered in the parallel `keys`/`vals`
+/// arrays and a removal swaps the last entry into the hole. Storage order
+/// never shows: [`BufferState::pick_victims`] ranks by a total order
+/// (score, then slot) and [`BufferState::data`] sorts by slot.
 #[derive(Debug, Clone)]
 pub struct BufferState {
     capacity: u64,
     used: u64,
-    /// Resident slots, ascending.
+    /// `pos[slot]` is the slot's index in `keys`/`vals`, or [`ABSENT`].
+    /// Sized up front by [`BufferState::with_slots`], else grown on insert.
+    pos: Vec<u32>,
+    /// Resident slots, in storage order.
     keys: Vec<u32>,
-    /// `at[i]` is the index in `vals` of `keys[i]`'s entry.
-    at: Vec<u32>,
-    /// Entry storage; indices listed in `free` hold no resident entry and
-    /// are reused first.
+    /// `vals[i]` is `keys[i]`'s entry.
     vals: Vec<Entry>,
-    free: Vec<u32>,
 }
 
 impl BufferState {
@@ -71,23 +72,27 @@ impl BufferState {
         Self {
             capacity,
             used: 0,
+            pos: Vec::new(),
             keys: Vec::new(),
-            at: Vec::new(),
             vals: Vec::new(),
-            free: Vec::new(),
         }
     }
 
-    fn find(&self, slot: u32) -> Result<usize, usize> {
-        self.keys.binary_search(&slot)
+    /// An empty buffer whose slot index already covers `0..slots`, so a run
+    /// that knows its slot count never grows it.
+    pub fn with_slots(capacity: u64, slots: usize) -> Self {
+        Self {
+            pos: vec![ABSENT; slots],
+            ..Self::new(capacity)
+        }
     }
 
-    fn entry(&self, i: usize) -> &Entry {
-        &self.vals[self.at[i] as usize]
-    }
-
-    fn entry_mut(&mut self, i: usize) -> &mut Entry {
-        &mut self.vals[self.at[i] as usize]
+    /// Storage index of `slot`, if resident.
+    fn find(&self, slot: u32) -> Option<usize> {
+        match self.pos.get(slot as usize) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Capacity in bytes.
@@ -107,7 +112,7 @@ impl BufferState {
 
     /// Whether the buffer holds `slot`.
     pub fn contains(&self, slot: u32) -> bool {
-        self.find(slot).is_ok()
+        self.find(slot).is_some()
     }
 
     /// Number of resident entries.
@@ -120,9 +125,17 @@ impl BufferState {
         self.keys.is_empty()
     }
 
-    /// Iterates over resident data in ascending slot order.
+    /// Iterates over resident data in ascending slot order (sorted on each
+    /// call: only engine death and debug checks need it).
     pub fn data(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        (0..self.keys.len()).map(|i| (self.keys[i], self.entry(i).bytes))
+        let mut data: Vec<(u32, u64)> = self
+            .keys
+            .iter()
+            .zip(&self.vals)
+            .map(|(&s, e)| (s, e.bytes))
+            .collect();
+        data.sort_unstable_by_key(|&(s, _)| s);
+        data.into_iter()
     }
 
     /// Inserts `slot`; the caller must have made room first. `next_use` is
@@ -145,23 +158,18 @@ impl BufferState {
             next_use,
         };
         match self.find(slot) {
-            Ok(i) => {
-                self.used -= self.entry(i).bytes;
-                *self.entry_mut(i) = entry;
+            Some(i) => {
+                self.used -= self.vals[i].bytes;
+                self.vals[i] = entry;
             }
-            Err(i) => {
-                let at = match self.free.pop() {
-                    Some(at) => {
-                        self.vals[at as usize] = entry;
-                        at
-                    }
-                    None => {
-                        self.vals.push(entry);
-                        u32_from_usize(self.vals.len() - 1)
-                    }
-                };
-                self.keys.insert(i, slot);
-                self.at.insert(i, at);
+            None => {
+                let s = slot as usize;
+                if s >= self.pos.len() {
+                    self.pos.resize(s + 1, ABSENT);
+                }
+                self.pos[s] = u32_from_usize(self.keys.len());
+                self.keys.push(slot);
+                self.vals.push(entry);
             }
         }
         self.used += bytes;
@@ -170,8 +178,8 @@ impl BufferState {
     /// Marks `slot` as used at `round` and refreshes its next-use estimate
     /// (for LRU and invalid-occupation bookkeeping).
     pub fn touch(&mut self, slot: u32, round: u64, next_use: u64) {
-        if let Ok(i) = self.find(slot) {
-            let e = self.entry_mut(i);
+        if let Some(i) = self.find(slot) {
+            let e = &mut self.vals[i];
             e.last_used = round;
             e.next_use = next_use;
         }
@@ -179,11 +187,13 @@ impl BufferState {
 
     /// Removes `slot`, returning its size if it was resident.
     pub fn remove(&mut self, slot: u32) -> Option<u64> {
-        let i = self.find(slot).ok()?;
-        self.keys.remove(i);
-        let at = self.at.remove(i);
-        self.free.push(at);
-        let bytes = self.vals[at as usize].bytes;
+        let i = self.find(slot)?;
+        self.pos[slot as usize] = ABSENT;
+        self.keys.swap_remove(i);
+        let bytes = self.vals.swap_remove(i).bytes;
+        if let Some(&moved) = self.keys.get(i) {
+            self.pos[moved as usize] = u32_from_usize(i);
+        }
         self.used -= bytes;
         Some(bytes)
     }
@@ -201,8 +211,11 @@ impl BufferState {
         deficit: u64,
         pinned: &dyn Fn(u32) -> bool,
     ) -> Vec<u32> {
-        let mut scored: Vec<(u128, u32, u64)> = (0..self.keys.len())
-            .map(|i| (self.keys[i], self.entry(i)))
+        let mut scored: Vec<(u128, u32, u64)> = self
+            .keys
+            .iter()
+            .zip(&self.vals)
+            .map(|(&s, e)| (s, e))
             .filter(|&(s, _)| !pinned(s))
             .map(|(s, e)| {
                 let score: u128 = match kind {
@@ -411,5 +424,238 @@ mod tests {
         assert!(Datum::Task(TaskId(u32::MAX)) < Datum::Ext(DataId(0)));
         assert!(Datum::Task(TaskId(1)) < Datum::Task(TaskId(2)));
         assert!(Datum::Ext(DataId(1)) < Datum::Ext(DataId(2)));
+    }
+
+    /// The sorted-vector layout `BufferState` had before it became
+    /// slot-indexed, kept verbatim as the reference: `keys` ascending, `at`
+    /// parallel, entries in `vals` recycled through `free`.
+    mod oracle {
+        use ad_util::cast::u32_from_usize;
+        use ad_util::Rng64;
+
+        use super::super::{BufferState, Entry, EvictionKind};
+
+        #[derive(Debug, Clone)]
+        struct SortedBuffer {
+            capacity: u64,
+            used: u64,
+            keys: Vec<u32>,
+            at: Vec<u32>,
+            vals: Vec<Entry>,
+            free: Vec<u32>,
+        }
+
+        impl SortedBuffer {
+            fn new(capacity: u64) -> Self {
+                Self {
+                    capacity,
+                    used: 0,
+                    keys: Vec::new(),
+                    at: Vec::new(),
+                    vals: Vec::new(),
+                    free: Vec::new(),
+                }
+            }
+
+            fn find(&self, slot: u32) -> Result<usize, usize> {
+                self.keys.binary_search(&slot)
+            }
+
+            fn entry(&self, i: usize) -> &Entry {
+                &self.vals[self.at[i] as usize]
+            }
+
+            fn entry_mut(&mut self, i: usize) -> &mut Entry {
+                &mut self.vals[self.at[i] as usize]
+            }
+
+            fn data(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+                (0..self.keys.len()).map(|i| (self.keys[i], self.entry(i).bytes))
+            }
+
+            fn insert(&mut self, slot: u32, bytes: u64, round: u64, next_use: u64) {
+                let entry = Entry {
+                    bytes,
+                    inserted_at: round,
+                    last_used: round,
+                    next_use,
+                };
+                match self.find(slot) {
+                    Ok(i) => {
+                        self.used -= self.entry(i).bytes;
+                        *self.entry_mut(i) = entry;
+                    }
+                    Err(i) => {
+                        let at = match self.free.pop() {
+                            Some(at) => {
+                                self.vals[at as usize] = entry;
+                                at
+                            }
+                            None => {
+                                self.vals.push(entry);
+                                u32_from_usize(self.vals.len() - 1)
+                            }
+                        };
+                        self.keys.insert(i, slot);
+                        self.at.insert(i, at);
+                    }
+                }
+                self.used += bytes;
+            }
+
+            fn touch(&mut self, slot: u32, round: u64, next_use: u64) {
+                if let Ok(i) = self.find(slot) {
+                    let e = self.entry_mut(i);
+                    e.last_used = round;
+                    e.next_use = next_use;
+                }
+            }
+
+            fn remove(&mut self, slot: u32) -> Option<u64> {
+                let i = self.find(slot).ok()?;
+                self.keys.remove(i);
+                let at = self.at.remove(i);
+                self.free.push(at);
+                let bytes = self.vals[at as usize].bytes;
+                self.used -= bytes;
+                Some(bytes)
+            }
+
+            fn pick_victims(
+                &self,
+                kind: EvictionKind,
+                now: u64,
+                deficit: u64,
+                pinned: &dyn Fn(u32) -> bool,
+            ) -> Vec<u32> {
+                let mut scored: Vec<(u128, u32, u64)> = (0..self.keys.len())
+                    .map(|i| (self.keys[i], self.entry(i)))
+                    .filter(|&(s, _)| !pinned(s))
+                    .map(|(s, e)| {
+                        let score: u128 = match kind {
+                            EvictionKind::InvalidOccupation => {
+                                let wait = if e.next_use == u64::MAX {
+                                    u64::MAX / 2
+                                } else {
+                                    e.next_use.saturating_sub(now) + 1
+                                };
+                                (wait as u128) * (e.bytes.max(1) as u128)
+                            }
+                            EvictionKind::Lru => u128::MAX - e.last_used as u128,
+                            EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
+                        };
+                        (score, s, e.bytes)
+                    })
+                    .collect();
+                scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                let mut out = Vec::new();
+                let mut freed = 0u64;
+                for (_, s, bytes) in scored {
+                    if freed >= deficit {
+                        break;
+                    }
+                    freed += bytes;
+                    out.push(s);
+                }
+                out
+            }
+        }
+
+        const KINDS: [EvictionKind; 3] = [
+            EvictionKind::InvalidOccupation,
+            EvictionKind::Lru,
+            EvictionKind::Fifo,
+        ];
+
+        /// A next-use round: mostly near the current round, sometimes
+        /// "never", so invalid-occupation scores collide and tie-break.
+        fn next_use(rng: &mut Rng64, round: u64) -> u64 {
+            if rng.chance(0.2) {
+                u64::MAX
+            } else {
+                round + rng.below_u64(8)
+            }
+        }
+
+        fn assert_same(got: &BufferState, want: &SortedBuffer, step: usize) {
+            assert_eq!(got.used(), want.used, "step {step}: used");
+            assert_eq!(got.len(), want.keys.len(), "step {step}: len");
+            assert_eq!(got.is_empty(), want.keys.is_empty(), "step {step}");
+            assert_eq!(
+                got.data().collect::<Vec<_>>(),
+                want.data().collect::<Vec<_>>(),
+                "step {step}: data() order"
+            );
+        }
+
+        /// One seeded run of `steps` random operations on both layouts.
+        fn run(seed: u64, capacity: u64, slots: usize, steps: usize) {
+            let mut rng = Rng64::new(seed);
+            let mut got = BufferState::new(capacity);
+            let mut want = SortedBuffer::new(capacity);
+            let mut round = 0u64;
+            for step in 0..steps {
+                let slot = u32_from_usize(rng.below(slots));
+                match rng.below(6) {
+                    // Insert, making room first the way the simulator does;
+                    // a resident slot is re-inserted in place.
+                    0 | 1 => {
+                        let bytes = rng.below_u64(capacity / 4 + 2);
+                        let kind = KINDS[rng.below(KINDS.len())];
+                        let free = got.free();
+                        assert_eq!(free, want.capacity - want.used, "step {step}");
+                        if bytes > free {
+                            let pinned = |s: u32| s == slot;
+                            let a = got.pick_victims(kind, round, bytes - free, &pinned);
+                            let b = want.pick_victims(kind, round, bytes - free, &pinned);
+                            assert_eq!(a, b, "step {step}: victims before insert");
+                            for v in a {
+                                assert_eq!(got.remove(v), want.remove(v), "step {step}");
+                            }
+                        }
+                        // `insert` requires the new size to fit on top of
+                        // what is resident, re-inserts included.
+                        if got.free() >= bytes {
+                            let nu = next_use(&mut rng, round);
+                            got.insert(slot, bytes, round, nu);
+                            want.insert(slot, bytes, round, nu);
+                        }
+                    }
+                    2 => {
+                        let nu = next_use(&mut rng, round);
+                        got.touch(slot, round, nu);
+                        want.touch(slot, round, nu);
+                    }
+                    3 => assert_eq!(got.remove(slot), want.remove(slot), "step {step}"),
+                    4 => {
+                        // A random pinned set of a few slots.
+                        let pins: Vec<u32> = (0..rng.below(4))
+                            .map(|_| u32_from_usize(rng.below(slots)))
+                            .collect();
+                        let pinned = |s: u32| pins.contains(&s);
+                        let deficit = rng.below_u64(capacity + 2);
+                        for kind in KINDS {
+                            assert_eq!(
+                                got.pick_victims(kind, round, deficit, &pinned),
+                                want.pick_victims(kind, round, deficit, &pinned),
+                                "step {step}: {kind:?} victims"
+                            );
+                        }
+                    }
+                    _ => round += rng.below_u64(3),
+                }
+                assert_eq!(got.contains(slot), want.find(slot).is_ok(), "step {step}");
+                assert_same(&got, &want, step);
+            }
+        }
+
+        #[test]
+        fn slot_indexed_buffer_matches_the_sorted_reference() {
+            for seed in 0..40u64 {
+                let capacity = [0, 1, 64, 1000, 4096][usize::try_from(seed % 5).unwrap_or(0)];
+                let slots = [4, 16, 64, 300][usize::try_from(seed % 4).unwrap_or(0)];
+                run(0xb0ff_e400 + seed, capacity, slots, 600);
+            }
+        }
     }
 }

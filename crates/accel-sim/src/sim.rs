@@ -274,15 +274,26 @@ struct Runtime<'p> {
     /// Remaining consumer references per slot.
     remaining_uses: Vec<u32>,
     /// Rounds in which each slot is consumed, flat and ascending per slot:
-    /// slot `s` owns `use_rounds[use_off[s]..use_off[s + 1]]`.
-    use_rounds: Vec<u64>,
+    /// slot `s` owns `use_rounds[use_off[s]..use_off[s + 1]]`. `u32`
+    /// rounds halve the largest per-operand table, offsetting the memory of
+    /// the buffers' slot index.
+    use_rounds: Vec<u32>,
     use_off: Vec<usize>,
     /// Per-slot cursor into `use_rounds`: the first use not yet behind the
     /// current round. Rounds only advance, so the cursor only moves right.
     use_cursor: Vec<usize>,
-    /// Operands as `(slot, bytes)`, precomputed once so the hot path never
-    /// re-resolves `Operand`s: task `t` owns `inputs[in_off[t]..in_off[t + 1]]`.
-    inputs: Vec<(u32, u64)>,
+    /// Eviction pins: slot `s` is pinned in the current [`Runtime::make_room`]
+    /// call iff `pin_stamp[s] == pin_gen`. Each call bumps the generation
+    /// and stamps its task's output and operands, so testing a buffer entry
+    /// is one load instead of a scan of the operand list.
+    pin_stamp: Vec<u32>,
+    pin_gen: u32,
+    /// Operand slots and sizes, precomputed once so the hot path never
+    /// re-resolves `Operand`s: task `t` owns `in_slot[in_off[t]..in_off[t + 1]]`
+    /// and the same range of `in_bytes`. Split so the passes that need only
+    /// slots (pinning, releasing) read 4 bytes per operand.
+    in_slot: Vec<u32>,
+    in_bytes: Vec<u64>,
     in_off: Vec<usize>,
     /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
     /// transfer distance while no link is dead.
@@ -354,7 +365,9 @@ impl<'p> Runtime<'p> {
         };
         // Every task runs exactly once (validated), so counting uses per
         // task counts them per round too.
-        let mut inputs = Vec::new();
+        let operands = program.tasks().iter().map(|t| t.inputs.len()).sum();
+        let mut in_slot = Vec::with_capacity(operands);
+        let mut in_bytes = Vec::with_capacity(operands);
         let mut in_off = Vec::with_capacity(n_tasks + 1);
         in_off.push(0);
         let mut remaining_uses = vec![0u32; slots];
@@ -362,9 +375,10 @@ impl<'p> Runtime<'p> {
             for op in &t.inputs {
                 let slot = slot_of(op);
                 remaining_uses[slot as usize] += 1;
-                inputs.push((slot, op.bytes()));
+                in_slot.push(slot);
+                in_bytes.push(op.bytes());
             }
-            in_off.push(inputs.len());
+            in_off.push(in_slot.len());
         }
 
         // Lay the per-slot use lists out back to back, then fill them in
@@ -374,13 +388,13 @@ impl<'p> Runtime<'p> {
         for &uses in &remaining_uses {
             use_off.push(use_off[use_off.len() - 1] + uses as usize);
         }
-        let mut use_rounds = vec![0u64; use_off[slots]];
+        let mut use_rounds = vec![0u32; use_off[slots]];
         let mut use_cursor = use_off[..slots].to_vec();
         for (r, round) in program.rounds().iter().enumerate() {
             for (tid, _) in round {
-                for &(slot, _) in &inputs[in_off[tid.index()]..in_off[tid.index() + 1]] {
+                for &slot in &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]] {
                     let at = &mut use_cursor[slot as usize];
-                    use_rounds[*at] = r as u64;
+                    use_rounds[*at] = u32_from_usize(r);
                     *at += 1;
                 }
             }
@@ -401,7 +415,7 @@ impl<'p> Runtime<'p> {
             cfg,
             program,
             buffers: (0..engines)
-                .map(|_| BufferState::new(cfg.engine.buffer_bytes))
+                .map(|_| BufferState::with_slots(cfg.engine.buffer_bytes, slots))
                 .collect(),
             n_tasks,
             copies: CopySets::new(slots, engines),
@@ -411,7 +425,10 @@ impl<'p> Runtime<'p> {
             use_rounds,
             use_off,
             use_cursor,
-            inputs,
+            pin_stamp: vec![0; slots],
+            pin_gen: 0,
+            in_slot,
+            in_bytes,
             in_off,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
@@ -564,7 +581,7 @@ impl<'p> Runtime<'p> {
             // drop the key entirely), so it is skipped, never re-released.
             for &(tid, _) in assignments {
                 for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
-                    let slot = self.inputs[k].0;
+                    let slot = self.in_slot[k];
                     let uses = &mut self.remaining_uses[slot as usize];
                     if *uses > 0 {
                         *uses -= 1;
@@ -603,12 +620,12 @@ impl<'p> Runtime<'p> {
         let s = slot as usize;
         let end = self.use_off[s + 1];
         let mut at = self.use_cursor[s];
-        while at < end && self.use_rounds[at] <= self.round_idx {
+        while at < end && u64::from(self.use_rounds[at]) <= self.round_idx {
             at += 1;
         }
         self.use_cursor[s] = at;
         if at < end {
-            self.use_rounds[at]
+            u64::from(self.use_rounds[at])
         } else {
             u64::MAX
         }
@@ -648,7 +665,7 @@ impl<'p> Runtime<'p> {
         let mut noc_t = round_start;
         let mut dram_ready = round_start;
         for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
-            let (slot, bytes) = self.inputs[k];
+            let (slot, bytes) = (self.in_slot[k], self.in_bytes[k]);
             if bytes == 0 {
                 continue;
             }
@@ -805,16 +822,24 @@ impl<'p> Runtime<'p> {
         if free >= bytes {
             return true;
         }
-        let victims = {
-            let operands = &self.inputs[self.in_off[tid.index()]..self.in_off[tid.index() + 1]];
-            let pinned_fn = |s: u32| s == tid.0 || operands.iter().any(|&(op, _)| op == s);
-            self.buffers[engine].pick_victims(
-                self.cfg.eviction,
-                self.round_idx,
-                bytes - free,
-                &pinned_fn,
-            )
-        };
+        self.pin_gen = self.pin_gen.wrapping_add(1);
+        if self.pin_gen == 0 {
+            // The generation wrapped: clear stale stamps before reuse.
+            self.pin_stamp.fill(0);
+            self.pin_gen = 1;
+        }
+        let gen = self.pin_gen;
+        self.pin_stamp[tid.index()] = gen;
+        for &op in &self.in_slot[self.in_off[tid.index()]..self.in_off[tid.index() + 1]] {
+            self.pin_stamp[op as usize] = gen;
+        }
+        let stamps = &self.pin_stamp;
+        let victims = self.buffers[engine].pick_victims(
+            self.cfg.eviction,
+            self.round_idx,
+            bytes - free,
+            &|s: u32| stamps[s as usize] == gen,
+        );
         for victim in victims {
             self.evict(victim, engine, t);
         }

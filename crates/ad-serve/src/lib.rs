@@ -54,6 +54,12 @@
 //!
 //! Ops: `plan` (fields `model`, optional `batch`/`strategy`/`hw`/`fast`/
 //! `validate`/`budget`), `stats` (cache counters), `shutdown`.
+//!
+//! One line can never take the daemon down. A line longer than
+//! [`MAX_REQUEST_BYTES`] gets `{"ok":false,"refused":"line_too_long",…}`
+//! and its connection is closed; a document nested deeper than
+//! [`ad_util::json::MAX_DEPTH`] is answered as bad request JSON on a connection
+//! that stays open.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -815,6 +821,22 @@ fn refusal_line(r: &AdmissionRefusal) -> String {
     .to_compact()
 }
 
+/// The reply to a request line longer than [`MAX_REQUEST_BYTES`], sent
+/// just before the daemon closes the connection.
+fn line_too_long() -> String {
+    Json::Obj(vec![
+        ("ok".into(), Json::Bool(false)),
+        ("refused".into(), Json::Str("line_too_long".into())),
+        (
+            "error".into(),
+            Json::Str(format!(
+                "request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"
+            )),
+        ),
+    ])
+    .to_compact()
+}
+
 /// Decodes a `plan` request into (workload, config, strategy).
 fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, Strategy), String> {
     let name = doc
@@ -983,6 +1005,41 @@ fn refuse_connection(mut conn: TcpStream, r: &AdmissionRefusal) {
     let _ = conn.flush();
 }
 
+/// Longest request line the daemon reads, newline excluded. A request is a
+/// model name plus options and at most an inline hardware config: a few
+/// hundred bytes to a few KB.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// One read from a connection.
+enum RequestLine<'b> {
+    /// A request line without its terminator.
+    Line(&'b [u8]),
+    /// A line longer than [`MAX_REQUEST_BYTES`]; only its first bytes
+    /// were read.
+    TooLong,
+    /// End of stream.
+    Eof,
+}
+
+/// Reads the next request line into `buf`, reading at most
+/// [`MAX_REQUEST_BYTES`] + 1 bytes so one client cannot make the daemon
+/// buffer without bound.
+fn read_request_line<'b>(
+    reader: impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<RequestLine<'b>> {
+    buf.clear();
+    let limit = u64::try_from(MAX_REQUEST_BYTES + 1).unwrap_or(u64::MAX);
+    if reader.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    let line = buf.strip_suffix(b"\n").unwrap_or(buf);
+    if line.len() > MAX_REQUEST_BYTES {
+        return Ok(RequestLine::TooLong);
+    }
+    Ok(RequestLine::Line(line.strip_suffix(b"\r").unwrap_or(line)))
+}
+
 /// Serves one connection: a sequence of request lines until EOF.
 #[allow(clippy::too_many_arguments)]
 fn serve_connection(
@@ -1002,8 +1059,21 @@ fn serve_connection(
     // The first request's deadline runs from accept time (it includes the
     // queue wait); follow-up requests run from their read time.
     let mut first_clock = Some(clock);
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf) {
+            Ok(RequestLine::Line(line)) => line,
+            Ok(RequestLine::TooLong) => {
+                let _ = writeln!(writer, "{}", line_too_long());
+                let _ = writer.flush();
+                return;
+            }
+            Ok(RequestLine::Eof) | Err(_) => return,
+        };
+        let Ok(line) = std::str::from_utf8(line) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -1014,7 +1084,7 @@ fn serve_connection(
             admission: Some(admission),
             clock: Some(first_clock.take().unwrap_or_else(EdgeClock::now)),
         };
-        match handle_request(&ctx, &line) {
+        match handle_request(&ctx, line) {
             Reply::Line(resp) => {
                 if writeln!(writer, "{resp}").is_err() {
                     return;
@@ -1323,5 +1393,51 @@ mod tests {
         }
         // Nothing malformed may touch the planner or the cache.
         assert_eq!(store.stats().misses, 0);
+    }
+
+    /// A request nested far past the parser's depth cap is refused as bad
+    /// JSON instead of overflowing the worker's stack, even on a thread
+    /// with an eighth of the default stack.
+    #[test]
+    fn deeply_nested_request_is_refused_on_a_small_stack() {
+        let reply = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let store = PlanStore::new(2);
+                let sc = ServerConfig::default();
+                let ctx = ServeCtx {
+                    store: &store,
+                    sc: &sc,
+                    pool: None,
+                    admission: None,
+                    clock: None,
+                };
+                let line = format!("{{\"op\":\"plan\",\"hw\":{}}}", "[".repeat(20_000));
+                handle_request(&ctx, &line)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let doc = Json::parse(reply.text()).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let msg = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("nesting deeper than"), "{msg}");
+    }
+
+    #[test]
+    fn request_lines_are_read_up_to_the_bound() {
+        let ok = "x".repeat(MAX_REQUEST_BYTES);
+        let long = "x".repeat(MAX_REQUEST_BYTES + 1);
+        let input = format!("a\r\n{ok}\n{long}\nb\n");
+        let mut reader = BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        let mut read = || match read_request_line(&mut reader, &mut buf).unwrap() {
+            RequestLine::Line(l) => Ok(l.len()),
+            RequestLine::TooLong => Err("too long"),
+            RequestLine::Eof => Err("end of stream"),
+        };
+        assert_eq!(read(), Ok(1), "the CR of a CRLF terminator is dropped");
+        assert_eq!(read(), Ok(MAX_REQUEST_BYTES));
+        assert_eq!(read(), Err("too long"));
     }
 }

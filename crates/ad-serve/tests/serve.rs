@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use ad_serve::{serve, PlanStore, ServerConfig};
+use ad_serve::{serve, PlanStore, ServerConfig, MAX_REQUEST_BYTES};
 use ad_util::Json;
 use atomic_dataflow::{OptimizerConfig, Strategy, ValidateMode};
 use dnn_graph::models;
@@ -350,6 +350,65 @@ fn daemon_reports_errors_without_dropping_the_connection() {
 
         let bye = roundtrip(&mut conn, &mut reader, "{\"op\":\"shutdown\"}");
         assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
+        server
+            .join()
+            .expect("server thread")
+            .expect("serve loop exits cleanly");
+    });
+}
+
+/// One line the daemon cannot afford never takes it down: a request
+/// nested 20 000 levels deep gets a bad-JSON error on a connection that
+/// stays usable, and a line past `MAX_REQUEST_BYTES` gets a typed
+/// `line_too_long` refusal before its connection is closed. The daemon
+/// answers `stats` on a fresh connection afterwards.
+#[test]
+fn daemon_survives_deep_and_over_long_request_lines() {
+    let store = PlanStore::new(8);
+    let sc = ServerConfig {
+        base_hw: HardwareConfig::fast_test(),
+        fast: true,
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve(&listener, &store, &sc));
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
+
+        let deep = roundtrip(&mut conn, &mut reader, &"[".repeat(20_000));
+        assert_eq!(deep.get("ok").and_then(Json::as_bool), Some(false));
+        let st = roundtrip(&mut conn, &mut reader, "{\"op\":\"stats\"}");
+        assert_eq!(st.get("ok").and_then(Json::as_bool), Some(true));
+
+        // One byte past the bound, sent without a newline: the daemon
+        // refuses once it has read exactly the bound plus one byte.
+        conn.write_all(" ".repeat(MAX_REQUEST_BYTES + 1).as_bytes())
+            .expect("send over-long line");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read refusal");
+        let long = Json::parse(&line).expect("refusal parses");
+        assert_eq!(long.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            long.get("refused").and_then(Json::as_str),
+            Some("line_too_long")
+        );
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).expect("read after refusal"),
+            0,
+            "the daemon closes the connection after the refusal"
+        );
+
+        let mut conn = TcpStream::connect(addr).expect("reconnect");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
+        let st = roundtrip(&mut conn, &mut reader, "{\"op\":\"stats\"}");
+        assert_eq!(st.get("ok").and_then(Json::as_bool), Some(true));
+        let bye = roundtrip(&mut conn, &mut reader, "{\"op\":\"shutdown\"}");
+        assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
         server
             .join()
             .expect("server thread")

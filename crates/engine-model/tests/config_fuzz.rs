@@ -118,11 +118,12 @@ fn cost_tiny_cnn(hw: &HardwareConfig) -> u64 {
     cycles
 }
 
-#[test]
-fn mutated_configs_are_refused_or_priced_without_panicking() {
-    let mut rng = Rng64::new(0x0c0f_f1e5);
+/// Runs the corpus and then `cases` random mutants from `seed`; both
+/// outcomes must each cover at least a sixth of the cases.
+fn fuzz(seed: u64, cases: usize) {
+    let mut rng = Rng64::new(seed);
     let (mut refused, mut priced) = (0, 0);
-    for case in 0..240 {
+    for case in 0..cases {
         let text = fuzz_input(case, &mut rng);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             HardwareConfig::from_json_text(&text).map(|hw| cost_tiny_cnn(&hw))
@@ -141,9 +142,21 @@ fn mutated_configs_are_refused_or_priced_without_panicking() {
     }
     // Both outcomes must be exercised for the run to mean anything.
     assert!(
-        refused >= 40 && priced >= 40,
+        refused >= cases / 6 && priced >= cases / 6,
         "refused {refused}, priced {priced}"
     );
+}
+
+#[test]
+fn mutated_configs_are_refused_or_priced_without_panicking() {
+    fuzz(0x0c0f_f1e5, 240);
+}
+
+/// The long variant, run in CI: `cargo test --release -p engine-model -- --ignored`.
+#[test]
+#[ignore = "long fuzz run; CI runs it in release"]
+fn mutated_configs_are_refused_or_priced_without_panicking_long() {
+    fuzz(0x10f6_c0f6, 20_000);
 }
 
 #[test]

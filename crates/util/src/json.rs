@@ -6,6 +6,10 @@
 //! formatting. Numbers are stored as `f64`; integral values within the
 //! exactly-representable range print without a fractional part.
 //!
+//! Parsing is recursive, so nesting is capped at [`MAX_DEPTH`] levels: a
+//! document nested deeper is refused with [`JsonErrorKind::TooDeep`]
+//! instead of overflowing the thread's stack.
+//!
 //! ```rust
 //! use ad_util::Json;
 //!
@@ -34,9 +38,27 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// documents this workspace reads (hardware configs, graphs, requests,
+/// plans) nest fewer than ten levels. Each level costs ≈ 2 KiB of stack in
+/// a debug build (a few hundred bytes optimized), so 64 levels parse and
+/// serialize within a 256 KiB thread stack in either profile.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why a parse failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not valid JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with 1-based source coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
+    /// What kind of failure this is.
+    pub kind: JsonErrorKind,
     /// 1-based line of the offending byte.
     pub line: usize,
     /// 1-based column of the offending byte.
@@ -63,6 +85,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -282,6 +305,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -297,10 +322,24 @@ impl<'a> Parser<'a> {
             }
         }
         JsonError {
+            kind: JsonErrorKind::Syntax,
             line,
             col,
             msg: msg.into(),
         }
+    }
+
+    /// Opens an array or object one level deeper, refusing to nest past
+    /// [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                ..self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -338,8 +377,18 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                self.enter()?;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.enter()?;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
         }
@@ -549,6 +598,24 @@ mod tests {
         assert_eq!(Json::Num(3.0).to_compact(), "3");
         assert_eq!(Json::Num(3.5).to_compact(), "3.5");
         assert_eq!(Json::Num(-7.0).to_compact(), "-7");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"a\":", "}", MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let e = Json::parse(&text).unwrap_err();
+            assert_eq!(e.kind, JsonErrorKind::TooDeep);
+            assert_eq!(e.line, 1);
+        }
+        let e = Json::parse("{\"a\": [1, }").unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::Syntax);
     }
 
     #[test]

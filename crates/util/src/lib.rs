@@ -37,7 +37,7 @@ pub mod record;
 pub mod rng;
 
 pub use fingerprint::{Fingerprint, FpHasher};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, JsonErrorKind};
 pub use par::{scoped_map, TaskScope, WorkerPool};
 pub use queue::{BoundedQueue, PushError};
 pub use record::{

@@ -470,9 +470,11 @@ fn incremental_replan_is_order_of_magnitude_faster_than_cold() {
 
 // ---------------------------------------------------------------------------
 // Golden simulator pins. The JSON files under `tests/golden/` are literal
-// `SimStats` values recorded before the simulator's residency bookkeeping
-// (copy bitset, nearest-first probe, split buffer layout, next-use cursor)
-// was rewritten; every run below must keep reproducing them exactly.
+// `SimStats` values, each recorded before the simulator rewrite it guards:
+// the table-driven residency bookkeeping (copy bitset, nearest-first probe,
+// next-use cursor) and the slot-indexed buffers with stamped eviction pins
+// (the 64 KiB-buffer and Inception-v3 pins). Every run below must keep
+// reproducing them exactly.
 
 /// Plans `g` once with the standard pipeline on a `mesh`-sized fast-test
 /// machine; returns the simulator config, the lowered program and its
@@ -567,5 +569,44 @@ fn golden_sim_stats_resnet50_9x9() {
         &stats,
         include_str!("golden/sim_resnet50_9x9.json"),
         "resnet50 9x9",
+    );
+}
+
+/// ResNet-50 on 8×8 with the engine buffer halved to 64 KiB, once per
+/// eviction policy. Victim scans run ≈ 33 000 times per run there, 4–5× as
+/// often as at the default 128 KiB, so the pins hold thousands of decisions
+/// of each policy's victim order.
+#[test]
+fn golden_sim_stats_resnet50_8x8_64k_buffer_under_each_eviction_kind() {
+    let (sim, program, _) = golden_plan(&models::resnet50(), MeshConfig::grid(8, 8));
+    for (kind, golden) in [
+        (
+            EvictionKind::InvalidOccupation,
+            include_str!("golden/sim_resnet50_8x8_buf64k_invalid_occupation.json"),
+        ),
+        (
+            EvictionKind::Lru,
+            include_str!("golden/sim_resnet50_8x8_buf64k_lru.json"),
+        ),
+        (
+            EvictionKind::Fifo,
+            include_str!("golden/sim_resnet50_8x8_buf64k_fifo.json"),
+        ),
+    ] {
+        let mut cfg = sim;
+        cfg.engine = cfg.engine.with_buffer_bytes(64 * 1024);
+        cfg.eviction = kind;
+        let stats = Simulator::new(cfg).run(&program).unwrap();
+        assert_golden(&stats, golden, &format!("resnet50 8x8, 64 KiB, {kind:?}"));
+    }
+}
+
+#[test]
+fn golden_sim_stats_inception_v3_8x8() {
+    let (_, _, stats) = golden_plan(&models::inception_v3(), MeshConfig::grid(8, 8));
+    assert_golden(
+        &stats,
+        include_str!("golden/sim_inception_v3_8x8.json"),
+        "inception_v3 8x8",
     );
 }
