@@ -28,8 +28,7 @@
 //!   cost/cycle-model crates. Seeded `ad_util::Rng64` only.
 //! * **D3 `unscoped-thread`** — no detached `thread::spawn` (nor
 //!   `thread::Builder`, its named twin) in the model crates: the parallel
-//!   candidate search joins every worker inside `std::thread::scope` (via
-//!   `ad_util::scoped_map`) or the Drop-joined `ad_util::WorkerPool`, and
+//!   candidate search runs on the Drop-joined `ad_util::WorkerPool` and
 //!   reduces in fixed index order, so a free-running thread is a
 //!   determinism (and panic-propagation) hole by construction. The pool's
 //!   own `Builder` spawns carry explicit allow-comments naming the join
@@ -323,9 +322,8 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Diagnostic> {
             for (pat, message) in [
                 (
                     "thread::spawn",
-                    "detached `thread::spawn`; use `ad_util::scoped_map` \
-                     (std::thread::scope) or `ad_util::WorkerPool` so \
-                     workers join deterministically",
+                    "detached `thread::spawn`; use `ad_util::WorkerPool` \
+                     (joins in Drop) so workers join deterministically",
                 ),
                 (
                     "thread::Builder",

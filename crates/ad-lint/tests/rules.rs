@@ -145,7 +145,7 @@ fn d3_flags_detached_spawns_in_model_crates() {
         vec![Rule::UnscopedThread, Rule::UnscopedThread]
     );
     assert_eq!(diags[0].line, 1);
-    assert!(diags[0].message.contains("scoped_map"));
+    assert!(diags[0].message.contains("ad_util::WorkerPool"));
 }
 
 #[test]

@@ -41,8 +41,8 @@
 //! every miss's planning fan-out ([`PlanRequest::with_pool`]): a busy
 //! daemon never spawns threads per request, the live thread count is
 //! bounded by the pool size for the daemon's whole lifetime, and the pool
-//! joins its workers on drop — the same join-before-return discipline as
-//! [`ad_util::scoped_map`] (ad-lint D3); no thread outlives [`serve`].
+//! joins its workers on drop — the join-before-return discipline ad-lint
+//! D3 enforces; no thread outlives [`serve`].
 //! Parallelism is execution-only (excluded from the config fingerprint),
 //! so pooled and pool-less planning produce byte-identical cache entries.
 //!

@@ -47,7 +47,7 @@ fn bench_pipeline(iters: usize) {
     let g = models::resnet50();
     let engine = HardwareConfig::paper_default().engine_config();
     let build = |cfg: &AtomGenConfig| {
-        CandidateTable::build(&g, cfg, &engine, Dataflow::KcPartition, Exec::serial())
+        CandidateTable::build(&g, cfg, &engine, Dataflow::KcPartition, &Exec::default())
     };
     time("atomgen/table_resnet50", iters, || {
         build(&AtomGenConfig::default())
@@ -61,7 +61,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/sa_resnet50", iters, || {
-        atomgen::generate(&g, &table, &sa, None, None, Exec::serial())
+        atomgen::generate(&g, &table, &sa, None, None, &Exec::default())
     });
     let ga = AtomGenConfig {
         mode: AtomGenMode::Ga(GaParams {
@@ -71,7 +71,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/ga_resnet50", iters, || {
-        atomgen::generate(&g, &table, &ga, None, None, Exec::serial())
+        atomgen::generate(&g, &table, &ga, None, None, &Exec::default())
     });
 
     let cfg = small_cfg();

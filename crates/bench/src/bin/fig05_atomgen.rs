@@ -28,7 +28,7 @@ fn main() {
             &AtomGenConfig::default(),
             &engine,
             Dataflow::KcPartition,
-            Exec::serial(),
+            &Exec::default(),
         )
     };
 
@@ -45,7 +45,14 @@ fn main() {
     );
     for (name, graph) in &w.list {
         let cfg = AtomGenConfig::default();
-        let rep = atomgen::generate(graph, &candidates(graph), &cfg, None, None, Exec::serial());
+        let rep = atomgen::generate(
+            graph,
+            &candidates(graph),
+            &cfg,
+            None,
+            None,
+            &Exec::default(),
+        );
         let total_atoms: usize = rep.layer_cycles.iter().map(|(_, n)| n).sum();
         let near: usize = rep
             .layer_cycles
@@ -83,7 +90,7 @@ fn main() {
             mode,
             ..AtomGenConfig::default()
         };
-        atomgen::generate(graph, &table, &cfg, None, None, Exec::serial())
+        atomgen::generate(graph, &table, &cfg, None, None, &Exec::default())
     };
     let sa = run(AtomGenMode::Sa(SaParams {
         max_iters: iters,

@@ -107,7 +107,7 @@ fn main() {
         "mild" => ChaosProfile::mild(),
         other => panic!("unknown --chaos profile `{other}` (want soak|mild)"),
     };
-    let threads = w.parallelism.unwrap_or(1);
+    let pool = ad_util::WorkerPool::new(w.parallelism.unwrap_or(1));
 
     let mut table = Table::new(
         format!(
@@ -135,7 +135,7 @@ fn main() {
             .expect("healthy run");
         let horizon = healthy.stats.total_cycles;
 
-        let outcomes: Vec<SeedOutcome> = ad_util::scoped_map(seeds as usize, threads, |i| {
+        let outcomes: Vec<SeedOutcome> = pool.map(seeds as usize, |i| {
             let seed = 0xC4A0_5000 + i as u64;
             let plan = FaultPlan::chaos(seed, &cfg.sim.mesh, horizon, &profile)
                 .expect("chaos profile parameters are valid");

@@ -20,18 +20,7 @@ use dnn_graph::{Graph, Layer, TensorShape};
 use engine_model::{Dataflow, EngineConfig};
 
 use crate::atom::{atom_cost, AtomCoords, AtomSpec, Range};
-use crate::scratch::Exec;
-
-/// Reusable buffers of one SA chain (the per-layer choice vector and its
-/// neighbor-candidate copy), pooled per runner via
-/// [`crate::scratch::ScratchPool`]. Capacity-only reuse: both vectors are
-/// cleared and fully rebuilt at chain start, so pooled and fresh buffers
-/// produce byte-identical chains.
-#[derive(Debug, Default)]
-pub(crate) struct SaScratch {
-    pub(crate) choice: Vec<usize>,
-    pub(crate) cand: Vec<usize>,
-}
+use crate::exec::Exec;
 
 /// Simulated-annealing hyper-parameters (Alg. 1's `ite_max`, `Len`, `ε`,
 /// `Temp`, `λ`).
@@ -53,8 +42,8 @@ pub struct SaParams {
     /// [`chain_seed`]`(seed, i)` (chain 0 = the base seed, so `chains = 1`
     /// reproduces the single-chain search exactly); the minimum-variance
     /// chain wins, earliest chain index breaking ties. The chain *set* is
-    /// part of the search configuration — [`AtomGenConfig::parallelism`]
-    /// only controls how many threads evaluate it.
+    /// part of the search configuration — the request's worker pool only
+    /// controls how many threads evaluate it.
     pub chains: usize,
 }
 
@@ -135,11 +124,6 @@ pub struct AtomGenConfig {
     /// waves, so both PE utilization *and* intra-layer parallelism shape
     /// the preferred tile.
     pub engines: usize,
-    /// Worker threads used to evaluate independent SA chains
-    /// ([`SaParams::chains`]). Purely an *execution* knob: results are
-    /// reduced in fixed chain order regardless of the thread count, so any
-    /// value produces byte-identical output (1 = fully sequential).
-    pub parallelism: usize,
 }
 
 impl Default for AtomGenConfig {
@@ -150,7 +134,6 @@ impl Default for AtomGenConfig {
             max_atoms_per_layer: 4096,
             target_atoms_per_layer: 128,
             engines: 64,
-            parallelism: 1,
         }
     }
 }
@@ -245,10 +228,10 @@ impl CandidateTable {
         cfg: &AtomGenConfig,
         engine: &EngineConfig,
         dataflow: Dataflow,
-        exec: Exec<'_>,
+        exec: &Exec,
     ) -> Self {
         let layers: Vec<&Layer> = graph.layers().collect();
-        let cands = exec.map(layers.len(), cfg.parallelism, |li| {
+        let cands = exec.map(layers.len(), |li| {
             layer_candidates(layers[li], cfg, engine, dataflow)
         });
         let mut table = Self {
@@ -281,8 +264,8 @@ impl CandidateTable {
 ///   unchanged, so the result still passes the same admission checks.
 ///   Layers whose warm spec is not in the candidate table (different
 ///   engine geometry) fall back to the default initialization.
-/// * `exec` carries the request's worker pool and scratch arenas for the
-///   SA chain fan-out; [`Exec::serial`] gives byte-identical output.
+/// * `exec` carries the request's worker pool for the SA chain fan-out;
+///   every pool size gives byte-identical output.
 ///
 /// GA and uniform generation have a fixed iteration structure and ignore
 /// both the cap and the warm start.
@@ -292,7 +275,7 @@ pub fn generate(
     cfg: &AtomGenConfig,
     iter_budget: Option<usize>,
     warm: Option<&[AtomSpec]>,
-    exec: Exec<'_>,
+    exec: &Exec,
 ) -> GenReport {
     debug_assert_eq!(
         table.built_for,
@@ -305,7 +288,6 @@ pub fn generate(
             table,
             p,
             cfg.target_atoms_per_layer,
-            cfg.parallelism,
             iter_budget,
             warm,
             exec,
@@ -689,31 +671,28 @@ fn report_from_choices(
 // Simulated annealing (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-/// Runs [`SaParams::chains`] independently seeded annealing chains — up to
-/// `parallelism` of them concurrently, through the request's persistent
-/// worker pool when `exec` carries one — and keeps the minimum-variance
-/// chain, the earliest chain index breaking ties. The reduction visits
-/// chains in fixed index order, so the result is a pure function of the
-/// search configuration, never of the thread count.
-#[allow(clippy::too_many_arguments)]
+/// Runs [`SaParams::chains`] independently seeded annealing chains on the
+/// request's worker pool and keeps the minimum-variance chain, the
+/// earliest chain index breaking ties. The reduction visits chains in
+/// fixed index order, so the result is a pure function of the search
+/// configuration, never of the thread count.
 fn run_sa(
     graph: &Graph,
     table: &CandidateTable,
     p: SaParams,
     target_count: usize,
-    parallelism: usize,
     iter_budget: Option<usize>,
     warm: Option<&[AtomSpec]>,
-    exec: Exec<'_>,
+    exec: &Exec,
 ) -> GenReport {
     let chains = p.chains.max(1);
     if chains == 1 {
-        return run_sa_chain(graph, table, p, target_count, iter_budget, warm, exec);
+        return run_sa_chain(graph, table, p, target_count, iter_budget, warm);
     }
-    let reports = exec.map(chains, parallelism, |i| {
+    let reports = exec.map(chains, |i| {
         let mut pi = p;
         pi.seed = chain_seed(p.seed, i);
-        run_sa_chain(graph, table, pi, target_count, iter_budget, warm, exec)
+        run_sa_chain(graph, table, pi, target_count, iter_budget, warm)
     });
     let mut best: Option<GenReport> = None;
     for r in reports {
@@ -722,7 +701,7 @@ fn run_sa(
         }
     }
     // `chains >= 1`, so at least one report exists.
-    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget, warm, exec))
+    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget, warm))
 }
 
 /// One annealing chain (Algorithm 1), deterministic given `p.seed`. An
@@ -736,18 +715,10 @@ fn run_sa_chain(
     target_count: usize,
     iter_budget: Option<usize>,
     warm: Option<&[AtomSpec]>,
-    exec: Exec<'_>,
 ) -> GenReport {
     let soa = &table.soa;
     let mut rng = Rng64::new(p.seed);
     let nl = graph.layer_count();
-
-    // The chain's choice buffers come from the runner's scratch arena
-    // (capacity-only reuse — both are cleared and fully rebuilt here, so
-    // a pooled buffer is indistinguishable from a fresh one).
-    let mut scratch = exec.acquire();
-    let mut choice = std::mem::take(&mut scratch.sa.choice);
-    let mut cand_choice = std::mem::take(&mut scratch.sa.cand);
 
     // Initialization (Alg. 1 lines 1-3): tile sizes such that large layers
     // split into about `target_count` atoms — the cycle level with enough
@@ -755,30 +726,30 @@ fn run_sa_chain(
     // free to move `S` anywhere from here. A warm start replaces the
     // heuristic with the specs of a cached neighboring plan where they
     // still exist in this layer's candidate menu.
-    choice.clear();
-    choice.extend((0..nl).map(|li| {
-        let cands = &table.layers[li];
-        if let Some(i) = warm
-            .and_then(|w| w.get(li))
-            .and_then(|spec| cands.iter().position(|c| c.spec == *spec))
-        {
-            return i;
-        }
-        cands
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }));
+    let mut choice: Vec<usize> = (0..nl)
+        .map(|li| {
+            let cands = &table.layers[li];
+            if let Some(i) = warm
+                .and_then(|w| w.get(li))
+                .and_then(|spec| cands.iter().position(|c| c.spec == *spec))
+            {
+                return i;
+            }
+            cands
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        })
+        .collect();
 
     let (mut s, mut e) = soa.eval(&choice);
     let s0 = s.max(1.0);
     let mut temp = p.temp;
     let mut history = vec![e];
     // Reusable neighbor buffer, refreshed from `choice` every iteration.
-    cand_choice.clear();
-    cand_choice.extend_from_slice(&choice);
+    let mut cand_choice = choice.clone();
 
     let cap = p.max_iters.min(iter_budget.unwrap_or(usize::MAX));
     let mut converged = false;
@@ -833,10 +804,6 @@ fn run_sa_chain(
 
     let mut report = report_from_choices(graph, table, &choice, history);
     report.truncated = iter_budget.is_some_and(|b| b < p.max_iters) && !converged;
-    // Hand the buffers back to the arena (the swap in the accept branch
-    // may have exchanged them; either assignment order is fine).
-    scratch.sa.choice = choice;
-    scratch.sa.cand = cand_choice;
     report
 }
 
@@ -1057,7 +1024,7 @@ mod tests {
     }
 
     fn table(g: &Graph, cfg: &AtomGenConfig, e: &EngineConfig) -> CandidateTable {
-        CandidateTable::build(g, cfg, e, Dataflow::KcPartition, Exec::serial())
+        CandidateTable::build(g, cfg, e, Dataflow::KcPartition, &Exec::default())
     }
 
     /// One serial generation run over a freshly built table.
@@ -1068,7 +1035,14 @@ mod tests {
         iter_budget: Option<usize>,
         warm: Option<&[AtomSpec]>,
     ) -> GenReport {
-        generate(g, &table(g, cfg, e), cfg, iter_budget, warm, Exec::serial())
+        generate(
+            g,
+            &table(g, cfg, e),
+            cfg,
+            iter_budget,
+            warm,
+            &Exec::default(),
+        )
     }
 
     /// The per-layer argmin spelled out as a left-to-right scan over every
@@ -1419,7 +1393,7 @@ mod tests {
                 };
                 let table = table(g, &cfg, &e);
                 for budget in [None, Some(0), Some(1), Some(7)] {
-                    let fast = generate(g, &table, &cfg, budget, None, Exec::serial());
+                    let fast = generate(g, &table, &cfg, budget, None, &Exec::default());
                     let slow = reference_chain(g, &table, p, target, budget);
                     let case = format!("graph {gi}, epsilon {epsilon}, budget {budget:?}");
                     assert_eq!(fast.specs, slow.specs, "{case}");
@@ -1442,12 +1416,8 @@ mod tests {
         let e = EngineConfig::paper_default();
         let cfg = AtomGenConfig::default();
         let serial = table(&g, &cfg, &e);
-        let pool = ad_util::WorkerPool::new(3);
-        let exec = Exec {
-            pool: Some(&pool),
-            scratch: None,
-        };
-        let pooled = CandidateTable::build(&g, &cfg, &e, Dataflow::KcPartition, exec);
+        let exec = Exec::with_threads(3);
+        let pooled = CandidateTable::build(&g, &cfg, &e, Dataflow::KcPartition, &exec);
         let flat = |t: &CandidateTable| -> Vec<(u64, usize, AtomSpec, u64)> {
             t.layers
                 .iter()

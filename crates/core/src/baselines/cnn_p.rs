@@ -15,7 +15,7 @@
 //! strategy is the same with LS").
 
 use accel_sim::SimStats;
-use ad_util::scoped_map;
+use ad_util::WorkerPool;
 use dnn_graph::{Graph, LayerId};
 
 use crate::atomic_dag::AtomId;
@@ -27,9 +27,9 @@ use crate::pipeline::{
 
 /// Runs CNN-P on `graph` under `cfg`, auto-selecting the CLP count among
 /// `{2, 4, 8}` by simulated cycles (the original work explores partitions
-/// offline too). The CLP candidates are evaluated by up to
-/// [`OptimizerConfig::parallelism`] worker threads; the reduction visits
-/// them in fixed index order, so the winner is thread-count independent.
+/// offline too). The CLP candidates are evaluated on a pool of
+/// [`OptimizerConfig::parallelism`] runners; the reduction visits them in
+/// fixed index order, so the winner is thread-count independent.
 ///
 /// # Errors
 ///
@@ -57,9 +57,8 @@ pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome,
         .into_iter()
         .filter(|&k| k <= cfg.engines() && k <= compute_layers && k <= cfg.batch)
         .collect();
-    let candidates = scoped_map(ks.len(), cfg.parallelism, |i| {
-        pipeline(ks[i]).execute(graph, cfg)
-    });
+    let candidates =
+        WorkerPool::new(cfg.parallelism).map(ks.len(), |i| pipeline(ks[i]).execute(graph, cfg));
     let mut best: Option<PlanOutcome> = None;
     for candidate in candidates {
         let candidate = candidate?;

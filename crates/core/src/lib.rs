@@ -55,6 +55,7 @@ pub mod atomgen;
 mod atomic_dag;
 pub mod baselines;
 mod error;
+mod exec;
 mod lower;
 pub mod mapping;
 mod optimizer;
@@ -62,13 +63,13 @@ pub mod pipeline;
 mod recovery;
 pub mod request;
 pub mod scheduler;
-pub mod scratch;
 pub mod validate;
 
 pub use atom::{AtomCoords, AtomCost, AtomSpec, Range};
 pub use atomgen::{AtomGenConfig, AtomGenMode, GenReport, SaParams};
 pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner};
 pub use error::PipelineError;
+pub use exec::Exec;
 pub use lower::{lower_remaining, lower_to_program, recovered_data_id, LowerOptions};
 pub use mapping::{Mapper, MappingConfig, MappingError};
 pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
@@ -82,7 +83,6 @@ pub use request::{
     PlanRequest, PlanResponse,
 };
 pub use scheduler::{Schedule, ScheduleError, ScheduleMode, Scheduler, SchedulerConfig};
-pub use scratch::{Exec, PlanScratch, ScratchGuard, ScratchPool};
 pub use validate::{
     admit, Artifact, BudgetOutcome, Invariant, PlanBudget, ValidateMode, ValidationError,
 };

@@ -89,15 +89,11 @@ impl Default for MappingConfig {
 
 /// Per-round working buffers, reused across [`Mapper::map_round`] calls so
 /// steady-state mapping allocates nothing. Taken out of the mapper for the
-/// duration of a round (`std::mem::take`) and put back afterwards.
-/// Also pooled *across* mappers via [`crate::scratch::ScratchPool`]: the
-/// map stage creates one short-lived mapper per candidate plan, and
-/// [`Mapper::set_scratch`] / [`Mapper::take_scratch`] let those mappers
-/// hand the buffers along instead of re-growing them from zero. Reuse is
-/// capacity-only — every field is cleared or fully overwritten before it
-/// is read (pinned by the golden placement-hash tests).
+/// duration of a round (`std::mem::take`) and put back afterwards. Reuse
+/// is capacity-only — every field is cleared or fully overwritten before
+/// it is read (pinned by the golden placement-hash tests).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MapScratch {
+struct MapScratch {
     /// Round position of each atom (indexed by atom id; only the entries
     /// of the current round's atoms are meaningful).
     pos: Vec<u32>,
@@ -158,17 +154,6 @@ impl Mapper {
             alive,
             scratch: MapScratch::default(),
         }
-    }
-
-    /// Installs recycled per-round buffers (see [`MapScratch`]'s pooling
-    /// contract). Purely a capacity transplant — never affects placement.
-    pub(crate) fn set_scratch(&mut self, scratch: MapScratch) {
-        self.scratch = scratch;
-    }
-
-    /// Releases the per-round buffers for reuse by a later mapper.
-    pub(crate) fn take_scratch(&mut self) -> MapScratch {
-        std::mem::take(&mut self.scratch)
     }
 
     /// Engine an atom's output resides on (if it was mapped before).

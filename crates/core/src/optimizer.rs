@@ -12,10 +12,10 @@ use crate::atomgen::{self, AtomGenConfig, CandidateTable, GenReport};
 use crate::atomic_dag::AtomicDag;
 use crate::baselines;
 use crate::error::PipelineError;
+use crate::exec::Exec;
 use crate::mapping::{Mapper, MappingConfig};
 use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
-use crate::scratch::Exec;
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
 
 /// Configuration of the full pipeline. Also consumed by the baselines so
@@ -201,13 +201,11 @@ impl OptimizerConfig {
     }
 
     /// The atom-generation configuration every planning path runs: the
-    /// configured generator with the mesh's engine count and this config's
-    /// thread count filled in, and `target` (when given) as the
-    /// granularity target.
+    /// configured generator with the mesh's engine count filled in, and
+    /// `target` (when given) as the granularity target.
     pub fn atomgen_config(&self, target: Option<usize>) -> AtomGenConfig {
         let mut cfg = self.atomgen;
         cfg.engines = self.engines();
-        cfg.parallelism = self.parallelism;
         if let Some(t) = target {
             cfg.target_atoms_per_layer = t;
         }
@@ -251,9 +249,8 @@ pub struct OptimizeResult {
 pub struct Optimizer {
     cfg: OptimizerConfig,
     warm: Option<std::sync::Arc<Vec<crate::atom::AtomSpec>>>,
-    /// Shared persistent worker pool; `None` creates a run-local pool of
-    /// [`OptimizerConfig::parallelism`] runners per [`Optimizer::optimize`]
-    /// call. Execution-only — never affects planned bytes.
+    /// Shared persistent worker pool ([`Optimizer::with_pool`]); `None`
+    /// gives each run a pool of its own (see [`Optimizer::exec`]).
     pool: Option<std::sync::Arc<WorkerPool>>,
 }
 
@@ -291,18 +288,29 @@ impl Optimizer {
         self
     }
 
+    /// The execution context of one run: the injected pool, or a pool of
+    /// [`OptimizerConfig::parallelism`] runners. Execution-only — never
+    /// affects planned bytes.
+    fn exec(&self) -> Exec {
+        match &self.pool {
+            Some(p) => Exec::new(p.clone()),
+            None => Exec::with_threads(self.cfg.parallelism),
+        }
+    }
+
     /// Runs atom generation and DAG construction only (used by experiments
     /// that study the generation stage, e.g. Fig. 5).
     pub fn build_dag(&self, graph: &Graph) -> (GenReport, AtomicDag) {
         let gen_cfg = self.cfg.atomgen_config(None);
+        let exec = self.exec();
         let table = CandidateTable::build(
             graph,
             &gen_cfg,
             &self.cfg.sim.engine,
             self.cfg.dataflow,
-            Exec::serial(),
+            &exec,
         );
-        let report = atomgen::generate(graph, &table, &gen_cfg, None, None, Exec::serial());
+        let report = atomgen::generate(graph, &table, &gen_cfg, None, None, &exec);
         let dag = AtomicDag::build(
             graph,
             &report.specs,
@@ -369,22 +377,11 @@ impl Optimizer {
             targets.push(self.cfg.atomgen.target_atoms_per_layer);
         }
         // Every fan-out runs on the request's worker pool (nested SA chain
-        // fan-outs reuse it, so live threads stay bounded by its size). The
-        // candidates share one cost-oracle interner — atom costs are pure
-        // functions of (layer, extent), so each extent is evaluated once
-        // across the search — and one scratch-arena pool, so concurrent
-        // stages reuse buffer capacity instead of contending on the
-        // allocator.
-        let interner = std::sync::Arc::new(crate::atomic_dag::CostInterner::new());
-        let pool = match &self.pool {
-            Some(p) => p.clone(),
-            None => std::sync::Arc::new(WorkerPool::new(self.cfg.parallelism)),
-        };
-        let scratch = std::sync::Arc::new(crate::scratch::ScratchPool::new(pool.threads()));
-        let exec = Exec {
-            pool: Some(&pool),
-            scratch: Some(&scratch),
-        };
+        // fan-outs reuse it, so live threads stay bounded by its size), and
+        // the candidates share one cost-oracle interner — atom costs are
+        // pure functions of (layer, extent), so each extent is evaluated
+        // once across the search.
+        let exec = self.exec();
         let t0 = Instant::now(); // ad-lint: allow(d2) — coarse deadline, gates whole refinement passes only
 
         // Phase 1: one candidate table for the request (it does not depend
@@ -394,10 +391,10 @@ impl Optimizer {
             &self.cfg.atomgen_config(None),
             &self.cfg.sim.engine,
             self.cfg.dataflow,
-            exec,
+            &exec,
         );
         let warm = self.warm.as_deref().map(Vec::as_slice);
-        let generated = pool.map(targets.len(), |i| {
+        let generated = exec.map(targets.len(), |i| {
             let started = Instant::now(); // ad-lint: allow(d2) — reporting only
             let report = atomgen::generate(
                 graph,
@@ -405,7 +402,7 @@ impl Optimizer {
                 &self.cfg.atomgen_config(Some(targets[i])),
                 self.cfg.budget.sa_iter_cap(),
                 warm,
-                exec,
+                &exec,
             );
             (report, started.elapsed().as_secs_f64() * 1e3)
         });
@@ -420,12 +417,10 @@ impl Optimizer {
         let distinct: Vec<usize> = (0..generated.len())
             .filter(|&i| (0..i).all(|j| generated[j].0.specs != generated[i].0.specs))
             .collect();
-        let judged = pool.map(distinct.len(), |k| {
+        let judged = exec.map(distinct.len(), |k| {
             let (report, sa_ms) = &generated[distinct[k]];
             let mut ctx = PlanContext::new(graph, self.cfg);
-            ctx.cost_interner = Some(interner.clone());
-            ctx.pool = Some(pool.clone());
-            ctx.scratch = Some(scratch.clone());
+            ctx.exec = exec.clone();
             ctx.gen_report = Some(report.clone());
             let outcome = Pipeline::judge().run(&mut ctx);
             // The atomgen row covers this target's annealing too.

@@ -31,8 +31,9 @@ use accel_sim::{Program, SimStats, Simulator};
 use dnn_graph::Graph;
 
 use crate::atomgen::{self, CandidateTable, GenReport};
-use crate::atomic_dag::{AtomId, AtomicDag, CostInterner};
+use crate::atomic_dag::{AtomId, AtomicDag};
 use crate::error::PipelineError;
+use crate::exec::Exec;
 use crate::lower::{lower_remaining, LowerOptions};
 use crate::mapping::Mapper;
 use crate::optimizer::OptimizerConfig;
@@ -107,11 +108,6 @@ pub struct PlanContext<'g> {
     pub stats: Option<SimStats>,
     /// Reports of every stage run on this context, in execution order.
     pub reports: Vec<StageReport>,
-    /// Shared per-extent cost-oracle cache: candidate pipelines exploring
-    /// the same workload at different granularity scales intern each
-    /// atom extent's [`crate::atom::AtomCost`] once instead of recomputing
-    /// it per candidate. `None` (the default) builds with a private cache.
-    pub cost_interner: Option<std::sync::Arc<CostInterner>>,
     /// Bitmask of artifacts already audited by [`crate::validate::admit`]
     /// (see the `VALIDATED_*` bits in [`crate::validate`]); cleared for
     /// re-plannable artifacts by [`PlanContext::reset_plan`].
@@ -133,15 +129,12 @@ pub struct PlanContext<'g> {
     /// search accelerator — the warm-started plan runs through the same
     /// admission checks as a cold one.
     pub warm_specs: Option<std::sync::Arc<Vec<crate::atom::AtomSpec>>>,
-    /// The request's persistent worker pool: stages fan out through it
-    /// instead of spawning scoped threads per call. `None` (the default)
-    /// keeps the one-shot scoped fan-out. Purely an execution vehicle —
-    /// outputs are byte-identical with or without it.
-    pub pool: Option<std::sync::Arc<ad_util::WorkerPool>>,
-    /// The request's scratch arenas ([`crate::scratch`]): stages reuse
-    /// buffer capacity across candidates and chains instead of
-    /// re-allocating. `None` (the default) uses fresh temporaries.
-    pub scratch: Option<std::sync::Arc<crate::scratch::ScratchPool>>,
+    /// The request's execution context: the worker pool stages fan out
+    /// through and the cost-oracle interner candidate DAGs share. The
+    /// constructors give each context its own, sized from
+    /// [`OptimizerConfig::parallelism`]; [`crate::Optimizer::optimize`]
+    /// hands every candidate a clone of the request's one.
+    pub exec: Exec,
 }
 
 /// The cross-attempt cache carried by [`PlanContext::replan_cache`]. See
@@ -163,6 +156,12 @@ impl ReplanCache {
     pub fn memo_entries(&self) -> usize {
         self.memo.as_ref().map_or(0, |m| m.entries())
     }
+
+    /// The shared transposition table, created on first use.
+    pub(crate) fn shared_memo(&mut self) -> &mut crate::scheduler::MemoTable {
+        self.memo
+            .get_or_insert_with(crate::scheduler::MemoTable::shared)
+    }
 }
 
 impl<'g> PlanContext<'g> {
@@ -181,12 +180,10 @@ impl<'g> PlanContext<'g> {
             program: None,
             stats: None,
             reports: Vec::new(),
-            cost_interner: None,
             validated: 0,
             replan_cache: None,
             warm_specs: None,
-            pool: None,
-            scratch: None,
+            exec: Exec::with_threads(cfg.parallelism),
         }
     }
 
@@ -206,12 +203,10 @@ impl<'g> PlanContext<'g> {
             program: None,
             stats: None,
             reports: Vec::new(),
-            cost_interner: None,
             validated: 0,
             replan_cache: None,
             warm_specs: None,
-            pool: None,
-            scratch: None,
+            exec: Exec::with_threads(cfg.parallelism),
         }
     }
 
@@ -451,21 +446,20 @@ impl Stage for AtomGenStage {
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let graph = ctx.require_graph(self.name())?;
         let gen_cfg = ctx.cfg.atomgen_config(self.target);
-        let pool = ctx.pool.clone();
-        let scratch = ctx.scratch.clone();
-        let exec = crate::scratch::Exec {
-            pool: pool.as_deref(),
-            scratch: scratch.as_deref(),
-        };
-        let table =
-            CandidateTable::build(graph, &gen_cfg, &ctx.cfg.sim.engine, ctx.cfg.dataflow, exec);
+        let table = CandidateTable::build(
+            graph,
+            &gen_cfg,
+            &ctx.cfg.sim.engine,
+            ctx.cfg.dataflow,
+            &ctx.exec,
+        );
         ctx.gen_report = Some(atomgen::generate(
             graph,
             &table,
             &gen_cfg,
             ctx.cfg.budget.sa_iter_cap(),
             ctx.warm_specs.as_deref().map(Vec::as_slice),
-            exec,
+            &ctx.exec,
         ));
         AtomDagStage.run(ctx)
     }
@@ -492,23 +486,14 @@ impl Stage for AtomDagStage {
             stage: self.name(),
             missing: "gen report",
         })?;
-        let dag = match &ctx.cost_interner {
-            Some(interner) => AtomicDag::build_interned(
-                graph,
-                &report.specs,
-                ctx.cfg.batch,
-                &ctx.cfg.sim.engine,
-                ctx.cfg.dataflow,
-                interner,
-            ),
-            None => AtomicDag::build(
-                graph,
-                &report.specs,
-                ctx.cfg.batch,
-                &ctx.cfg.sim.engine,
-                ctx.cfg.dataflow,
-            ),
-        };
+        let dag = AtomicDag::build_interned(
+            graph,
+            &report.specs,
+            ctx.cfg.batch,
+            &ctx.cfg.sim.engine,
+            ctx.cfg.dataflow,
+            ctx.exec.interner(),
+        );
         let summary = format!(
             "{} atoms, S={:.0}, E={:.4}",
             dag.atom_count(),
@@ -557,22 +542,16 @@ impl Stage for ScheduleStage {
         // replan cache is installed. Under a finite expansion budget warm
         // hits would shift the truncation points (a cache hit skips the
         // recursion's budget charges), so budgeted runs keep the pass-local
-        // table to stay byte-identical with uncached runs. Either way the
-        // pass's dense state (and the pass-local memo's slots) build inside
-        // a scratch arena when the context carries one — capacity-only
-        // reuse, byte-identical to fresh allocations.
-        let scratch_pool = ctx.scratch.clone();
-        let mut arena = crate::scratch::acquire_opt(&scratch_pool);
-        let (sched, truncated) = match ctx.replan_cache.as_mut() {
-            Some(cache) if dp_budget.is_none() => {
-                let memo = cache
-                    .memo
-                    .get_or_insert_with(crate::scheduler::MemoTable::shared);
-                scheduler.schedule_remaining_shared_scratch(&ctx.done, memo, &mut arena.sched)?
+        // table to stay byte-identical with uncached runs.
+        let mut local;
+        let memo = match ctx.replan_cache.as_mut() {
+            Some(cache) if dp_budget.is_none() => cache.shared_memo(),
+            _ => {
+                local = scheduler.pass_memo();
+                &mut local
             }
-            _ => scheduler.schedule_remaining_scratch(&ctx.done, &mut arena.sched)?,
         };
-        drop(arena);
+        let (sched, truncated) = scheduler.search(&ctx.done, memo)?;
         let summary = format!(
             "{} rounds, occupancy {:.2}",
             sched.len(),
@@ -606,11 +585,6 @@ impl Stage for MapStage {
         let sched = ctx.require_schedule(self.name())?;
         let dag = ctx.require_dag(self.name())?;
         let mut mapper = Mapper::new(ctx.cfg.sim.mesh, ctx.cfg.mapping);
-        // Transplant recycled round buffers into this candidate's mapper
-        // (capacity-only — placement is pinned byte-identical either way).
-        let scratch_pool = ctx.scratch.clone();
-        let mut arena = crate::scratch::acquire_opt(&scratch_pool);
-        mapper.set_scratch(std::mem::take(&mut arena.map));
         for &e in &ctx.dead_engines {
             mapper.kill_engine(e);
         }
@@ -618,10 +592,7 @@ impl Stage for MapStage {
             .rounds
             .iter()
             .map(|r| mapper.map_round(dag, r))
-            .collect::<Result<Vec<_>, _>>();
-        arena.map = mapper.take_scratch();
-        drop(arena);
-        let mapped = mapped?;
+            .collect::<Result<Vec<_>, _>>()?;
         let summary = format!(
             "{} rounds onto {} engines",
             mapped.len(),

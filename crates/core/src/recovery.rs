@@ -649,15 +649,15 @@ fn scoped_replan(
         },
     )
     .with_budget(ctx.cfg.budget.dp_expansions);
-    let (suffix, _truncated) = match ctx.replan_cache.as_mut() {
-        Some(cache) if ctx.cfg.budget.dp_expansions.is_none() => {
-            let memo = cache
-                .memo
-                .get_or_insert_with(crate::scheduler::MemoTable::shared);
-            scheduler.schedule_remaining_shared(&done2, memo)?
+    let mut local;
+    let memo = match ctx.replan_cache.as_mut() {
+        Some(cache) if ctx.cfg.budget.dp_expansions.is_none() => cache.shared_memo(),
+        _ => {
+            local = scheduler.pass_memo();
+            &mut local
         }
-        _ => scheduler.schedule_remaining_budgeted(&done2)?,
     };
+    let (suffix, _truncated) = scheduler.search(&done2, memo)?;
     for round in &suffix.rounds {
         let placed = mapper.map_round(dag, round)?;
         sched.push(round.clone());

@@ -14,7 +14,7 @@
 //! what makes the `ad-serve` cache sound.
 //!
 //! The config fingerprint deliberately *excludes* every execution-only
-//! knob ([`OptimizerConfig::parallelism`], the atomgen thread count): the
+//! knob ([`OptimizerConfig::parallelism`], the worker-pool size): the
 //! planner is byte-deterministic across thread counts, so requests that
 //! differ only there must share a cache entry. A batch-insensitive variant
 //! ([`batchless_config_fingerprint`]) keys the warm-start neighbor index:
@@ -412,8 +412,7 @@ fn hash_config(h: &mut FpHasher, cfg: &OptimizerConfig, strategy: Strategy, batc
     h.write_u64(u64::from(cfg.sim.double_buffer));
 
     // Search configuration. `atomgen.engines` is overwritten from the mesh
-    // by the pipeline and `atomgen.parallelism` is execution-only; neither
-    // is hashed.
+    // by the pipeline, so it is not hashed.
     hash_atomgen(h, &cfg.atomgen);
     hash_schedule_mode(h, cfg.schedule_mode);
     h.write_u64(match cfg.mapping.algo {

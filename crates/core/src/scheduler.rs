@@ -182,9 +182,9 @@ type MemoKey = (u64, u64, u32);
 ///
 /// Keys are salted with everything an estimate depends on beyond the live
 /// search state — the done-at-entry atom set, the engine count and the
-/// branching factor (see [`Scheduler::schedule_with_table`]) — so one table
-/// may outlive a single scheduling pass and warm later passes over the same
-/// DAG (recovery replans via [`Scheduler::schedule_remaining_shared`]).
+/// branching factor (see [`Scheduler::search`]) — so one table may outlive
+/// a single scheduling pass and warm later passes over the same DAG
+/// (recovery replans through [`crate::pipeline::ReplanCache`]).
 /// Cached values are pure speedups either way: a hit returns exactly what
 /// the recursion would recompute.
 #[derive(Debug, Clone)]
@@ -217,31 +217,6 @@ impl MemoTable {
             },
             len: 0,
         }
-    }
-
-    /// An empty table reusing a previous pass's slot allocation (from
-    /// [`SchedScratch`]). Every slot is cleared, so probes behave exactly
-    /// like a fresh table's — reuse is capacity-only. The slot count stays
-    /// a power of two: it is either a prior table's (1024 doubled some
-    /// number of times) or the 1024 floor.
-    fn from_scratch(enabled: bool, mut slots: Vec<Option<(MemoKey, u64)>>) -> Self {
-        if !enabled {
-            return Self::new(false);
-        }
-        slots.fill(None);
-        if slots.len() < 1024 {
-            slots = vec![None; 1024];
-        }
-        Self {
-            enabled,
-            slots,
-            len: 0,
-        }
-    }
-
-    /// Releases the slot allocation for reuse by a later pass.
-    fn into_slots(self) -> Vec<Option<(MemoKey, u64)>> {
-        self.slots
     }
 
     fn slot_of(&self, key: &MemoKey) -> usize {
@@ -366,24 +341,6 @@ struct State<'a> {
     done: Vec<bool>,
 }
 
-/// Reusable buffers of one scheduling pass — the dense `State` tables
-/// plus the transposition table's slot array — pooled per runner via
-/// [`crate::scratch::ScratchPool`]. Reuse is capacity-only: every buffer
-/// is cleared and fully re-initialized by `State::new_in` (and
-/// `MemoTable::from_scratch`, both private to this module) before any
-/// read, so a pass running on a recycled arena is byte-identical to one
-/// on fresh allocations.
-#[derive(Debug, Default)]
-pub struct SchedScratch {
-    indegree: Vec<u32>,
-    ready: Vec<std::collections::VecDeque<AtomId>>,
-    started: Vec<bool>,
-    layer_order: Vec<u32>,
-    remaining_per_batch: Vec<usize>,
-    done: Vec<bool>,
-    memo: Vec<Option<(MemoKey, u64)>>,
-}
-
 /// Journal entry for undoing one applied round.
 struct Applied {
     combo: Vec<AtomId>,
@@ -399,64 +356,34 @@ impl<'a> State<'a> {
     /// State over the not-yet-executed remainder of `dag`. `done[i]` marks
     /// atoms that already ran (an empty slice marks none); their edges are
     /// treated as satisfied and they are never scheduled again.
-    /// Test-only convenience: build on fresh (default-scratch) buffers.
-    #[cfg(test)]
-    fn new_with_completed(dag: &'a AtomicDag, done: &[bool]) -> Self {
-        Self::new_in(dag, done, &mut SchedScratch::default())
-    }
-
-    /// Like [`State::new_with_completed`], building the dense tables inside
-    /// `scratch`'s buffers (cleared and fully re-initialized here — see
-    /// [`SchedScratch`]'s capacity-only contract). Building from an empty
-    /// default scratch is exactly a fresh allocation.
-    fn new_in(dag: &'a AtomicDag, done: &[bool], scratch: &mut SchedScratch) -> Self {
+    fn new(dag: &'a AtomicDag, done: &[bool]) -> Self {
         let is_done = |i: usize| done.get(i).copied().unwrap_or(false);
         let nl = dag.layer_count();
         let n_inst = nl * dag.batch();
-        let mut indegree = std::mem::take(&mut scratch.indegree);
-        indegree.clear();
-        indegree.resize(dag.atom_count(), 0);
-        for (i, deg) in indegree.iter_mut().enumerate() {
-            let live_preds = dag
-                .preds(AtomId(u32_from_usize(i)))
-                .iter()
-                .filter(|(p, _)| !is_done(p.index()))
-                .count();
-            *deg = u32_from_usize(live_preds);
-        }
-        let mut layer_order = std::mem::take(&mut scratch.layer_order);
-        layer_order.clear();
-        layer_order.extend(0..u32_from_usize(nl));
+        let indegree = (0..dag.atom_count())
+            .map(|i| {
+                let live_preds = dag
+                    .preds(AtomId(u32_from_usize(i)))
+                    .iter()
+                    .filter(|(p, _)| !is_done(p.index()))
+                    .count();
+                u32_from_usize(live_preds)
+            })
+            .collect();
+        let mut layer_order: Vec<u32> = (0..u32_from_usize(nl)).collect();
         layer_order.sort_by_key(|&l| (dag.layer_depth(dnn_graph::LayerId(l)), l));
-        // Queues keep their per-deque capacity; contents are emptied and the
-        // vector is re-sized to exactly this DAG's instance count.
-        let mut ready = std::mem::take(&mut scratch.ready);
-        for q in &mut ready {
-            q.clear();
-        }
-        ready.truncate(n_inst);
-        ready.resize_with(n_inst, std::collections::VecDeque::new);
-        let mut started = std::mem::take(&mut scratch.started);
-        started.clear();
-        started.resize(n_inst, false);
-        let mut remaining_per_batch = std::mem::take(&mut scratch.remaining_per_batch);
-        remaining_per_batch.clear();
-        remaining_per_batch.resize(dag.batch(), 0);
-        let mut done_mask = std::mem::take(&mut scratch.done);
-        done_mask.clear();
-        done_mask.extend((0..dag.atom_count()).map(is_done));
         let mut st = State {
             dag,
             nl,
             indegree,
-            ready,
-            started,
+            ready: vec![std::collections::VecDeque::new(); n_inst],
+            started: vec![false; n_inst],
             layer_order,
-            remaining_per_batch,
+            remaining_per_batch: vec![0; dag.batch()],
             remaining: 0,
             remaining_cycles: 0,
             scheduled_hash: 0,
-            done: done_mask,
+            done: (0..dag.atom_count()).map(is_done).collect(),
         };
         for (i, atom) in dag.atoms().iter().enumerate() {
             if st.done[i] {
@@ -479,16 +406,6 @@ impl<'a> State<'a> {
             }
         }
         st
-    }
-
-    /// Returns the dense tables to `scratch` for the next pass.
-    fn recycle(self, scratch: &mut SchedScratch) {
-        scratch.indegree = self.indegree;
-        scratch.ready = self.ready;
-        scratch.started = self.started;
-        scratch.layer_order = self.layer_order;
-        scratch.remaining_per_batch = self.remaining_per_batch;
-        scratch.done = self.done;
     }
 
     fn inst_of(&self, a: AtomId) -> Inst {
@@ -752,77 +669,35 @@ impl<'a> Scheduler<'a> {
         &self,
         done: &[bool],
     ) -> Result<(Schedule, bool), ScheduleError> {
-        let mut memo = MemoTable::new(
-            self.memo
-                && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0),
-        );
-        self.schedule_with_table(done, &mut memo)
+        self.search(done, &mut self.pass_memo())
     }
 
-    /// Like [`Scheduler::schedule_remaining_budgeted`], building the pass's
-    /// dense state tables and transposition table inside `scratch`'s
-    /// reusable buffers. Byte-identical to the plain path (capacity-only
-    /// reuse — see [`SchedScratch`]); the planning pipeline routes every
-    /// budgeted pass through here so concurrent candidates stop hammering
-    /// the allocator.
+    /// An empty transposition table for one pass of this scheduler
+    /// (disabled when memoization is off or the mode never looks ahead).
+    pub(crate) fn pass_memo(&self) -> MemoTable {
+        MemoTable::new(
+            self.memo
+                && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0),
+        )
+    }
+
+    /// The search behind every entry point, probing and filling `memo`:
+    /// a pass-local table ([`Scheduler::pass_memo`]) or the one a
+    /// [`crate::pipeline::ReplanCache`] carries across recovery attempts,
+    /// so subtrees one attempt explored warm the next. Soundness across
+    /// attempts relies on the key salting described on [`MemoTable`].
+    /// Warm and cold results are byte-identical whenever the expansion
+    /// budget is unlimited; a warm hit never charges the budget units the
+    /// cold recursion would, so budgeted truncation points may shift and
+    /// callers pass a shared table only without a budget.
     ///
     /// # Errors
     ///
     /// Identical to [`Scheduler::schedule_remaining_budgeted`].
-    pub(crate) fn schedule_remaining_scratch(
-        &self,
-        done: &[bool],
-        scratch: &mut SchedScratch,
-    ) -> Result<(Schedule, bool), ScheduleError> {
-        let enabled = self.memo
-            && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0);
-        let mut memo = MemoTable::from_scratch(enabled, std::mem::take(&mut scratch.memo));
-        let out = self.schedule_with_table_in(done, &mut memo, Some(scratch));
-        scratch.memo = memo.into_slots();
-        out
-    }
-
-    /// Like [`Scheduler::schedule_remaining_budgeted`], but probing and
-    /// filling a caller-owned transposition table instead of a pass-local
-    /// one. Recovery replans pass the table persisted in
-    /// [`crate::pipeline::ReplanCache`], so search subtrees explored by one
-    /// attempt warm the next. Soundness across attempts relies on the key
-    /// salting described on [`MemoTable`]; byte-identity of warm vs. cold
-    /// results holds whenever the expansion budget is unlimited (a warm hit
-    /// never charges the budget units the cold recursion would, so budgeted
-    /// truncation points may shift — callers gate on that).
-    pub(crate) fn schedule_remaining_shared(
+    pub(crate) fn search(
         &self,
         done: &[bool],
         memo: &mut MemoTable,
-    ) -> Result<(Schedule, bool), ScheduleError> {
-        self.schedule_with_table(done, memo)
-    }
-
-    /// [`Scheduler::schedule_remaining_shared`] with the pass's dense state
-    /// built in `scratch` (the memo stays the caller's shared table).
-    pub(crate) fn schedule_remaining_shared_scratch(
-        &self,
-        done: &[bool],
-        memo: &mut MemoTable,
-        scratch: &mut SchedScratch,
-    ) -> Result<(Schedule, bool), ScheduleError> {
-        self.schedule_with_table_in(done, memo, Some(scratch))
-    }
-
-    fn schedule_with_table(
-        &self,
-        done: &[bool],
-        memo: &mut MemoTable,
-    ) -> Result<(Schedule, bool), ScheduleError> {
-        self.schedule_with_table_in(done, memo, None)
-    }
-
-    fn schedule_with_table_in(
-        &self,
-        done: &[bool],
-        memo: &mut MemoTable,
-        scratch: Option<&mut SchedScratch>,
     ) -> Result<(Schedule, bool), ScheduleError> {
         if self.cfg.engines == 0 {
             return Err(ScheduleError::NoEngines);
@@ -833,12 +708,7 @@ impl<'a> Scheduler<'a> {
                 got: done.len(),
             });
         }
-        let mut local = SchedScratch::default();
-        let scratch = match scratch {
-            Some(s) => s,
-            None => &mut local,
-        };
-        let mut state = State::new_in(self.dag, done, scratch);
+        let mut state = State::new(self.dag, done);
         let n = self.cfg.engines;
         // Salt the transposition keys with the search parameters that shape
         // estimates but live outside the state: engine count (the alive set
@@ -858,7 +728,6 @@ impl<'a> Scheduler<'a> {
         let mut sb = SearchBudget::new(self.budget);
 
         if self.cfg.mode == ScheduleMode::LayerOrder {
-            state.recycle(scratch);
             return Ok((self.schedule_layer_order(done), false));
         }
         while state.remaining > 0 {
@@ -871,14 +740,13 @@ impl<'a> Scheduler<'a> {
                 _ => state.select_priority(n),
             };
             if combo.is_empty() {
-                let remaining = state.remaining;
-                state.recycle(scratch);
-                return Err(ScheduleError::LiveLock { remaining });
+                return Err(ScheduleError::LiveLock {
+                    remaining: state.remaining,
+                });
             }
             state.apply(&combo);
             rounds.push(combo);
         }
-        state.recycle(scratch);
         Ok((Schedule { rounds }, sb.truncated))
     }
 
@@ -1228,7 +1096,7 @@ mod tests {
     #[test]
     fn apply_undo_roundtrip() {
         let (_, d) = dag(1, 8);
-        let mut st = State::new_with_completed(&d, &[]);
+        let mut st = State::new(&d, &[]);
         let before_remaining = st.remaining;
         let before_ready: Vec<usize> = st.ready.iter().map(|q| q.len()).collect();
         let combo = st.select_priority(4);

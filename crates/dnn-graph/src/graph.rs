@@ -510,6 +510,12 @@ fn infer_shape(name: &str, op: OpKind, shapes: &[TensorShape]) -> Result<TensorS
         OpKind::Conv(p) => {
             need(1, "conv")?;
             let s = shapes[0];
+            if p.stride == 0 || p.out_channels == 0 {
+                return Err(mismatch(format!(
+                    "stride {} and C_o {} must be non-zero",
+                    p.stride, p.out_channels
+                )));
+            }
             if p.groups == 0 || s.c % p.groups != 0 {
                 return Err(mismatch(format!(
                     "groups {} do not divide C_i {}",
@@ -530,37 +536,44 @@ fn infer_shape(name: &str, op: OpKind, shapes: &[TensorShape]) -> Result<TensorS
                 }
                 (s.h, s.w)
             } else {
-                if s.h + 2 * p.pad < p.kh || s.w + 2 * p.pad < p.kw {
-                    return Err(mismatch(format!(
-                        "kernel {}x{} larger than padded input {}",
-                        p.kh, p.kw, s
-                    )));
-                }
-                (
+                match (
                     ConvParams::out_extent(s.h, p.kh, p.stride, p.pad),
                     ConvParams::out_extent(s.w, p.kw, p.stride, p.pad),
-                )
+                ) {
+                    (Some(h), Some(w)) => (h, w),
+                    _ => {
+                        return Err(mismatch(format!(
+                            "kernel {}x{} does not fit input {} padded by {}",
+                            p.kh, p.kw, s, p.pad
+                        )))
+                    }
+                }
             };
             Ok(TensorShape::new(h, w, p.out_channels))
         }
         OpKind::Fc { out_features } => {
             need(1, "fc")?;
+            if out_features == 0 {
+                return Err(mismatch("fc needs at least one output feature".into()));
+            }
             Ok(TensorShape::vector(out_features))
         }
         OpKind::Pool(p) => {
             need(1, "pool")?;
             let s = shapes[0];
-            if s.h + 2 * p.pad < p.k || s.w + 2 * p.pad < p.k {
-                return Err(mismatch(format!(
-                    "pool window {} larger than input {}",
-                    p.k, s
-                )));
+            if p.stride == 0 {
+                return Err(mismatch("pool stride must be non-zero".into()));
             }
-            Ok(TensorShape::new(
+            match (
                 ConvParams::out_extent(s.h, p.k, p.stride, p.pad),
                 ConvParams::out_extent(s.w, p.k, p.stride, p.pad),
-                s.c,
-            ))
+            ) {
+                (Some(h), Some(w)) => Ok(TensorShape::new(h, w, s.c)),
+                _ => Err(mismatch(format!(
+                    "pool window {} does not fit input {} padded by {}",
+                    p.k, s, p.pad
+                ))),
+            }
         }
         OpKind::GlobalAvgPool => {
             need(1, "gap")?;
@@ -583,7 +596,11 @@ fn infer_shape(name: &str, op: OpKind, shapes: &[TensorShape]) -> Result<TensorS
             if shapes.iter().any(|x| x.h != s.h || x.w != s.w) {
                 return Err(mismatch("concat inputs disagree on spatial size".into()));
             }
-            Ok(TensorShape::new(s.h, s.w, shapes.iter().map(|x| x.c).sum()))
+            let c = shapes
+                .iter()
+                .try_fold(0usize, |c, x| c.checked_add(x.c))
+                .ok_or_else(|| mismatch("concat channel count overflows".into()))?;
+            Ok(TensorShape::new(s.h, s.w, c))
         }
         OpKind::Act(_) | OpKind::BatchNorm => {
             need(1, "elementwise")?;

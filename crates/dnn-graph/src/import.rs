@@ -277,9 +277,16 @@ impl ModelDesc {
     ///
     /// # Errors
     ///
-    /// Returns [`ImportError`] on duplicate layer names, dangling references
-    /// or shape mismatches.
+    /// Returns [`ImportError`] on a zero input dimension, duplicate layer
+    /// names, dangling references or shape mismatches (including zero
+    /// strides and empty outputs).
     pub fn build(&self) -> Result<Graph, ImportError> {
+        if self.input.contains(&0) {
+            return Err(schema(format!(
+                "model: `input` dimensions must be non-zero, got {:?}",
+                self.input
+            )));
+        }
         let mut g = Graph::new(self.name.clone());
         let mut by_name: HashMap<&str, LayerId> = HashMap::new();
         let input = g.add_input(TensorShape::new(
@@ -668,6 +675,43 @@ mod tests {
             groups: 1,
         };
         assert!(matches!(desc.build(), Err(ImportError::Graph(_))));
+    }
+
+    #[test]
+    fn out_of_range_numbers_rejected() {
+        let conv = |stride, out_channels| OpDesc::Conv {
+            k: 3,
+            stride,
+            pad: 1,
+            out_channels,
+            groups: 1,
+        };
+        let mut zero_input = residual_desc();
+        zero_input.input = [0, 8, 4];
+        let mut cases = vec![zero_input];
+        for op in [
+            conv(0, 16),
+            conv(1, 0),
+            OpDesc::Fc { out_features: 0 },
+            OpDesc::MaxPool {
+                k: 2,
+                stride: 0,
+                pad: 0,
+            },
+        ] {
+            let mut desc = residual_desc();
+            desc.layers[0].op = op;
+            cases.push(desc);
+        }
+        for desc in cases {
+            let text = desc.to_json();
+            assert!(
+                ModelDesc::from_json(&text).is_err(),
+                "accepted {:?} / {:?}",
+                desc.input,
+                desc.layers[0].op
+            );
+        }
     }
 
     #[test]

@@ -62,10 +62,12 @@ impl ConvParams {
         }
     }
 
-    /// Output spatial size along one axis for input extent `i`, kernel `k`.
-    pub(crate) fn out_extent(i: usize, k: usize, stride: usize, pad: usize) -> usize {
-        debug_assert!(i + 2 * pad >= k, "kernel larger than padded input");
-        (i + 2 * pad - k) / stride + 1
+    /// Output spatial size along one axis for input extent `i`, kernel `k`;
+    /// `None` when the kernel exceeds the padded input, the stride is zero
+    /// or the arithmetic overflows.
+    pub(crate) fn out_extent(i: usize, k: usize, stride: usize, pad: usize) -> Option<usize> {
+        let padded = pad.checked_mul(2)?.checked_add(i)?;
+        padded.checked_sub(k)?.checked_div(stride)?.checked_add(1)
     }
 }
 
@@ -208,11 +210,11 @@ mod tests {
     #[test]
     fn conv_output_extent() {
         // 224 input, 7x7 kernel, stride 2, pad 3 -> 112 (ResNet stem).
-        assert_eq!(ConvParams::out_extent(224, 7, 2, 3), 112);
+        assert_eq!(ConvParams::out_extent(224, 7, 2, 3), Some(112));
         // 56 input, 3x3 kernel, stride 1, pad 1 -> 56.
-        assert_eq!(ConvParams::out_extent(56, 3, 1, 1), 56);
+        assert_eq!(ConvParams::out_extent(56, 3, 1, 1), Some(56));
         // 56 input, 1x1 kernel, stride 2 -> 28.
-        assert_eq!(ConvParams::out_extent(56, 1, 2, 0), 28);
+        assert_eq!(ConvParams::out_extent(56, 1, 2, 0), Some(28));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   `TransferCost` (Sec. IV-C),
 //! - **transfer cycles** for moving a tensor between engines,
 //! - **transfer energy** at 0.61 pJ/bit/hop (Sec. V-A),
-//! - per-link **traffic accounting** for contention statistics.
+//! - **traffic accounting**: bytes, byte-hops and transfers moved.
 //!
 //! ```rust
 //! use noc_model::MeshConfig;

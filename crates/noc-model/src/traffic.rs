@@ -1,16 +1,10 @@
 use crate::mesh::MeshConfig;
 
-/// Accumulates inter-engine traffic and attributes it to directed mesh links
-/// via XY routing, for contention and hotspot statistics.
-///
-/// Links are identified by their source engine and direction; since XY
-/// routes only step to one of four neighbours, a directed link is keyed as
-/// `(from_engine, to_engine)` with `hops(from, to) == 1`.
+/// Accumulates inter-engine traffic totals: payload bytes, byte-hops along
+/// XY routes (the NoC energy term) and transfer count.
 #[derive(Debug, Clone)]
 pub struct TrafficTracker {
     mesh: MeshConfig,
-    /// Bytes forwarded per directed link, keyed by `from * engines + to`.
-    link_bytes: Vec<u64>,
     total_bytes: u64,
     total_byte_hops: u64,
     transfers: u64,
@@ -19,18 +13,16 @@ pub struct TrafficTracker {
 impl TrafficTracker {
     /// Creates an empty tracker for the given mesh.
     pub fn new(mesh: MeshConfig) -> Self {
-        let n = mesh.engines();
         Self {
             mesh,
-            link_bytes: vec![0; n * n],
             total_bytes: 0,
             total_byte_hops: 0,
             transfers: 0,
         }
     }
 
-    /// Records a `bytes`-sized transfer from engine `src` to engine `dst`,
-    /// walking its XY route ([`MeshConfig::route`]) in place.
+    /// Records a `bytes`-sized transfer from engine `src` to engine `dst`
+    /// over its XY route ([`MeshConfig::hops`] links).
     ///
     /// # Panics
     ///
@@ -39,26 +31,8 @@ impl TrafficTracker {
         if src == dst || bytes == 0 {
             return;
         }
-        let (from, to) = (self.mesh.coord(src), self.mesh.coord(dst));
-        let n = self.mesh.engines();
-        let (dx, dy) = (from.x.abs_diff(to.x), from.y.abs_diff(to.y));
-        // X first, then Y: (legs, index stride, towards higher indices).
-        let mut cur = src;
-        for (legs, stride, ascending) in
-            [(dx, 1, to.x > from.x), (dy, self.mesh.cols, to.y > from.y)]
-        {
-            for _ in 0..legs {
-                let next = if ascending {
-                    cur + stride
-                } else {
-                    cur - stride
-                };
-                self.link_bytes[cur * n + next] += bytes;
-                cur = next;
-            }
-        }
         self.total_bytes += bytes;
-        self.total_byte_hops += bytes * (dx + dy) as u64;
+        self.total_byte_hops += bytes * self.mesh.hops(src, dst);
         self.transfers += 1;
     }
 
@@ -77,11 +51,6 @@ impl TrafficTracker {
         self.transfers
     }
 
-    /// Bytes forwarded by the busiest directed link.
-    pub fn max_link_bytes(&self) -> u64 {
-        self.link_bytes.iter().copied().max().unwrap_or(0)
-    }
-
     /// Average hops per transferred byte (0 when idle).
     pub fn mean_hops_per_byte(&self) -> f64 {
         if self.total_bytes == 0 {
@@ -98,7 +67,6 @@ impl TrafficTracker {
 
     /// Resets all counters.
     pub fn clear(&mut self) {
-        self.link_bytes.fill(0);
         self.total_bytes = 0;
         self.total_byte_hops = 0;
         self.transfers = 0;
@@ -116,11 +84,12 @@ mod tests {
         t.record(0, 3, 120); // 3 hops along row 0
         assert_eq!(t.total_bytes(), 120);
         assert_eq!(t.total_byte_hops(), 360);
-        assert_eq!(t.max_link_bytes(), 120);
         assert_eq!(t.transfers(), 1);
 
-        t.record(1, 2, 80); // shares link 1->2
-        assert_eq!(t.max_link_bytes(), 200);
+        t.record(1, 2, 80); // 1 hop
+        assert_eq!(t.total_bytes(), 200);
+        assert_eq!(t.total_byte_hops(), 440);
+        assert_eq!(t.transfers(), 2);
     }
 
     #[test]
@@ -131,13 +100,8 @@ mod tests {
                 for dst in 0..n {
                     let mut t = TrafficTracker::new(m);
                     t.record(src, dst, 7);
-                    let mut expect = vec![0u64; n * n];
-                    if src != dst {
-                        for leg in m.route(src, dst).windows(2) {
-                            expect[leg[0] * n + leg[1]] += 7;
-                        }
-                    }
-                    assert_eq!(t.link_bytes, expect, "{src} -> {dst} on {m:?}");
+                    let links = m.route(src, dst).len() as u64 - 1;
+                    assert_eq!(m.hops(src, dst), links, "{src} -> {dst} on {m:?}");
                     assert_eq!(t.total_byte_hops(), 7 * m.hops(src, dst));
                 }
             }
@@ -168,7 +132,7 @@ mod tests {
         t.record(0, 3, 64);
         t.clear();
         assert_eq!(t.total_bytes(), 0);
-        assert_eq!(t.max_link_bytes(), 0);
+        assert_eq!(t.total_byte_hops(), 0);
         assert_eq!(t.mean_hops_per_byte(), 0.0);
     }
 }

@@ -14,10 +14,9 @@
 //! - [`cast`] — contract-checked narrowing casts for index-shaped values,
 //!   replacing bare `as` casts in the planning/sim crates (ad-lint C1).
 //! - [`par`] — deterministic parallel execution for the planning
-//!   pipeline's candidate search: one-shot scoped fan-out
-//!   ([`par::scoped_map`]) and a persistent per-request worker pool
-//!   ([`par::WorkerPool`]). Results come back in index order regardless
-//!   of the worker-thread count.
+//!   pipeline's candidate search: a persistent per-request worker pool
+//!   ([`par::WorkerPool`]), the one way the workspace fans out. Results
+//!   come back in index order regardless of the worker-thread count.
 //! - [`fingerprint`] — a stable, platform-independent 64-bit content hash
 //!   ([`FpHasher`] → [`Fingerprint`]) used to key the content-addressed
 //!   plan cache; golden digests are pinned in tests.
@@ -38,7 +37,7 @@ pub mod rng;
 
 pub use fingerprint::{Fingerprint, FpHasher};
 pub use json::{Json, JsonError, JsonErrorKind};
-pub use par::{scoped_map, TaskScope, WorkerPool};
+pub use par::{TaskScope, WorkerPool};
 pub use queue::{BoundedQueue, PushError};
 pub use record::{
     encode_record, record_checksum, scan_records, RecordScan, MAX_RECORD_BYTES, RECORD_HEADER_BYTES,

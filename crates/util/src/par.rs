@@ -1,28 +1,23 @@
 //! Deterministic parallel execution for the candidate search.
 //!
-//! Two layers with one contract — *results never depend on the thread
-//! count*:
+//! One contract — *results never depend on the thread count* — and one
+//! vehicle: [`WorkerPool`], a persistent pool created once per planning
+//! request and reused by every stage (optimizer candidates, SA chains, the
+//! serve daemon's connection handling). Spawning a thread costs tens of
+//! microseconds; a planning run fans out dozens of times across nested
+//! stages, and a spawn-per-call scheme whose 4-way optimizer map runs
+//! 4-way chain maps briefly holds 16 live threads. The pool bounds live
+//! threads to its configured size for the whole request and keeps worker
+//! stacks (and their thread-local malloc caches) warm across stages.
+//! One-shot callers (bench sweeps, baselines) build a pool for the call.
 //!
-//! * [`scoped_map`] — the original spawn-per-call fan-out over
-//!   [`std::thread::scope`]. Still used by one-shot callers that fan out
-//!   once and exit (bench sweeps, baselines).
-//! * [`WorkerPool`] — a persistent pool created once per planning request
-//!   and reused by every stage (optimizer candidates, SA chains, the serve
-//!   daemon's connection handling). Spawning a thread costs tens of
-//!   microseconds; a planning run fans out dozens of times across nested
-//!   stages, and under the spawn-per-call scheme a 4-way optimizer map
-//!   whose candidates each run 4-way chain maps briefly holds 16 live
-//!   threads. The pool bounds live threads to its configured size for the
-//!   whole request and keeps worker stacks (and their thread-local malloc
-//!   caches) warm across stages.
-//!
-//! Both split the index space statically — contiguous blocks, a pure
-//! function of `(k, threads)` — and return results strictly in index
-//! order, so any reduction the caller performs visits candidates in the
-//! same order whether one thread ran them or sixteen. Block partitioning
-//! (rather than the interleaved `t, t+P, t+2P, …` split this module used
-//! to have) keeps each worker's results in adjacent cache lines; a test
-//! pins the two splits equal element-for-element.
+//! [`WorkerPool::map`] splits the index space statically — contiguous
+//! blocks, a pure function of `(k, threads)` — and returns results strictly
+//! in index order, so any reduction the caller performs visits candidates
+//! in the same order whether one thread ran them or sixteen. Block
+//! partitioning (rather than an interleaved `t, t+P, t+2P, …` split) keeps
+//! each worker's results in adjacent cache lines; a test pins the two
+//! splits equal element-for-element.
 //!
 //! # Pool determinism and soundness
 //!
@@ -57,53 +52,9 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Applies `f` to every index in `0..k`, using up to `threads` scoped
-/// worker threads, and returns the results in index order.
-///
-/// The index space is split into contiguous blocks (worker `t` of `P`
-/// takes `[t·k/P, (t+1)·k/P)`), a pure function of `(k, threads)`. With
-/// `threads <= 1` (or `k <= 1`) the calls run inline on the caller's
-/// thread, in index order — byte-identical to the parallel path for any
-/// deterministic `f`. A panic in any worker is resumed on the caller's
-/// thread after all workers have been joined.
-///
-/// Prefer [`WorkerPool::map`] inside the planning pipeline, where one pool
-/// is created per request and fan-outs repeat across stages.
-pub fn scoped_map<T, F>(k: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(k);
-    if threads <= 1 {
-        return (0..k).map(f).collect();
-    }
-    let blocks = block_ranges(k, threads);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(blocks.len());
-    let mut panicked = None;
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = blocks
-            .iter()
-            .map(|&(lo, hi)| s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()))
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                Err(e) => panicked = Some(e),
-            }
-        }
-    });
-    if let Some(e) = panicked {
-        resume_unwind(e);
-    }
-    parts.into_iter().flatten().collect()
-}
-
 /// Contiguous block partition of `0..k` into `n` non-empty-when-possible
 /// ranges: block `b` is `[b·k/n, (b+1)·k/n)`. Pure in `(k, n)`, so the
-/// work split — and therefore which scratch state could ever observe which
-/// index — is a function of the configuration alone.
+/// work split is a function of the configuration alone.
 fn block_ranges(k: usize, n: usize) -> Vec<(usize, usize)> {
     let n = n.max(1);
     (0..n)
@@ -280,8 +231,11 @@ impl WorkerPool {
     }
 
     /// Applies `f` to every index in `0..k` across the pool's runners and
-    /// returns the results in index order — the same contract (and the
-    /// same contiguous block split) as [`scoped_map`], without spawning.
+    /// returns the results in index order. The index space is split into
+    /// contiguous blocks (runner `t` of `P` takes `[t·k/P, (t+1)·k/P)`);
+    /// with one runner (or `k <= 1`) the calls run inline on the caller's
+    /// thread, in index order — byte-identical to the parallel path for
+    /// any deterministic `f`.
     ///
     /// The caller is one of the runners: it executes queued blocks of its
     /// own batch while waiting. Nesting is supported and bounded — a job
@@ -491,36 +445,39 @@ mod tests {
         let f = |i: usize| i * i;
         let sequential: Vec<usize> = (0..37).map(f).collect();
         for threads in [0, 1, 2, 3, 4, 7, 16, 64] {
-            assert_eq!(scoped_map(37, threads, f), sequential, "threads={threads}");
+            let pool = WorkerPool::new(threads);
+            assert_eq!(pool.map(37, f), sequential, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_singleton_ranges() {
-        assert_eq!(scoped_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(scoped_map(1, 4, |i| i + 10), vec![10]);
+        let pool = WorkerPool::new(4);
+        assert_eq!(pool.map(0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.map(1, |i| i + 10), vec![10]);
     }
 
     #[test]
     fn captures_environment_by_reference() {
         let base = [5u64, 7, 11, 13];
-        let out = scoped_map(base.len(), 2, |i| base[i] * 2);
+        let out = WorkerPool::new(2).map(base.len(), |i| base[i] * 2);
         assert_eq!(out, vec![10, 14, 22, 26]);
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            scoped_map(8, 4, |i| {
+        let pool = WorkerPool::new(4);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map(8, |i| {
                 assert!(i != 5, "planted");
                 i
             })
-        });
+        }));
         assert!(r.is_err());
     }
 
-    /// The historical interleaved split, kept as the equality reference:
-    /// block partitioning must be element-for-element identical.
+    /// An interleaved split, kept as the equality reference: block
+    /// partitioning must be element-for-element identical.
     fn interleaved_map<T: Send, F: Fn(usize) -> T + Sync>(
         k: usize,
         threads: usize,
@@ -557,7 +514,7 @@ mod tests {
         for k in [0, 1, 2, 7, 31, 64, 100] {
             for threads in [1, 2, 3, 5, 8] {
                 assert_eq!(
-                    scoped_map(k, threads, f),
+                    WorkerPool::new(threads).map(k, f),
                     interleaved_map(k, threads, f),
                     "k={k} threads={threads}"
                 );

@@ -58,7 +58,7 @@ fn generate(
     warm: Option<&[AtomSpec]>,
 ) -> GenReport {
     let cfg = OptimizerConfig::paper_default().atomgen_config(Some(target));
-    atomgen::generate(g, table, &cfg, sa_iters, warm, Exec::serial())
+    atomgen::generate(g, table, &cfg, sa_iters, warm, &Exec::default())
 }
 
 fn table(g: &Graph) -> CandidateTable {
@@ -68,7 +68,7 @@ fn table(g: &Graph) -> CandidateTable {
         &cfg.atomgen_config(None),
         &cfg.sim.engine,
         cfg.dataflow,
-        Exec::serial(),
+        &Exec::default(),
     )
 }
 
