@@ -12,7 +12,9 @@
 //! The input IR ([`Program`]) is strategy-agnostic: the atomic-dataflow
 //! optimizer and every baseline (LS, CNN-P, IL-Pipe, Rammer) lower to the
 //! same representation, so all strategies are measured by identical
-//! machinery.
+//! machinery. A program's tasks live in a [`TaskTable`] that many programs
+//! can share; each program adds only its rounds and the tasks already
+//! done.
 //!
 //! # Execution semantics
 //!
@@ -50,6 +52,6 @@ mod stats;
 
 pub use buffer::{BufferState, Datum, EvictionKind};
 pub use fault::{ChaosProfile, FaultConfigError, FaultEvent, FaultKind, FaultPlan, FaultRates};
-pub use program::{DataId, Operand, Program, ProgramError, Task, TaskId};
+pub use program::{DataId, Operand, Program, ProgramError, Task, TaskId, TaskTable};
 pub use sim::{FailureReport, FaultedOutcome, SimConfig, SimError, Simulator};
 pub use stats::{DegradationStats, EnergyBreakdown, SimStats};

@@ -1,8 +1,9 @@
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use ad_util::cast::u32_from_usize;
 
-/// Identifier of a task within a [`Program`] (dense, insertion-ordered).
+/// Identifier of a task within a [`TaskTable`] (dense, insertion-ordered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
@@ -248,12 +249,158 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-/// A fully scheduled workload: tasks plus their round-by-round engine
-/// assignment, ready for simulation.
+/// The schedule-independent half of a [`Program`]: every task, indexed by
+/// [`TaskId`], plus the operand layout the simulator executes from.
+///
+/// A table is built once and shared (`Arc`) by every program scheduled
+/// over it: the planner builds one per atomic DAG, and every plan of that
+/// DAG — candidate judgments, refinements, recovery replans — only adds
+/// its own rounds and done mask. The operand layout and the task-only
+/// integrity facts are derived with the table ([`TaskTable::new`]), or on
+/// first use after [`Program::push_task`] grew it.
+#[derive(Debug, Clone, Default)]
+pub struct TaskTable {
+    tasks: Vec<Task>,
+    operands: OnceLock<Operands>,
+}
+
+/// Dense operand layout of a [`TaskTable`], derived once per table.
+///
+/// Every datum gets a slot: task outputs first (slot = task index), then
+/// the external data in ascending [`DataId`] order. Task `t` reads
+/// `in_slot[in_off[t]..in_off[t + 1]]`, with the same range of `in_bytes`
+/// giving the bytes of each operand.
+#[derive(Debug, Clone)]
+pub(crate) struct Operands {
+    /// Distinct external data (slots `tasks..tasks + externals`).
+    pub(crate) externals: usize,
+    pub(crate) in_slot: Vec<u32>,
+    pub(crate) in_bytes: Vec<u64>,
+    pub(crate) in_off: Vec<usize>,
+    /// The first `(consumer, producer)` operand naming a task outside the
+    /// table, in task order.
+    pub(crate) unknown_producer: Option<(TaskId, TaskId)>,
+    /// Whether some task reads more bytes of a producer than it writes.
+    pub(crate) over_read: bool,
+}
+
+impl Operands {
+    fn derive(tasks: &[Task]) -> Self {
+        let n = tasks.len();
+        let mut ext_ids: Vec<u64> = tasks
+            .iter()
+            .flat_map(|t| &t.inputs)
+            .filter_map(|op| match op {
+                Operand::External { id, .. } => Some(id.0),
+                Operand::Task { .. } => None,
+            })
+            .collect();
+        ext_ids.sort_unstable();
+        ext_ids.dedup();
+
+        let operands = tasks.iter().map(|t| t.inputs.len()).sum();
+        let mut in_slot = Vec::with_capacity(operands);
+        let mut in_bytes = Vec::with_capacity(operands);
+        let mut in_off = Vec::with_capacity(n + 1);
+        in_off.push(0);
+        let mut unknown_producer = None;
+        let mut over_read = false;
+        for (i, t) in tasks.iter().enumerate() {
+            for op in &t.inputs {
+                let slot = match op {
+                    Operand::Task { producer, bytes } => {
+                        match tasks.get(producer.index()) {
+                            Some(p) => over_read |= *bytes > p.output_bytes,
+                            None => {
+                                unknown_producer
+                                    .get_or_insert((TaskId(u32_from_usize(i)), *producer));
+                            }
+                        }
+                        producer.0
+                    }
+                    // Present by construction: every external id was
+                    // collected into `ext_ids` above.
+                    Operand::External { id, .. } => {
+                        u32_from_usize(n + ext_ids.binary_search(&id.0).unwrap_or(0))
+                    }
+                };
+                in_slot.push(slot);
+                in_bytes.push(op.bytes());
+            }
+            in_off.push(in_slot.len());
+        }
+        Self {
+            externals: ext_ids.len(),
+            in_slot,
+            in_bytes,
+            in_off,
+            unknown_producer,
+            over_read,
+        }
+    }
+
+    /// Slots read by task `t`, in operand order.
+    pub(crate) fn slots(&self, t: TaskId) -> &[u32] {
+        &self.in_slot[self.in_off[t.index()]..self.in_off[t.index() + 1]]
+    }
+}
+
+impl TaskTable {
+    /// A table over `tasks`, indexed by position, with its operand layout
+    /// derived up front.
+    pub fn new(tasks: Vec<Task>) -> Self {
+        let table = Self {
+            tasks,
+            operands: OnceLock::new(),
+        };
+        table.operands();
+        table
+    }
+
+    /// All tasks, indexed by [`TaskId`].
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
+    /// A copy whose tasks write straight to DRAM wherever `dram(id)` holds
+    /// (the CNN-Partition lowering rule). The operand layout does not
+    /// depend on the flag, so the derived one is kept.
+    pub fn with_dram_outputs(&self, mut dram: impl FnMut(TaskId) -> bool) -> Self {
+        let mut table = self.clone();
+        for (i, t) in table.tasks.iter_mut().enumerate() {
+            if dram(TaskId(u32_from_usize(i))) {
+                t.dram_output = true;
+            }
+        }
+        table
+    }
+
+    fn push(&mut self, task: Task) -> TaskId {
+        let id = TaskId(u32_from_usize(self.tasks.len()));
+        self.tasks.push(task);
+        self.operands = OnceLock::new();
+        id
+    }
+
+    pub(crate) fn operands(&self) -> &Operands {
+        self.operands.get_or_init(|| Operands::derive(&self.tasks))
+    }
+}
+
+/// A fully scheduled workload, ready for simulation: a shared
+/// [`TaskTable`], the rounds of `(task, engine)` assignments, and the
+/// tasks already done.
+///
+/// A *done* task ran in an earlier, interrupted execution (fault
+/// recovery): it is not scheduled again, and its consumers read its output
+/// as recovered data that starts in DRAM. Every other (*pending*) task is
+/// scheduled exactly once.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    tasks: Vec<Task>,
+    table: Arc<TaskTable>,
     rounds: Vec<Vec<(TaskId, usize)>>,
+    /// Indexed by task; missing entries are `false`.
+    done: Vec<bool>,
 }
 
 impl Program {
@@ -262,12 +409,21 @@ impl Program {
         Self::default()
     }
 
+    /// A program over a shared task table with no rounds yet; `done` marks
+    /// the tasks that already ran (empty = none).
+    pub fn with_table(table: Arc<TaskTable>, done: Vec<bool>) -> Self {
+        Self {
+            table,
+            rounds: Vec::new(),
+            done,
+        }
+    }
+
     /// Adds a task and returns its id. Tasks may be added in any order; only
-    /// rounds define execution order.
+    /// rounds define execution order. A table shared with other programs is
+    /// copied first.
     pub fn push_task(&mut self, task: Task) -> TaskId {
-        let id = TaskId(u32_from_usize(self.tasks.len()));
-        self.tasks.push(task);
-        id
+        Arc::make_mut(&mut self.table).push(task)
     }
 
     /// Appends a round of `(task, engine)` assignments.
@@ -275,14 +431,43 @@ impl Program {
         self.rounds.push(assignments);
     }
 
-    /// All tasks, indexed by [`TaskId`].
+    /// The shared task table.
+    pub fn table(&self) -> &Arc<TaskTable> {
+        &self.table
+    }
+
+    /// All tasks, indexed by [`TaskId`] — done ones included.
     pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+        self.table.tasks()
     }
 
     /// The task with the given id.
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+        &self.table.tasks()[id.index()]
+    }
+
+    /// Whether the task already ran before this program starts.
+    pub fn is_done(&self, id: TaskId) -> bool {
+        self.done.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// Tasks this program has to run (the table minus the done tasks).
+    pub fn pending_tasks(&self) -> usize {
+        self.tasks().len()
+            - self
+                .done
+                .iter()
+                .take(self.tasks().len())
+                .filter(|d| **d)
+                .count()
+    }
+
+    fn pending(&self) -> impl Iterator<Item = &Task> {
+        self.tasks()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.done.get(*i).copied().unwrap_or(false))
+            .map(|(_, t)| t)
     }
 
     /// The schedule: one entry per round.
@@ -290,28 +475,40 @@ impl Program {
         &self.rounds
     }
 
-    /// Total scheduled compute cycles (Σ task cycles — a serial lower-bound
-    /// proxy, not wall-clock).
+    /// Total compute cycles of the pending tasks (Σ task cycles — a serial
+    /// lower-bound proxy, not wall-clock).
     pub fn total_compute_cycles(&self) -> u64 {
-        self.tasks.iter().map(|t| t.compute_cycles).sum()
+        self.pending().map(|t| t.compute_cycles).sum()
     }
 
-    /// Total MACs in the program.
+    /// Total MACs of the pending tasks.
     pub fn total_macs(&self) -> u64 {
-        self.tasks.iter().map(|t| t.macs).sum()
+        self.pending().map(|t| t.macs).sum()
+    }
+
+    pub(crate) fn operands(&self) -> &Operands {
+        self.table.operands()
     }
 
     /// Checks schedule integrity against a mesh of `engines` engines.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ProgramError`] found (see its variants).
+    /// Returns the first [`ProgramError`] found (see its variants). A done
+    /// task that is scheduled again counts as
+    /// [`ProgramError::DoubleScheduled`]; a consumer of a done task needs
+    /// no earlier round for it.
     pub fn validate(&self, engines: usize) -> Result<(), ProgramError> {
-        let mut scheduled_round = vec![usize::MAX; self.tasks.len()];
+        let ops = self.operands();
+        if let Some((consumer, producer)) = ops.unknown_producer {
+            return Err(ProgramError::DependencyViolation { consumer, producer });
+        }
+        let n = self.tasks().len();
+        let mut scheduled_round = vec![usize::MAX; n];
         for (r, round) in self.rounds.iter().enumerate() {
             let mut used = vec![false; engines];
             for (tid, engine) in round {
-                if tid.index() >= self.tasks.len() {
+                if tid.index() >= n {
                     return Err(ProgramError::UnknownTask {
                         round: r,
                         task: *tid,
@@ -323,7 +520,7 @@ impl Program {
                         engine: *engine,
                     });
                 }
-                if scheduled_round[tid.index()] != usize::MAX {
+                if scheduled_round[tid.index()] != usize::MAX || self.is_done(*tid) {
                     return Err(ProgramError::DoubleScheduled(*tid));
                 }
                 scheduled_round[tid.index()] = r;
@@ -336,23 +533,24 @@ impl Program {
                 used[*engine] = true;
             }
         }
-        for (i, task) in self.tasks.iter().enumerate() {
+        for i in 0..n {
+            let tid = TaskId(u32_from_usize(i));
+            if self.is_done(tid) {
+                continue;
+            }
             let me = scheduled_round[i];
             if me == usize::MAX {
-                return Err(ProgramError::Unscheduled(TaskId(u32_from_usize(i))));
+                return Err(ProgramError::Unscheduled(tid));
             }
-            for op in &task.inputs {
-                if let Operand::Task { producer, .. } = op {
-                    let pr = scheduled_round
-                        .get(producer.index())
-                        .copied()
-                        .unwrap_or(usize::MAX);
-                    if pr == usize::MAX || pr >= me {
-                        return Err(ProgramError::DependencyViolation {
-                            consumer: TaskId(u32_from_usize(i)),
-                            producer: *producer,
-                        });
-                    }
+            // Slots below `n` are task outputs, i.e. producers.
+            for &p in ops.slots(tid).iter().filter(|&&s| (s as usize) < n) {
+                let producer = TaskId(p);
+                let pr = scheduled_round[producer.index()];
+                if !self.is_done(producer) && (pr == usize::MAX || pr >= me) {
+                    return Err(ProgramError::DependencyViolation {
+                        consumer: tid,
+                        producer,
+                    });
                 }
             }
         }
@@ -380,14 +578,20 @@ impl Program {
         buffer_capacity: Option<u64>,
     ) -> Result<(), ProgramError> {
         self.validate(engines)?;
+        // Both passes below hunt task-only faults: skip the walk when the
+        // table has none.
+        let tasks = self.tasks();
+        if !self.operands().over_read && buffer_capacity.is_none() {
+            return Ok(());
+        }
         let mut instr = 0usize;
         for round in &self.rounds {
             for (tid, engine) in round {
-                let task = &self.tasks[tid.index()];
+                let task = &tasks[tid.index()];
                 for op in &task.inputs {
                     if let Operand::Task { producer, bytes } = op {
-                        let available = self.tasks[producer.index()].output_bytes;
-                        if *bytes > available {
+                        let available = tasks[producer.index()].output_bytes;
+                        if *bytes > available && !self.is_done(*producer) {
                             return Err(ProgramError::OverRead {
                                 instr,
                                 task: *tid,
@@ -547,6 +751,55 @@ mod tests {
         let a = p.push_task(Task::compute(10, 0, 4096, vec![]).with_dram_output());
         p.push_round(vec![(a, 0)]);
         assert!(p.validate_with(4, Some(1024)).is_ok());
+    }
+
+    #[test]
+    fn done_tasks_satisfy_consumers_and_must_not_run_again() {
+        let (p, a, b) = two_task_program();
+        let table = Arc::clone(p.table());
+        let mut rest = Program::with_table(Arc::clone(&table), vec![true]);
+        rest.push_round(vec![(b, 1)]);
+        assert!(rest.validate(4).is_ok(), "a is done, so b may run first");
+        assert_eq!(rest.pending_tasks(), 1);
+        assert_eq!(rest.total_macs(), 200);
+        assert!(
+            Arc::ptr_eq(rest.table(), &table),
+            "programs share one table"
+        );
+
+        let mut again = Program::with_table(table, vec![true]);
+        again.push_round(vec![(a, 0)]);
+        again.push_round(vec![(b, 1)]);
+        assert_eq!(again.validate(4), Err(ProgramError::DoubleScheduled(a)));
+    }
+
+    #[test]
+    fn pushing_onto_a_shared_table_copies_it() {
+        let (p, _, _) = two_task_program();
+        let mut grown = p.clone();
+        let c = grown.push_task(Task::compute(1, 0, 0, vec![Operand::task(TaskId(1), 32)]));
+        assert_eq!((p.tasks().len(), grown.tasks().len()), (2, 3));
+        grown.push_round(vec![(TaskId(0), 0)]);
+        grown.push_round(vec![(TaskId(1), 0)]);
+        grown.push_round(vec![(c, 0)]);
+        assert!(
+            grown.validate(1).is_ok(),
+            "the grown table re-derives its layout"
+        );
+    }
+
+    #[test]
+    fn producer_outside_the_table_is_a_dependency_violation() {
+        let mut p = Program::new();
+        let a = p.push_task(Task::compute(1, 0, 0, vec![Operand::task(TaskId(7), 8)]));
+        p.push_round(vec![(a, 0)]);
+        assert_eq!(
+            p.validate(1),
+            Err(ProgramError::DependencyViolation {
+                consumer: a,
+                producer: TaskId(7)
+            })
+        );
     }
 
     #[test]

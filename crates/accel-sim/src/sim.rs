@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use ad_util::cast::u32_from_usize;
 use engine_model::EngineConfig;
 use mem_model::{HbmConfig, HbmModel};
@@ -6,7 +8,7 @@ use noc_model::{LinkFaults, MeshConfig, TrafficTracker};
 use crate::buffer::{BufferState, EvictionKind};
 use crate::copyset::CopySets;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::program::{Operand, Program, ProgramError, TaskId};
+use crate::program::{Program, ProgramError, TaskId};
 use crate::stats::{DegradationStats, EnergyBreakdown, SimStats};
 
 /// Full system configuration: engine micro-architecture, mesh, HBM and the
@@ -249,12 +251,15 @@ impl Simulator {
 
 /// Mutable simulation state for one run.
 ///
-/// Every datum the program touches is interned into a dense *slot* at
-/// construction: task outputs first (slot = task index), then external data
-/// in ascending `DataId` order. Slot order therefore matches
-/// [`crate::buffer::Datum`]'s derived `Ord`, so the flat tables below
-/// iterate in exactly the order the former ordered maps did — determinism
-/// is preserved by construction while lookups become O(1) indexing.
+/// Every datum the program touches has a dense *slot*: task outputs first
+/// (slot = task index), then external data in ascending `DataId` order
+/// (both laid out once per [`crate::TaskTable`]), then the outputs of done
+/// tasks in task order — recovered data that starts in DRAM, ordered as if
+/// it were external data with ids above every other. Slot order therefore
+/// matches [`crate::buffer::Datum`]'s derived `Ord`, so the flat tables
+/// below iterate in exactly the order the former ordered maps did —
+/// determinism is preserved by construction while lookups become O(1)
+/// indexing.
 struct Runtime<'p> {
     cfg: &'p SimConfig,
     program: &'p Program,
@@ -288,13 +293,16 @@ struct Runtime<'p> {
     /// is one load instead of a scan of the operand list.
     pin_stamp: Vec<u32>,
     pin_gen: u32,
-    /// Operand slots and sizes, precomputed once so the hot path never
-    /// re-resolves `Operand`s: task `t` owns `in_slot[in_off[t]..in_off[t + 1]]`
-    /// and the same range of `in_bytes`. Split so the passes that need only
-    /// slots (pinning, releasing) read 4 bytes per operand.
-    in_slot: Vec<u32>,
-    in_bytes: Vec<u64>,
-    in_off: Vec<usize>,
+    /// Operand slots and sizes from the task table's layout, so the hot
+    /// path never re-resolves `Operand`s: task `t` owns
+    /// `in_slot[in_off[t]..in_off[t + 1]]` and the same range of
+    /// `in_bytes`. Split so the passes that need only slots (pinning,
+    /// releasing) read 4 bytes per operand. Borrowed from the table unless
+    /// some task is done, whose output slot then moves to the recovered
+    /// range.
+    in_slot: Cow<'p, [u32]>,
+    in_bytes: &'p [u64],
+    in_off: &'p [usize],
     /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
     /// transfer distance while no link is dead.
     hop_table: Vec<u64>,
@@ -337,52 +345,43 @@ impl<'p> Runtime<'p> {
     fn new(cfg: &'p SimConfig, program: &'p Program, plan: &FaultPlan) -> Self {
         let engines = cfg.engines();
         let n_tasks = program.tasks().len();
+        let ops = program.operands();
+        let ext_end = n_tasks + ops.externals;
 
-        // Intern external data ids: sorted ascending, so external slots
-        // (n_tasks..) preserve the `DataId` ordering of the former maps.
-        let mut ext_ids: Vec<u64> = Vec::new();
-        for task in program.tasks() {
-            for op in &task.inputs {
-                if let Operand::External { id, .. } = op {
-                    ext_ids.push(id.0);
+        // A done task's consumers read its output as recovered data, slotted
+        // after the externals in task order.
+        let mut slots = ext_end;
+        let in_slot = if program.pending_tasks() < n_tasks {
+            let mut moved = Vec::with_capacity(n_tasks);
+            for t in 0..u32_from_usize(n_tasks) {
+                if program.is_done(TaskId(t)) {
+                    moved.push(u32_from_usize(slots));
+                    slots += 1;
+                } else {
+                    moved.push(t);
                 }
             }
-        }
-        ext_ids.sort_unstable();
-        ext_ids.dedup();
-        let slots = n_tasks + ext_ids.len();
-
-        let slot_of = |op: &Operand| -> u32 {
-            match op {
-                Operand::Task { producer, .. } => producer.0,
-                Operand::External { id, .. } => {
-                    // Present by construction: every external id was
-                    // collected into `ext_ids` above.
-                    let rank = ext_ids.binary_search(&id.0).unwrap_or(0);
-                    u32_from_usize(n_tasks + rank)
-                }
-            }
+            Cow::Owned(
+                ops.in_slot
+                    .iter()
+                    .map(|&s| moved.get(s as usize).copied().unwrap_or(s))
+                    .collect(),
+            )
+        } else {
+            Cow::Borrowed(ops.in_slot.as_slice())
         };
-        // Every task runs exactly once (validated), so counting uses per
-        // task counts them per round too.
-        let operands = program.tasks().iter().map(|t| t.inputs.len()).sum();
-        let mut in_slot = Vec::with_capacity(operands);
-        let mut in_bytes = Vec::with_capacity(operands);
-        let mut in_off = Vec::with_capacity(n_tasks + 1);
-        in_off.push(0);
-        let mut remaining_uses = vec![0u32; slots];
-        for t in program.tasks() {
-            for op in &t.inputs {
-                let slot = slot_of(op);
-                remaining_uses[slot as usize] += 1;
-                in_slot.push(slot);
-                in_bytes.push(op.bytes());
-            }
-            in_off.push(in_slot.len());
-        }
+        let in_off = ops.in_off.as_slice();
+        let task_slots = |tid: TaskId| &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]];
 
-        // Lay the per-slot use lists out back to back, then fill them in
+        // Only scheduled tasks read anything; count their uses per slot,
+        // then lay the per-slot use lists out back to back and fill them in
         // round order, so each list comes out sorted.
+        let mut remaining_uses = vec![0u32; slots];
+        for &(tid, _) in program.rounds().iter().flatten() {
+            for &slot in task_slots(tid) {
+                remaining_uses[slot as usize] += 1;
+            }
+        }
         let mut use_off = Vec::with_capacity(slots + 1);
         use_off.push(0);
         for &uses in &remaining_uses {
@@ -392,7 +391,7 @@ impl<'p> Runtime<'p> {
         let mut use_cursor = use_off[..slots].to_vec();
         for (r, round) in program.rounds().iter().enumerate() {
             for (tid, _) in round {
-                for &slot in &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]] {
+                for &slot in task_slots(*tid) {
                     let at = &mut use_cursor[slot as usize];
                     use_rounds[*at] = u32_from_usize(r);
                     *at += 1;
@@ -401,7 +400,7 @@ impl<'p> Runtime<'p> {
         }
         use_cursor.copy_from_slice(&use_off[..slots]);
 
-        // External data starts in DRAM.
+        // External and recovered data start in DRAM.
         let mut loc_present = vec![false; slots];
         let mut in_dram = vec![false; slots];
         for slot in n_tasks..slots {
@@ -428,7 +427,7 @@ impl<'p> Runtime<'p> {
             pin_stamp: vec![0; slots],
             pin_gen: 0,
             in_slot,
-            in_bytes,
+            in_bytes: &ops.in_bytes,
             in_off,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
@@ -936,7 +935,7 @@ impl<'p> Runtime<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{DataId, Task};
+    use crate::program::{DataId, Operand, Task};
 
     fn sim() -> Simulator {
         Simulator::new(SimConfig::paper_default())
@@ -1157,6 +1156,59 @@ mod tests {
         p.push_round(vec![(d, 0)]);
         let s = sim().run(&p).unwrap();
         assert_eq!(s.dram_write_bytes, 0);
+    }
+
+    #[test]
+    fn done_producer_output_is_read_from_dram() {
+        // `a` ran in an earlier execution: `b` finds its output in DRAM,
+        // then engine 1 serves the second read from its cached copy.
+        let mut p = Program::new();
+        let a = p.push_task(Task::compute(10, 0, 2048, vec![]));
+        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 2048)]));
+        let c = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 2048)]));
+        let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
+        rest.push_round(vec![(b, 1)]);
+        rest.push_round(vec![(c, 1)]);
+        let s = sim().run(&rest).unwrap();
+        assert_eq!(s.tasks, 2);
+        assert_eq!(s.dram_read_bytes, 2048);
+        assert_eq!(s.onchip_served_bytes, 2048);
+        assert_eq!(s.dram_write_bytes, 0, "a's output is not written again");
+    }
+
+    #[test]
+    fn recovered_data_ranks_after_external_data_in_eviction_ties() {
+        // `b` caches the recovered output of done task `p` (30 KiB) and
+        // weight `w` (40 KiB) in one round, so FIFO ranks them equal. `c`'s
+        // 50 KiB output then evicts one of them: the lower slot. Recovered
+        // data slots after every external, so `w` goes, and `d` re-reads
+        // its 40 KiB from DRAM.
+        let k = 1024;
+        let w = Operand::external(DataId(9), 40 * k);
+        let mut p = Program::new();
+        let done = p.push_task(Task::compute(10, 0, 30 * k, vec![]));
+        let b = p.push_task(Task::compute(
+            10,
+            0,
+            0,
+            vec![Operand::task(done, 30 * k), w],
+        ));
+        let c = p.push_task(Task::compute(10, 0, 50 * k, vec![]));
+        let d = p.push_task(Task::compute(
+            10,
+            0,
+            0,
+            vec![Operand::task(done, 30 * k), w, Operand::task(c, 50 * k)],
+        ));
+        let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
+        rest.push_round(vec![(b, 0)]);
+        rest.push_round(vec![(c, 0)]);
+        rest.push_round(vec![(d, 0)]);
+        let mut cfg = SimConfig::paper_default();
+        cfg.engine = cfg.engine.with_buffer_bytes(100 * k);
+        cfg.eviction = EvictionKind::Fifo;
+        let s = Simulator::new(cfg).run(&rest).unwrap();
+        assert_eq!(s.dram_read_bytes, (30 + 40 + 40) * k);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use ad_util::{BoundedQueue, Fingerprint, Json, PushError, WorkerPool};
 use atomic_dataflow::{
     request, AdmissionRefusal, AtomSpec, OptimizerConfig, PipelineError, PlanBudget, PlanRequest,
-    Strategy, ValidateMode,
+    Strategy, ValidateMode, MAX_BATCH,
 };
 use dnn_graph::{models, Graph};
 use engine_model::HardwareConfig;
@@ -848,8 +848,10 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
         None => 1,
         Some(v) => v
             .as_usize()
-            .filter(|b| *b > 0)
-            .ok_or_else(|| "`batch` must be a positive integer".to_string())?,
+            .filter(|b| (1..=MAX_BATCH).contains(b))
+            .ok_or_else(|| {
+                format!("`batch` must be a positive integer no larger than {MAX_BATCH}")
+            })?,
     };
     let strategy = match doc.get("strategy").and_then(Json::as_str) {
         None => Strategy::AtomicDataflow,
@@ -1392,6 +1394,23 @@ mod tests {
             assert!(msg.contains(want), "{req}: `{msg}` missing `{want}`");
         }
         // Nothing malformed may touch the planner or the cache.
+        assert_eq!(store.stats().misses, 0);
+    }
+
+    /// Batch sizes past the `u16` batch-sample space used to reach an
+    /// assert in DAG construction and panic the worker; they are refused
+    /// with the `batch` decode error instead.
+    #[test]
+    fn oversized_batch_is_refused_without_panicking() {
+        let store = PlanStore::new(2);
+        let sc = ServerConfig::default();
+        for batch in ["65536", "70000", "18446744073709551615"] {
+            let req = format!("{{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"batch\":{batch}}}");
+            let doc = Json::parse(handle_line(&req, &store, &sc).text()).unwrap();
+            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{req}");
+            let msg = doc.get("error").and_then(Json::as_str).unwrap();
+            assert!(msg.contains("`batch` must be"), "{req}: `{msg}`");
+        }
         assert_eq!(store.stats().misses, 0);
     }
 

@@ -9,9 +9,9 @@
 //! paper's framework does.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use accel_sim::DataId;
+use accel_sim::{DataId, TaskTable};
 use ad_util::cast::{u16_from_usize, u32_from_usize};
 use dnn_graph::{Graph, LayerId, OpKind, BYTES_PER_ELEM};
 use engine_model::{Dataflow, EngineConfig};
@@ -94,6 +94,10 @@ pub fn input_data_id(batch: u16, layer: LayerId, h_start: usize, w_start: usize)
     )
 }
 
+/// Largest batch an [`AtomicDag`] can hold: an atom's batch sample is a
+/// `u16`.
+pub const MAX_BATCH: usize = u16::MAX as usize;
+
 /// The atomic computation DAG of one workload at one batch size.
 #[derive(Debug, Clone)]
 pub struct AtomicDag {
@@ -113,6 +117,9 @@ pub struct AtomicDag {
     batch: usize,
     /// Longest-path depth of each layer (from the layer graph).
     layer_depths: Vec<usize>,
+    /// The simulator tasks of every atom (task id = atom id), built once
+    /// with the DAG and shared by its clones and every lowered plan.
+    tasks: Arc<TaskTable>,
 }
 
 impl AtomicDag {
@@ -122,7 +129,8 @@ impl AtomicDag {
     ///
     /// # Panics
     ///
-    /// Panics if `specs.len() != graph.layer_count()` or `batch == 0`.
+    /// Panics if `specs.len() != graph.layer_count()` or `batch` is outside
+    /// `1..=`[`MAX_BATCH`].
     pub fn build(
         graph: &Graph,
         specs: &[AtomSpec],
@@ -139,7 +147,8 @@ impl AtomicDag {
     ///
     /// # Panics
     ///
-    /// Panics if `specs.len() != graph.layer_count()` or `batch == 0`.
+    /// Panics if `specs.len() != graph.layer_count()` or `batch` is outside
+    /// `1..=`[`MAX_BATCH`].
     pub fn build_interned(
         graph: &Graph,
         specs: &[AtomSpec],
@@ -167,6 +176,7 @@ impl AtomicDag {
             layer_count: nl,
             batch,
             layer_depths: graph.depths(),
+            tasks: Arc::default(),
         };
 
         // Per-layer tile grids (shared across batch samples).
@@ -309,7 +319,14 @@ impl AtomicDag {
             }
         }
 
+        dag.tasks = Arc::new(crate::lower::task_table(&dag));
         dag
+    }
+
+    /// The simulator tasks of every atom, indexed by atom id (see
+    /// [`crate::lower_remaining`]).
+    pub fn task_table(&self) -> &Arc<TaskTable> {
+        &self.tasks
     }
 
     /// All atoms, indexed by [`AtomId`].

@@ -36,6 +36,11 @@ pub enum PipelineError {
     /// Plan admission rejected a pipeline artifact
     /// ([`crate::validate`], [`crate::ValidateMode::Deny`]).
     Validation(ValidationError),
+    /// The requested batch size is outside `1..=`[`crate::MAX_BATCH`].
+    BatchOutOfRange {
+        /// The requested batch size.
+        batch: usize,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -49,6 +54,9 @@ impl std::fmt::Display for PipelineError {
                 "stage `{stage}` ran before the stage that produces `{missing}`"
             ),
             PipelineError::Validation(e) => write!(f, "validation failed: {e}"),
+            PipelineError::BatchOutOfRange { batch } => {
+                write!(f, "batch {batch} is outside 1..={}", crate::MAX_BATCH)
+            }
         }
     }
 }
@@ -59,7 +67,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Schedule(e) => Some(e),
             PipelineError::Mapping(e) => Some(e),
             PipelineError::Sim(e) => Some(e),
-            PipelineError::StageOrder { .. } => None,
+            PipelineError::StageOrder { .. } | PipelineError::BatchOutOfRange { .. } => None,
             PipelineError::Validation(e) => Some(e),
         }
     }

@@ -67,10 +67,10 @@ pub mod validate;
 
 pub use atom::{AtomCoords, AtomCost, AtomSpec, Range};
 pub use atomgen::{AtomGenConfig, AtomGenMode, GenReport, SaParams};
-pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner};
+pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner, MAX_BATCH};
 pub use error::PipelineError;
 pub use exec::Exec;
-pub use lower::{lower_remaining, lower_to_program, recovered_data_id, LowerOptions};
+pub use lower::{lower_remaining, lower_to_program, LowerOptions};
 pub use mapping::{Mapper, MappingConfig, MappingError};
 pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
 pub use pipeline::{Pipeline, PlanContext, PlanOutcome, ReplanCache, Stage, StageReport};

@@ -2,23 +2,19 @@
 //! ([`accel_sim::Program`]). Every strategy — atomic dataflow and all
 //! baselines — goes through this same function, so the event-driven
 //! simulator measures them identically.
+//!
+//! Lowering is split by what it depends on. The tasks depend only on the
+//! DAG, so [`task_table`] builds them once per [`AtomicDag`] (task id =
+//! atom id) and every plan of that DAG shares the table; a plan adds only
+//! its rounds and its done mask.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use ad_util::cast::u32_from_usize;
-
-use accel_sim::{DataId, Operand, Program, Task, TaskId};
+use accel_sim::{Operand, Program, Task, TaskId, TaskTable};
 use dnn_graph::LayerId;
 
 use crate::atomic_dag::{AtomId, AtomicDag};
-
-/// The [`DataId`] under which a completed atom's output is assumed
-/// DRAM-resident when the remainder of a DAG is re-lowered after a failure
-/// (tag `3` in the top two bits; tags `0`/`1` are weights and network
-/// inputs).
-pub fn recovered_data_id(atom: AtomId) -> DataId {
-    DataId(3u64 << 62 | u64::from(atom.0))
-}
 
 /// Lowering options.
 #[derive(Debug, Clone, Default)]
@@ -30,6 +26,34 @@ pub struct LowerOptions {
     /// Force *every* output to DRAM (the strictest CNN-P reading, where
     /// each ifmap/ofmap "inevitably introduces off-chip memory access").
     pub all_outputs_to_dram: bool,
+}
+
+/// The tasks of every atom of `dag`, indexed by atom id: producer edges
+/// become task operands, weight slices and input regions external ones.
+/// Outputs are buffered; [`LowerOptions`] are applied per plan.
+pub(crate) fn task_table(dag: &AtomicDag) -> TaskTable {
+    let tasks = dag
+        .atoms()
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| {
+            let id = AtomId(ad_util::cast::u32_from_usize(i));
+            let preds = dag.preds(id);
+            let externals = dag.externals(id);
+            let mut inputs: Vec<Operand> = Vec::with_capacity(preds.len() + externals.len());
+            inputs.extend(preds.iter().map(|(a, b)| Operand::task(TaskId(a.0), *b)));
+            inputs.extend(externals.iter().map(|(d, b)| Operand::external(*d, *b)));
+            Task::compute(
+                atom.cost.cycles,
+                atom.cost.macs,
+                atom.cost.output_bytes,
+                inputs,
+            )
+            .with_tag(atom.layer.0)
+            .with_energy_pj(atom.cost.energy_pj)
+        })
+        .collect();
+    TaskTable::new(tasks)
 }
 
 /// Converts atoms + `(atom, engine)` rounds into a [`Program`].
@@ -47,76 +71,28 @@ pub fn lower_to_program(
 /// Lowers only the atoms *not* marked `done` — the re-planned remainder of a
 /// partially executed DAG after a hardware failure.
 ///
-/// Task ids are re-assigned densely over the surviving atoms in atom order
-/// (the simulator's [`Program::validate`](accel_sim::Program::validate)
-/// requires every pushed task to be scheduled, so completed atoms cannot be
-/// carried as tasks). Dependencies on completed atoms become
-/// [`Operand::external`] reads of [`recovered_data_id`] — their outputs are
-/// assumed written back to DRAM by the recovery layer. An empty `done` slice
-/// means "nothing finished" and reproduces [`lower_to_program`] exactly.
+/// The program shares the DAG's task table, so task ids stay atom ids and
+/// lowering costs O(scheduled atoms). Done atoms are the program's done
+/// tasks: the simulator reads their outputs as recovered data in DRAM,
+/// written back by the recovery layer. An empty `done` slice means
+/// "nothing finished".
 pub fn lower_remaining(
     dag: &AtomicDag,
     rounds: &[Vec<(AtomId, usize)>],
     opts: &LowerOptions,
     done: &[bool],
 ) -> Program {
-    // `u32::MAX` marks a done atom; every pending atom gets a dense id.
-    let is_done = |i: usize| done.get(i).copied().unwrap_or(false);
-    let mut tid_of = vec![u32::MAX; dag.atom_count()];
-    let mut next = 0u32;
-    for (i, tid) in tid_of.iter_mut().enumerate() {
-        if !is_done(i) {
-            *tid = next;
-            next += 1;
-        }
-    }
-
-    let mut p = Program::new();
-    for (i, atom) in dag.atoms().iter().enumerate() {
-        if tid_of[i] == u32::MAX {
-            continue;
-        }
-        let id = AtomId(u32_from_usize(i));
-        let preds = dag.preds(id);
-        let externals = dag.externals(id);
-        let mut inputs: Vec<Operand> = Vec::with_capacity(preds.len() + externals.len());
-        for (a, b) in preds {
-            let tid = tid_of[a.0 as usize];
-            inputs.push(if tid == u32::MAX {
-                Operand::external(recovered_data_id(*a), *b)
-            } else {
-                Operand::task(TaskId(tid), *b)
-            });
-        }
-        inputs.extend(externals.iter().map(|(d, b)| Operand::external(*d, *b)));
-
-        let dram_out = opts.all_outputs_to_dram
-            || opts
-                .dram_output_layers
+    let table = match (&opts.dram_output_layers, opts.all_outputs_to_dram) {
+        (None, false) => Arc::clone(dag.task_table()),
+        (layers, all) => Arc::new(dag.task_table().with_dram_outputs(|id| {
+            all || layers
                 .as_ref()
-                .is_some_and(|s| s.contains(&atom.layer));
-
-        let mut task = Task::compute(
-            atom.cost.cycles,
-            atom.cost.macs,
-            atom.cost.output_bytes,
-            inputs,
-        )
-        .with_tag(atom.layer.0)
-        .with_energy_pj(atom.cost.energy_pj);
-        if dram_out {
-            task = task.with_dram_output();
-        }
-        let tid = p.push_task(task);
-        debug_assert_eq!(tid.0, tid_of[i]);
-    }
+                .is_some_and(|s| s.contains(&dag.atom(AtomId(id.0)).layer))
+        })),
+    };
+    let mut p = Program::with_table(table, done.to_vec());
     for round in rounds {
-        p.push_round(
-            round
-                .iter()
-                .map(|(a, e)| (TaskId(tid_of[a.0 as usize]), *e))
-                .collect(),
-        );
+        p.push_round(round.iter().map(|&(a, e)| (TaskId(a.0), e)).collect());
     }
     p
 }
@@ -196,42 +172,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lower_remaining_rebases_ids_and_externalizes_done_producers() {
-        let (_, d) = build();
-        // Mark the first greedy round done; re-lower the rest.
-        let sched = Scheduler::new(&d, SchedulerConfig::greedy(16))
+    /// The lowering this module did before task tables existed: pending
+    /// atoms renumbered densely in atom order, edges from done producers
+    /// turned into external reads of `3 << 62 | atom` (above every weight
+    /// and input id).
+    fn dense_renumbered_reference(
+        d: &AtomicDag,
+        rounds: &[Vec<(AtomId, usize)>],
+        done: &[bool],
+    ) -> Program {
+        let mut tid_of = vec![u32::MAX; d.atom_count()];
+        let mut next = 0u32;
+        for (i, tid) in tid_of.iter_mut().enumerate() {
+            if !done[i] {
+                *tid = next;
+                next += 1;
+            }
+        }
+        let mut p = Program::new();
+        for (i, atom) in d.atoms().iter().enumerate() {
+            if done[i] {
+                continue;
+            }
+            let id = AtomId(ad_util::cast::u32_from_usize(i));
+            let mut inputs: Vec<Operand> = d
+                .preds(id)
+                .iter()
+                .map(|(a, b)| match tid_of[a.index()] {
+                    u32::MAX => {
+                        Operand::external(accel_sim::DataId(3u64 << 62 | u64::from(a.0)), *b)
+                    }
+                    tid => Operand::task(TaskId(tid), *b),
+                })
+                .collect();
+            inputs.extend(
+                d.externals(id)
+                    .iter()
+                    .map(|(x, b)| Operand::external(*x, *b)),
+            );
+            p.push_task(
+                Task::compute(
+                    atom.cost.cycles,
+                    atom.cost.macs,
+                    atom.cost.output_bytes,
+                    inputs,
+                )
+                .with_tag(atom.layer.0)
+                .with_energy_pj(atom.cost.energy_pj),
+            );
+        }
+        for round in rounds {
+            p.push_round(
+                round
+                    .iter()
+                    .map(|(a, e)| (TaskId(tid_of[a.index()]), *e))
+                    .collect(),
+            );
+        }
+        p
+    }
+
+    /// Marks the first `k` greedy rounds of `d` done, maps the rest on a
+    /// `mesh` and demands that the shared-table program simulates exactly
+    /// like the dense-renumbered one, at the default buffer and at
+    /// `small_buffer` under every eviction policy.
+    fn assert_remainder_matches_reference(
+        d: &AtomicDag,
+        mesh: MeshConfig,
+        k: usize,
+        small_buffer: u64,
+    ) {
+        let sched = Scheduler::new(d, SchedulerConfig::greedy(mesh.engines()))
             .schedule()
             .unwrap();
         let mut done = vec![false; d.atom_count()];
-        for a in &sched.rounds[0] {
-            done[a.0 as usize] = true;
+        for a in sched.rounds[..k].iter().flatten() {
+            done[a.index()] = true;
         }
-        let n_done = sched.rounds[0].len();
-
-        let mesh = MeshConfig::grid(4, 4);
         let mut mapper = Mapper::new(mesh, MappingConfig::default());
-        let rounds: Vec<_> = sched.rounds[1..]
+        let rounds: Vec<_> = sched.rounds[k..]
             .iter()
-            .map(|r| mapper.map_round(&d, r).unwrap())
+            .map(|r| mapper.map_round(d, r).unwrap())
             .collect();
-        let p = lower_remaining(&d, &rounds, &LowerOptions::default(), &done);
+        let p = lower_remaining(d, &rounds, &LowerOptions::default(), &done);
+        let reference = dense_renumbered_reference(d, &rounds, &done);
 
-        assert_eq!(p.tasks().len(), d.atom_count() - n_done);
-        assert!(p.validate(16).is_ok());
-        // Edges from completed producers must have become DRAM externals in
-        // the recovered namespace.
-        let recovered = p
-            .tasks()
-            .iter()
-            .flat_map(|t| &t.inputs)
-            .filter(|op| matches!(op, accel_sim::Operand::External { id, .. } if id.0 >> 62 == 3))
-            .count();
-        assert!(recovered > 0, "round 0 outputs feed later atoms");
-        // And it still simulates.
+        assert_eq!(p.tasks().len(), d.atom_count(), "one task per atom");
+        assert_eq!(p.pending_tasks(), reference.tasks().len());
+        assert_eq!(p.total_macs(), reference.total_macs());
+        for (round, mapped) in p.rounds().iter().zip(&rounds) {
+            let atoms: Vec<_> = mapped.iter().map(|&(a, e)| (TaskId(a.0), e)).collect();
+            assert_eq!(*round, atoms, "task ids are atom ids");
+        }
+        assert!(p.validate(mesh.engines()).is_ok());
+
         let mut cfg = accel_sim::SimConfig::paper_default();
         cfg.mesh = mesh;
-        assert!(accel_sim::Simulator::new(cfg).run(&p).unwrap().total_cycles > 0);
+        let mut configs = vec![cfg];
+        for kind in [
+            accel_sim::EvictionKind::InvalidOccupation,
+            accel_sim::EvictionKind::Lru,
+            accel_sim::EvictionKind::Fifo,
+        ] {
+            let mut small = cfg;
+            small.engine = small.engine.with_buffer_bytes(small_buffer);
+            small.eviction = kind;
+            configs.push(small);
+        }
+        for cfg in configs {
+            let sim = accel_sim::Simulator::new(cfg);
+            let got = sim.run(&p).unwrap();
+            assert_eq!(
+                got.to_json().to_compact(),
+                sim.run(&reference).unwrap().to_json().to_compact(),
+                "{k} rounds done, {} B buffers, {:?}",
+                cfg.engine.buffer_bytes,
+                cfg.eviction
+            );
+            assert_eq!(got.tasks, p.pending_tasks());
+        }
+    }
+
+    #[test]
+    fn lower_remaining_simulates_like_the_dense_renumbered_lowering() {
+        let (_, d) = build();
+        let mesh = MeshConfig::grid(4, 4);
+        for k in [0, 1, 3] {
+            assert_remainder_matches_reference(&d, mesh, k, 16 * 1024);
+        }
+        let g = models::resnet50();
+        let specs: Vec<AtomSpec> = g
+            .layers()
+            .map(|l| {
+                AtomSpec {
+                    th: 7,
+                    tw: 7,
+                    tc: 64,
+                }
+                .clamped(l.out_shape())
+            })
+            .collect();
+        let d = AtomicDag::build(
+            &g,
+            &specs,
+            1,
+            &EngineConfig::paper_default(),
+            Dataflow::KcPartition,
+        );
+        assert_remainder_matches_reference(&d, MeshConfig::grid(8, 8), 40, 64 * 1024);
+    }
+
+    #[test]
+    fn scheduling_a_done_atom_is_rejected() {
+        let (_, d) = build();
+        let mut done = vec![false; d.atom_count()];
+        done[0] = true;
+        let rounds = mapped_rounds(&d, 16);
+        let p = lower_remaining(&d, &rounds, &LowerOptions::default(), &done);
+        assert_eq!(
+            p.validate(16),
+            Err(accel_sim::ProgramError::DoubleScheduled(TaskId(0)))
+        );
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! Both cross-round tables are flat `Vec`s — residency indexed by the dense
 //! [`AtomId`], weight homes by the DAG's dense weight slots (see
 //! [`AtomicDag::weight_exts`]) — and every per-round buffer is reused
-//! scratch, so the per-(atom, engine) cost probes in the placement inner
-//! loop are pure array reads (DESIGN.md §11).
+//! scratch. Mesh hops are `|dx| + |dy|`, so an atom's transfer cost on
+//! engine `e` splits into a per-column and a per-row term: the affinity
+//! scan fills both axis sums once per atom (O(sources · (cols + rows)))
+//! and then prices every engine with two array reads, instead of one hop
+//! evaluation per (source, engine) pair (DESIGN.md §11).
 
 use noc_model::MeshConfig;
 
@@ -101,6 +104,10 @@ struct MapScratch {
     items: Vec<(u64, AtomId)>,
     /// `(source engine, bytes)` operand contributions of one atom.
     contribs: Vec<(usize, u64)>,
+    /// Per-column and per-row transfer-cost sums of `contribs` (see
+    /// [`axis_costs`]).
+    xs: Vec<u64>,
+    ys: Vec<u64>,
     /// Engines already taken within the current round.
     used: Vec<bool>,
     /// Atoms with no resident inputs, placed after the affinity pass.
@@ -133,6 +140,10 @@ pub struct Mapper {
     alive: Vec<bool>,
     /// Reused per-round buffers.
     scratch: MapScratch,
+    /// Routes the engine choice through the O(sources · engines) hop scan
+    /// the per-axis sums replaced, so tests can compare the two.
+    #[cfg(test)]
+    reference_scan: bool,
 }
 
 impl Mapper {
@@ -153,6 +164,8 @@ impl Mapper {
             weight_home: Vec::new(),
             alive,
             scratch: MapScratch::default(),
+            #[cfg(test)]
+            reference_scan: false,
         }
     }
 
@@ -243,7 +256,8 @@ impl Mapper {
     ///
     /// This is the placement engine of the reuse-suffix recovery rung: the
     /// prior plan's geometry survives wherever it can, and the patch costs
-    /// O(orphans · engines) instead of a full placement pass.
+    /// O(orphans · (sources + cols + rows + engines)) instead of a full
+    /// placement pass.
     ///
     /// # Errors
     ///
@@ -282,10 +296,8 @@ impl Mapper {
         let mut ok = true;
         for di in 0..s.deferred.len() {
             let a = s.deferred[di];
-            let e = (0..n)
-                .filter(|e| !s.used[*e] && self.alive[*e])
-                .min_by_key(|&e| (self.atom_cost_at(dag, a, e), self.zig_rank[e]));
-            let Some(e) = e else {
+            self.gather_sources(dag, a, &mut s.contribs);
+            let Some(e) = self.cheapest_free_engine(&mut s) else {
                 // Unreachable given the size check above; degrade to the
                 // oversize error rather than panicking (ad-lint P1).
                 ok = false;
@@ -312,6 +324,40 @@ impl Mapper {
             }
         }
         Ok(placed)
+    }
+
+    /// Collects `atom`'s resident operand sources as `(engine, bytes)`:
+    /// producers with a known residency and weight slices with a known
+    /// home.
+    fn gather_sources(&self, dag: &AtomicDag, atom: AtomId, out: &mut Vec<(usize, u64)>) {
+        out.clear();
+        for (p, b) in dag.preds(atom) {
+            let src = self.residency[p.index()];
+            if src != NO_ENGINE {
+                out.push((src, *b));
+            }
+        }
+        for (slot, b) in dag.weight_exts(atom) {
+            let src = self.weight_home[*slot as usize];
+            if src != NO_ENGINE {
+                out.push((src, *b));
+            }
+        }
+    }
+
+    /// The free alive engine minimizing the hop-weighted cost of pulling
+    /// `s.contribs` to it, zig-zag rank breaking ties; `None` when every
+    /// alive engine is taken.
+    fn cheapest_free_engine(&self, s: &mut MapScratch) -> Option<usize> {
+        #[cfg(test)]
+        if self.reference_scan {
+            return tests::reference_cheapest_free_engine(self, s);
+        }
+        axis_costs(&self.mesh, &s.contribs, &mut s.xs, &mut s.ys);
+        let cols = self.mesh.cols;
+        (0..self.mesh.engines())
+            .filter(|&e| !s.used[e] && self.alive[e])
+            .min_by_key(|&e| (s.xs[e % cols] + s.ys[e / cols], self.zig_rank[e]))
     }
 
     /// Hop-weighted cost of running `atom` on `engine` given current
@@ -371,37 +417,14 @@ impl Mapper {
         s.deferred.clear();
         let mut placed: Vec<(AtomId, usize)> = Vec::with_capacity(round.len());
         let mut ok = true;
-        for &(bytes, a) in &s.items {
+        for i in 0..s.items.len() {
+            let (bytes, a) = s.items[i];
             if bytes == 0 {
                 s.deferred.push(a);
                 continue;
             }
-            // Gather the atom's resident operand sources once, so the
-            // engine scan below is pure arithmetic per candidate engine.
-            s.contribs.clear();
-            for (p, b) in dag.preds(a) {
-                let src = self.residency[p.index()];
-                if src != NO_ENGINE {
-                    s.contribs.push((src, *b));
-                }
-            }
-            for (slot, b) in dag.weight_exts(a) {
-                let src = self.weight_home[*slot as usize];
-                if src != NO_ENGINE {
-                    s.contribs.push((src, *b));
-                }
-            }
-            let e = (0..n)
-                .filter(|e| !s.used[*e] && self.alive[*e])
-                .min_by_key(|&e| {
-                    let cost: u64 = s
-                        .contribs
-                        .iter()
-                        .map(|&(src, b)| self.mesh.hops(src, e) * b)
-                        .sum();
-                    (cost, self.zig_rank[e])
-                });
-            let Some(e) = e else {
+            self.gather_sources(dag, a, &mut s.contribs);
+            let Some(e) = self.cheapest_free_engine(&mut s) else {
                 ok = false;
                 break;
             };
@@ -538,6 +561,27 @@ impl Mapper {
     }
 }
 
+/// Splits the hop-weighted transfer cost of `contribs` by mesh axis: on
+/// return `xs[c] = Σ bytes · |col(src) − c|` and
+/// `ys[r] = Σ bytes · |row(src) − r|`. Hops are `|dx| + |dy|`, so the cost
+/// of pulling every contribution to engine `e` is exactly
+/// `xs[col(e)] + ys[row(e)]`.
+fn axis_costs(mesh: &MeshConfig, contribs: &[(usize, u64)], xs: &mut Vec<u64>, ys: &mut Vec<u64>) {
+    xs.clear();
+    xs.resize(mesh.cols, 0);
+    ys.clear();
+    ys.resize(mesh.rows, 0);
+    for &(src, bytes) in contribs {
+        let at = mesh.coord(src);
+        for (c, x) in xs.iter_mut().enumerate() {
+            *x += at.x.abs_diff(c) as u64 * bytes;
+        }
+        for (r, y) in ys.iter_mut().enumerate() {
+            *y += at.y.abs_diff(r) as u64 * bytes;
+        }
+    }
+}
+
 /// All permutations of `0..m` in lexicographic order (Heap's algorithm not
 /// needed at `m ≤ 5`).
 fn permutations(m: usize) -> Vec<Vec<usize>> {
@@ -569,6 +613,21 @@ mod tests {
     use crate::atom::AtomSpec;
     use dnn_graph::models;
     use engine_model::{Dataflow, EngineConfig};
+
+    /// The engine scan `cheapest_free_engine` replaced: one
+    /// `MeshConfig::hops` evaluation per (source, engine) pair.
+    pub(super) fn reference_cheapest_free_engine(m: &Mapper, s: &MapScratch) -> Option<usize> {
+        (0..m.mesh.engines())
+            .filter(|&e| !s.used[e] && m.alive[e])
+            .min_by_key(|&e| {
+                let cost: u64 = s
+                    .contribs
+                    .iter()
+                    .map(|&(src, b)| m.mesh.hops(src, e) * b)
+                    .sum();
+                (cost, m.zig_rank[e])
+            })
+    }
 
     fn dag() -> AtomicDag {
         let g = models::tiny_branchy();
@@ -855,5 +914,97 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains('5') && msg.contains('4'), "{msg}");
+    }
+
+    #[test]
+    fn axis_sums_equal_hop_weighted_sums_on_every_engine() {
+        let mut rng = ad_util::Rng64::new(0x00A1_5C05);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for (cols, rows) in [(1, 1), (1, 9), (9, 1), (3, 5), (8, 8), (16, 16)] {
+            let mesh = MeshConfig::grid(cols, rows);
+            for _ in 0..40 {
+                let contribs: Vec<(usize, u64)> = (0..rng.below(12))
+                    .map(|_| (rng.below(mesh.engines()), rng.below_u64(1 << 32)))
+                    .collect();
+                axis_costs(&mesh, &contribs, &mut xs, &mut ys);
+                for e in 0..mesh.engines() {
+                    let want: u64 = contribs.iter().map(|&(src, b)| mesh.hops(src, e) * b).sum();
+                    assert_eq!(
+                        xs[e % cols] + ys[e / cols],
+                        want,
+                        "{cols}x{rows} mesh, engine {e}, sources {contribs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Maps `rounds` with the per-axis mapper and with the reference hop
+    /// scan, then patches the mapped rounds onto a mesh with `dead` engines
+    /// retired the same two ways, demanding identical placements
+    /// round by round.
+    fn assert_matches_reference_scan(
+        d: &AtomicDag,
+        rounds: &[Vec<AtomId>],
+        mesh: MeshConfig,
+        dead: &[usize],
+    ) {
+        let mapper = |reference_scan: bool| {
+            let mut m = Mapper::new(mesh, MappingConfig::default());
+            m.reference_scan = reference_scan;
+            for &e in dead {
+                m.kill_engine(e);
+            }
+            m
+        };
+        let (mut fast, mut slow) = (mapper(false), mapper(true));
+        let mut mapped = Vec::with_capacity(rounds.len());
+        for (r, round) in rounds.iter().enumerate() {
+            let got = fast.map_round(d, round).unwrap();
+            assert_eq!(got, slow.map_round(d, round).unwrap(), "map_round {r}");
+            mapped.push(got);
+        }
+        // Patch the healthy-mesh placement onto the survivors: atoms on a
+        // dead engine are orphans the affinity scan re-places.
+        let (mut fast, mut slow) = (mapper(false), mapper(true));
+        for (r, round) in mapped.iter().enumerate() {
+            let got = fast.patch_round(d, round).unwrap();
+            assert_eq!(got, slow.patch_round(d, round).unwrap(), "patch_round {r}");
+        }
+    }
+
+    #[test]
+    fn per_axis_mapper_places_exactly_what_the_hop_scan_places() {
+        let d = dag();
+        let sched =
+            crate::scheduler::Scheduler::new(&d, crate::scheduler::SchedulerConfig::greedy(12))
+                .schedule()
+                .unwrap();
+        for mesh in [MeshConfig::grid(4, 4), MeshConfig::grid(5, 3)] {
+            assert_matches_reference_scan(&d, &sched.rounds, mesh, &[]);
+            assert_matches_reference_scan(&d, &sched.rounds, mesh, &[0, 6]);
+        }
+
+        let g = models::resnet50();
+        let specs: Vec<AtomSpec> = g
+            .layers()
+            .map(|l| {
+                AtomSpec {
+                    th: 7,
+                    tw: 7,
+                    tc: 64,
+                }
+                .clamped(l.out_shape())
+            })
+            .collect();
+        let engine = EngineConfig::paper_default();
+        let d = AtomicDag::build(&g, &specs, 1, &engine, Dataflow::KcPartition);
+        let sched =
+            crate::scheduler::Scheduler::new(&d, crate::scheduler::SchedulerConfig::greedy(60))
+                .schedule()
+                .unwrap();
+        let mesh = MeshConfig::paper_default();
+        assert_matches_reference_scan(&d, &sched.rounds, mesh, &[]);
+        assert_matches_reference_scan(&d, &sched.rounds, mesh, &[9, 27, 63]);
     }
 }

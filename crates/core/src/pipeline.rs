@@ -603,8 +603,9 @@ impl Stage for MapStage {
     }
 }
 
-/// Lowering to the simulator IR ([`accel_sim::Program`]); completed atoms
-/// become DRAM-resident externals.
+/// Lowering to the simulator IR ([`accel_sim::Program`]) over the DAG's
+/// shared task table; completed atoms are the program's done tasks, whose
+/// outputs the simulator reads from DRAM.
 ///
 /// Consumes: `dag`, `mapped`, `lower` options. Produces: `program`.
 #[derive(Debug, Clone, Copy, Default)]

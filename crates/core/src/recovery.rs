@@ -288,8 +288,6 @@ fn run_recovery_inner(
         }
         trace.replan_wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let program = ctx.require_program("recovery")?;
-        // Atom behind each of this attempt's (dense, re-assigned) task ids.
-        let atom_of: Vec<usize> = (0..n).filter(|i| !ctx.done[*i]).collect();
 
         match sim.run_faulted(program, &attempt_plan(plan, elapsed, &ctx.dead_engines))? {
             FaultedOutcome::Completed(stats) => {
@@ -338,9 +336,10 @@ fn run_recovery_inner(
                     }));
                 }
                 let lost: BTreeSet<_> = report.lost.iter().copied().collect();
+                // Task ids are atom ids.
                 for t in &report.completed {
                     if !lost.contains(t) {
-                        ctx.done[atom_of[t.0 as usize]] = true;
+                        ctx.done[t.index()] = true;
                     }
                 }
                 elapsed += report.cycle;

@@ -203,9 +203,16 @@ impl PlanResponse {
 ///
 /// # Errors
 ///
-/// Propagates the strategy's [`PipelineError`]s — scheduling/mapping
-/// failures and Deny-mode admission rejections.
+/// [`PipelineError::BatchOutOfRange`] for a batch outside
+/// `1..=`[`crate::MAX_BATCH`]; otherwise the strategy's
+/// [`PipelineError`]s — scheduling/mapping failures and Deny-mode
+/// admission rejections.
 pub fn plan(req: &PlanRequest<'_>) -> Result<PlanResponse, PipelineError> {
+    if !(1..=crate::MAX_BATCH).contains(&req.cfg.batch) {
+        return Err(PipelineError::BatchOutOfRange {
+            batch: req.cfg.batch,
+        });
+    }
     let graph_fp = req.graph_fingerprint();
     let config_fp = req.config_fingerprint();
     match req.strategy {
@@ -626,5 +633,21 @@ mod tests {
             config_fingerprint(&budgeted, Strategy::AtomicDataflow),
             "PlanBudget::deadline_ms IS plan-relevant and must fragment the key"
         );
+    }
+
+    #[test]
+    fn plan_refuses_batches_outside_the_batch_sample_space() {
+        let g = models::tiny_cnn();
+        for batch in [0, crate::MAX_BATCH + 1, usize::MAX] {
+            let cfg = OptimizerConfig::fast_test().with_batch(batch);
+            for strategy in [Strategy::AtomicDataflow, Strategy::LayerSequential] {
+                let err = plan(&PlanRequest::new(&g, cfg).with_strategy(strategy)).unwrap_err();
+                assert_eq!(
+                    err,
+                    PipelineError::BatchOutOfRange { batch },
+                    "{strategy:?}"
+                );
+            }
+        }
     }
 }

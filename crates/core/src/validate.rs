@@ -796,12 +796,17 @@ pub fn check_program(
         let pending = (0..dag.atom_count())
             .filter(|&i| !done.get(i).copied().unwrap_or(false))
             .count();
-        if program.tasks().len() != pending {
+        if program.tasks().len() != dag.atom_count() || program.pending_tasks() != pending {
             return Err(ValidationError::new(
                 Artifact::Program,
                 Invariant::TaskCount,
                 "program/tasks".to_string(),
-                format!("{} tasks vs {pending} pending atoms", program.tasks().len()),
+                format!(
+                    "{} tasks ({} pending) vs {} atoms ({pending} pending)",
+                    program.tasks().len(),
+                    program.pending_tasks(),
+                    dag.atom_count()
+                ),
             ));
         }
         let dag_macs: u64 = (0..dag.atom_count())
@@ -892,15 +897,15 @@ pub fn check_stats(stats: &SimStats, program: Option<&Program>) -> Result<(), Va
         ));
     }
     if let Some(program) = program {
-        if stats.tasks != program.tasks().len() {
+        if stats.tasks != program.pending_tasks() {
             return Err(ValidationError::new(
                 Artifact::SimStats,
                 Invariant::TaskCount,
                 "stats/tasks".to_string(),
                 format!(
-                    "{} simulated vs {} in program",
+                    "{} simulated vs {} pending in program",
                     stats.tasks,
-                    program.tasks().len()
+                    program.pending_tasks()
                 ),
             ));
         }

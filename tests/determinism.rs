@@ -102,8 +102,8 @@ fn tight_budget_resnet50_is_deterministic_and_truncated() {
 
 /// Deep-graph determinism at scale: a ResNet-1001 plan searched with
 /// multiple independent SA chains must serialize byte-identically at
-/// parallelism 1, 4 and 16 — the worker pool, the per-thread scratch
-/// arenas and chain-level fan-out distribute the work, never change it.
+/// parallelism 1, 4 and 16 — the worker pool and chain-level fan-out
+/// distribute the work, never change it.
 /// The iteration budget (an honest part of the search configuration,
 /// identical at every thread count) keeps the debug-mode runtime sane.
 #[test]
