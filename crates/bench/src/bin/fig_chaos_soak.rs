@@ -19,7 +19,7 @@
 //!
 //! Runs whose mesh damage is unrecoverable (e.g. every path to a surviving
 //! copy severed) are counted, their partial accounting checked via
-//! [`request::recover_traced`], and excluded from the timing distribution.
+//! [`run_with_recovery_traced`], and excluded from the timing distribution.
 //!
 //! Output: a per-workload table (recovered/unrecovered seeds, rung
 //! occupancy, attempt counts, replan-time medians, speedup) and a
@@ -35,7 +35,10 @@ use std::time::Instant;
 use accel_sim::{ChaosProfile, FaultPlan};
 use ad_bench::{Table, Workloads};
 use ad_util::Json;
-use atomic_dataflow::{request, AtomGenMode, LadderRung, Optimizer, RecoveryConfig, RecoveryTrace};
+use atomic_dataflow::{
+    run_with_recovery, run_with_recovery_traced, AtomGenMode, LadderRung, Optimizer,
+    RecoveryConfig, RecoveryTrace,
+};
 use engine_model::Dataflow;
 
 /// Ladder rungs in display order.
@@ -131,7 +134,7 @@ fn main() {
     for (name, graph) in &workloads {
         let (_, dag) = Optimizer::new(cfg).build_dag(graph);
         let atoms = dag.atom_count();
-        let healthy = request::recover(&dag, &cfg, &FaultPlan::none(), &RecoveryConfig::auto())
+        let healthy = run_with_recovery(&dag, &cfg, &FaultPlan::none(), &RecoveryConfig::auto())
             .expect("healthy run");
         let horizon = healthy.stats.total_cycles;
 
@@ -250,7 +253,7 @@ fn soak_one(
     atoms: usize,
 ) -> SeedRun {
     let t0 = Instant::now();
-    let (trace, result) = request::recover_traced(dag, cfg, plan, rc);
+    let (trace, result) = run_with_recovery_traced(dag, cfg, plan, rc);
     let _total_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut violations = Vec::new();
     let recovered = match result {

@@ -6,7 +6,7 @@
 //! every engine and every mesh link fails independently with probability
 //! `p` at a uniform cycle within the healthy makespan, and the HBM stack
 //! derates to half bandwidth with the same probability. AD runs the real
-//! recovery path (`request::recover`: reroute / derate absorbed in place,
+//! recovery path (`run_with_recovery`: reroute / derate absorbed in place,
 //! fatal engine deaths re-rounded and re-mapped onto the survivors). LS and
 //! CNN-P bind every engine, so an engine death aborts the inference; their
 //! degraded cost comes from the documented restart model
@@ -19,7 +19,9 @@
 
 use accel_sim::{FaultPlan, FaultRates};
 use ad_bench::{FaultRecord, Table, Workloads};
-use atomic_dataflow::{request, AtomGenMode, Optimizer, RecoveryConfig, ScheduleMode, Strategy};
+use atomic_dataflow::{
+    run_with_recovery, AtomGenMode, Optimizer, RecoveryConfig, ScheduleMode, Strategy,
+};
 use engine_model::Dataflow;
 
 /// Per-component failure probabilities swept.
@@ -59,7 +61,7 @@ fn main() {
 
     for (name, graph) in &w.list {
         let (_, dag) = Optimizer::new(cfg).build_dag(graph);
-        let ad_healthy = request::recover(&dag, &cfg, &FaultPlan::none(), &RecoveryConfig::auto())
+        let ad_healthy = run_with_recovery(&dag, &cfg, &FaultPlan::none(), &RecoveryConfig::auto())
             .expect("healthy AD run");
         let ls_healthy = Strategy::LayerSequential
             .run(graph, &cfg)
@@ -88,7 +90,7 @@ fn main() {
                     FaultPlan::seeded(seed, &cfg.sim.mesh, ad_healthy.stats.total_cycles, &rates)
                         .expect("sweep rates are in range");
 
-                match request::recover(&dag, &cfg, &plan, &RecoveryConfig::auto()) {
+                match run_with_recovery(&dag, &cfg, &plan, &RecoveryConfig::auto()) {
                     Ok(out) => {
                         let rec = ad_record(name, rate, seed, &ad_healthy, &out);
                         acc[0][0] += rec.latency_overhead;

@@ -73,7 +73,7 @@ pub use exec::Exec;
 pub use lower::{lower_remaining, lower_to_program, LowerOptions};
 pub use mapping::{Mapper, MappingConfig, MappingError};
 pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
-pub use pipeline::{Pipeline, PlanContext, PlanOutcome, ReplanCache, Stage, StageReport};
+pub use pipeline::{Pipeline, PlanContext, PlanOutcome, Stage, StageReport};
 pub use recovery::{
     replan_attempt, run_with_recovery, run_with_recovery_traced, LadderRung, RecoveryConfig,
     RecoveryOutcome, RecoveryTrace,

@@ -11,13 +11,15 @@
 //! list, times each stage and collects a [`StageReport`] per stage.
 //!
 //! Everything runs through this machinery: [`crate::Optimizer::optimize`]
-//! runs an [`AtomGenStage`] per candidate granularity and the
-//! [`Pipeline::evaluate`] suffix once per distinct atomization, every
+//! calls [`atomgen::generate`] once per candidate granularity target, then
+//! runs the judging pipeline (DAG construction followed by the
+//! [`Pipeline::evaluate`] suffix) once per distinct atomization; every
 //! baseline in [`crate::baselines`] is a different stage list over the same
 //! context (a planning stage of its own followed by the shared
-//! [`LowerStage`] and [`SimulateStage`]), and the fault-recovery loop
+//! [`LowerStage`] and [`SimulateStage`]); and the fault-recovery ladder
 //! re-runs the shared [`ScheduleStage`] → [`MapStage`] → [`LowerStage`]
-//! suffix over the surviving engines. A stage that runs before its
+//! suffix over the surviving engines, its repair rungs reusing the same
+//! survivor mapper and admission policy. A stage that runs before its
 //! prerequisites returns the typed
 //! [`PipelineError::StageOrder`] instead of panicking.
 //!
@@ -112,17 +114,6 @@ pub struct PlanContext<'g> {
     /// (see the `VALIDATED_*` bits in [`crate::validate`]); cleared for
     /// re-plannable artifacts by [`PlanContext::reset_plan`].
     pub validated: u8,
-    /// Caches that persist *across* replan attempts (unlike the plan
-    /// artifacts, [`PlanContext::reset_plan`] keeps them): the DP
-    /// transposition table warmed by every scheduling pass over this DAG.
-    /// `None` (the default) schedules with a pass-local table; fault
-    /// recovery installs one so attempt *k*+1 reuses the search subtrees
-    /// attempt *k* explored. Purely an accelerator — results are
-    /// byte-identical with or without it (pinned in `tests/determinism.rs`)
-    /// — except under a finite `dp_expansions` budget, where warm hits
-    /// would shift the truncation points; the schedule stage therefore
-    /// bypasses it whenever the budget is capped.
-    pub replan_cache: Option<ReplanCache>,
     /// Per-layer atom specs of a previously planned neighboring request
     /// (same graph, different batch): [`AtomGenStage`] initializes the SA
     /// search from them instead of the granularity heuristic. Purely a
@@ -137,38 +128,29 @@ pub struct PlanContext<'g> {
     pub exec: Exec,
 }
 
-/// The cross-attempt cache carried by [`PlanContext::replan_cache`]. See
-/// that field for the contract.
-#[derive(Debug, Clone, Default)]
-pub struct ReplanCache {
-    /// Shared DP transposition table ([`crate::scheduler`]'s memo), keyed
-    /// soundly across done-masks and engine counts.
-    pub(crate) memo: Option<crate::scheduler::MemoTable>,
-}
-
-impl ReplanCache {
-    /// An empty cache; tables materialize on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached transposition-table entries (diagnostics only).
-    pub fn memo_entries(&self) -> usize {
-        self.memo.as_ref().map_or(0, |m| m.entries())
-    }
-
-    /// The shared transposition table, created on first use.
-    pub(crate) fn shared_memo(&mut self) -> &mut crate::scheduler::MemoTable {
-        self.memo
-            .get_or_insert_with(crate::scheduler::MemoTable::shared)
-    }
-}
-
 impl<'g> PlanContext<'g> {
     /// A fresh context for planning `graph` under `cfg`.
     pub fn new(graph: &'g Graph, cfg: OptimizerConfig) -> Self {
         Self {
             graph: Some(graph),
+            ..Self::empty(cfg)
+        }
+    }
+
+    /// A context seeded with a pre-built atomic DAG (no graph): the
+    /// fault-recovery path re-plans an existing DAG without re-atomizing.
+    pub fn for_dag(dag: AtomicDag, cfg: OptimizerConfig) -> Self {
+        Self {
+            dag: Some(dag),
+            ..Self::empty(cfg)
+        }
+    }
+
+    /// The field initializer both constructors share: no graph, no
+    /// artifacts, an execution context sized from `cfg.parallelism`.
+    fn empty(cfg: OptimizerConfig) -> Self {
+        Self {
+            graph: None,
             cfg,
             done: Vec::new(),
             dead_engines: Vec::new(),
@@ -181,30 +163,6 @@ impl<'g> PlanContext<'g> {
             stats: None,
             reports: Vec::new(),
             validated: 0,
-            replan_cache: None,
-            warm_specs: None,
-            exec: Exec::with_threads(cfg.parallelism),
-        }
-    }
-
-    /// A context seeded with a pre-built atomic DAG (no graph): the
-    /// fault-recovery path re-plans an existing DAG without re-atomizing.
-    pub fn for_dag(dag: AtomicDag, cfg: OptimizerConfig) -> Self {
-        Self {
-            graph: None,
-            cfg,
-            done: Vec::new(),
-            dead_engines: Vec::new(),
-            gen_report: None,
-            dag: Some(dag),
-            schedule: None,
-            mapped: None,
-            lower: LowerOptions::default(),
-            program: None,
-            stats: None,
-            reports: Vec::new(),
-            validated: 0,
-            replan_cache: None,
             warm_specs: None,
             exec: Exec::with_threads(cfg.parallelism),
         }
@@ -213,6 +171,38 @@ impl<'g> PlanContext<'g> {
     /// Engines still available for planning (configured minus retired).
     pub fn alive_engines(&self) -> usize {
         self.cfg.engines().saturating_sub(self.dead_engines.len())
+    }
+
+    /// A mapper over the configured mesh with every retired engine killed:
+    /// the one [`MapStage`] and the recovery rungs place atoms with.
+    pub(crate) fn survivor_mapper(&self) -> Mapper {
+        let mut mapper = Mapper::new(self.cfg.sim.mesh, self.cfg.mapping);
+        for &e in &self.dead_engines {
+            mapper.kill_engine(e);
+        }
+        mapper
+    }
+
+    /// Audits the context's current artifacts under the configured
+    /// [`ValidateMode`]: `Off` skips, `Deny` fails with
+    /// [`PipelineError::Validation`], `Warn` prints the violation and
+    /// continues. [`Pipeline::run`] calls it after every stage; the recovery
+    /// rungs that assemble artifacts by hand call it once at the end.
+    ///
+    /// # Errors
+    ///
+    /// The first invariant violation, in `Deny` mode only.
+    pub(crate) fn admit_by_policy(&mut self) -> Result<(), PipelineError> {
+        match self.cfg.validate {
+            ValidateMode::Off => {}
+            ValidateMode::Deny => validate::admit(self)?,
+            ValidateMode::Warn => {
+                if let Err(v) = validate::admit(self) {
+                    eprintln!("validation warning: {v}");
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Clears the re-plannable artifacts (schedule, mapping, program,
@@ -365,15 +355,7 @@ impl Pipeline {
             let mut report = stage.run(ctx)?;
             report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             ctx.reports.push(report);
-            match ctx.cfg.validate {
-                ValidateMode::Off => {}
-                ValidateMode::Deny => validate::admit(ctx)?,
-                ValidateMode::Warn => {
-                    if let Err(v) = validate::admit(ctx) {
-                        eprintln!("validation warning: {v}");
-                    }
-                }
-            }
+            ctx.admit_by_policy()?;
         }
         Ok(())
     }
@@ -530,28 +512,11 @@ impl Stage for ScheduleStage {
 
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let engines = ctx.alive_engines();
-        let dp_budget = ctx.cfg.budget.dp_expansions;
         let mode = self.mode.unwrap_or(ctx.cfg.schedule_mode);
-        let dag = ctx.dag.as_ref().ok_or(PipelineError::StageOrder {
-            stage: self.name(),
-            missing: "dag",
-        })?;
-        let scheduler =
-            Scheduler::new(dag, SchedulerConfig { engines, mode }).with_budget(dp_budget);
-        // Warm the search from the persistent transposition table when a
-        // replan cache is installed. Under a finite expansion budget warm
-        // hits would shift the truncation points (a cache hit skips the
-        // recursion's budget charges), so budgeted runs keep the pass-local
-        // table to stay byte-identical with uncached runs.
-        let mut local;
-        let memo = match ctx.replan_cache.as_mut() {
-            Some(cache) if dp_budget.is_none() => cache.shared_memo(),
-            _ => {
-                local = scheduler.pass_memo();
-                &mut local
-            }
-        };
-        let (sched, truncated) = scheduler.search(&ctx.done, memo)?;
+        let dag = ctx.require_dag(self.name())?;
+        let (sched, truncated) = Scheduler::new(dag, SchedulerConfig { engines, mode })
+            .with_budget(ctx.cfg.budget.dp_expansions)
+            .schedule_remaining_budgeted(&ctx.done)?;
         let summary = format!(
             "{} rounds, occupancy {:.2}",
             sched.len(),
@@ -584,10 +549,7 @@ impl Stage for MapStage {
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let sched = ctx.require_schedule(self.name())?;
         let dag = ctx.require_dag(self.name())?;
-        let mut mapper = Mapper::new(ctx.cfg.sim.mesh, ctx.cfg.mapping);
-        for &e in &ctx.dead_engines {
-            mapper.kill_engine(e);
-        }
+        let mut mapper = ctx.survivor_mapper();
         let mapped = sched
             .rounds
             .iter()

@@ -17,17 +17,20 @@
 //!    overflow (a full-width round no longer fits the shrunken mesh) into
 //!    minimal inserted rounds. O(pending atoms); no search at all.
 //! 2. [`LadderRung::ScopedReplan`] — reuse the prior rounds up to the first
-//!    one touched by the perturbation, then DP-reschedule only the suffix,
-//!    warmed by the persistent transposition table
-//!    ([`crate::pipeline::ReplanCache`]).
+//!    one touched by the perturbation, then DP-reschedule only the suffix
+//!    and map it onto the survivors.
 //! 3. [`LadderRung::FullReplan`] — the optimizer's own [`Pipeline::replan`]
-//!    stage suffix (schedule → map → lower), still cache-warmed.
-//! 4. [`LadderRung::GreedyFallback`] — priority-greedy scheduling with no
-//!    search budget at all, the bounded-time anchor of the ladder.
+//!    stage suffix (schedule → map → lower) over the whole remainder.
+//! 4. [`LadderRung::GreedyFallback`] — the same stage suffix with
+//!    priority-greedy scheduling, which spends no search budget at all: the
+//!    bounded-time anchor of the ladder.
 //!
-//! Every rung's artifacts pass the same [`crate::validate`] auditor the
-//! cold pipeline runs under (a rung that fails admission escalates to the
-//! next); the rungs trade plan *quality*, never validity. Rung choice is
+//! The rungs are built from the pipeline's own parts: rungs 3–4 are stage
+//! lists, and rungs 1–2 place atoms with the same survivor mapper as
+//! [`MapStage`] and lower through the same lowering as [`LowerStage`].
+//! Every rung's artifacts pass the admission policy [`Pipeline::run`]
+//! applies (a rung that fails admission escalates to the next); the rungs
+//! trade plan *quality*, never validity. Rung choice is
 //! driven by the perturbation size and by [`crate::PlanBudget`]'s coarse
 //! `deadline_ms` (whole-rung gating only, so plan bytes stay deterministic
 //! — the doctrine established for the optimizer's refinement pass).
@@ -49,24 +52,22 @@ use crate::error::PipelineError;
 use crate::lower::lower_remaining;
 use crate::mapping::Mapper;
 use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{Pipeline, PlanContext, ReplanCache, StageReport};
+use crate::pipeline::{LowerStage, MapStage, Pipeline, PlanContext, ScheduleStage, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
-use crate::validate::{self, ValidateMode};
 
 /// Recovery policy for fault-injected runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// When `false`, the first fatal engine failure is returned as a typed
-    /// [`SimError::EngineFailed`] instead of triggering a re-plan.
-    pub enabled: bool,
     /// Upper bound on total run attempts (initial run + retries); `0`
-    /// means unbounded. Recovery converges regardless — every retry retires
-    /// at least one engine — so the bound only caps worst-case work.
+    /// means unbounded, and `1` never re-plans: the first fatal engine
+    /// failure is returned as a typed [`SimError::EngineFailed`]. Recovery
+    /// converges regardless — every retry retires at least one engine — so
+    /// the bound only caps worst-case work.
     pub max_attempts: usize,
     /// When `true` (the default), retries repair the prior plan through the
-    /// degradation ladder ([`LadderRung`]) with persistent caches; when
-    /// `false`, every retry is a cold [`Pipeline::replan`] (the pre-ladder
-    /// behavior, kept for A/B measurement).
+    /// degradation ladder ([`LadderRung`]); when `false`, every retry is a
+    /// cold [`Pipeline::replan`] (the pre-ladder behavior, kept as the
+    /// reference control of A/B measurements).
     pub incremental: bool,
 }
 
@@ -74,18 +75,17 @@ impl RecoveryConfig {
     /// Re-plan on failure, as many times as the mesh can absorb.
     pub fn auto() -> Self {
         Self {
-            enabled: true,
             max_attempts: 0,
             incremental: true,
         }
     }
 
-    /// Fail fast: surface the first fatal engine failure as an error.
+    /// Fail fast: surface the first fatal engine failure as an error (a
+    /// one-attempt budget).
     pub fn disabled() -> Self {
         Self {
-            enabled: false,
-            max_attempts: 0,
-            incremental: true,
+            max_attempts: 1,
+            ..Self::auto()
         }
     }
 
@@ -246,13 +246,10 @@ fn run_recovery_inner(
     let n = dag.atom_count();
     let sim = Simulator::new(cfg.sim);
     // One shared context repaired (or re-planned) per attempt: the `done`
-    // mask, the dead-engine list and the replan cache persist across
-    // attempts, the plan artifacts reset.
+    // mask and the dead-engine list persist across attempts, the plan
+    // artifacts reset.
     let mut ctx = PlanContext::for_dag(dag.clone(), *cfg);
     ctx.done = vec![false; n];
-    if recovery.incremental {
-        ctx.replan_cache = Some(ReplanCache::new());
-    }
     let started = Instant::now(); // ad-lint: allow(d2) — coarse whole-rung deadline gate
     let mut merged: Option<SimStats> = None;
     let mut attempts = 0usize;
@@ -317,7 +314,7 @@ fn run_recovery_inner(
             FaultedOutcome::Failed(report) => {
                 trace.attempt_degradation.push(report.partial.degradation);
                 let exhausted = recovery.max_attempts != 0 && attempts >= recovery.max_attempts;
-                if !recovery.enabled || exhausted || ctx.dead_engines.contains(&report.engine) {
+                if exhausted || ctx.dead_engines.contains(&report.engine) {
                     // The run is abandoned, but its partial account is not:
                     // merge the failing attempt so the trace conserves the
                     // event counters accumulated so far.
@@ -392,23 +389,35 @@ pub fn replan_attempt(
         greedy_fallback(ctx)?;
         return Ok(LadderRung::GreedyFallback);
     }
-    if let Some(prior) = prior {
-        let (pending, orphans) = perturbation_size(ctx, prior);
-        if pending > 0 {
-            if orphans * REUSE_ORPHAN_DENOM <= pending {
-                ctx.reset_plan();
-                match reuse_suffix(ctx, prior) {
-                    Ok(()) => return Ok(LadderRung::ReuseSuffix),
-                    Err(PipelineError::Validation(_) | PipelineError::Mapping(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+    // The prior rounds restricted to atoms still pending, empty rounds
+    // dropped: what every repair rung starts from.
+    let pending: Vec<Vec<(AtomId, usize)>> = prior
+        .unwrap_or_default()
+        .iter()
+        .map(|round| {
+            round
+                .iter()
+                .filter(|&&(a, _)| !ctx.done.get(a.index()).copied().unwrap_or(false))
+                .copied()
+                .collect::<Vec<_>>()
+        })
+        .filter(|round| !round.is_empty())
+        .collect();
+    if !pending.is_empty() {
+        let (atoms, orphans) = perturbation_size(ctx, &pending);
+        if orphans * REUSE_ORPHAN_DENOM <= atoms {
             ctx.reset_plan();
-            match scoped_replan(ctx, prior) {
-                Ok(()) => return Ok(LadderRung::ScopedReplan),
+            match reuse_suffix(ctx, &pending) {
+                Ok(()) => return Ok(LadderRung::ReuseSuffix),
                 Err(PipelineError::Validation(_) | PipelineError::Mapping(_)) => {}
                 Err(e) => return Err(e),
             }
+        }
+        ctx.reset_plan();
+        match scoped_replan(ctx, &pending) {
+            Ok(()) => return Ok(LadderRung::ScopedReplan),
+            Err(PipelineError::Validation(_) | PipelineError::Mapping(_)) => {}
+            Err(e) => return Err(e),
         }
     }
     ctx.reset_plan();
@@ -422,39 +431,21 @@ pub fn replan_attempt(
     Ok(LadderRung::GreedyFallback)
 }
 
-/// `(pending atoms, orphaned pending atoms)` of the prior plan under the
-/// context's current `done` mask and dead-engine list.
-fn perturbation_size(ctx: &PlanContext<'_>, prior: &[Vec<(AtomId, usize)>]) -> (usize, usize) {
-    let mesh_n = ctx.cfg.engines();
-    let mut pending = 0usize;
-    let mut orphans = 0usize;
-    for round in prior {
-        for &(a, e) in round {
-            if !ctx.done.get(a.index()).copied().unwrap_or(false) {
-                pending += 1;
-                if e >= mesh_n || ctx.dead_engines.contains(&e) {
-                    orphans += 1;
-                }
-            }
-        }
-    }
-    (pending, orphans)
+/// Whether a prior placement on engine `e` lost its engine (retired, or
+/// outside the configured mesh).
+fn orphaned(ctx: &PlanContext<'_>, e: usize) -> bool {
+    e >= ctx.cfg.engines() || ctx.dead_engines.contains(&e)
 }
 
-/// Applies the context's configured admission policy to whatever artifacts
-/// it currently holds (the manual-rung counterpart of the check inside
-/// [`Pipeline::run`]).
-fn admit_policy(ctx: &mut PlanContext<'_>) -> Result<(), PipelineError> {
-    match ctx.cfg.validate {
-        ValidateMode::Off => Ok(()),
-        ValidateMode::Deny => validate::admit(ctx).map_err(PipelineError::from),
-        ValidateMode::Warn => {
-            if let Err(v) = validate::admit(ctx) {
-                eprintln!("validation warning: {v}");
-            }
-            Ok(())
-        }
-    }
+/// `(pending atoms, orphaned pending atoms)` of the pending prior rounds.
+fn perturbation_size(ctx: &PlanContext<'_>, pending: &[Vec<(AtomId, usize)>]) -> (usize, usize) {
+    let atoms = pending.iter().map(Vec::len).sum();
+    let orphans = pending
+        .iter()
+        .flatten()
+        .filter(|&&(_, e)| orphaned(ctx, e))
+        .count();
+    (atoms, orphans)
 }
 
 /// Patches one repaired round through the mapper and records it in both the
@@ -472,6 +463,27 @@ fn push_patched(
     Ok(())
 }
 
+/// The shared epilogue of the repair rungs: lowers the repaired rounds,
+/// installs schedule, mapping and program, records the rung's report (timed
+/// from `started`) and applies the admission policy.
+fn install(
+    ctx: &mut PlanContext<'_>,
+    stage: &'static str,
+    started: Instant, // ad-lint: allow(d2) — reporting-only rung wall time
+    rounds: Vec<Vec<AtomId>>,
+    mapped: Vec<Vec<(AtomId, usize)>>,
+    summary: String,
+) -> Result<(), PipelineError> {
+    let program = lower_remaining(ctx.require_dag(stage)?, &mapped, &ctx.lower, &ctx.done);
+    ctx.schedule = Some(Schedule { rounds });
+    ctx.mapped = Some(mapped);
+    ctx.program = Some(program);
+    let mut report = StageReport::new(stage, summary);
+    report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    ctx.reports.push(report);
+    ctx.admit_by_policy()
+}
+
 /// Rung 1: reuse every pending round of the prior plan in order, patch
 /// orphans onto survivors in place, and resolve capacity overflow (a
 /// full-width round on a now-smaller mesh) by carrying the overflowing
@@ -482,40 +494,22 @@ fn push_patched(
 /// its successors.
 fn reuse_suffix(
     ctx: &mut PlanContext<'_>,
-    prior: &[Vec<(AtomId, usize)>],
+    pending: &[Vec<(AtomId, usize)>],
 ) -> Result<(), PipelineError> {
+    const STAGE: &str = "replan:reuse-suffix";
     let t0 = Instant::now(); // ad-lint: allow(d2) — reporting-only rung wall time
     let alive = ctx.alive_engines();
-    let mesh_n = ctx.cfg.engines();
-    let dag = ctx.dag.as_ref().ok_or(PipelineError::StageOrder {
-        stage: "replan:reuse-suffix",
-        missing: "dag",
-    })?;
-    let n = dag.atom_count();
-    let dead = &ctx.dead_engines;
-    let is_orphan = |e: usize| e >= mesh_n || dead.contains(&e);
-
-    let mut mapper = Mapper::new(ctx.cfg.sim.mesh, ctx.cfg.mapping);
-    for &e in dead {
-        mapper.kill_engine(e);
-    }
+    let dag = ctx.require_dag(STAGE)?;
+    let mut mapper = ctx.survivor_mapper();
     // Round-membership stamps for the carried-atom successor checks.
-    let mut stamp: Vec<usize> = vec![usize::MAX; n];
+    let mut stamp: Vec<usize> = vec![usize::MAX; dag.atom_count()];
     let mut carry: VecDeque<AtomId> = VecDeque::new();
-    let mut sched: Vec<Vec<AtomId>> = Vec::with_capacity(prior.len());
-    let mut mapped: Vec<Vec<(AtomId, usize)>> = Vec::with_capacity(prior.len());
-    let mut reused = 0usize;
+    let mut sched: Vec<Vec<AtomId>> = Vec::with_capacity(pending.len());
+    let mut mapped: Vec<Vec<(AtomId, usize)>> = Vec::with_capacity(pending.len());
     let mut spills = 0usize;
 
-    for (seq, round) in prior.iter().enumerate() {
-        let mut pairs: Vec<(AtomId, usize)> = round
-            .iter()
-            .filter(|&&(a, _)| !ctx.done.get(a.index()).copied().unwrap_or(false))
-            .copied()
-            .collect();
-        if pairs.is_empty() {
-            continue;
-        }
+    for (seq, round) in pending.iter().enumerate() {
+        let mut pairs = round.clone();
         for &(a, _) in &pairs {
             stamp[a.index()] = seq;
         }
@@ -540,7 +534,7 @@ fn reuse_suffix(
         if pairs.len() > alive {
             let mut overflow = pairs.len() - alive;
             pairs.retain(|&(a, e)| {
-                if overflow > 0 && is_orphan(e) {
+                if overflow > 0 && orphaned(ctx, e) {
                     overflow -= 1;
                     carry.push_back(a);
                     false
@@ -567,7 +561,6 @@ fn reuse_suffix(
                 }
             }
         }
-        reused += 1;
         push_patched(&mut mapper, dag, &pairs, &mut sched, &mut mapped)?;
     }
     while !carry.is_empty() {
@@ -577,57 +570,31 @@ fn reuse_suffix(
         push_patched(&mut mapper, dag, &chunk, &mut sched, &mut mapped)?;
     }
 
-    let program = lower_remaining(dag, &mapped, &ctx.lower, &ctx.done);
-    let summary = format!("reused {reused} rounds (+{spills} spill) onto {alive} engines");
-    ctx.schedule = Some(Schedule { rounds: sched });
-    ctx.mapped = Some(mapped);
-    ctx.program = Some(program);
-    let mut report = StageReport::new("replan:reuse-suffix", summary);
-    report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    ctx.reports.push(report);
-    admit_policy(ctx)
+    let summary = format!(
+        "reused {} rounds (+{spills} spill) onto {alive} engines",
+        pending.len()
+    );
+    install(ctx, STAGE, t0, sched, mapped, summary)
 }
 
 /// Rung 2: reuse (and patch) the prior rounds up to the first one touched
 /// by the perturbation — an orphaned atom or an over-capacity width — then
-/// DP-reschedule only the remaining atoms, warmed by the persistent
-/// transposition table, and map the new suffix continuing from the replayed
-/// mapper state.
+/// DP-reschedule only the remaining atoms and map the new suffix continuing
+/// from the replayed mapper state.
 fn scoped_replan(
     ctx: &mut PlanContext<'_>,
-    prior: &[Vec<(AtomId, usize)>],
+    pending: &[Vec<(AtomId, usize)>],
 ) -> Result<(), PipelineError> {
+    const STAGE: &str = "replan:scoped";
     let t0 = Instant::now(); // ad-lint: allow(d2) — reporting-only rung wall time
     let alive = ctx.alive_engines();
-    let mesh_n = ctx.cfg.engines();
-    let dag = ctx.dag.as_ref().ok_or(PipelineError::StageOrder {
-        stage: "replan:scoped",
-        missing: "dag",
-    })?;
-    let dead = &ctx.dead_engines;
-    let is_orphan = |e: usize| e >= mesh_n || dead.contains(&e);
-
-    // Pending prefix rounds untouched by the perturbation.
-    let pending: Vec<Vec<(AtomId, usize)>> = prior
-        .iter()
-        .map(|round| {
-            round
-                .iter()
-                .filter(|&&(a, _)| !ctx.done.get(a.index()).copied().unwrap_or(false))
-                .copied()
-                .collect::<Vec<_>>()
-        })
-        .filter(|round: &Vec<(AtomId, usize)>| !round.is_empty())
-        .collect();
+    let dag = ctx.require_dag(STAGE)?;
     let split = pending
         .iter()
-        .position(|round| round.len() > alive || round.iter().any(|&(_, e)| is_orphan(e)))
+        .position(|round| round.len() > alive || round.iter().any(|&(_, e)| orphaned(ctx, e)))
         .unwrap_or(pending.len());
 
-    let mut mapper = Mapper::new(ctx.cfg.sim.mesh, ctx.cfg.mapping);
-    for &e in dead {
-        mapper.kill_engine(e);
-    }
+    let mut mapper = ctx.survivor_mapper();
     let mut sched: Vec<Vec<AtomId>> = Vec::with_capacity(pending.len());
     let mut mapped: Vec<Vec<(AtomId, usize)>> = Vec::with_capacity(pending.len());
     let mut done2 = ctx.done.clone();
@@ -640,78 +607,37 @@ fn scoped_replan(
     }
 
     // DP-reschedule everything past the splice point.
-    let scheduler = Scheduler::new(
+    let (suffix, _truncated) = Scheduler::new(
         dag,
         SchedulerConfig {
             engines: alive,
             mode: ctx.cfg.schedule_mode,
         },
     )
-    .with_budget(ctx.cfg.budget.dp_expansions);
-    let mut local;
-    let memo = match ctx.replan_cache.as_mut() {
-        Some(cache) if ctx.cfg.budget.dp_expansions.is_none() => cache.shared_memo(),
-        _ => {
-            local = scheduler.pass_memo();
-            &mut local
-        }
-    };
-    let (suffix, _truncated) = scheduler.search(&done2, memo)?;
-    for round in &suffix.rounds {
-        let placed = mapper.map_round(dag, round)?;
-        sched.push(round.clone());
-        mapped.push(placed);
+    .with_budget(ctx.cfg.budget.dp_expansions)
+    .schedule_remaining_budgeted(&done2)?;
+    let rescheduled = suffix.len();
+    for round in suffix.rounds {
+        mapped.push(mapper.map_round(dag, &round)?);
+        sched.push(round);
     }
 
-    let program = lower_remaining(dag, &mapped, &ctx.lower, &ctx.done);
-    let summary = format!(
-        "reused {split} rounds, rescheduled {} onto {alive} engines",
-        suffix.rounds.len()
-    );
-    ctx.schedule = Some(Schedule { rounds: sched });
-    ctx.mapped = Some(mapped);
-    ctx.program = Some(program);
-    let mut report = StageReport::new("replan:scoped", summary);
-    report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    ctx.reports.push(report);
-    admit_policy(ctx)
+    let summary = format!("reused {split} rounds, rescheduled {rescheduled} onto {alive} engines");
+    install(ctx, STAGE, t0, sched, mapped, summary)
 }
 
-/// Rung 4: priority-greedy scheduling with no search budget — bounded time,
-/// degraded quality, still fully validated.
+/// Rung 4: the [`Pipeline::replan`] stages with priority-greedy scheduling,
+/// which spends no search budget — bounded time, degraded quality, still
+/// fully validated.
 fn greedy_fallback(ctx: &mut PlanContext<'_>) -> Result<(), PipelineError> {
-    let t0 = Instant::now(); // ad-lint: allow(d2) — reporting-only rung wall time
-    let alive = ctx.alive_engines();
-    let dag = ctx.dag.as_ref().ok_or(PipelineError::StageOrder {
-        stage: "replan:greedy",
-        missing: "dag",
-    })?;
-    let (sched, _) = Scheduler::new(
-        dag,
-        SchedulerConfig {
-            engines: alive,
-            mode: ScheduleMode::PriorityGreedy,
-        },
-    )
-    .schedule_remaining_budgeted(&ctx.done)?;
-    let mut mapper = Mapper::new(ctx.cfg.sim.mesh, ctx.cfg.mapping);
-    for &e in &ctx.dead_engines {
-        mapper.kill_engine(e);
-    }
-    let mapped = sched
-        .rounds
-        .iter()
-        .map(|r| mapper.map_round(dag, r))
-        .collect::<Result<Vec<_>, _>>()?;
-    let program = lower_remaining(dag, &mapped, &ctx.lower, &ctx.done);
-    let summary = format!("{} greedy rounds onto {alive} engines", sched.len());
-    ctx.schedule = Some(sched);
-    ctx.mapped = Some(mapped);
-    ctx.program = Some(program);
-    let mut report = StageReport::new("replan:greedy", summary);
-    report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    ctx.reports.push(report);
-    admit_policy(ctx)
+    Pipeline::new(vec![
+        Box::new(ScheduleStage {
+            mode: Some(ScheduleMode::PriorityGreedy),
+        }),
+        Box::new(MapStage),
+        Box::new(LowerStage),
+    ])
+    .run(ctx)
 }
 
 /// The fault plan as seen by a retry attempt that starts `elapsed` cycles
@@ -825,7 +751,6 @@ mod tests {
         let (dag, cfg) = dag_and_cfg();
         let plan = FaultPlan::engine_fail(0, 0);
         let tight = RecoveryConfig {
-            enabled: true,
             max_attempts: 1,
             incremental: true,
         };
@@ -855,7 +780,6 @@ mod tests {
                 kind: FaultKind::EngineFail { engine: 2 },
             });
         let tight = RecoveryConfig {
-            enabled: true,
             max_attempts: 2,
             incremental: true,
         };

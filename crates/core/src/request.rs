@@ -20,19 +20,17 @@
 //! ([`batchless_config_fingerprint`]) keys the warm-start neighbor index:
 //! two requests equal up to batch size may seed each other's SA search.
 
-use accel_sim::{EvictionKind, FaultPlan, SimStats};
+use accel_sim::{EvictionKind, SimStats};
 use ad_util::{Fingerprint, FpHasher, Json};
 use dnn_graph::Graph;
 use engine_model::Dataflow;
 
 use crate::atom::AtomSpec;
 use crate::atomgen::{AtomGenConfig, AtomGenMode};
-use crate::atomic_dag::AtomicDag;
 use crate::error::PipelineError;
 use crate::mapping::MappingAlgo;
 use crate::optimizer::{Optimizer, OptimizerConfig, Strategy};
 use crate::pipeline::StageReport;
-use crate::recovery::{RecoveryConfig, RecoveryOutcome, RecoveryTrace};
 use crate::scheduler::ScheduleMode;
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
 
@@ -260,34 +258,6 @@ pub fn plan(req: &PlanRequest<'_>) -> Result<PlanResponse, PipelineError> {
             ))
         }
     }
-}
-
-/// The recovery entry of the request layer: re-plans `dag` through the
-/// incremental recovery ladder under `cfg` while `fault_plan` injects
-/// failures. A thin, typed front over [`crate::run_with_recovery`] so the
-/// fault harnesses construct recovery through the same path as planning.
-///
-/// # Errors
-///
-/// Everything [`crate::run_with_recovery`] reports.
-pub fn recover(
-    dag: &AtomicDag,
-    cfg: &OptimizerConfig,
-    fault_plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-) -> Result<RecoveryOutcome, PipelineError> {
-    crate::recovery::run_with_recovery(dag, cfg, fault_plan, recovery)
-}
-
-/// Traced variant of [`recover`] (see
-/// [`crate::run_with_recovery_traced`]).
-pub fn recover_traced(
-    dag: &AtomicDag,
-    cfg: &OptimizerConfig,
-    fault_plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-) -> (RecoveryTrace, Result<RecoveryOutcome, PipelineError>) {
-    crate::recovery::run_with_recovery_traced(dag, cfg, fault_plan, recovery)
 }
 
 /// Why a serving layer refused to *start* planning a request.

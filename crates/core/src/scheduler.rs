@@ -180,15 +180,10 @@ type MemoKey = (u64, u64, u32);
 /// never iterated, only probed with full-width keys, so determinism holds
 /// while lookups stay O(1).
 ///
-/// Keys are salted with everything an estimate depends on beyond the live
-/// search state — the done-at-entry atom set, the engine count and the
-/// branching factor (see [`Scheduler::search`]) — so one table may outlive
-/// a single scheduling pass and warm later passes over the same DAG
-/// (recovery replans through [`crate::pipeline::ReplanCache`]).
-/// Cached values are pure speedups either way: a hit returns exactly what
-/// the recursion would recompute.
-#[derive(Debug, Clone)]
-pub(crate) struct MemoTable {
+/// One table lives for exactly one scheduling pass, so the engine count,
+/// the branching factor and the done-at-entry mask are constant over every
+/// key it holds. A hit returns exactly what the recursion would recompute.
+struct MemoTable {
     enabled: bool,
     /// Power-of-two slot array; `None` = empty.
     slots: Vec<Option<(MemoKey, u64)>>,
@@ -196,17 +191,6 @@ pub(crate) struct MemoTable {
 }
 
 impl MemoTable {
-    /// An enabled table intended to be carried across scheduling passes
-    /// (the incremental-replan cache in [`crate::pipeline::ReplanCache`]).
-    pub(crate) fn shared() -> Self {
-        Self::new(true)
-    }
-
-    /// Cached estimates currently held (diagnostics only).
-    pub(crate) fn entries(&self) -> usize {
-        self.len
-    }
-
     fn new(enabled: bool) -> Self {
         Self {
             enabled,
@@ -332,8 +316,9 @@ struct State<'a> {
     remaining: usize,
     /// Sum of compute cycles of remaining atoms (lower-bound heuristic).
     remaining_cycles: u64,
-    /// Commutative (XOR) hash of the scheduled atom set, maintained
-    /// incrementally by `apply`/`undo` for the transposition table.
+    /// Commutative (XOR) hash of the atoms scheduled in this pass,
+    /// maintained incrementally by `apply`/`undo` for the transposition
+    /// table.
     scheduled_hash: u64,
     /// Atoms already executed before this scheduling pass (recovery:
     /// re-scheduling the remainder of a partially run DAG). Never entered
@@ -387,13 +372,6 @@ impl<'a> State<'a> {
         };
         for (i, atom) in dag.atoms().iter().enumerate() {
             if st.done[i] {
-                // Done-at-entry atoms fold into the scheduled-set hash with
-                // the same per-atom term `apply` would have used: for the
-                // transposition table only the satisfied dependency set
-                // matters, not whether an atom completed before this pass or
-                // during it. This keeps one shared table sound — and maximally
-                // reusable — across replan passes with different done masks.
-                st.scheduled_hash ^= mix64(u64::from(u32_from_usize(i)));
                 continue;
             }
             st.remaining += 1;
@@ -669,36 +647,6 @@ impl<'a> Scheduler<'a> {
         &self,
         done: &[bool],
     ) -> Result<(Schedule, bool), ScheduleError> {
-        self.search(done, &mut self.pass_memo())
-    }
-
-    /// An empty transposition table for one pass of this scheduler
-    /// (disabled when memoization is off or the mode never looks ahead).
-    pub(crate) fn pass_memo(&self) -> MemoTable {
-        MemoTable::new(
-            self.memo
-                && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0),
-        )
-    }
-
-    /// The search behind every entry point, probing and filling `memo`:
-    /// a pass-local table ([`Scheduler::pass_memo`]) or the one a
-    /// [`crate::pipeline::ReplanCache`] carries across recovery attempts,
-    /// so subtrees one attempt explored warm the next. Soundness across
-    /// attempts relies on the key salting described on [`MemoTable`].
-    /// Warm and cold results are byte-identical whenever the expansion
-    /// budget is unlimited; a warm hit never charges the budget units the
-    /// cold recursion would, so budgeted truncation points may shift and
-    /// callers pass a shared table only without a budget.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Scheduler::schedule_remaining_budgeted`].
-    pub(crate) fn search(
-        &self,
-        done: &[bool],
-        memo: &mut MemoTable,
-    ) -> Result<(Schedule, bool), ScheduleError> {
         if self.cfg.engines == 0 {
             return Err(ScheduleError::NoEngines);
         }
@@ -708,32 +656,22 @@ impl<'a> Scheduler<'a> {
                 got: done.len(),
             });
         }
-        let mut state = State::new(self.dag, done);
-        let n = self.cfg.engines;
-        // Salt the transposition keys with the search parameters that shape
-        // estimates but live outside the state: engine count (the alive set
-        // shrinks across recovery attempts) and branching factor. XOR'd into
-        // the commutative scheduled-set hash so a shared table never mixes
-        // estimates computed under different search shapes.
-        let branch_salt = match self.cfg.mode {
-            ScheduleMode::Dp { branch, .. } => branch,
-            _ => 0,
-        };
-        state.scheduled_hash ^= mix64(
-            0x5a17_u64 << 48
-                ^ u64::from(u32_from_usize(n)) << 16
-                ^ u64::from(u32_from_usize(branch_salt)),
-        );
-        let mut rounds = Vec::new();
-        let mut sb = SearchBudget::new(self.budget);
-
         if self.cfg.mode == ScheduleMode::LayerOrder {
             return Ok((self.schedule_layer_order(done), false));
         }
+        let mut state = State::new(self.dag, done);
+        let n = self.cfg.engines;
+        // The transposition table lives for this pass only.
+        let mut memo = MemoTable::new(
+            self.memo
+                && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0),
+        );
+        let mut rounds = Vec::new();
+        let mut sb = SearchBudget::new(self.budget);
         while state.remaining > 0 {
             let combo = match self.cfg.mode {
                 ScheduleMode::Dp { lookahead, branch } => {
-                    self.best_combo(&mut state, memo, &mut sb, n, lookahead, branch)
+                    self.best_combo(&mut state, &mut memo, &mut sb, n, lookahead, branch)
                 }
                 // `LayerOrder` returned above; greedy selection covers it
                 // and `PriorityGreedy` alike.
