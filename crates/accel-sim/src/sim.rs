@@ -777,11 +777,14 @@ impl<'p> Runtime<'p> {
         }
 
         let (noc_t, dram_ready, ready) = if let Some((hops, src)) = src {
-            if hops > self.hop_table[src * n + engine] {
+            // Byte-hops are charged at the fault-free distance; a detour's
+            // extra links cost time and count as a rerouted transfer.
+            let direct = self.hop_table[src * n + engine];
+            if hops > direct {
                 self.degradation.rerouted_transfers += 1;
             }
             let cycles = self.cfg.mesh.transfer_cycles(bytes, hops);
-            self.traffic.record(src, engine, bytes);
+            self.traffic.record(bytes, direct);
             let nu = self.next_use(slot);
             self.buffers[src].touch(slot, self.round_idx, nu);
             self.onchip_served += bytes;

@@ -145,7 +145,7 @@ fn bench_substrates(iters: usize) {
     time("noc/traffic_record_1k", iters, || {
         let mut t = TrafficTracker::new(mesh);
         for i in 0..1000u64 {
-            t.record((i % 64) as usize, ((i * 7) % 64) as usize, 4096);
+            t.record(4096, mesh.hops((i % 64) as usize, ((i * 7) % 64) as usize));
         }
         t.total_byte_hops()
     });

@@ -94,6 +94,41 @@ pub fn input_data_id(batch: u16, layer: LayerId, h_start: usize, w_start: usize)
     )
 }
 
+/// Per-atom lists stored as compressed sparse rows: atom `i`'s list is
+/// `items[offsets[i]..offsets[i + 1]]`, all lists in one flat array.
+#[derive(Debug, Clone)]
+struct Csr<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    /// An empty table with room for exactly `rows` rows of `items` items
+    /// in total.
+    fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// Appends `item` to the row being filled.
+    fn push(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    /// Closes the row being filled; the next `push` starts the next row.
+    fn end_row(&mut self) {
+        self.offsets.push(u32_from_usize(self.items.len()));
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// Largest batch an [`AtomicDag`] can hold: an atom's batch sample is a
 /// `u16`.
 pub const MAX_BATCH: usize = u16::MAX as usize;
@@ -102,14 +137,15 @@ pub const MAX_BATCH: usize = u16::MAX as usize;
 #[derive(Debug, Clone)]
 pub struct AtomicDag {
     atoms: Vec<Atom>,
-    preds: Vec<Vec<(AtomId, u64)>>,
-    succs: Vec<Vec<AtomId>>,
-    externals: Vec<Vec<(DataId, u64)>>,
+    preds: Csr<(AtomId, u64)>,
+    /// Consumers of each atom in ascending id order.
+    succs: Csr<AtomId>,
+    externals: Csr<(DataId, u64)>,
     /// Weight externals of each atom in *dense slot space*: weight slices
     /// are interned at build time into slots `0..weight_slot_count`, so
     /// per-slot state (e.g. the mapper's weight-home table) can live in a
     /// flat `Vec` instead of a map keyed by the sparse [`DataId`] encoding.
-    weight_exts: Vec<Vec<(u32, u64)>>,
+    weight_exts: Csr<(u32, u64)>,
     weight_slot_count: usize,
     /// Atom ids per `(batch, layer)`, indexed `batch * layers + layer`.
     layer_atoms: Vec<Vec<AtomId>>,
@@ -167,10 +203,10 @@ impl AtomicDag {
 
         let mut dag = AtomicDag {
             atoms: Vec::new(),
-            preds: Vec::new(),
-            succs: Vec::new(),
-            externals: Vec::new(),
-            weight_exts: Vec::new(),
+            preds: Csr::with_capacity(0, 0),
+            succs: Csr::with_capacity(0, 0),
+            externals: Csr::with_capacity(0, 0),
+            weight_exts: Csr::with_capacity(0, 0),
             weight_slot_count: 0,
             layer_atoms: vec![Vec::new(); nl * batch],
             layer_count: nl,
@@ -244,16 +280,46 @@ impl AtomicDag {
                         coords: *coords,
                         cost,
                     });
-                    dag.preds.push(Vec::new());
-                    dag.succs.push(Vec::new());
-                    dag.externals.push(Vec::new());
-                    dag.weight_exts.push(Vec::new());
                     dag.layer_atoms[b as usize * nl + lid.index()].push(id);
                 }
             }
         }
 
-        // Edges and externals.
+        // Size the flat edge tables exactly before filling them: one
+        // weight slice per atom with weights, one external per network-input
+        // region read, and one edge per overlapping producer tile (a tile in
+        // the overlap ranges always shares at least one element).
+        let (mut n_preds, mut n_externals, mut n_weights) = (0, 0, 0);
+        for atom in &dag.atoms {
+            if atom.cost.weight_bytes > 0 {
+                n_externals += 1;
+                n_weights += 1;
+            }
+            for (pi, pid) in graph.preds(atom.layer).iter().enumerate() {
+                let Some(needed) = needed_region(graph, atom.layer, pi, &atom.coords) else {
+                    continue;
+                };
+                let producer = graph.layer(*pid);
+                if producer.op().is_input() {
+                    n_externals += 1;
+                    continue;
+                }
+                let spec = specs[pid.index()].clamped(producer.out_shape());
+                let tiles = overlapping_tiles(&needed, spec, grid_dims[pid.index()]);
+                n_preds += tiles.iter().map(ExactSizeIterator::len).product::<usize>();
+            }
+        }
+
+        // Edges and externals. Atoms are visited in the order their ids
+        // were assigned above, so each atom's rows append in place.
+        let n_atoms = dag.atoms.len();
+        // `fan_out[p + 1]`: edges naming producer `p`, for `consumers`.
+        let mut fan_out = vec![0u32; n_atoms + 1];
+        let (mut preds, mut externals, mut weight_exts) = (
+            Csr::with_capacity(n_atoms, n_preds),
+            Csr::with_capacity(n_atoms, n_externals),
+            Csr::with_capacity(n_atoms, n_weights),
+        );
         for b in 0..u16_from_usize(batch) {
             for layer in graph.layers() {
                 if layer.op().is_input() {
@@ -262,6 +328,7 @@ impl AtomicDag {
                 let lid = layer.id();
                 let atom_ids = dag.layer_atoms[b as usize * nl + lid.index()].clone();
                 for aid in atom_ids {
+                    debug_assert_eq!(preds.offsets.len(), aid.index() + 1);
                     let coords = dag.atoms[aid.index()].coords;
 
                     // Weights: one external slice per output-channel tile.
@@ -269,9 +336,9 @@ impl AtomicDag {
                     if wb > 0 {
                         let tc = specs[lid.index()].clamped(layer.out_shape()).tc;
                         let c_tile = coords.c.start / tc;
-                        dag.externals[aid.index()].push((weight_data_id(lid, c_tile), wb));
+                        externals.push((weight_data_id(lid, c_tile), wb));
                         let slot = weight_slot_base[lid.index()] + c_tile;
-                        dag.weight_exts[aid.index()].push((u32_from_usize(slot), wb));
+                        weight_exts.push((u32_from_usize(slot), wb));
                     }
 
                     // Data dependencies on each producer.
@@ -282,7 +349,7 @@ impl AtomicDag {
 
                         if producer.op().is_input() {
                             let bytes = needed.elements() * BYTES_PER_ELEM;
-                            dag.externals[aid.index()].push((
+                            externals.push((
                                 input_data_id(b, *pid, needed.h.start, needed.w.start),
                                 bytes,
                             ));
@@ -290,34 +357,43 @@ impl AtomicDag {
                         }
 
                         // Overlapping producer tiles via grid arithmetic.
-                        let (nh, nw, nc) = grid_dims[pid.index()];
-                        let pout = producer.out_shape();
-                        let spec = specs[pid.index()].clamped(pout);
+                        let (_, nw, nc) = grid_dims[pid.index()];
+                        let spec = specs[pid.index()].clamped(producer.out_shape());
                         let p_atoms = &dag.layer_atoms[b as usize * nl + pid.index()];
-                        let ih0 = needed.h.start / spec.th;
-                        let ih1 = (needed.h.end - 1) / spec.th;
-                        let iw0 = needed.w.start / spec.tw;
-                        let iw1 = (needed.w.end - 1) / spec.tw;
-                        let ic0 = needed.c.start / spec.tc;
-                        let ic1 = (needed.c.end - 1) / spec.tc;
-                        for ih in ih0..=ih1.min(nh - 1) {
-                            for iw in iw0..=iw1.min(nw - 1) {
-                                for ic in ic0..=ic1.min(nc - 1) {
+                        let [hs, ws, cs] = overlapping_tiles(&needed, spec, grid_dims[pid.index()]);
+                        for ih in hs {
+                            for iw in ws.clone() {
+                                for ic in cs.clone() {
                                     let idx = ih * nw * nc + iw * nc + ic;
                                     let paid = p_atoms[idx];
                                     let pcoords = dag.atoms[paid.index()].coords;
                                     let bytes = needed.overlap_elements(&pcoords) * BYTES_PER_ELEM;
                                     if bytes > 0 {
-                                        dag.preds[aid.index()].push((paid, bytes));
-                                        dag.succs[paid.index()].push(aid);
+                                        preds.push((paid, bytes));
+                                        fan_out[paid.index() + 1] += 1;
                                     }
                                 }
                             }
                         }
                     }
+                    preds.end_row();
+                    externals.end_row();
+                    weight_exts.end_row();
                 }
             }
         }
+        debug_assert_eq!(
+            (
+                preds.items.len(),
+                externals.items.len(),
+                weight_exts.items.len()
+            ),
+            (n_preds, n_externals, n_weights)
+        );
+        dag.succs = consumers(&preds, fan_out);
+        dag.preds = preds;
+        dag.externals = externals;
+        dag.weight_exts = weight_exts;
 
         dag.tasks = Arc::new(crate::lower::task_table(&dag));
         dag
@@ -356,24 +432,24 @@ impl AtomicDag {
 
     /// Producers of an atom, with the bytes consumed from each.
     pub fn preds(&self, id: AtomId) -> &[(AtomId, u64)] {
-        &self.preds[id.index()]
+        self.preds.row(id.index())
     }
 
-    /// Consumers of an atom.
+    /// Consumers of an atom, in ascending id order.
     pub fn succs(&self, id: AtomId) -> &[AtomId] {
-        &self.succs[id.index()]
+        self.succs.row(id.index())
     }
 
     /// External operands (weights / network input) of an atom.
     pub fn externals(&self, id: AtomId) -> &[(DataId, u64)] {
-        &self.externals[id.index()]
+        self.externals.row(id.index())
     }
 
     /// Weight externals of an atom as dense `(slot, bytes)` pairs, in the
     /// order the weight operands appear in [`AtomicDag::externals`]. Slots
     /// index `0..self.weight_slot_count()`.
     pub fn weight_exts(&self, id: AtomId) -> &[(u32, u64)] {
-        &self.weight_exts[id.index()]
+        self.weight_exts.row(id.index())
     }
 
     /// Size of the dense weight-slot space (one slot per
@@ -416,6 +492,44 @@ impl AtomicDag {
             .map(|a| a.cost.cycles)
             .collect()
     }
+}
+
+/// The consumer lists of `preds`, built by a stable counting sort of its
+/// edges by producer: consumers are visited in ascending id order, so each
+/// producer lists its consumers in ascending id order (a consumer reading
+/// one producer twice appears twice). `offsets[p + 1]` holds the number of
+/// edges naming producer `p` on entry (counted while `preds` was filled).
+/// Both arrays are sized exactly.
+fn consumers(preds: &Csr<(AtomId, u64)>, mut offsets: Vec<u32>) -> Csr<AtomId> {
+    let n = preds.offsets.len() - 1;
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next: Vec<u32> = offsets[..n].to_vec();
+    let mut items = vec![AtomId(0); preds.items.len()];
+    for consumer in 0..n {
+        for (p, _) in preds.row(consumer) {
+            let at = &mut next[p.index()];
+            items[*at as usize] = AtomId(u32_from_usize(consumer));
+            *at += 1;
+        }
+    }
+    Csr { offsets, items }
+}
+
+/// The tiles of a producer grid of `dims` tiles shaped `spec` that overlap
+/// `needed`, as tile-index ranges along h, w and c.
+fn overlapping_tiles(
+    needed: &AtomCoords,
+    spec: AtomSpec,
+    dims: (usize, usize, usize),
+) -> [std::ops::Range<usize>; 3] {
+    let (nh, nw, nc) = dims;
+    [
+        needed.h.start / spec.th..((needed.h.end - 1) / spec.th).min(nh - 1) + 1,
+        needed.w.start / spec.tw..((needed.w.end - 1) / spec.tw).min(nw - 1) + 1,
+        needed.c.start / spec.tc..((needed.c.end - 1) / spec.tc).min(nc - 1) + 1,
+    ]
 }
 
 /// The region of producer `pi`'s output that an atom of layer `lid` with
@@ -490,6 +604,152 @@ mod tests {
             &EngineConfig::paper_default(),
             Dataflow::KcPartition,
         )
+    }
+
+    /// Per-atom edge lists in the `Vec<Vec<_>>` layout the flat tables
+    /// replaced: `(preds, succs, externals, weight_exts)`.
+    type NestedEdges = (
+        Vec<Vec<(AtomId, u64)>>,
+        Vec<Vec<AtomId>>,
+        Vec<Vec<(DataId, u64)>>,
+        Vec<Vec<(u32, u64)>>,
+    );
+
+    /// The edge build the flat tables replaced, run over `dag`'s atoms:
+    /// one vector per atom per table, consumers pushed as each edge is
+    /// found.
+    fn reference_edges(graph: &Graph, specs: &[AtomSpec], dag: &AtomicDag) -> NestedEdges {
+        let nl = graph.layer_count();
+        let n = dag.atom_count();
+        let mut grid_dims = vec![(0, 0, 0); nl];
+        let mut weight_slot_base = vec![0; nl];
+        let mut next_slot = 0;
+        for layer in graph.layers() {
+            weight_slot_base[layer.id().index()] = next_slot;
+            if layer.op().is_input() {
+                continue;
+            }
+            let out = layer.out_shape();
+            let spec = specs[layer.id().index()].clamped(out);
+            let dims = (
+                out.h.div_ceil(spec.th),
+                out.w.div_ceil(spec.tw),
+                out.c.div_ceil(spec.tc),
+            );
+            grid_dims[layer.id().index()] = dims;
+            next_slot += dims.2;
+        }
+        let (mut preds, mut succs, mut externals, mut weight_exts): NestedEdges = (
+            vec![Vec::new(); n],
+            vec![Vec::new(); n],
+            vec![Vec::new(); n],
+            vec![Vec::new(); n],
+        );
+        for b in 0..u16_from_usize(dag.batch()) {
+            for layer in graph.layers() {
+                if layer.op().is_input() {
+                    continue;
+                }
+                let lid = layer.id();
+                for &aid in dag.layer_atoms(b as usize, lid) {
+                    let coords = dag.atom(aid).coords;
+                    let wb = dag.atom(aid).cost.weight_bytes;
+                    if wb > 0 {
+                        let tc = specs[lid.index()].clamped(layer.out_shape()).tc;
+                        let c_tile = coords.c.start / tc;
+                        externals[aid.index()].push((weight_data_id(lid, c_tile), wb));
+                        let slot = weight_slot_base[lid.index()] + c_tile;
+                        weight_exts[aid.index()].push((u32_from_usize(slot), wb));
+                    }
+                    for (pi, pid) in graph.preds(lid).iter().enumerate() {
+                        let producer = graph.layer(*pid);
+                        let Some(needed) = needed_region(graph, lid, pi, &coords) else {
+                            continue;
+                        };
+                        if producer.op().is_input() {
+                            let bytes = needed.elements() * BYTES_PER_ELEM;
+                            externals[aid.index()].push((
+                                input_data_id(b, *pid, needed.h.start, needed.w.start),
+                                bytes,
+                            ));
+                            continue;
+                        }
+                        let (nh, nw, nc) = grid_dims[pid.index()];
+                        let spec = specs[pid.index()].clamped(producer.out_shape());
+                        let p_atoms = dag.layer_atoms(b as usize, *pid);
+                        let ih1 = ((needed.h.end - 1) / spec.th).min(nh - 1);
+                        let iw1 = ((needed.w.end - 1) / spec.tw).min(nw - 1);
+                        let ic1 = ((needed.c.end - 1) / spec.tc).min(nc - 1);
+                        for ih in needed.h.start / spec.th..=ih1 {
+                            for iw in needed.w.start / spec.tw..=iw1 {
+                                for ic in needed.c.start / spec.tc..=ic1 {
+                                    let paid = p_atoms[ih * nw * nc + iw * nc + ic];
+                                    let bytes = needed.overlap_elements(&dag.atom(paid).coords)
+                                        * BYTES_PER_ELEM;
+                                    if bytes > 0 {
+                                        preds[aid.index()].push((paid, bytes));
+                                        succs[paid.index()].push(aid);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (preds, succs, externals, weight_exts)
+    }
+
+    #[test]
+    fn flat_edge_tables_equal_the_nested_reference_build() {
+        let tiny = models::tiny_branchy();
+        let resnet = models::resnet50();
+        let tile = |th, tw, tc| AtomSpec { th, tw, tc };
+        for (g, spec) in [
+            (&tiny, tile(8, 8, 8)),
+            (&tiny, tile(4, 8, 16)),
+            (&resnet, tile(7, 7, 64)),
+        ] {
+            for batch in [1, 3] {
+                let specs: Vec<AtomSpec> =
+                    g.layers().map(|l| spec.clamped(l.out_shape())).collect();
+                let dag = AtomicDag::build(
+                    g,
+                    &specs,
+                    batch,
+                    &EngineConfig::paper_default(),
+                    Dataflow::KcPartition,
+                );
+                let (preds, succs, externals, weight_exts) = reference_edges(g, &specs, &dag);
+                let case = format!("{} batch {batch} {spec:?}", g.name());
+                let mut edges = 0;
+                for i in 0..dag.atom_count() {
+                    let id = AtomId(u32_from_usize(i));
+                    assert_eq!(dag.preds(id), preds[i], "{case}: preds of {i}");
+                    assert_eq!(dag.succs(id), succs[i], "{case}: succs of {i}");
+                    assert_eq!(dag.externals(id), externals[i], "{case}: externals of {i}");
+                    assert_eq!(
+                        dag.weight_exts(id),
+                        weight_exts[i],
+                        "{case}: weights of {i}"
+                    );
+                    // `succs(p)` lists exactly the atoms whose preds name
+                    // `p`, once per edge, in ascending id order.
+                    assert!(dag.succs(id).is_sorted(), "{case}: succs of {i} unsorted");
+                    for &s in dag.succs(id) {
+                        let uses = dag.preds(s).iter().filter(|(p, _)| *p == id).count();
+                        let listed = dag.succs(id).iter().filter(|&&x| x == s).count();
+                        assert_eq!(uses, listed, "{case}: edge {i} -> {}", s.0);
+                    }
+                    edges += dag.preds(id).len();
+                }
+                let listed: usize = (0..dag.atom_count())
+                    .map(|i| dag.succs(AtomId(u32_from_usize(i))).len())
+                    .sum();
+                assert_eq!(listed, edges, "{case}: consumer lists cover every edge");
+                assert!(edges > 0, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,9 @@ pub use request::{
     batchless_config_fingerprint, config_fingerprint, plan, AdmissionRefusal, PlanDetail,
     PlanRequest, PlanResponse,
 };
-pub use scheduler::{Schedule, ScheduleError, ScheduleMode, Scheduler, SchedulerConfig};
+pub use scheduler::{
+    Schedule, ScheduleError, ScheduleMode, Scheduler, SchedulerConfig, SearchWork,
+};
 pub use validate::{
     admit, Artifact, BudgetOutcome, Invariant, PlanBudget, ValidateMode, ValidationError,
 };

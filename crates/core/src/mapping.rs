@@ -15,9 +15,10 @@
 //! [`AtomicDag::weight_exts`]) — and every per-round buffer is reused
 //! scratch. Mesh hops are `|dx| + |dy|`, so an atom's transfer cost on
 //! engine `e` splits into a per-column and a per-row term: the affinity
-//! scan fills both axis sums once per atom (O(sources · (cols + rows)))
-//! and then prices every engine with two array reads, instead of one hop
-//! evaluation per (source, engine) pair (DESIGN.md §11).
+//! scan buckets an atom's operand bytes per column and per row, folds each
+//! histogram into distance sums (O(sources + cols + rows)) and then prices
+//! every engine with two array reads, instead of one hop evaluation per
+//! (source, engine) pair (DESIGN.md §11).
 
 use noc_model::MeshConfig;
 
@@ -565,7 +566,9 @@ impl Mapper {
 /// return `xs[c] = Σ bytes · |col(src) − c|` and
 /// `ys[r] = Σ bytes · |row(src) − r|`. Hops are `|dx| + |dy|`, so the cost
 /// of pulling every contribution to engine `e` is exactly
-/// `xs[col(e)] + ys[row(e)]`.
+/// `xs[col(e)] + ys[row(e)]`. The bytes are first bucketed per column and
+/// per row, then each histogram is folded into its distance sums in place:
+/// O(sources + cols + rows) instead of one pass over both axes per source.
 fn axis_costs(mesh: &MeshConfig, contribs: &[(usize, u64)], xs: &mut Vec<u64>, ys: &mut Vec<u64>) {
     xs.clear();
     xs.resize(mesh.cols, 0);
@@ -573,12 +576,28 @@ fn axis_costs(mesh: &MeshConfig, contribs: &[(usize, u64)], xs: &mut Vec<u64>, y
     ys.resize(mesh.rows, 0);
     for &(src, bytes) in contribs {
         let at = mesh.coord(src);
-        for (c, x) in xs.iter_mut().enumerate() {
-            *x += at.x.abs_diff(c) as u64 * bytes;
-        }
-        for (r, y) in ys.iter_mut().enumerate() {
-            *y += at.y.abs_diff(r) as u64 * bytes;
-        }
+        xs[at.x] += bytes;
+        ys[at.y] += bytes;
+    }
+    fold_distances(xs);
+    fold_distances(ys);
+}
+
+/// Turns a byte histogram over one mesh axis into distance sums in place:
+/// on return `h[c] = Σ_k h_in[k] · |k − c|`. Stepping from `c` to `c + 1`
+/// moves every byte at or before `c` one hop farther and every byte after
+/// it one hop nearer, so `X[c + 1] = X[c] + 2 · W(≤ c) − W` with `W` the
+/// total. Every term is an exact integer, so the sums equal the per-source
+/// products summed directly.
+fn fold_distances(h: &mut [u64]) {
+    let total: u64 = h.iter().sum();
+    let mut x: u64 = h.iter().enumerate().map(|(k, &b)| k as u64 * b).sum();
+    let mut upto = 0u64;
+    for slot in h.iter_mut() {
+        let bytes = *slot;
+        *slot = x;
+        upto += bytes;
+        x = x + 2 * upto - total;
     }
 }
 
@@ -613,6 +632,29 @@ mod tests {
     use crate::atom::AtomSpec;
     use dnn_graph::models;
     use engine_model::{Dataflow, EngineConfig};
+
+    /// The per-axis loop `axis_costs` replaced: one pass over every column
+    /// and every row per source.
+    fn reference_axis_costs(
+        mesh: &MeshConfig,
+        contribs: &[(usize, u64)],
+        xs: &mut Vec<u64>,
+        ys: &mut Vec<u64>,
+    ) {
+        xs.clear();
+        xs.resize(mesh.cols, 0);
+        ys.clear();
+        ys.resize(mesh.rows, 0);
+        for &(src, bytes) in contribs {
+            let at = mesh.coord(src);
+            for (c, x) in xs.iter_mut().enumerate() {
+                *x += at.x.abs_diff(c) as u64 * bytes;
+            }
+            for (r, y) in ys.iter_mut().enumerate() {
+                *y += at.y.abs_diff(r) as u64 * bytes;
+            }
+        }
+    }
 
     /// The engine scan `cheapest_free_engine` replaced: one
     /// `MeshConfig::hops` evaluation per (source, engine) pair.
@@ -935,6 +977,37 @@ mod tests {
                         "{cols}x{rows} mesh, engine {e}, sources {contribs:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_axis_sums_equal_the_per_source_loop() {
+        let mut rng = ad_util::Rng64::new(0x0415_7061);
+        let (mut xs, mut ys, mut want_xs, mut want_ys) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let meshes = (1..=16)
+            .map(|k| MeshConfig::grid(k, k))
+            .chain([MeshConfig::grid(3, 5), MeshConfig::grid(5, 3)]);
+        for mesh in meshes {
+            for case in 0..60 {
+                // Every fourth case draws its sources from two engines, so
+                // one bucket collects several contributions.
+                let span = if case % 4 == 0 {
+                    2.min(mesh.engines())
+                } else {
+                    mesh.engines()
+                };
+                let contribs: Vec<(usize, u64)> = (0..rng.below(48))
+                    .map(|_| (rng.below(span), rng.below_u64(1 << 32)))
+                    .collect();
+                axis_costs(&mesh, &contribs, &mut xs, &mut ys);
+                reference_axis_costs(&mesh, &contribs, &mut want_xs, &mut want_ys);
+                assert_eq!(
+                    (&xs, &ys),
+                    (&want_xs, &want_ys),
+                    "{mesh:?}, sources {contribs:?}"
+                );
             }
         }
     }

@@ -514,17 +514,20 @@ impl Stage for ScheduleStage {
         let engines = ctx.alive_engines();
         let mode = self.mode.unwrap_or(ctx.cfg.schedule_mode);
         let dag = ctx.require_dag(self.name())?;
-        let (sched, truncated) = Scheduler::new(dag, SchedulerConfig { engines, mode })
+        let (sched, work) = Scheduler::new(dag, SchedulerConfig { engines, mode })
             .with_budget(ctx.cfg.budget.dp_expansions)
             .schedule_remaining_budgeted(&ctx.done)?;
         let summary = format!(
-            "{} rounds, occupancy {:.2}",
+            "{} rounds, occupancy {:.2}, {} nodes, {} memo hits, {} applies",
             sched.len(),
-            sched.occupancy(engines)
+            sched.occupancy(engines),
+            work.nodes,
+            work.memo_hits,
+            work.applies
         );
         ctx.schedule = Some(sched);
         let mut report = StageReport::new(self.name(), summary);
-        if truncated {
+        if work.truncated {
             report.budget = BudgetOutcome::Truncated {
                 stage: self.name(),
                 fallback: false,

@@ -607,7 +607,7 @@ fn scoped_replan(
     }
 
     // DP-reschedule everything past the splice point.
-    let (suffix, _truncated) = Scheduler::new(
+    let (suffix, _work) = Scheduler::new(
         dag,
         SchedulerConfig {
             engines: alive,

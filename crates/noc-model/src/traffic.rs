@@ -21,18 +21,16 @@ impl TrafficTracker {
         }
     }
 
-    /// Records a `bytes`-sized transfer from engine `src` to engine `dst`
-    /// over its XY route ([`MeshConfig::hops`] links).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either engine is out of range.
-    pub fn record(&mut self, src: usize, dst: usize, bytes: u64) {
-        if src == dst || bytes == 0 {
+    /// Records a `bytes`-sized transfer over a route of `hops` links, the
+    /// distance the caller already looked up (e.g. a
+    /// [`MeshConfig::hop_table`] entry). Local (0-hop) and empty transfers
+    /// are not traffic.
+    pub fn record(&mut self, bytes: u64, hops: u64) {
+        if hops == 0 || bytes == 0 {
             return;
         }
         self.total_bytes += bytes;
-        self.total_byte_hops += bytes * self.mesh.hops(src, dst);
+        self.total_byte_hops += bytes * hops;
         self.transfers += 1;
     }
 
@@ -81,12 +79,12 @@ mod tests {
     fn records_attribute_links() {
         let m = MeshConfig::grid(4, 4);
         let mut t = TrafficTracker::new(m);
-        t.record(0, 3, 120); // 3 hops along row 0
+        t.record(120, m.hops(0, 3)); // 3 hops along row 0
         assert_eq!(t.total_bytes(), 120);
         assert_eq!(t.total_byte_hops(), 360);
         assert_eq!(t.transfers(), 1);
 
-        t.record(1, 2, 80); // 1 hop
+        t.record(80, m.hops(1, 2)); // 1 hop
         assert_eq!(t.total_bytes(), 200);
         assert_eq!(t.total_byte_hops(), 440);
         assert_eq!(t.transfers(), 2);
@@ -96,13 +94,15 @@ mod tests {
     fn in_place_walk_matches_route_for_every_pair() {
         for m in [MeshConfig::grid(3, 5), MeshConfig::grid(8, 8)] {
             let n = m.engines();
+            let table = m.hop_table();
             for src in 0..n {
                 for dst in 0..n {
                     let mut t = TrafficTracker::new(m);
-                    t.record(src, dst, 7);
+                    t.record(7, table[src * n + dst]);
                     let links = m.route(src, dst).len() as u64 - 1;
                     assert_eq!(m.hops(src, dst), links, "{src} -> {dst} on {m:?}");
-                    assert_eq!(t.total_byte_hops(), 7 * m.hops(src, dst));
+                    assert_eq!(t.total_byte_hops(), 7 * links, "{src} -> {dst} on {m:?}");
+                    assert_eq!(t.transfers(), u64::from(src != dst));
                 }
             }
         }
@@ -111,8 +111,8 @@ mod tests {
     #[test]
     fn local_and_empty_transfers_ignored() {
         let mut t = TrafficTracker::new(MeshConfig::grid(2, 2));
-        t.record(1, 1, 999);
-        t.record(0, 1, 0);
+        t.record(999, 0);
+        t.record(0, 1);
         assert_eq!(t.total_bytes(), 0);
         assert_eq!(t.transfers(), 0);
     }
@@ -121,15 +121,16 @@ mod tests {
     fn energy_matches_byte_hops() {
         let m = MeshConfig::paper_default();
         let mut t = TrafficTracker::new(m);
-        t.record(0, 9, 1000); // 2 hops
+        t.record(1000, m.hops(0, 9)); // 2 hops
         let expect = 1000.0 * 2.0 * m.energy_pj_per_byte_hop;
         assert!((t.energy_pj() - expect).abs() < 1e-6);
     }
 
     #[test]
     fn clear_resets() {
-        let mut t = TrafficTracker::new(MeshConfig::grid(2, 2));
-        t.record(0, 3, 64);
+        let m = MeshConfig::grid(2, 2);
+        let mut t = TrafficTracker::new(m);
+        t.record(64, m.hops(0, 3));
         t.clear();
         assert_eq!(t.total_bytes(), 0);
         assert_eq!(t.total_byte_hops(), 0);
