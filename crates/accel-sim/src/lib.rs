@@ -14,7 +14,9 @@
 //! same representation, so all strategies are measured by identical
 //! machinery. A program's tasks live in a [`TaskTable`] that many programs
 //! can share; each program adds only its rounds and the tasks already
-//! done.
+//! done. The table keeps every task's operands in one flat operand table
+//! (slot and bytes per operand); a hand-built program passes each task's
+//! [`Operand`]s to [`Program::push_task`].
 //!
 //! # Execution semantics
 //!
@@ -35,8 +37,8 @@
 //! use accel_sim::{Operand, Program, SimConfig, Simulator, Task};
 //!
 //! let mut p = Program::new();
-//! let a = p.push_task(Task::compute(1000, 0, 4096, vec![]));
-//! let b = p.push_task(Task::compute(800, 0, 2048, vec![Operand::task(a, 4096)]));
+//! let a = p.push_task(Task::compute(1000, 0, 4096), &[]);
+//! let b = p.push_task(Task::compute(800, 0, 2048), &[Operand::task(a, 4096)]);
 //! p.push_round(vec![(a, 0)]);
 //! p.push_round(vec![(b, 1)]); // consumes a's output over the NoC
 //! let stats = Simulator::new(SimConfig::paper_default()).run(&p).unwrap();

@@ -66,7 +66,9 @@ impl Operand {
 }
 
 /// One schedulable unit of work: an atom, a layer partition, or a pipeline
-/// chunk, depending on the strategy that produced the program.
+/// chunk, depending on the strategy that produced the program. A task
+/// holds only its compute facts; its operands live in the rows of the
+/// [`TaskTable`] it belongs to.
 #[derive(Debug, Clone)]
 pub struct Task {
     /// Compute cycles on the engine (from `engine-model`).
@@ -75,8 +77,6 @@ pub struct Task {
     pub macs: u64,
     /// Bytes of output produced.
     pub output_bytes: u64,
-    /// Inputs gathered before compute starts.
-    pub inputs: Vec<Operand>,
     /// On-engine energy (MAC + SRAM) in picojoules.
     pub compute_energy_pj: f64,
     /// Grouping tag for statistics (typically the source layer id).
@@ -91,17 +91,11 @@ pub struct Task {
 impl Task {
     /// A compute task with sensible defaults (`tag = 0`, buffered output,
     /// zero explicit energy).
-    pub fn compute(
-        compute_cycles: u64,
-        macs: u64,
-        output_bytes: u64,
-        inputs: Vec<Operand>,
-    ) -> Self {
+    pub fn compute(compute_cycles: u64, macs: u64, output_bytes: u64) -> Self {
         Self {
             compute_cycles,
             macs,
             output_bytes,
-            inputs,
             compute_energy_pj: 0.0,
             tag: 0,
             dram_output: false,
@@ -124,11 +118,6 @@ impl Task {
     pub fn with_dram_output(mut self) -> Self {
         self.dram_output = true;
         self
-    }
-
-    /// Total operand bytes.
-    pub fn input_bytes(&self) -> u64 {
-        self.inputs.iter().map(Operand::bytes).sum()
     }
 }
 
@@ -250,111 +239,120 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// The schedule-independent half of a [`Program`]: every task, indexed by
-/// [`TaskId`], plus the operand layout the simulator executes from.
+/// [`TaskId`], and one operand table the simulator executes from.
+///
+/// Every datum has a slot: task outputs first (slot = task index), then
+/// the external data in ascending [`DataId`] order. Task `t` reads the
+/// operand rows `in_off[t]..in_off[t + 1]`: `in_slot` names each datum
+/// and `in_bytes` the bytes read of it.
 ///
 /// A table is built once and shared (`Arc`) by every program scheduled
-/// over it: the planner builds one per atomic DAG, and every plan of that
-/// DAG — candidate judgments, refinements, recovery replans — only adds
-/// its own rounds and done mask. The operand layout and the task-only
-/// integrity facts are derived with the table ([`TaskTable::new`]), or on
-/// first use after [`Program::push_task`] grew it.
-#[derive(Debug, Clone, Default)]
+/// over it: the planner builds one per atomic DAG ([`TaskTable::from_rows`])
+/// and every plan of that DAG — candidate judgments, refinements, recovery
+/// replans — only adds its own rounds and done mask. Tasks added one at a
+/// time ([`Program::push_task`]) append their bytes to the same rows; their
+/// slots are resolved once, on first use, because an external's slot
+/// depends on every task and external id in the table.
+#[derive(Debug, Clone)]
 pub struct TaskTable {
     tasks: Vec<Task>,
-    operands: OnceLock<Operands>,
+    in_off: Vec<usize>,
+    in_bytes: Vec<u64>,
+    /// What each operand added by [`TaskTable::push`] reads, in row order;
+    /// empty for tables built from rows.
+    pushed: Vec<Source>,
+    slots: OnceLock<Slots>,
 }
 
-/// Dense operand layout of a [`TaskTable`], derived once per table.
-///
-/// Every datum gets a slot: task outputs first (slot = task index), then
-/// the external data in ascending [`DataId`] order. Task `t` reads
-/// `in_slot[in_off[t]..in_off[t + 1]]`, with the same range of `in_bytes`
-/// giving the bytes of each operand.
+/// The datum an operand added by [`TaskTable::push`] reads.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Task(TaskId),
+    External(DataId),
+}
+
+/// The slot half of a [`TaskTable`]'s rows and the task-only integrity
+/// facts read off them.
 #[derive(Debug, Clone)]
-pub(crate) struct Operands {
-    /// Distinct external data (slots `tasks..tasks + externals`).
-    pub(crate) externals: usize,
-    pub(crate) in_slot: Vec<u32>,
-    pub(crate) in_bytes: Vec<u64>,
-    pub(crate) in_off: Vec<usize>,
+struct Slots {
+    in_slot: Vec<u32>,
+    /// Distinct external data, ascending (slots `tasks..tasks + len`).
+    ext_ids: Vec<DataId>,
     /// The first `(consumer, producer)` operand naming a task outside the
     /// table, in task order.
-    pub(crate) unknown_producer: Option<(TaskId, TaskId)>,
+    unknown_producer: Option<(TaskId, TaskId)>,
     /// Whether some task reads more bytes of a producer than it writes.
+    over_read: bool,
+}
+
+/// A borrowed view of a [`TaskTable`]'s operand rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operands<'a> {
+    /// Distinct external data (slots `tasks..tasks + externals`).
+    pub(crate) externals: usize,
+    pub(crate) in_slot: &'a [u32],
+    pub(crate) in_bytes: &'a [u64],
+    pub(crate) in_off: &'a [usize],
+    pub(crate) unknown_producer: Option<(TaskId, TaskId)>,
     pub(crate) over_read: bool,
 }
 
-impl Operands {
-    fn derive(tasks: &[Task]) -> Self {
-        let n = tasks.len();
-        let mut ext_ids: Vec<u64> = tasks
-            .iter()
-            .flat_map(|t| &t.inputs)
-            .filter_map(|op| match op {
-                Operand::External { id, .. } => Some(id.0),
-                Operand::Task { .. } => None,
-            })
-            .collect();
-        ext_ids.sort_unstable();
-        ext_ids.dedup();
-
-        let operands = tasks.iter().map(|t| t.inputs.len()).sum();
-        let mut in_slot = Vec::with_capacity(operands);
-        let mut in_bytes = Vec::with_capacity(operands);
-        let mut in_off = Vec::with_capacity(n + 1);
-        in_off.push(0);
-        let mut unknown_producer = None;
-        let mut over_read = false;
-        for (i, t) in tasks.iter().enumerate() {
-            for op in &t.inputs {
-                let slot = match op {
-                    Operand::Task { producer, bytes } => {
-                        match tasks.get(producer.index()) {
-                            Some(p) => over_read |= *bytes > p.output_bytes,
-                            None => {
-                                unknown_producer
-                                    .get_or_insert((TaskId(u32_from_usize(i)), *producer));
-                            }
-                        }
-                        producer.0
-                    }
-                    // Present by construction: every external id was
-                    // collected into `ext_ids` above.
-                    Operand::External { id, .. } => {
-                        u32_from_usize(n + ext_ids.binary_search(&id.0).unwrap_or(0))
-                    }
-                };
-                in_slot.push(slot);
-                in_bytes.push(op.bytes());
-            }
-            in_off.push(in_slot.len());
-        }
-        Self {
-            externals: ext_ids.len(),
-            in_slot,
-            in_bytes,
-            in_off,
-            unknown_producer,
-            over_read,
-        }
-    }
-
-    /// Slots read by task `t`, in operand order.
-    pub(crate) fn slots(&self, t: TaskId) -> &[u32] {
-        &self.in_slot[self.in_off[t.index()]..self.in_off[t.index() + 1]]
+impl Default for TaskTable {
+    fn default() -> Self {
+        Self::from_rows(Vec::new(), vec![0], Vec::new(), Vec::new(), Vec::new())
     }
 }
 
 impl TaskTable {
-    /// A table over `tasks`, indexed by position, with its operand layout
-    /// derived up front.
-    pub fn new(tasks: Vec<Task>) -> Self {
-        let table = Self {
+    /// A table over `tasks` whose operand rows are already laid out: task
+    /// `t` reads `in_slot[k]`, `in_bytes[k]` for `k` in
+    /// `in_off[t]..in_off[t + 1]`, and slot `tasks.len() + i` is the
+    /// external datum `ext_ids[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows do not cover exactly `tasks.len()` tasks, if
+    /// `ext_ids` is not strictly ascending, or if a slot names no datum.
+    pub fn from_rows(
+        tasks: Vec<Task>,
+        in_off: Vec<usize>,
+        in_slot: Vec<u32>,
+        in_bytes: Vec<u64>,
+        ext_ids: Vec<DataId>,
+    ) -> Self {
+        let n = tasks.len();
+        assert!(
+            in_off.len() == n + 1
+                && in_off[0] == 0
+                && in_off.is_sorted()
+                && in_off[n] == in_slot.len()
+                && in_slot.len() == in_bytes.len(),
+            "operand rows must cover every task"
+        );
+        assert!(
+            ext_ids.windows(2).all(|w| w[0] < w[1]),
+            "external ids must be strictly ascending"
+        );
+        let mut over_read = false;
+        for (&slot, &bytes) in in_slot.iter().zip(&in_bytes) {
+            let slot = slot as usize;
+            match tasks.get(slot) {
+                Some(p) => over_read |= bytes > p.output_bytes,
+                None => assert!(slot < n + ext_ids.len(), "slot {slot} names no datum"),
+            }
+        }
+        Self {
             tasks,
-            operands: OnceLock::new(),
-        };
-        table.operands();
-        table
+            in_off,
+            in_bytes,
+            pushed: Vec::new(),
+            slots: OnceLock::from(Slots {
+                in_slot,
+                ext_ids,
+                unknown_producer: None,
+                over_read,
+            }),
+        }
     }
 
     /// All tasks, indexed by [`TaskId`].
@@ -362,9 +360,30 @@ impl TaskTable {
         &self.tasks
     }
 
+    /// The slots task `t` reads, in operand order (see [`TaskTable`]).
+    pub fn operand_slots(&self, t: TaskId) -> &[u32] {
+        &self.slots().in_slot[self.in_off[t.index()]..self.in_off[t.index() + 1]]
+    }
+
+    /// The bytes task `t` reads of each operand, in operand order.
+    pub fn operand_bytes(&self, t: TaskId) -> &[u64] {
+        &self.in_bytes[self.in_off[t.index()]..self.in_off[t.index() + 1]]
+    }
+
+    /// Number of operand rows: every operand of every task, counted once.
+    pub fn operand_count(&self) -> usize {
+        self.in_bytes.len()
+    }
+
+    /// The distinct external data, ascending: slot `tasks().len() + i`
+    /// holds `external_ids()[i]`.
+    pub fn external_ids(&self) -> &[DataId] {
+        &self.slots().ext_ids
+    }
+
     /// A copy whose tasks write straight to DRAM wherever `dram(id)` holds
-    /// (the CNN-Partition lowering rule). The operand layout does not
-    /// depend on the flag, so the derived one is kept.
+    /// (the CNN-Partition lowering rule). The operand rows do not depend on
+    /// the flag, so they are copied as they are.
     pub fn with_dram_outputs(&self, mut dram: impl FnMut(TaskId) -> bool) -> Self {
         let mut table = self.clone();
         for (i, t) in table.tasks.iter_mut().enumerate() {
@@ -375,15 +394,96 @@ impl TaskTable {
         table
     }
 
-    fn push(&mut self, task: Task) -> TaskId {
+    /// Appends `task` reading `inputs`; the slots are resolved again on
+    /// the next use.
+    fn push(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
+        if self.pushed.len() < self.in_bytes.len() {
+            // Built from rows: recover what each operand reads.
+            let n = self.tasks.len();
+            let slots = self.slots();
+            self.pushed = slots
+                .in_slot
+                .iter()
+                .map(|&s| match (s as usize).checked_sub(n) {
+                    Some(i) => Source::External(slots.ext_ids[i]),
+                    None => Source::Task(TaskId(s)),
+                })
+                .collect();
+        }
         let id = TaskId(u32_from_usize(self.tasks.len()));
         self.tasks.push(task);
-        self.operands = OnceLock::new();
+        for op in inputs {
+            self.pushed.push(match *op {
+                Operand::Task { producer, .. } => Source::Task(producer),
+                Operand::External { id, .. } => Source::External(id),
+            });
+            self.in_bytes.push(op.bytes());
+        }
+        self.in_off.push(self.in_bytes.len());
+        self.slots = OnceLock::new();
         id
     }
 
-    pub(crate) fn operands(&self) -> &Operands {
-        self.operands.get_or_init(|| Operands::derive(&self.tasks))
+    fn slots(&self) -> &Slots {
+        self.slots.get_or_init(|| self.resolve())
+    }
+
+    /// Slots of the operands added by [`TaskTable::push`].
+    fn resolve(&self) -> Slots {
+        let n = self.tasks.len();
+        let mut ext_ids: Vec<DataId> = self
+            .pushed
+            .iter()
+            .filter_map(|s| match s {
+                Source::External(id) => Some(*id),
+                Source::Task(_) => None,
+            })
+            .collect();
+        ext_ids.sort_unstable();
+        ext_ids.dedup();
+
+        let mut in_slot = Vec::with_capacity(self.pushed.len());
+        let mut unknown_producer = None;
+        let mut over_read = false;
+        for t in 0..n {
+            for k in self.in_off[t]..self.in_off[t + 1] {
+                in_slot.push(match self.pushed[k] {
+                    Source::Task(producer) => {
+                        match self.tasks.get(producer.index()) {
+                            Some(p) => over_read |= self.in_bytes[k] > p.output_bytes,
+                            None => {
+                                unknown_producer
+                                    .get_or_insert((TaskId(u32_from_usize(t)), producer));
+                            }
+                        }
+                        producer.0
+                    }
+                    // Present by construction: every external id was
+                    // collected into `ext_ids` above.
+                    Source::External(id) => {
+                        u32_from_usize(n + ext_ids.binary_search(&id).unwrap_or(0))
+                    }
+                });
+            }
+        }
+        Slots {
+            in_slot,
+            ext_ids,
+            unknown_producer,
+            over_read,
+        }
+    }
+
+    pub(crate) fn operands(&self) -> Operands<'_> {
+        let slots = self.slots();
+        Operands {
+            externals: slots.ext_ids.len(),
+            in_slot: &slots.in_slot,
+            in_bytes: &self.in_bytes,
+            in_off: &self.in_off,
+            unknown_producer: slots.unknown_producer,
+            over_read: slots.over_read,
+        }
     }
 }
 
@@ -419,11 +519,11 @@ impl Program {
         }
     }
 
-    /// Adds a task and returns its id. Tasks may be added in any order; only
-    /// rounds define execution order. A table shared with other programs is
-    /// copied first.
-    pub fn push_task(&mut self, task: Task) -> TaskId {
-        Arc::make_mut(&mut self.table).push(task)
+    /// Adds a task reading `inputs` and returns its id. Tasks may be added
+    /// in any order; only rounds define execution order. A table shared
+    /// with other programs is copied first.
+    pub fn push_task(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
+        Arc::make_mut(&mut self.table).push(task, inputs)
     }
 
     /// Appends a round of `(task, engine)` assignments.
@@ -486,7 +586,7 @@ impl Program {
         self.pending().map(|t| t.macs).sum()
     }
 
-    pub(crate) fn operands(&self) -> &Operands {
+    pub(crate) fn operands(&self) -> Operands<'_> {
         self.table.operands()
     }
 
@@ -543,7 +643,12 @@ impl Program {
                 return Err(ProgramError::Unscheduled(tid));
             }
             // Slots below `n` are task outputs, i.e. producers.
-            for &p in ops.slots(tid).iter().filter(|&&s| (s as usize) < n) {
+            for &p in self
+                .table
+                .operand_slots(tid)
+                .iter()
+                .filter(|&&s| (s as usize) < n)
+            {
                 let producer = TaskId(p);
                 let pr = scheduled_round[producer.index()];
                 if !self.is_done(producer) && (pr == usize::MAX || pr >= me) {
@@ -581,25 +686,33 @@ impl Program {
         // Both passes below hunt task-only faults: skip the walk when the
         // table has none.
         let tasks = self.tasks();
-        if !self.operands().over_read && buffer_capacity.is_none() {
+        let ops = self.operands();
+        if !ops.over_read && buffer_capacity.is_none() {
             return Ok(());
         }
         let mut instr = 0usize;
         for round in &self.rounds {
             for (tid, engine) in round {
                 let task = &tasks[tid.index()];
-                for op in &task.inputs {
-                    if let Operand::Task { producer, bytes } = op {
-                        let available = tasks[producer.index()].output_bytes;
-                        if *bytes > available && !self.is_done(*producer) {
-                            return Err(ProgramError::OverRead {
-                                instr,
-                                task: *tid,
-                                producer: *producer,
-                                bytes: *bytes,
-                                available,
-                            });
-                        }
+                let (slots, bytes) = (
+                    self.table.operand_slots(*tid),
+                    self.table.operand_bytes(*tid),
+                );
+                for (&slot, &bytes) in slots.iter().zip(bytes) {
+                    // Slots past the tasks are externals: `validate` has
+                    // rejected producers outside the table.
+                    let Some(p) = tasks.get(slot as usize) else {
+                        continue;
+                    };
+                    let producer = TaskId(slot);
+                    if bytes > p.output_bytes && !self.is_done(producer) {
+                        return Err(ProgramError::OverRead {
+                            instr,
+                            task: *tid,
+                            producer,
+                            bytes,
+                            available: p.output_bytes,
+                        });
                     }
                 }
                 if let Some(capacity) = buffer_capacity {
@@ -626,8 +739,8 @@ mod tests {
 
     fn two_task_program() -> (Program, TaskId, TaskId) {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 100, 64, vec![]));
-        let b = p.push_task(Task::compute(20, 200, 32, vec![Operand::task(a, 64)]));
+        let a = p.push_task(Task::compute(10, 100, 64), &[]);
+        let b = p.push_task(Task::compute(20, 200, 32), &[Operand::task(a, 64)]);
         (p, a, b)
     }
 
@@ -661,8 +774,8 @@ mod tests {
     #[test]
     fn engine_conflict_rejected() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0, vec![]));
-        let b = p.push_task(Task::compute(1, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(1, 0, 0), &[]);
+        let b = p.push_task(Task::compute(1, 0, 0), &[]);
         p.push_round(vec![(a, 2), (b, 2)]);
         assert!(matches!(
             p.validate(4),
@@ -673,7 +786,7 @@ mod tests {
     #[test]
     fn engine_range_checked() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(1, 0, 0), &[]);
         p.push_round(vec![(a, 64)]);
         assert!(matches!(
             p.validate(64),
@@ -684,7 +797,7 @@ mod tests {
     #[test]
     fn double_schedule_rejected() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(1, 0, 0), &[]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(a, 1)]);
         assert!(matches!(
@@ -696,9 +809,9 @@ mod tests {
     #[test]
     fn over_read_reports_first_offending_instruction() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 64, vec![]));
+        let a = p.push_task(Task::compute(10, 0, 64), &[]);
         // b reads 100 bytes of a, which only wrote 64.
-        let b = p.push_task(Task::compute(10, 0, 32, vec![Operand::task(a, 100)]));
+        let b = p.push_task(Task::compute(10, 0, 32), &[Operand::task(a, 100)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         assert!(p.validate(4).is_ok()); // structural pass is blind to bytes
@@ -723,7 +836,7 @@ mod tests {
     #[test]
     fn buffer_capacity_checked_when_requested() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 4096, vec![]));
+        let a = p.push_task(Task::compute(10, 0, 4096), &[]);
         p.push_round(vec![(a, 3)]);
         assert!(p.validate_with(4, None).is_ok());
         assert!(p.validate_with(4, Some(8192)).is_ok());
@@ -748,7 +861,7 @@ mod tests {
     #[test]
     fn dram_output_exempt_from_capacity() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 4096, vec![]).with_dram_output());
+        let a = p.push_task(Task::compute(10, 0, 4096).with_dram_output(), &[]);
         p.push_round(vec![(a, 0)]);
         assert!(p.validate_with(4, Some(1024)).is_ok());
     }
@@ -777,7 +890,7 @@ mod tests {
     fn pushing_onto_a_shared_table_copies_it() {
         let (p, _, _) = two_task_program();
         let mut grown = p.clone();
-        let c = grown.push_task(Task::compute(1, 0, 0, vec![Operand::task(TaskId(1), 32)]));
+        let c = grown.push_task(Task::compute(1, 0, 0), &[Operand::task(TaskId(1), 32)]);
         assert_eq!((p.tasks().len(), grown.tasks().len()), (2, 3));
         grown.push_round(vec![(TaskId(0), 0)]);
         grown.push_round(vec![(TaskId(1), 0)]);
@@ -791,7 +904,7 @@ mod tests {
     #[test]
     fn producer_outside_the_table_is_a_dependency_violation() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0, vec![Operand::task(TaskId(7), 8)]));
+        let a = p.push_task(Task::compute(1, 0, 0), &[Operand::task(TaskId(7), 8)]);
         p.push_round(vec![(a, 0)]);
         assert_eq!(
             p.validate(1),
@@ -804,15 +917,125 @@ mod tests {
 
     #[test]
     fn operand_bytes_sum() {
-        let t = Task::compute(
-            1,
-            0,
-            0,
-            vec![
+        let mut p = Program::new();
+        let t = p.push_task(
+            Task::compute(1, 0, 0),
+            &[
                 Operand::external(DataId(1), 100),
                 Operand::task(TaskId(0), 28),
             ],
         );
-        assert_eq!(t.input_bytes(), 128);
+        assert_eq!(p.table().operand_bytes(t).iter().sum::<u64>(), 128);
+    }
+
+    /// Three tasks reading externals 9, 2, 9, 5, 2, 5 out of order: the
+    /// externals take slots 3, 4, 5 in ascending id order, and each task
+    /// output keeps slot = task index.
+    fn out_of_order_externals() -> (Program, [TaskId; 3]) {
+        let mut p = Program::new();
+        let ext = |id, bytes| Operand::external(DataId(id), bytes);
+        let a = p.push_task(Task::compute(10, 0, 64), &[ext(9, 10), ext(2, 20)]);
+        let b = p.push_task(
+            Task::compute(10, 0, 32),
+            &[Operand::task(a, 100), ext(9, 10), ext(5, 30), ext(2, 5)],
+        );
+        let c = p.push_task(Task::compute(10, 0, 8), &[ext(5, 30), Operand::task(b, 40)]);
+        (p, [a, b, c])
+    }
+
+    #[test]
+    fn hand_built_external_slots_follow_id_order() {
+        let (p, [a, b, c]) = out_of_order_externals();
+        let table = p.table();
+        assert_eq!(table.external_ids(), &[DataId(2), DataId(5), DataId(9)]);
+        assert_eq!(table.operand_slots(a), &[5, 3]);
+        assert_eq!(table.operand_slots(b), &[0, 5, 4, 3]);
+        assert_eq!(table.operand_slots(c), &[4, 1]);
+        assert_eq!(table.operand_bytes(b), &[100, 10, 30, 5]);
+
+        let mut run = p.clone();
+        run.push_round(vec![(a, 0)]);
+        run.push_round(vec![(b, 1)]);
+        run.push_round(vec![(c, 0)]);
+        assert!(run.validate(2).is_ok());
+        assert_eq!(
+            run.validate_with(2, None),
+            Err(ProgramError::OverRead {
+                instr: 1,
+                task: b,
+                producer: a,
+                bytes: 100,
+                available: 64
+            })
+        );
+        // With `a` done its over-read no longer counts; `c` is now the
+        // second instruction and over-reads `b`.
+        let mut rest = Program::with_table(Arc::clone(table), vec![true]);
+        rest.push_round(vec![(b, 1)]);
+        rest.push_round(vec![(c, 0)]);
+        assert_eq!(
+            rest.validate_with(2, None),
+            Err(ProgramError::OverRead {
+                instr: 1,
+                task: c,
+                producer: b,
+                bytes: 40,
+                available: 32
+            })
+        );
+    }
+
+    #[test]
+    fn rows_built_tables_equal_pushed_ones_and_grow_alike() {
+        let (p, _) = out_of_order_externals();
+        let pushed = p.table();
+        let n = pushed.tasks().len();
+        let ids = || (0..n).map(|t| TaskId(u32_from_usize(t)));
+        let rows = TaskTable::from_rows(
+            pushed.tasks().to_vec(),
+            std::iter::once(0)
+                .chain(ids().scan(0, |end, t| {
+                    *end += pushed.operand_slots(t).len();
+                    Some(*end)
+                }))
+                .collect(),
+            ids()
+                .flat_map(|t| pushed.operand_slots(t).to_vec())
+                .collect(),
+            ids()
+                .flat_map(|t| pushed.operand_bytes(t).to_vec())
+                .collect(),
+            pushed.external_ids().to_vec(),
+        );
+        let mut grown = [p.clone(), Program::with_table(Arc::new(rows), Vec::new())];
+        for g in &mut grown {
+            for t in ids() {
+                assert_eq!(g.table().operand_slots(t), pushed.operand_slots(t));
+                assert_eq!(g.table().operand_bytes(t), pushed.operand_bytes(t));
+            }
+            let mut run = g.clone();
+            for (t, engine) in ids().zip([0, 1, 0]) {
+                run.push_round(vec![(t, engine)]);
+            }
+            assert!(
+                matches!(
+                    run.validate_with(2, None),
+                    Err(ProgramError::OverRead { instr: 1, .. })
+                ),
+                "both tables see the same over-read"
+            );
+            // One more task shifts every external slot up by one, and a
+            // new smallest id shifts them once more.
+            g.push_task(
+                Task::compute(1, 0, 0),
+                &[Operand::external(DataId(1), 4), Operand::task(TaskId(2), 8)],
+            );
+            assert_eq!(g.table().operand_slots(TaskId(1)), &[0, 7, 6, 5]);
+            assert_eq!(g.table().operand_slots(TaskId(3)), &[4, 2]);
+        }
+        assert_eq!(
+            grown[0].table().operand_slots(TaskId(0)),
+            grown[1].table().operand_slots(TaskId(0))
+        );
     }
 }

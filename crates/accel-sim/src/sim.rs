@@ -368,9 +368,9 @@ impl<'p> Runtime<'p> {
                     .collect(),
             )
         } else {
-            Cow::Borrowed(ops.in_slot.as_slice())
+            Cow::Borrowed(ops.in_slot)
         };
-        let in_off = ops.in_off.as_slice();
+        let in_off = ops.in_off;
         let task_slots = |tid: TaskId| &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]];
 
         // Only scheduled tasks read anything; count their uses per slot,
@@ -427,7 +427,7 @@ impl<'p> Runtime<'p> {
             pin_stamp: vec![0; slots],
             pin_gen: 0,
             in_slot,
-            in_bytes: &ops.in_bytes,
+            in_bytes: ops.in_bytes,
             in_off,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
@@ -880,7 +880,6 @@ impl<'p> Runtime<'p> {
         let total_macs = self.macs_done;
         let total_cycles = self.now.max(1);
         let busy_total: u64 = self.engine_busy.iter().sum();
-        let blocked_total: u64 = self.engine_blocked.iter().sum();
 
         let pe_utilization =
             total_macs as f64 / (total_cycles as f64 * engines as f64 * pes as f64);
@@ -909,7 +908,6 @@ impl<'p> Runtime<'p> {
                     .static_pj(total_cycles, self.cfg.engine.freq_mhz),
         };
 
-        let _ = blocked_total;
         SimStats {
             total_cycles,
             rounds: self.rounds_done,
@@ -955,12 +953,10 @@ mod tests {
     #[test]
     fn single_task_reads_weights_from_dram() {
         let mut p = Program::new();
-        let t = p.push_task(Task::compute(
-            1000,
-            256_000,
-            4096,
-            vec![Operand::external(DataId(1), 2048)],
-        ));
+        let t = p.push_task(
+            Task::compute(1000, 256_000, 4096),
+            &[Operand::external(DataId(1), 2048)],
+        );
         p.push_round(vec![(t, 0)]);
         let s = sim().run(&p).unwrap();
         // Load (100 latency + ceil(2048/256)=8 -> 108) hides behind the
@@ -974,8 +970,8 @@ mod tests {
     #[test]
     fn local_reuse_is_free() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
-        let b = p.push_task(Task::compute(100, 0, 64, vec![Operand::task(a, 4096)]));
+        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
+        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
         p.push_round(vec![(a, 3)]);
         p.push_round(vec![(b, 3)]); // same engine: operand already local
         let s = sim().run(&p).unwrap();
@@ -988,8 +984,8 @@ mod tests {
     #[test]
     fn cross_engine_reuse_uses_noc() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
-        let b = p.push_task(Task::compute(100, 0, 64, vec![Operand::task(a, 4096)]));
+        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
+        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // adjacent engine
         let s = sim().run(&p).unwrap();
@@ -1004,8 +1000,8 @@ mod tests {
     fn weights_cached_across_rounds() {
         let w = Operand::external(DataId(9), 1024);
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0, vec![w]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![w]));
+        let a = p.push_task(Task::compute(10, 0, 0), &[w]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[w]);
         p.push_round(vec![(a, 2)]);
         p.push_round(vec![(b, 2)]); // same engine: second use hits the buffer
         let s = sim().run(&p).unwrap();
@@ -1018,8 +1014,8 @@ mod tests {
     fn weight_multicast_from_peer_engine() {
         let w = Operand::external(DataId(9), 1024);
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0, vec![w]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![w]));
+        let a = p.push_task(Task::compute(10, 0, 0), &[w]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[w]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // fetches from engine 0, not DRAM
         let s = sim().run(&p).unwrap();
@@ -1030,8 +1026,8 @@ mod tests {
     #[test]
     fn dram_output_flag_forces_offchip_roundtrip() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 2048, vec![]).with_dram_output());
-        let b = p.push_task(Task::compute(10, 0, 64, vec![Operand::task(a, 2048)]));
+        let a = p.push_task(Task::compute(10, 0, 2048).with_dram_output(), &[]);
+        let b = p.push_task(Task::compute(10, 0, 64), &[Operand::task(a, 2048)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]); // same engine, but data went to DRAM
         let s = sim().run(&p).unwrap();
@@ -1042,7 +1038,7 @@ mod tests {
     #[test]
     fn final_outputs_written_back() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 512, vec![]));
+        let a = p.push_task(Task::compute(10, 0, 512), &[]);
         p.push_round(vec![(a, 0)]);
         let s = sim().run(&p).unwrap();
         // No consumers -> network output -> DRAM.
@@ -1055,11 +1051,11 @@ mod tests {
         // engine, all consumed much later: the third insert must evict one.
         let mut p = Program::new();
         let k60 = 60 * 1024;
-        let a = p.push_task(Task::compute(10, 0, k60, vec![]));
-        let b = p.push_task(Task::compute(10, 0, k60, vec![]));
-        let c = p.push_task(Task::compute(10, 0, k60, vec![]));
+        let a = p.push_task(Task::compute(10, 0, k60), &[]);
+        let b = p.push_task(Task::compute(10, 0, k60), &[]);
+        let c = p.push_task(Task::compute(10, 0, k60), &[]);
         let consume = |p: &mut Program, t: TaskId| {
-            p.push_task(Task::compute(10, 0, 0, vec![Operand::task(t, k60)]))
+            p.push_task(Task::compute(10, 0, 0), &[Operand::task(t, k60)])
         };
         let ca = consume(&mut p, a);
         let cb = consume(&mut p, b);
@@ -1086,9 +1082,9 @@ mod tests {
         cfg.engine = cfg.engine.with_buffer_bytes(4 * 1024);
         let big = 64 * 1024;
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, big, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, big)]));
-        let c = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, big)]));
+        let a = p.push_task(Task::compute(10, 0, big), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
+        let c = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         p.push_round(vec![(c, 1)]);
@@ -1109,10 +1105,10 @@ mod tests {
         cfg.engine = cfg.engine.with_buffer_bytes(100 * 1024);
         let k60 = 60 * 1024;
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, k60, vec![]));
-        let b = p.push_task(Task::compute(10, 0, k60, vec![]));
-        let cb = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(b, k60)]));
-        let ca = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, k60)]));
+        let a = p.push_task(Task::compute(10, 0, k60), &[]);
+        let b = p.push_task(Task::compute(10, 0, k60), &[]);
+        let cb = p.push_task(Task::compute(10, 0, 0), &[Operand::task(b, k60)]);
+        let ca = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, k60)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]); // evicts a (b is pinned, a waits longest)
         p.push_round(vec![(cb, 0)]);
@@ -1133,8 +1129,8 @@ mod tests {
         cfg.engine = cfg.engine.with_buffer_bytes(0);
         let w = Operand::external(DataId(9), 1024);
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 512, vec![w]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 512), w]));
+        let a = p.push_task(Task::compute(10, 0, 512), &[w]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 512), w]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let s = Simulator::new(cfg).run(&p).unwrap();
@@ -1147,12 +1143,12 @@ mod tests {
     #[test]
     fn dead_data_released_without_writeback() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 1024)]));
+        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
         // After b, a is dead; produce lots more data on the same engine and
         // verify no write-back of a happens.
-        let c = p.push_task(Task::compute(10, 0, 120 * 1024, vec![]));
-        let d = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(c, 120 * 1024)]));
+        let c = p.push_task(Task::compute(10, 0, 120 * 1024), &[]);
+        let d = p.push_task(Task::compute(10, 0, 0), &[Operand::task(c, 120 * 1024)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         p.push_round(vec![(c, 0)]);
@@ -1166,9 +1162,9 @@ mod tests {
         // `a` ran in an earlier execution: `b` finds its output in DRAM,
         // then engine 1 serves the second read from its cached copy.
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 2048, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 2048)]));
-        let c = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 2048)]));
+        let a = p.push_task(Task::compute(10, 0, 2048), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
+        let c = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
         let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
         rest.push_round(vec![(b, 1)]);
         rest.push_round(vec![(c, 1)]);
@@ -1189,20 +1185,13 @@ mod tests {
         let k = 1024;
         let w = Operand::external(DataId(9), 40 * k);
         let mut p = Program::new();
-        let done = p.push_task(Task::compute(10, 0, 30 * k, vec![]));
-        let b = p.push_task(Task::compute(
-            10,
-            0,
-            0,
-            vec![Operand::task(done, 30 * k), w],
-        ));
-        let c = p.push_task(Task::compute(10, 0, 50 * k, vec![]));
-        let d = p.push_task(Task::compute(
-            10,
-            0,
-            0,
-            vec![Operand::task(done, 30 * k), w, Operand::task(c, 50 * k)],
-        ));
+        let done = p.push_task(Task::compute(10, 0, 30 * k), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(done, 30 * k), w]);
+        let c = p.push_task(Task::compute(10, 0, 50 * k), &[]);
+        let d = p.push_task(
+            Task::compute(10, 0, 0),
+            &[Operand::task(done, 30 * k), w, Operand::task(c, 50 * k)],
+        );
         let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
         rest.push_round(vec![(b, 0)]);
         rest.push_round(vec![(c, 0)]);
@@ -1220,7 +1209,7 @@ mod tests {
         let pes = cfg.engine.pe_count();
         let mut p = Program::new();
         // One task, 1000 cycles, perfectly utilized on one engine.
-        let a = p.push_task(Task::compute(1000, 1000 * pes, 0, vec![]));
+        let a = p.push_task(Task::compute(1000, 1000 * pes, 0), &[]);
         p.push_round(vec![(a, 0)]);
         let s = Simulator::new(cfg).run(&p).unwrap();
         // 1 of 64 engines busy -> chip utilization 1/64.
@@ -1231,7 +1220,7 @@ mod tests {
     #[test]
     fn invalid_program_rejected() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(1, 0, 0), &[]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(a, 0)]);
         assert!(sim().run(&p).is_err());
@@ -1240,8 +1229,8 @@ mod tests {
     #[test]
     fn faulted_run_with_empty_plan_matches_run() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
-        let b = p.push_task(Task::compute(100, 0, 64, vec![Operand::task(a, 4096)]));
+        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
+        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         let healthy = sim().run(&p).unwrap();
@@ -1257,8 +1246,8 @@ mod tests {
     #[test]
     fn engine_failure_with_pending_work_reports_failure() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(10, 0, 0), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1281,8 +1270,8 @@ mod tests {
     #[test]
     fn engine_failure_after_last_task_completes_gracefully() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![]));
+        let a = p.push_task(Task::compute(10, 0, 0), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // engine 0 is never needed again
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1299,9 +1288,9 @@ mod tests {
     #[test]
     fn losing_the_only_output_copy_fails_the_run() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024, vec![]));
-        let filler = p.push_task(Task::compute(10, 0, 0, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 1024)]));
+        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
+        let filler = p.push_task(Task::compute(10, 0, 0), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(filler, 1)]);
         p.push_round(vec![(b, 1)]);
@@ -1320,8 +1309,8 @@ mod tests {
     #[test]
     fn link_failure_reroutes_and_counts() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
-        let b = p.push_task(Task::compute(1, 0, 64, vec![Operand::task(a, 4096)]));
+        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
+        let b = p.push_task(Task::compute(1, 0, 64), &[Operand::task(a, 4096)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         let healthy = sim().run(&p).unwrap();
@@ -1350,9 +1339,9 @@ mod tests {
         // 1-2 dies at the round-2 barrier, so round 2's pull from the
         // nearest copy (engine 1) detours 1 -> 9 -> 10 -> 2.
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096, vec![]));
-        let b = p.push_task(Task::compute(100, 0, 0, vec![Operand::task(a, 4096)]));
-        let c = p.push_task(Task::compute(100, 0, 0, vec![Operand::task(a, 4096)]));
+        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
+        let b = p.push_task(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
+        let c = p.push_task(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         p.push_round(vec![(c, 2)]);
@@ -1375,8 +1364,8 @@ mod tests {
     #[test]
     fn disconnected_transfer_without_dram_copy_is_unroutable() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 1024)]));
+        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         // Engine 0's only mesh links on the 8x8 grid are to 1 (east) and 8
@@ -1397,12 +1386,10 @@ mod tests {
     #[test]
     fn hbm_derate_slows_external_reads() {
         let mut p = Program::new();
-        let t = p.push_task(Task::compute(
-            0,
-            0,
-            0,
-            vec![Operand::external(DataId(1), 64 * 1024)],
-        ));
+        let t = p.push_task(
+            Task::compute(0, 0, 0),
+            &[Operand::external(DataId(1), 64 * 1024)],
+        );
         p.push_round(vec![(t, 0)]);
         let healthy = sim().run(&p).unwrap();
         let plan = FaultPlan::none().with_event(FaultEvent {
@@ -1447,8 +1434,8 @@ mod tests {
     #[test]
     fn faulted_runs_are_deterministic() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024, vec![]));
-        let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 1024)]));
+        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
+        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1460,9 +1447,9 @@ mod tests {
     #[test]
     fn round_barrier_synchronizes() {
         let mut p = Program::new();
-        let fast = p.push_task(Task::compute(10, 0, 0, vec![]));
-        let slow = p.push_task(Task::compute(500, 0, 0, vec![]));
-        let next = p.push_task(Task::compute(10, 0, 0, vec![]));
+        let fast = p.push_task(Task::compute(10, 0, 0), &[]);
+        let slow = p.push_task(Task::compute(500, 0, 0), &[]);
+        let next = p.push_task(Task::compute(10, 0, 0), &[]);
         p.push_round(vec![(fast, 0), (slow, 1)]);
         p.push_round(vec![(next, 0)]);
         let s = sim().run(&p).unwrap();

@@ -18,16 +18,16 @@ fn invalid_occupation_beats_fifo_on_reuse_distance() {
     let k = 40 * 1024; // two of these do not fit a 64 KB buffer
     let build = || {
         let mut p = Program::new();
-        let late = p.push_task(Task::compute(100, 0, k, vec![]));
-        let soon = p.push_task(Task::compute(100, 0, k, vec![]));
-        let use_soon = p.push_task(Task::compute(100, 0, 64, vec![Operand::task(soon, k)]));
-        let use_late = p.push_task(Task::compute(100, 0, 64, vec![Operand::task(late, k)]));
+        let late = p.push_task(Task::compute(100, 0, k), &[]);
+        let soon = p.push_task(Task::compute(100, 0, k), &[]);
+        let use_soon = p.push_task(Task::compute(100, 0, 64), &[Operand::task(soon, k)]);
+        let use_late = p.push_task(Task::compute(100, 0, 64), &[Operand::task(late, k)]);
         p.push_round(vec![(late, 0)]);
         p.push_round(vec![(soon, 0)]);
         p.push_round(vec![(use_soon, 0)]);
         // Pad distance so `late` has a long invalid occupation.
         for _ in 0..6 {
-            let filler = p.push_task(Task::compute(50, 0, 0, vec![]));
+            let filler = p.push_task(Task::compute(50, 0, 0), &[]);
             p.push_round(vec![(filler, 1)]);
         }
         p.push_round(vec![(use_late, 0)]);
@@ -71,7 +71,7 @@ fn lru_keeps_hot_data() {
             vec![hot, cold2],
         ];
         for inputs in ops {
-            let t = p.push_task(Task::compute(10, 0, 0, inputs));
+            let t = p.push_task(Task::compute(10, 0, 0), &inputs);
             p.push_round(vec![(t, 0)]);
         }
         p
@@ -94,12 +94,10 @@ fn lru_keeps_hot_data() {
 #[test]
 fn double_buffer_overlaps_gather() {
     let mut p = Program::new();
-    let t = p.push_task(Task::compute(
-        500,
-        0,
-        0,
-        vec![Operand::external(DataId(7), 64 * 1024)],
-    ));
+    let t = p.push_task(
+        Task::compute(500, 0, 0),
+        &[Operand::external(DataId(7), 64 * 1024)],
+    );
     p.push_round(vec![(t, 0)]);
 
     let mut on = SimConfig::paper_default();
@@ -122,8 +120,8 @@ fn noc_overhead_bounded() {
     let mut p = Program::new();
     // 64 KB fits the producer's buffer, so the consumer pulls it over 14
     // mesh hops instead of spilling through DRAM.
-    let a = p.push_task(Task::compute(10, 0, 64 * 1024, vec![]));
-    let b = p.push_task(Task::compute(10, 0, 0, vec![Operand::task(a, 64 * 1024)]));
+    let a = p.push_task(Task::compute(10, 0, 64 * 1024), &[]);
+    let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 64 * 1024)]);
     p.push_round(vec![(a, 0)]);
     p.push_round(vec![(b, 63)]); // far corner: 14 hops
     let s = Simulator::new(SimConfig::paper_default()).run(&p).unwrap();
@@ -146,7 +144,7 @@ fn simulation_is_deterministic() {
         if let Some(pr) = prev {
             inputs.push(Operand::task(pr, 5000));
         }
-        let t = p.push_task(Task::compute(100 + i as u64, 0, 20_000, inputs));
+        let t = p.push_task(Task::compute(100 + i as u64, 0, 20_000), &inputs);
         p.push_round(vec![(t, (i % 16) as usize)]);
         prev = Some(t);
     }

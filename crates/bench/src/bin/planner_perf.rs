@@ -42,7 +42,13 @@
 //! and prose claims elsewhere is visible at regeneration time instead of
 //! accumulating silently. After writing, it re-reads and validates its own
 //! output (every run must carry the five standard stages with finite,
-//! non-negative wall times) and exits non-zero on malformed output.
+//! non-negative wall times, and every workload its peak resident set) and
+//! exits non-zero on malformed output.
+//!
+//! Memory: after each workload's sweep the harness reads the process's
+//! peak resident set (`VmHWM` in `/proc/self/status`, Linux only) into the
+//! workload's `peak_rss_mib`. Workloads run smallest first, so each reading
+//! is that workload's own peak.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -185,6 +191,20 @@ fn measure_replan(g: &dnn_graph::Graph, cfg: OptimizerConfig, iters: usize) -> R
     }
 }
 
+/// Peak resident set size of this process so far (`VmHWM`), in MiB.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
 /// The committed run matching (`model`, `threads`), if the pre-existing
 /// output file carries one at the v2 schema.
 fn committed_total_ms(committed: Option<&Json>, model: &str, threads: usize) -> Option<f64> {
@@ -228,6 +248,13 @@ fn validate(doc: &Json) -> Result<(), String> {
         w.get("total_cycles")
             .and_then(Json::as_u64)
             .ok_or("workload missing `total_cycles`")?;
+        let rss = w
+            .get("peak_rss_mib")
+            .and_then(Json::as_f64)
+            .ok_or("workload missing `peak_rss_mib`")?;
+        if !rss.is_finite() || rss <= 0.0 {
+            return Err(format!("malformed peak_rss_mib {rss}"));
+        }
         let runs = w
             .get("runs")
             .and_then(Json::as_array)
@@ -398,10 +425,16 @@ fn main() {
                 ));
             }
         }
+        let rss = peak_rss_mib();
+        match rss {
+            Some(mib) => println!("  peak RSS {mib:.1} MiB"),
+            None => eprintln!("  peak RSS unavailable (no VmHWM in /proc/self/status)"),
+        }
         workloads_json.push(Json::Obj(vec![
             ("model".into(), Json::Str(w.model.into())),
             ("sa_chains".into(), Json::Num(w.sa_chains as f64)),
             ("total_cycles".into(), Json::Num(serial.total_cycles as f64)),
+            ("peak_rss_mib".into(), rss.map_or(Json::Null, Json::Num)),
             (
                 "runs".into(),
                 Json::Arr(runs.iter().map(run_to_json).collect()),
@@ -481,7 +514,7 @@ fn main() {
         eprintln!("malformed perf record: {why}");
         std::process::exit(1);
     }
-    println!("stage timings validated");
+    println!("stage timings and peak RSS validated");
 
     if check_inversion && !inversion_failures.is_empty() {
         for f in &inversion_failures {

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use accel_sim::{DataId, TaskTable};
+use accel_sim::{DataId, Task, TaskId, TaskTable};
 use ad_util::cast::{u16_from_usize, u32_from_usize};
 use dnn_graph::{Graph, LayerId, OpKind, BYTES_PER_ELEM};
 use engine_model::{Dataflow, EngineConfig};
@@ -129,6 +129,47 @@ impl<T> Csr<T> {
     }
 }
 
+/// The producers of one atom with the bytes read of each: the producer
+/// prefix of the atom's operand row in its DAG's [`TaskTable`].
+#[derive(Debug, Clone, Copy)]
+pub struct Preds<'a> {
+    ids: &'a [u32],
+    bytes: &'a [u64],
+}
+
+/// Iterator over a [`Preds`] view.
+pub type PredsIter<'a> = std::iter::Zip<
+    std::iter::Map<std::slice::Iter<'a, u32>, fn(&u32) -> AtomId>,
+    std::iter::Copied<std::slice::Iter<'a, u64>>,
+>;
+
+impl<'a> Preds<'a> {
+    /// Number of producer edges.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the atom reads no other atom.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// `(producer, bytes)` pairs in edge order.
+    pub fn iter(&self) -> PredsIter<'a> {
+        let id: fn(&u32) -> AtomId = |&p| AtomId(p);
+        self.ids.iter().map(id).zip(self.bytes.iter().copied())
+    }
+}
+
+impl<'a> IntoIterator for Preds<'a> {
+    type Item = (AtomId, u64);
+    type IntoIter = PredsIter<'a>;
+
+    fn into_iter(self) -> PredsIter<'a> {
+        self.iter()
+    }
+}
+
 /// Largest batch an [`AtomicDag`] can hold: an atom's batch sample is a
 /// `u16`.
 pub const MAX_BATCH: usize = u16::MAX as usize;
@@ -137,10 +178,8 @@ pub const MAX_BATCH: usize = u16::MAX as usize;
 #[derive(Debug, Clone)]
 pub struct AtomicDag {
     atoms: Vec<Atom>,
-    preds: Csr<(AtomId, u64)>,
     /// Consumers of each atom in ascending id order.
     succs: Csr<AtomId>,
-    externals: Csr<(DataId, u64)>,
     /// Weight externals of each atom in *dense slot space*: weight slices
     /// are interned at build time into slots `0..weight_slot_count`, so
     /// per-slot state (e.g. the mapper's weight-home table) can live in a
@@ -154,7 +193,11 @@ pub struct AtomicDag {
     /// Longest-path depth of each layer (from the layer graph).
     layer_depths: Vec<usize>,
     /// The simulator tasks of every atom (task id = atom id), built once
-    /// with the DAG and shared by its clones and every lowered plan.
+    /// with the DAG and shared by its clones and every lowered plan. Its
+    /// operand rows are the only stored copy of the DAG's producer edges
+    /// and external operands: each atom's row lists its producers (slot =
+    /// atom id), then its externals (slot = atom count + rank of the
+    /// [`DataId`] among the table's sorted external ids).
     tasks: Arc<TaskTable>,
 }
 
@@ -203,9 +246,7 @@ impl AtomicDag {
 
         let mut dag = AtomicDag {
             atoms: Vec::new(),
-            preds: Csr::with_capacity(0, 0),
             succs: Csr::with_capacity(0, 0),
-            externals: Csr::with_capacity(0, 0),
             weight_exts: Csr::with_capacity(0, 0),
             weight_slot_count: 0,
             layer_atoms: vec![Vec::new(); nl * batch],
@@ -285,13 +326,19 @@ impl AtomicDag {
             }
         }
 
-        // Size the flat edge tables exactly before filling them: one
-        // weight slice per atom with weights, one external per network-input
+        // Size the operand rows exactly before filling them: one weight
+        // slice per atom with weights, one external per network-input
         // region read, and one edge per overlapping producer tile (a tile in
-        // the overlap ranges always shares at least one element).
+        // the overlap ranges always shares at least one element). The same
+        // pass collects every external id, so each external's slot is known
+        // before any row is written.
         let (mut n_preds, mut n_externals, mut n_weights) = (0, 0, 0);
+        let mut ext_ids: Vec<DataId> = Vec::new();
         for atom in &dag.atoms {
+            let layer = graph.layer(atom.layer);
             if atom.cost.weight_bytes > 0 {
+                let tc = specs[atom.layer.index()].clamped(layer.out_shape()).tc;
+                ext_ids.push(weight_data_id(atom.layer, atom.coords.c.start / tc));
                 n_externals += 1;
                 n_weights += 1;
             }
@@ -301,6 +348,12 @@ impl AtomicDag {
                 };
                 let producer = graph.layer(*pid);
                 if producer.op().is_input() {
+                    ext_ids.push(input_data_id(
+                        atom.batch,
+                        *pid,
+                        needed.h.start,
+                        needed.w.start,
+                    ));
                     n_externals += 1;
                     continue;
                 }
@@ -309,34 +362,43 @@ impl AtomicDag {
                 n_preds += tiles.iter().map(ExactSizeIterator::len).product::<usize>();
             }
         }
+        ext_ids.sort_unstable();
+        ext_ids.dedup();
+        ext_ids.shrink_to_fit();
 
-        // Edges and externals. Atoms are visited in the order their ids
-        // were assigned above, so each atom's rows append in place.
+        // Operand rows. Atoms are visited in the order their ids were
+        // assigned above, so each atom's row appends in place: its
+        // producers in edge order, then its externals (weight slice first,
+        // then input regions in producer order).
         let n_atoms = dag.atoms.len();
+        let ext_slot =
+            |id: DataId| u32_from_usize(n_atoms + ext_ids.binary_search(&id).unwrap_or(0));
         // `fan_out[p + 1]`: edges naming producer `p`, for `consumers`.
         let mut fan_out = vec![0u32; n_atoms + 1];
-        let (mut preds, mut externals, mut weight_exts) = (
-            Csr::with_capacity(n_atoms, n_preds),
-            Csr::with_capacity(n_atoms, n_externals),
-            Csr::with_capacity(n_atoms, n_weights),
-        );
+        let n_operands = n_preds + n_externals;
+        let mut in_off = Vec::with_capacity(n_atoms + 1);
+        in_off.push(0);
+        let mut in_slot = Vec::with_capacity(n_operands);
+        let mut in_bytes = Vec::with_capacity(n_operands);
+        let mut weight_exts = Csr::with_capacity(n_atoms, n_weights);
+        let mut row_externals: Vec<(u32, u64)> = Vec::new();
         for b in 0..u16_from_usize(batch) {
             for layer in graph.layers() {
                 if layer.op().is_input() {
                     continue;
                 }
                 let lid = layer.id();
-                let atom_ids = dag.layer_atoms[b as usize * nl + lid.index()].clone();
-                for aid in atom_ids {
-                    debug_assert_eq!(preds.offsets.len(), aid.index() + 1);
+                for &aid in &dag.layer_atoms[b as usize * nl + lid.index()] {
+                    debug_assert_eq!(in_off.len(), aid.index() + 1);
                     let coords = dag.atoms[aid.index()].coords;
+                    row_externals.clear();
 
                     // Weights: one external slice per output-channel tile.
                     let wb = dag.atoms[aid.index()].cost.weight_bytes;
                     if wb > 0 {
                         let tc = specs[lid.index()].clamped(layer.out_shape()).tc;
                         let c_tile = coords.c.start / tc;
-                        externals.push((weight_data_id(lid, c_tile), wb));
+                        row_externals.push((ext_slot(weight_data_id(lid, c_tile)), wb));
                         let slot = weight_slot_base[lid.index()] + c_tile;
                         weight_exts.push((u32_from_usize(slot), wb));
                     }
@@ -349,10 +411,8 @@ impl AtomicDag {
 
                         if producer.op().is_input() {
                             let bytes = needed.elements() * BYTES_PER_ELEM;
-                            externals.push((
-                                input_data_id(b, *pid, needed.h.start, needed.w.start),
-                                bytes,
-                            ));
+                            let id = input_data_id(b, *pid, needed.h.start, needed.w.start);
+                            row_externals.push((ext_slot(id), bytes));
                             continue;
                         }
 
@@ -369,33 +429,42 @@ impl AtomicDag {
                                     let pcoords = dag.atoms[paid.index()].coords;
                                     let bytes = needed.overlap_elements(&pcoords) * BYTES_PER_ELEM;
                                     if bytes > 0 {
-                                        preds.push((paid, bytes));
+                                        in_slot.push(paid.0);
+                                        in_bytes.push(bytes);
                                         fan_out[paid.index() + 1] += 1;
                                     }
                                 }
                             }
                         }
                     }
-                    preds.end_row();
-                    externals.end_row();
+                    for &(slot, bytes) in &row_externals {
+                        in_slot.push(slot);
+                        in_bytes.push(bytes);
+                    }
+                    in_off.push(in_slot.len());
                     weight_exts.end_row();
                 }
             }
         }
         debug_assert_eq!(
-            (
-                preds.items.len(),
-                externals.items.len(),
-                weight_exts.items.len()
-            ),
-            (n_preds, n_externals, n_weights)
+            (in_slot.len(), weight_exts.items.len()),
+            (n_operands, n_weights)
         );
-        dag.succs = consumers(&preds, fan_out);
-        dag.preds = preds;
-        dag.externals = externals;
+        dag.succs = consumers(&in_off, &in_slot, fan_out);
         dag.weight_exts = weight_exts;
 
-        dag.tasks = Arc::new(crate::lower::task_table(&dag));
+        let tasks = dag
+            .atoms
+            .iter()
+            .map(|atom| {
+                Task::compute(atom.cost.cycles, atom.cost.macs, atom.cost.output_bytes)
+                    .with_tag(atom.layer.0)
+                    .with_energy_pj(atom.cost.energy_pj)
+            })
+            .collect();
+        dag.tasks = Arc::new(TaskTable::from_rows(
+            tasks, in_off, in_slot, in_bytes, ext_ids,
+        ));
         dag
     }
 
@@ -430,9 +499,21 @@ impl AtomicDag {
         self.layer_count
     }
 
+    /// An atom's operand row (slots and bytes) and the length of its
+    /// producer prefix: producer slots are atom ids, below the atom count.
+    fn row(&self, id: AtomId) -> (usize, &[u32], &[u64]) {
+        let slots = self.tasks.operand_slots(TaskId(id.0));
+        let split = slots.partition_point(|&s| (s as usize) < self.atoms.len());
+        (split, slots, self.tasks.operand_bytes(TaskId(id.0)))
+    }
+
     /// Producers of an atom, with the bytes consumed from each.
-    pub fn preds(&self, id: AtomId) -> &[(AtomId, u64)] {
-        self.preds.row(id.index())
+    pub fn preds(&self, id: AtomId) -> Preds<'_> {
+        let (split, slots, bytes) = self.row(id);
+        Preds {
+            ids: &slots[..split],
+            bytes: &bytes[..split],
+        }
     }
 
     /// Consumers of an atom, in ascending id order.
@@ -440,9 +521,16 @@ impl AtomicDag {
         self.succs.row(id.index())
     }
 
-    /// External operands (weights / network input) of an atom.
-    pub fn externals(&self, id: AtomId) -> &[(DataId, u64)] {
-        self.externals.row(id.index())
+    /// External operands (weights / network input) of an atom: the
+    /// weight slice first, then the input regions in producer order.
+    pub fn externals(&self, id: AtomId) -> impl ExactSizeIterator<Item = (DataId, u64)> + '_ {
+        let (split, slots, bytes) = self.row(id);
+        let ids = self.tasks.external_ids();
+        let n = self.atoms.len();
+        slots[split..]
+            .iter()
+            .zip(&bytes[split..])
+            .map(move |(&s, &b)| (ids[s as usize - n], b))
     }
 
     /// Weight externals of an atom as dense `(slot, bytes)` pairs, in the
@@ -494,22 +582,26 @@ impl AtomicDag {
     }
 }
 
-/// The consumer lists of `preds`, built by a stable counting sort of its
+/// The consumer lists of the operand rows `in_off`/`in_slot` (slots below
+/// the atom count are producers), built by a stable counting sort of the
 /// edges by producer: consumers are visited in ascending id order, so each
 /// producer lists its consumers in ascending id order (a consumer reading
 /// one producer twice appears twice). `offsets[p + 1]` holds the number of
-/// edges naming producer `p` on entry (counted while `preds` was filled).
-/// Both arrays are sized exactly.
-fn consumers(preds: &Csr<(AtomId, u64)>, mut offsets: Vec<u32>) -> Csr<AtomId> {
-    let n = preds.offsets.len() - 1;
+/// edges naming producer `p` on entry (counted while the rows were
+/// filled). Both arrays are sized exactly.
+fn consumers(in_off: &[usize], in_slot: &[u32], mut offsets: Vec<u32>) -> Csr<AtomId> {
+    let n = in_off.len() - 1;
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
     let mut next: Vec<u32> = offsets[..n].to_vec();
-    let mut items = vec![AtomId(0); preds.items.len()];
+    let mut items = vec![AtomId(0); offsets[n] as usize];
     for consumer in 0..n {
-        for (p, _) in preds.row(consumer) {
-            let at = &mut next[p.index()];
+        for &p in &in_slot[in_off[consumer]..in_off[consumer + 1]] {
+            // Slots past the atoms are externals.
+            let Some(at) = next.get_mut(p as usize) else {
+                continue;
+            };
             items[*at as usize] = AtomId(u32_from_usize(consumer));
             *at += 1;
         }
@@ -584,6 +676,7 @@ fn needed_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accel_sim::Operand;
     use dnn_graph::{models, ConvParams, TensorShape};
 
     fn build(g: &Graph, spec: AtomSpec, batch: usize) -> AtomicDag {
@@ -700,8 +793,9 @@ mod tests {
         (preds, succs, externals, weight_exts)
     }
 
-    #[test]
-    fn flat_edge_tables_equal_the_nested_reference_build() {
+    /// Runs `check` on `tiny_branchy` at two tilings and ResNet-50, each
+    /// at batch 1 and 3, with the nested reference build of each DAG.
+    fn for_each_reference_case(mut check: impl FnMut(&str, &AtomicDag, NestedEdges)) {
         let tiny = models::tiny_branchy();
         let resnet = models::resnet50();
         let tile = |th, tw, tc| AtomSpec { th, tw, tc };
@@ -720,36 +814,106 @@ mod tests {
                     &EngineConfig::paper_default(),
                     Dataflow::KcPartition,
                 );
-                let (preds, succs, externals, weight_exts) = reference_edges(g, &specs, &dag);
-                let case = format!("{} batch {batch} {spec:?}", g.name());
-                let mut edges = 0;
-                for i in 0..dag.atom_count() {
-                    let id = AtomId(u32_from_usize(i));
-                    assert_eq!(dag.preds(id), preds[i], "{case}: preds of {i}");
-                    assert_eq!(dag.succs(id), succs[i], "{case}: succs of {i}");
-                    assert_eq!(dag.externals(id), externals[i], "{case}: externals of {i}");
-                    assert_eq!(
-                        dag.weight_exts(id),
-                        weight_exts[i],
-                        "{case}: weights of {i}"
-                    );
-                    // `succs(p)` lists exactly the atoms whose preds name
-                    // `p`, once per edge, in ascending id order.
-                    assert!(dag.succs(id).is_sorted(), "{case}: succs of {i} unsorted");
-                    for &s in dag.succs(id) {
-                        let uses = dag.preds(s).iter().filter(|(p, _)| *p == id).count();
-                        let listed = dag.succs(id).iter().filter(|&&x| x == s).count();
-                        assert_eq!(uses, listed, "{case}: edge {i} -> {}", s.0);
-                    }
-                    edges += dag.preds(id).len();
-                }
-                let listed: usize = (0..dag.atom_count())
-                    .map(|i| dag.succs(AtomId(u32_from_usize(i))).len())
-                    .sum();
-                assert_eq!(listed, edges, "{case}: consumer lists cover every edge");
-                assert!(edges > 0, "{case}");
+                let reference = reference_edges(g, &specs, &dag);
+                check(
+                    &format!("{} batch {batch} {spec:?}", g.name()),
+                    &dag,
+                    reference,
+                );
             }
         }
+    }
+
+    #[test]
+    fn flat_edge_tables_equal_the_nested_reference_build() {
+        for_each_reference_case(|case, dag, (preds, succs, externals, weight_exts)| {
+            let mut edges = 0;
+            for i in 0..dag.atom_count() {
+                let id = AtomId(u32_from_usize(i));
+                assert_eq!(
+                    dag.preds(id).iter().collect::<Vec<_>>(),
+                    preds[i],
+                    "{case}: preds of {i}"
+                );
+                assert_eq!(dag.preds(id).len(), preds[i].len(), "{case}: {i}");
+                assert_eq!(dag.succs(id), succs[i], "{case}: succs of {i}");
+                assert_eq!(
+                    dag.externals(id).collect::<Vec<_>>(),
+                    externals[i],
+                    "{case}: externals of {i}"
+                );
+                assert_eq!(dag.externals(id).len(), externals[i].len(), "{case}: {i}");
+                assert_eq!(
+                    dag.weight_exts(id),
+                    weight_exts[i],
+                    "{case}: weights of {i}"
+                );
+                // `succs(p)` lists exactly the atoms whose preds name
+                // `p`, once per edge, in ascending id order.
+                assert!(dag.succs(id).is_sorted(), "{case}: succs of {i} unsorted");
+                for &s in dag.succs(id) {
+                    let uses = dag.preds(s).iter().filter(|(p, _)| *p == id).count();
+                    let listed = dag.succs(id).iter().filter(|&&x| x == s).count();
+                    assert_eq!(uses, listed, "{case}: edge {i} -> {}", s.0);
+                }
+                edges += dag.preds(id).len();
+            }
+            let listed: usize = (0..dag.atom_count())
+                .map(|i| dag.succs(AtomId(u32_from_usize(i))).len())
+                .sum();
+            assert_eq!(listed, edges, "{case}: consumer lists cover every edge");
+            assert!(edges > 0, "{case}");
+        });
+    }
+
+    /// The task table the DAG used to derive from its edge lists: one
+    /// pushed task per atom reading its producers, then its externals,
+    /// with the slots resolved from those operand lists.
+    fn pushed_task_table(
+        dag: &AtomicDag,
+        preds: &[Vec<(AtomId, u64)>],
+        externals: &[Vec<(DataId, u64)>],
+    ) -> Arc<TaskTable> {
+        let mut p = accel_sim::Program::new();
+        for (i, atom) in dag.atoms().iter().enumerate() {
+            let inputs: Vec<Operand> = preds[i]
+                .iter()
+                .map(|&(a, b)| Operand::task(TaskId(a.0), b))
+                .chain(externals[i].iter().map(|&(d, b)| Operand::external(d, b)))
+                .collect();
+            p.push_task(
+                Task::compute(atom.cost.cycles, atom.cost.macs, atom.cost.output_bytes)
+                    .with_tag(atom.layer.0)
+                    .with_energy_pj(atom.cost.energy_pj),
+                &inputs,
+            );
+        }
+        Arc::clone(p.table())
+    }
+
+    #[test]
+    fn operand_rows_equal_the_pushed_reference_table() {
+        for_each_reference_case(|case, dag, (preds, _, externals, _)| {
+            let reference = pushed_task_table(dag, &preds, &externals);
+            let rows = dag.task_table();
+            assert_eq!(rows.external_ids(), reference.external_ids(), "{case}");
+            assert_eq!(rows.operand_count(), reference.operand_count(), "{case}");
+            for (i, (got, want)) in rows.tasks().iter().zip(reference.tasks()).enumerate() {
+                let t = TaskId(u32_from_usize(i));
+                assert_eq!(
+                    rows.operand_slots(t),
+                    reference.operand_slots(t),
+                    "{case}: slots of {i}"
+                );
+                assert_eq!(
+                    rows.operand_bytes(t),
+                    reference.operand_bytes(t),
+                    "{case}: bytes of {i}"
+                );
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{case}: task {i}");
+            }
+            assert_eq!(rows.tasks().len(), reference.tasks().len(), "{case}");
+        });
     }
 
     #[test]
@@ -773,9 +937,7 @@ mod tests {
                                                    // conv2 depends on conv1's single atom.
         let conv2 = dag.layer_atoms(0, g.layer_by_name("conv2").unwrap().id())[0];
         assert_eq!(dag.preds(conv2).len(), 1);
-        assert_eq!(dag.preds(conv2)[0].0, conv1);
-        // Full ifmap consumed.
-        assert_eq!(dag.preds(conv2)[0].1, 32 * 32 * 16);
+        assert_eq!(dag.preds(conv2).iter().next(), Some((conv1, 32 * 32 * 16)));
     }
 
     #[test]
@@ -801,7 +963,7 @@ mod tests {
         assert_eq!(b_atoms.len(), 2);
         // b's top tile needs rows [0,17) of a: overlaps both a atoms.
         assert_eq!(dag.preds(b_atoms[0]).len(), 2);
-        let bytes: Vec<u64> = dag.preds(b_atoms[0]).iter().map(|(_, b)| *b).collect();
+        let bytes: Vec<u64> = dag.preds(b_atoms[0]).iter().map(|(_, b)| b).collect();
         // 16 rows from tile 0, 1 row from tile 1, each 32x16 wide.
         assert_eq!(bytes, vec![16 * 32 * 16, 32 * 16]);
     }
@@ -824,7 +986,7 @@ mod tests {
         let atoms = dag.layer_atoms(0, a);
         assert_eq!(atoms.len(), 4); // 2 h-tiles x 2 c-tiles
                                     // Atoms with the same channel tile share a weight DataId.
-        let wid = |aid: AtomId| dag.externals(aid)[0].0;
+        let wid = |aid: AtomId| dag.externals(aid).next().map(|(d, _)| d);
         let c_of = |aid: AtomId| dag.atom(aid).coords.c.start;
         for &x1 in atoms {
             for &x2 in atoms {
@@ -859,27 +1021,11 @@ mod tests {
         let a0 = d2.layer_atoms(0, conv1)[0];
         let a1 = d2.layer_atoms(1, conv1)[0];
         // Same weight datum across samples; different input datum.
-        let w0: Vec<_> = d2
-            .externals(a0)
-            .iter()
-            .filter(|(d, _)| d.0 >> 62 == 0)
-            .collect();
-        let w1: Vec<_> = d2
-            .externals(a1)
-            .iter()
-            .filter(|(d, _)| d.0 >> 62 == 0)
-            .collect();
+        let w0: Vec<_> = d2.externals(a0).filter(|(d, _)| d.0 >> 62 == 0).collect();
+        let w1: Vec<_> = d2.externals(a1).filter(|(d, _)| d.0 >> 62 == 0).collect();
         assert_eq!(w0, w1);
-        let i0: Vec<_> = d2
-            .externals(a0)
-            .iter()
-            .filter(|(d, _)| d.0 >> 62 == 1)
-            .collect();
-        let i1: Vec<_> = d2
-            .externals(a1)
-            .iter()
-            .filter(|(d, _)| d.0 >> 62 == 1)
-            .collect();
+        let i0: Vec<_> = d2.externals(a0).filter(|(d, _)| d.0 >> 62 == 1).collect();
+        let i1: Vec<_> = d2.externals(a1).filter(|(d, _)| d.0 >> 62 == 1).collect();
         assert_ne!(i0, i1);
     }
 
@@ -905,8 +1051,14 @@ mod tests {
         let a0 = dag.layer_atoms(0, a)[0];
         let b0 = dag.layer_atoms(0, b)[0];
         // First concat atom only reads a, second only reads b.
-        assert_eq!(dag.preds(cat_atoms[0]), &[(a0, 8 * 8 * 16)]);
-        assert_eq!(dag.preds(cat_atoms[1]), &[(b0, 8 * 8 * 16)]);
+        assert_eq!(
+            dag.preds(cat_atoms[0]).iter().collect::<Vec<_>>(),
+            [(a0, 8 * 8 * 16)]
+        );
+        assert_eq!(
+            dag.preds(cat_atoms[1]).iter().collect::<Vec<_>>(),
+            [(b0, 8 * 8 * 16)]
+        );
     }
 
     #[test]
@@ -942,10 +1094,10 @@ mod tests {
             let id = AtomId(u32_from_usize(i));
             for (p, bytes) in dag.preds(id) {
                 assert!(p.index() < dag.atom_count());
-                assert!(*bytes > 0);
-                assert!(dag.succs(*p).contains(&id));
+                assert!(bytes > 0);
+                assert!(dag.succs(p).contains(&id));
                 // Producer layer must be shallower.
-                assert!(dag.depth(*p) < dag.depth(id));
+                assert!(dag.depth(p) < dag.depth(id));
             }
         }
     }

@@ -67,7 +67,7 @@ pub mod validate;
 
 pub use atom::{AtomCoords, AtomCost, AtomSpec, Range};
 pub use atomgen::{AtomGenConfig, AtomGenMode, GenReport, SaParams};
-pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner, MAX_BATCH};
+pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner, Preds, PredsIter, MAX_BATCH};
 pub use error::PipelineError;
 pub use exec::Exec;
 pub use lower::{lower_remaining, lower_to_program, LowerOptions};

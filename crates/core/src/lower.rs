@@ -4,14 +4,14 @@
 //! simulator measures them identically.
 //!
 //! Lowering is split by what it depends on. The tasks depend only on the
-//! DAG, so [`task_table`] builds them once per [`AtomicDag`] (task id =
-//! atom id) and every plan of that DAG shares the table; a plan adds only
-//! its rounds and its done mask.
+//! DAG, so [`AtomicDag::build`] lays out their table once, while it derives
+//! the edges (task id = atom id), and every plan of that DAG shares it; a
+//! plan adds only its rounds and its done mask.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use accel_sim::{Operand, Program, Task, TaskId, TaskTable};
+use accel_sim::{Program, TaskId};
 use dnn_graph::LayerId;
 
 use crate::atomic_dag::{AtomId, AtomicDag};
@@ -26,34 +26,6 @@ pub struct LowerOptions {
     /// Force *every* output to DRAM (the strictest CNN-P reading, where
     /// each ifmap/ofmap "inevitably introduces off-chip memory access").
     pub all_outputs_to_dram: bool,
-}
-
-/// The tasks of every atom of `dag`, indexed by atom id: producer edges
-/// become task operands, weight slices and input regions external ones.
-/// Outputs are buffered; [`LowerOptions`] are applied per plan.
-pub(crate) fn task_table(dag: &AtomicDag) -> TaskTable {
-    let tasks = dag
-        .atoms()
-        .iter()
-        .enumerate()
-        .map(|(i, atom)| {
-            let id = AtomId(ad_util::cast::u32_from_usize(i));
-            let preds = dag.preds(id);
-            let externals = dag.externals(id);
-            let mut inputs: Vec<Operand> = Vec::with_capacity(preds.len() + externals.len());
-            inputs.extend(preds.iter().map(|(a, b)| Operand::task(TaskId(a.0), *b)));
-            inputs.extend(externals.iter().map(|(d, b)| Operand::external(*d, *b)));
-            Task::compute(
-                atom.cost.cycles,
-                atom.cost.macs,
-                atom.cost.output_bytes,
-                inputs,
-            )
-            .with_tag(atom.layer.0)
-            .with_energy_pj(atom.cost.energy_pj)
-        })
-        .collect();
-    TaskTable::new(tasks)
 }
 
 /// Converts atoms + `(atom, engine)` rounds into a [`Program`].
@@ -103,6 +75,7 @@ mod tests {
     use crate::atom::AtomSpec;
     use crate::mapping::{Mapper, MappingConfig};
     use crate::scheduler::{Scheduler, SchedulerConfig};
+    use accel_sim::{Operand, Task};
     use dnn_graph::models;
     use engine_model::{Dataflow, EngineConfig};
     use noc_model::MeshConfig;
@@ -200,25 +173,17 @@ mod tests {
                 .iter()
                 .map(|(a, b)| match tid_of[a.index()] {
                     u32::MAX => {
-                        Operand::external(accel_sim::DataId(3u64 << 62 | u64::from(a.0)), *b)
+                        Operand::external(accel_sim::DataId(3u64 << 62 | u64::from(a.0)), b)
                     }
-                    tid => Operand::task(TaskId(tid), *b),
+                    tid => Operand::task(TaskId(tid), b),
                 })
                 .collect();
-            inputs.extend(
-                d.externals(id)
-                    .iter()
-                    .map(|(x, b)| Operand::external(*x, *b)),
-            );
+            inputs.extend(d.externals(id).map(|(x, b)| Operand::external(x, b)));
             p.push_task(
-                Task::compute(
-                    atom.cost.cycles,
-                    atom.cost.macs,
-                    atom.cost.output_bytes,
-                    inputs,
-                )
-                .with_tag(atom.layer.0)
-                .with_energy_pj(atom.cost.energy_pj),
+                Task::compute(atom.cost.cycles, atom.cost.macs, atom.cost.output_bytes)
+                    .with_tag(atom.layer.0)
+                    .with_energy_pj(atom.cost.energy_pj),
+                &inputs,
             );
         }
         for round in rounds {

@@ -335,7 +335,7 @@ impl Mapper {
         for (p, b) in dag.preds(atom) {
             let src = self.residency[p.index()];
             if src != NO_ENGINE {
-                out.push((src, *b));
+                out.push((src, b));
             }
         }
         for (slot, b) in dag.weight_exts(atom) {
@@ -401,7 +401,7 @@ impl Mapper {
                 .preds(a)
                 .iter()
                 .filter(|(p, _)| self.residency[p.index()] != NO_ENGINE)
-                .map(|(_, b)| *b)
+                .map(|(_, b)| b)
                 .sum::<u64>()
                 + dag
                     .weight_exts(a)
@@ -870,7 +870,7 @@ mod tests {
             .map(AtomId)
             .find(|a| d.preds(*a).len() == 1)
             .expect("some single-pred atom exists");
-        let producer = d.preds(consumer)[0].0;
+        let (producer, _) = d.preds(consumer).iter().next().expect("one producer");
         // Producer itself must be a root for this synthetic two-round map.
         if d.preds(producer).is_empty() {
             let pa = m.map_round(&d, &[producer]).unwrap();

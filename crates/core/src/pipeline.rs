@@ -397,7 +397,7 @@ pub struct PlanOutcome {
 }
 
 /// Renders stage reports as a compact single line, e.g.
-/// `atomgen 12.3ms (96 atoms, E=0.0132) | schedule 4.1ms (7 rounds, occ 0.86)`.
+/// `atomgen 12.3ms (96 atoms, 1210 operands, S=5108, E=0.0132) | schedule 4.1ms (7 rounds, occ 0.86)`.
 pub fn format_reports(reports: &[StageReport]) -> String {
     reports
         .iter()
@@ -477,8 +477,9 @@ impl Stage for AtomDagStage {
             ctx.exec.interner(),
         );
         let summary = format!(
-            "{} atoms, S={:.0}, E={:.4}",
+            "{} atoms, {} operands, S={:.0}, E={:.4}",
             dag.atom_count(),
+            dag.task_table().operand_count(),
             report.unified_cycle,
             report.variance
         );

@@ -1023,7 +1023,7 @@ mod tests {
             assert!(round.len() <= engines, "round exceeds engine count");
             for a in round {
                 for (p, _) in dag.preds(*a) {
-                    assert!(done.contains(p), "dependency violated for {a:?}");
+                    assert!(done.contains(&p), "dependency violated for {a:?}");
                 }
             }
             for a in round {
@@ -1311,7 +1311,7 @@ mod tests {
                     // in an earlier round of the remainder.
                     for (p, _) in d.preds(*a) {
                         assert!(
-                            done[p.index()] || seen.contains(p),
+                            done[p.index()] || seen.contains(&p),
                             "dependency violated for {a:?} under {cfg:?}"
                         );
                     }

@@ -614,7 +614,7 @@ pub fn check_schedule(
     }
     for (r, round) in schedule.rounds.iter().enumerate() {
         for &id in round {
-            for &(pred, _) in dag.preds(id) {
+            for (pred, _) in dag.preds(id) {
                 let p = pred.index();
                 if done.get(p).copied().unwrap_or(false) {
                     continue;
@@ -720,7 +720,7 @@ pub fn check_mapping(
     }
     for (r, round) in mapped.iter().enumerate() {
         for &(id, _) in round {
-            for &(pred, _) in dag.preds(id) {
+            for (pred, _) in dag.preds(id) {
                 let p = pred.index();
                 if done.get(p).copied().unwrap_or(false) {
                     continue;

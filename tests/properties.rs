@@ -258,12 +258,11 @@ fn atomic_dag_edges_conserve_input_volume() {
             }
             let (h, w) = input_window(layer, atom.coords.h, atom.coords.w);
             let needed = h.len() as u64 * w.len() as u64 * layer.in_shape().c as u64;
-            let from_edges: u64 = dag.preds(id).iter().map(|(_, b)| *b).sum();
+            let from_edges: u64 = dag.preds(id).iter().map(|(_, b)| b).sum();
             let from_input: u64 = dag
                 .externals(id)
-                .iter()
                 .filter(|(d, _)| d.0 >> 62 == 1) // network-input datums
-                .map(|(_, b)| *b)
+                .map(|(_, b)| b)
                 .sum();
             assert_eq!(
                 from_edges + from_input,
@@ -377,9 +376,9 @@ fn weight_slices_are_consistent() {
         for (i, _) in dag.atoms().iter().enumerate() {
             for (d, b) in dag.externals(atomic_dataflow::AtomId(ad_util::cast::u32_from_usize(i))) {
                 if d.0 >> 62 == 0 {
-                    let prev = sizes.insert(d.0, *b);
+                    let prev = sizes.insert(d.0, b);
                     if let Some(prev) = prev {
-                        assert_eq!(prev, *b, "case {case}: weight datum {} size mismatch", d.0);
+                        assert_eq!(prev, b, "case {case}: weight datum {} size mismatch", d.0);
                     }
                 }
             }
