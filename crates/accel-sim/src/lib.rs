@@ -13,10 +13,11 @@
 //! optimizer and every baseline (LS, CNN-P, IL-Pipe, Rammer) lower to the
 //! same representation, so all strategies are measured by identical
 //! machinery. A program's tasks live in a [`TaskTable`] that many programs
-//! can share; each program adds only its rounds and the tasks already
-//! done. The table keeps every task's operands in one flat operand table
-//! (slot and bytes per operand); a hand-built program passes each task's
-//! [`Operand`]s to [`Program::push_task`].
+//! can share; each program adds only its rounds, the tasks already done
+//! and one flag that sends every output to DRAM (the CNN-Partition rule,
+//! [`Program::set_dram_outputs`]). The table keeps every task's operands
+//! in one flat operand table (slot and bytes per operand); a hand-built
+//! program passes each task's [`Operand`]s to [`Program::push_task`].
 //!
 //! # Execution semantics
 //!
@@ -25,11 +26,14 @@
 //! - Each task first gathers operands: free if resident in the local buffer,
 //!   a NoC transfer if resident on a peer engine (nearest copy by hops,
 //!   ties to the lowest engine index; XY routing),
-//!   a DRAM read otherwise (shared-bandwidth HBM channel).
+//!   a DRAM read otherwise (shared-bandwidth HBM channel). Staging is
+//!   double-buffered: gathering overlaps compute, so a task takes
+//!   `max(gather, compute)` cycles.
 //! - Task outputs are written to the producing engine's buffer; overflow
 //!   triggers the configured [`EvictionKind`] (the paper's Alg. 3
 //!   *invalid-occupation* policy, or baseline policies), with dirty victims
-//!   written back to DRAM.
+//!   written back to DRAM. Network outputs, and every output of a program
+//!   whose outputs go to DRAM, are written straight to DRAM.
 //! - Data whose consumers have all executed is released without write-back
 //!   (Alg. 3 lines 8–12).
 //!

@@ -81,16 +81,11 @@ pub struct Task {
     pub compute_energy_pj: f64,
     /// Grouping tag for statistics (typically the source layer id).
     pub tag: u32,
-    /// When `true`, the output bypasses the on-chip buffer and is written
-    /// straight to DRAM; consumers will read it from DRAM. Used by the
-    /// CNN-Partition baseline, whose CLPs always communicate through
-    /// off-chip memory (Sec. II-B).
-    pub dram_output: bool,
 }
 
 impl Task {
-    /// A compute task with sensible defaults (`tag = 0`, buffered output,
-    /// zero explicit energy).
+    /// A compute task with sensible defaults (`tag = 0`, zero explicit
+    /// energy).
     pub fn compute(compute_cycles: u64, macs: u64, output_bytes: u64) -> Self {
         Self {
             compute_cycles,
@@ -98,7 +93,6 @@ impl Task {
             output_bytes,
             compute_energy_pj: 0.0,
             tag: 0,
-            dram_output: false,
         }
     }
 
@@ -111,12 +105,6 @@ impl Task {
     /// Sets the on-engine energy (builder style).
     pub fn with_energy_pj(mut self, pj: f64) -> Self {
         self.compute_energy_pj = pj;
-        self
-    }
-
-    /// Forces the output to DRAM (builder style).
-    pub fn with_dram_output(mut self) -> Self {
-        self.dram_output = true;
         self
     }
 }
@@ -381,19 +369,6 @@ impl TaskTable {
         &self.slots().ext_ids
     }
 
-    /// A copy whose tasks write straight to DRAM wherever `dram(id)` holds
-    /// (the CNN-Partition lowering rule). The operand rows do not depend on
-    /// the flag, so they are copied as they are.
-    pub fn with_dram_outputs(&self, mut dram: impl FnMut(TaskId) -> bool) -> Self {
-        let mut table = self.clone();
-        for (i, t) in table.tasks.iter_mut().enumerate() {
-            if dram(TaskId(u32_from_usize(i))) {
-                t.dram_output = true;
-            }
-        }
-        table
-    }
-
     /// Appends `task` reading `inputs`; the slots are resolved again on
     /// the next use.
     fn push(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
@@ -488,8 +463,8 @@ impl TaskTable {
 }
 
 /// A fully scheduled workload, ready for simulation: a shared
-/// [`TaskTable`], the rounds of `(task, engine)` assignments, and the
-/// tasks already done.
+/// [`TaskTable`], the rounds of `(task, engine)` assignments, the tasks
+/// already done, and whether outputs bypass the on-chip buffers.
 ///
 /// A *done* task ran in an earlier, interrupted execution (fault
 /// recovery): it is not scheduled again, and its consumers read its output
@@ -501,6 +476,9 @@ pub struct Program {
     rounds: Vec<Vec<(TaskId, usize)>>,
     /// Indexed by task; missing entries are `false`.
     done: Vec<bool>,
+    /// Every output bypasses the on-chip buffer and goes straight to DRAM;
+    /// consumers read it back from DRAM.
+    dram_outputs: bool,
 }
 
 impl Program {
@@ -516,6 +494,7 @@ impl Program {
             table,
             rounds: Vec::new(),
             done,
+            dram_outputs: false,
         }
     }
 
@@ -529,6 +508,20 @@ impl Program {
     /// Appends a round of `(task, engine)` assignments.
     pub fn push_round(&mut self, assignments: Vec<(TaskId, usize)>) {
         self.rounds.push(assignments);
+    }
+
+    /// Sends every task's output straight to DRAM instead of the producing
+    /// engine's buffer, so consumers read it back from DRAM: the
+    /// CNN-Partition rule, whose CLPs always communicate through off-chip
+    /// memory (Sec. II-B). Network outputs go to DRAM either way.
+    pub fn set_dram_outputs(&mut self, on: bool) {
+        self.dram_outputs = on;
+    }
+
+    /// Whether every output goes straight to DRAM (see
+    /// [`Program::set_dram_outputs`]).
+    pub fn dram_outputs(&self) -> bool {
+        self.dram_outputs
     }
 
     /// The shared task table.
@@ -669,10 +662,10 @@ impl Program {
     ///
     /// Errors from the instruction pass carry the index of the first
     /// offending instruction, counted round-major across
-    /// [`Program::rounds`]. The capacity pass intentionally skips
-    /// `dram_output` tasks (they bypass the buffer) and is opt-in because
-    /// the simulator can legally spill over-capacity outputs to DRAM; pass
-    /// `None` to audit structure only.
+    /// [`Program::rounds`]. The capacity pass is skipped when outputs go to
+    /// DRAM ([`Program::dram_outputs`]: they bypass the buffer) and is
+    /// opt-in because the simulator can legally spill over-capacity outputs
+    /// to DRAM; pass `None` to audit structure only.
     ///
     /// # Errors
     ///
@@ -683,6 +676,7 @@ impl Program {
         buffer_capacity: Option<u64>,
     ) -> Result<(), ProgramError> {
         self.validate(engines)?;
+        let buffer_capacity = buffer_capacity.filter(|_| !self.dram_outputs);
         // Both passes below hunt task-only faults: skip the walk when the
         // table has none.
         let tasks = self.tasks();
@@ -716,7 +710,7 @@ impl Program {
                     }
                 }
                 if let Some(capacity) = buffer_capacity {
-                    if !task.dram_output && task.output_bytes > capacity {
+                    if task.output_bytes > capacity {
                         return Err(ProgramError::BufferOverflow {
                             instr,
                             task: *tid,
@@ -861,8 +855,9 @@ mod tests {
     #[test]
     fn dram_output_exempt_from_capacity() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 4096).with_dram_output(), &[]);
+        let a = p.push_task(Task::compute(10, 0, 4096), &[]);
         p.push_round(vec![(a, 0)]);
+        p.set_dram_outputs(true);
         assert!(p.validate_with(4, Some(1024)).is_ok());
     }
 

@@ -23,14 +23,6 @@ pub struct SimConfig {
     pub hbm: HbmConfig,
     /// Buffer-overflow eviction policy.
     pub eviction: EvictionKind,
-    /// Double-buffered operand staging: when `true` (the default, matching
-    /// the engines the paper models) a round's operand gathering overlaps
-    /// the array pipeline, so an engine's round time is
-    /// `max(gather, compute)` instead of `gather + compute`. Loads that
-    /// exceed compute still block — exactly the effect the paper notes for
-    /// CNN-P's DRAM traffic, which "cannot be completely overlapped by
-    /// double buffering".
-    pub double_buffer: bool,
 }
 
 impl SimConfig {
@@ -43,7 +35,6 @@ impl SimConfig {
             mesh: MeshConfig::paper_default(),
             hbm: HbmConfig::paper_default(),
             eviction: EvictionKind::InvalidOccupation,
-            double_buffer: true,
         }
     }
 
@@ -647,11 +638,16 @@ impl<'p> Runtime<'p> {
     }
 
     /// Gathers operands and computes one task; returns its completion time.
+    ///
+    /// Operand staging is double-buffered, as on the engines the paper
+    /// models: gathering overlaps the array pipeline, so the task takes
+    /// `max(gather, compute)`. Loads that outlast compute still block —
+    /// the effect the paper notes for CNN-P's DRAM traffic, which "cannot
+    /// be completely overlapped by double buffering".
     fn run_task(&mut self, tid: TaskId, engine: usize, round_start: u64) -> Result<u64, SimError> {
         let task = self.program.task(tid);
         let compute_cycles = task.compute_cycles;
         let output_bytes = task.output_bytes;
-        let dram_output = task.dram_output;
         self.compute_energy_pj += task.compute_energy_pj;
         self.macs_done += task.macs;
 
@@ -673,19 +669,11 @@ impl<'p> Runtime<'p> {
         }
 
         let gather_cycles = noc_t.max(dram_ready) - round_start;
-        let compute_end = if self.cfg.double_buffer {
-            round_start + gather_cycles.max(compute_cycles)
-        } else {
-            round_start + gather_cycles + compute_cycles
-        };
+        let compute_end = round_start + gather_cycles.max(compute_cycles);
         self.engine_busy[engine] += compute_cycles;
         // The part of gathering the double buffer could not hide blocks the
         // engine; attribute it to NoC vs DRAM proportionally.
-        let blocked = if self.cfg.double_buffer {
-            gather_cycles.saturating_sub(compute_cycles)
-        } else {
-            gather_cycles
-        };
+        let blocked = gather_cycles.saturating_sub(compute_cycles);
         self.engine_blocked[engine] += blocked;
         let gathered = (self.task_noc_cycles + self.task_dram_cycles).max(1);
         self.noc_blocked += blocked * self.task_noc_cycles / gathered;
@@ -696,7 +684,7 @@ impl<'p> Runtime<'p> {
             let slot = tid.0;
             let s = slot as usize;
             let has_consumers = self.remaining_uses[s] > 0;
-            if dram_output || !has_consumers {
+            if self.program.dram_outputs() || !has_consumers {
                 // Straight to DRAM: CNN-P semantics, or a network output.
                 self.hbm.write(compute_end, output_bytes);
                 self.set_location_dram(slot);
@@ -1026,10 +1014,11 @@ mod tests {
     #[test]
     fn dram_output_flag_forces_offchip_roundtrip() {
         let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 2048).with_dram_output(), &[]);
+        let a = p.push_task(Task::compute(10, 0, 2048), &[]);
         let b = p.push_task(Task::compute(10, 0, 64), &[Operand::task(a, 2048)]);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]); // same engine, but data went to DRAM
+        p.set_dram_outputs(true);
         let s = sim().run(&p).unwrap();
         assert_eq!(s.dram_write_bytes, 2048 + 64); // a's output + final output b
         assert_eq!(s.dram_read_bytes, 2048);

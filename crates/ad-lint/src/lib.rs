@@ -1,9 +1,9 @@
 //! Repo-specific static analysis for the atomic-dataflow workspace.
 //!
 //! The whole reproduction rests on bit-identical, seeded planning and
-//! simulation: SA atom generation, DP round scheduling and the
-//! permutation-search mapper are all stochastic searches whose results must
-//! be comparable across runs and machines. Two classes of code defeat that
+//! simulation: SA atom generation, DP round scheduling and the affinity
+//! mapper are all searches whose results must be comparable across runs
+//! and machines. Two classes of code defeat that
 //! silently — hash-ordered iteration in planning code, and unseeded
 //! entropy / wall-clock reads in cost paths — and a third (`unwrap` in
 //! library code) undermines the typed-error work. This crate makes those

@@ -12,8 +12,8 @@ use atomic_dataflow::atomgen::{
     self, AtomGenConfig, AtomGenMode, CandidateTable, GaParams, SaParams,
 };
 use atomic_dataflow::{
-    lower_to_program, request, Exec, LowerOptions, Optimizer, OptimizerConfig, PlanRequest,
-    ScheduleMode, Scheduler, SchedulerConfig, Strategy,
+    lower_to_program, request, Exec, Optimizer, OptimizerConfig, PlanRequest, ScheduleMode,
+    Scheduler, SchedulerConfig, Strategy,
 };
 use dnn_graph::models;
 use engine_model::{ConvTask, Dataflow, HardwareConfig};
@@ -95,7 +95,7 @@ fn bench_pipeline(iters: usize) {
     let opt = Optimizer::new(cfg);
     let (_, dag) = opt.build_dag(&g);
     let (_, mapped) = opt.schedule_and_map(&dag).expect("pipeline stages succeed");
-    let program = lower_to_program(&dag, &mapped, &LowerOptions::default());
+    let program = lower_to_program(&dag, &mapped);
     println!("simulator program: {} tasks", program.tasks().len());
     let sim = Simulator::new(cfg.sim);
     time("simulator/resnet50_run", iters, || {

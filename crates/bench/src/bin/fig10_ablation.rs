@@ -57,7 +57,7 @@ fn main() {
         // Stage 1: SA atoms, layer order, no reuse machinery.
         let mut s1 = base;
         s1.schedule_mode = ScheduleMode::LayerOrder;
-        s1.mapping.algo = MappingAlgo::ZigzagIdentity;
+        s1.mapping = MappingAlgo::ZigzagIdentity;
         s1.sim.eviction = EvictionKind::Fifo;
         let c1 = run(s1, graph);
 

@@ -6,7 +6,7 @@ use std::time::Instant;
 use accel_sim::{FaultKind, FaultPlan, SimStats};
 use ad_util::Json;
 use atomic_dataflow::{
-    baselines, request, Optimizer, OptimizerConfig, PlanBudget, PlanRequest, StageReport, Strategy,
+    baselines, request, OptimizerConfig, PlanBudget, PlanRequest, StageReport, Strategy,
     ValidateMode,
 };
 use dnn_graph::{models, Graph};
@@ -251,12 +251,6 @@ pub fn restart_after_faults(healthy: &SimStats, plan: &FaultPlan, engines: usize
     let total = now + makespan;
     let energy_mj = healthy.energy.total_mj() * total as f64 / healthy.total_cycles.max(1) as f64;
     (total, energy_mj)
-}
-
-/// Re-export of the full AD pipeline for experiments that need internals
-/// (e.g. Fig. 5's generation reports).
-pub fn ad_optimizer(cfg: OptimizerConfig) -> Optimizer {
-    Optimizer::new(cfg)
 }
 
 /// The Fig. 2 helper (kept here so binaries share one import path).

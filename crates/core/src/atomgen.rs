@@ -109,11 +109,6 @@ pub enum AtomGenMode {
 pub struct AtomGenConfig {
     /// Search mode.
     pub mode: AtomGenMode,
-    /// Candidates whose working set exceeds this fraction of the engine
-    /// buffer are rejected.
-    pub max_working_set_frac: f64,
-    /// Upper bound on atoms per layer (keeps the DAG tractable).
-    pub max_atoms_per_layer: usize,
     /// Initialization target: the unified-cycle state starts at the cycle
     /// level where large layers split into about this many atoms, i.e.
     /// enough intra-layer parallelism to fill the engine array (≈ 2·N).
@@ -130,8 +125,6 @@ impl Default for AtomGenConfig {
     fn default() -> Self {
         Self {
             mode: AtomGenMode::Sa(SaParams::default()),
-            max_working_set_frac: 1.0,
-            max_atoms_per_layer: 4096,
             target_atoms_per_layer: 128,
             engines: 64,
         }
@@ -188,10 +181,9 @@ struct Candidate {
 
 /// Every layer's tiling candidates, sorted by cycles.
 ///
-/// The table depends on the graph, the engine, the dataflow and three
-/// fields of [`AtomGenConfig`] (`max_working_set_frac`,
-/// `max_atoms_per_layer`, `engines`), never on the granularity target or
-/// the search mode. A planning request therefore builds it once and every
+/// The table depends on the graph, the engine, the dataflow and
+/// [`AtomGenConfig::engines`], never on the granularity target or the
+/// search mode. A planning request therefore builds it once and every
 /// [`generate`] run of the request (one per granularity target, every SA
 /// chain) reads it.
 #[derive(Debug)]
@@ -205,18 +197,8 @@ pub struct CandidateTable {
     min_wall: Vec<u64>,
     /// The SA hot loop's view of the same candidates.
     soa: SaSoa,
-    /// The configuration the table was enumerated under:
-    /// `(max_working_set_frac bits, max_atoms_per_layer, engines)`.
-    built_for: (u64, usize, usize),
-}
-
-/// The [`AtomGenConfig`] fields a [`CandidateTable`] depends on.
-fn table_key(cfg: &AtomGenConfig) -> (u64, usize, usize) {
-    (
-        cfg.max_working_set_frac.to_bits(),
-        cfg.max_atoms_per_layer,
-        cfg.engines,
-    )
+    /// The engine count the table was enumerated under.
+    built_for: usize,
 }
 
 impl CandidateTable {
@@ -242,7 +224,7 @@ impl CandidateTable {
                 .collect(),
             layers: cands,
             soa: SaSoa::default(),
-            built_for: table_key(cfg),
+            built_for: cfg.engines,
         };
         table.soa = SaSoa::build(&table);
         table
@@ -278,9 +260,8 @@ pub fn generate(
     exec: &Exec,
 ) -> GenReport {
     debug_assert_eq!(
-        table.built_for,
-        table_key(cfg),
-        "candidate table built under a different generator configuration"
+        table.built_for, cfg.engines,
+        "candidate table built for a different engine count"
     );
     match cfg.mode {
         AtomGenMode::Sa(p) => run_sa(
@@ -305,6 +286,9 @@ pub fn chain_seed(seed: u64, chain: usize) -> u64 {
     seed.wrapping_add((chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Upper bound on a layer's atom count (keeps the DAG tractable).
+const MAX_ATOMS_PER_LAYER: usize = 4096;
+
 /// Split-factor menu used for candidate enumeration.
 const SPLITS: [usize; 17] = [
     1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384,
@@ -325,9 +309,7 @@ fn layer_candidates(
     if layer.op().is_input() {
         return Vec::new();
     }
-    // `max_working_set_frac` ∈ [0, 1], so the product stays ≤ buffer_bytes.
-    #[allow(clippy::cast_possible_truncation)]
-    let budget = (engine.buffer_bytes as f64 * cfg.max_working_set_frac) as u64;
+    let budget = engine.buffer_bytes;
     let out = layer.out_shape();
     let mut cands: Vec<Candidate> = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
@@ -349,7 +331,7 @@ fn layer_candidates(
                     continue;
                 }
                 let count = spec.count(out);
-                if count > cfg.max_atoms_per_layer {
+                if count > MAX_ATOMS_PER_LAYER {
                     continue;
                 }
                 let coords = AtomCoords {
@@ -362,8 +344,8 @@ fn layer_candidates(
                 // buffer are streamed (the simulator models exactly
                 // that), and the resulting traffic is visible to the
                 // outer Fig. 4(b) loop through full simulation. The
-                // `max_working_set_frac` budget only softens selection
-                // via the wall-time term below.
+                // buffer size only softens selection via the wall-time
+                // term below.
                 let oversize_penalty = cost.working_set_bytes.saturating_sub(budget) / 64;
                 let cycles = cost.cycles.max(1);
                 // Effective per-atom time: compute, or the operand
@@ -1283,7 +1265,7 @@ mod tests {
             is_array: vec![true],
             min_wall: vec![10],
             soa: SaSoa::default(),
-            built_for: table_key(&AtomGenConfig::default()),
+            built_for: AtomGenConfig::default().engines,
         };
         table.soa = SaSoa::build(&table);
         assert_eq!(table.soa.cycles_f[0].len(), 3, "runs must stay uncollapsed");

@@ -570,16 +570,6 @@ impl AtomicDag {
     pub fn total_compute_cycles(&self) -> u64 {
         self.atoms.iter().map(|a| a.cost.cycles).sum()
     }
-
-    /// Execution cycles of every *array* (CONV/FC) atom — the population the
-    /// paper's Fig. 5(a) histograms and Alg. 1's variance objective use.
-    pub fn array_atom_cycles(&self) -> Vec<u64> {
-        self.atoms
-            .iter()
-            .filter(|a| a.cost.macs > 0)
-            .map(|a| a.cost.cycles)
-            .collect()
-    }
 }
 
 /// The consumer lists of the operand rows `in_off`/`in_slot` (slots below

@@ -6,15 +6,16 @@
 //! layers, balanced by MAC count. Batched samples are pipelined in layer
 //! granularity: at step `s`, CLP `c` processes its layer range for sample
 //! `s − c`. Because multiple layers with various shapes share one fixed
-//! CLP, every ifmap/ofmap moves through off-chip memory (`dram_output` on
-//! all tasks), and each step is synchronized by the slowest CLP — the two
-//! structural weaknesses the paper calls out.
+//! CLP, every ifmap/ofmap moves through off-chip memory, and each step is
+//! synchronized by the slowest CLP — the two structural weaknesses the
+//! paper calls out. The plan stage sets [`PlanContext::dram_outputs`], so
+//! the lowered program sends every output to DRAM while sharing the DAG's
+//! task table like every other plan.
 //!
 //! With `batch == 1` no pipelining is possible and CNN-P degenerates to LS
 //! (Sec. V-B: "CNN-P cannot pipeline layers among CLPs, and its mapping
 //! strategy is the same with LS").
 
-use accel_sim::SimStats;
 use ad_util::WorkerPool;
 use dnn_graph::{Graph, LayerId};
 
@@ -25,28 +26,20 @@ use crate::pipeline::{
     LowerStage, Pipeline, PlanContext, PlanOutcome, SimulateStage, Stage, StageReport,
 };
 
-/// Runs CNN-P on `graph` under `cfg`, auto-selecting the CLP count among
-/// `{2, 4, 8}` by simulated cycles (the original work explores partitions
-/// offline too). The CLP candidates are evaluated on a pool of
-/// [`OptimizerConfig::parallelism`] runners; the reduction visits them in
-/// fixed index order, so the winner is thread-count independent.
+/// Plans and simulates CNN-P on `graph` under `cfg`, auto-selecting the
+/// CLP count among `{2, 4, 8}` by simulated cycles (the original work
+/// explores partitions offline too), and returns the winning candidate's
+/// statistics and stage reports. The CLP candidates are evaluated on a
+/// pool of [`OptimizerConfig::parallelism`] runners; the reduction visits
+/// them in fixed index order, so the winner is thread-count independent.
+/// [`crate::Strategy::CnnPartition`] runs this.
 ///
 /// # Errors
 ///
 /// Propagates schedule-integrity errors (a bug if it fires).
-pub fn run(graph: &Graph, cfg: &OptimizerConfig) -> Result<SimStats, PipelineError> {
-    Ok(run_detailed(graph, cfg)?.stats)
-}
-
-/// Like [`run`], but also returns the per-stage reports of the winning
-/// CLP-count candidate.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
+pub fn search(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
     if cfg.batch <= 1 {
-        return super::ls::run_detailed(graph, cfg);
+        return super::ls::pipeline().execute(graph, cfg);
     }
     let compute_layers = graph
         .topo_order()
@@ -71,7 +64,7 @@ pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome,
     }
     match best {
         Some(s) => Ok(s),
-        None => super::ls::run_detailed(graph, cfg),
+        None => super::ls::pipeline().execute(graph, cfg),
     }
 }
 
@@ -84,25 +77,12 @@ pub fn pipeline(k: usize) -> Pipeline {
     ])
 }
 
-/// Runs CNN-P with exactly `k` CLPs.
-///
-/// # Errors
-///
-/// Propagates schedule-integrity errors (a bug if it fires).
-pub fn run_with_clps(
-    graph: &Graph,
-    cfg: &OptimizerConfig,
-    k: usize,
-) -> Result<SimStats, PipelineError> {
-    Ok(pipeline(k).execute(graph, cfg)?.stats)
-}
-
 /// The CNN-P planning stage for a fixed CLP count: fixed engine spans,
 /// MAC-balanced contiguous layer ranges, batch pipelining, and the
 /// everything-through-DRAM lowering rule.
 ///
-/// Consumes: graph. Produces: `dag`, `mapped`, `lower` (all ofmaps to
-/// DRAM).
+/// Consumes: graph. Produces: `dag`, `mapped`, `dram_outputs` (all ofmaps
+/// to DRAM).
 #[derive(Debug, Clone, Copy)]
 pub struct CnnPPlanStage {
     /// Number of convolutional layer processors.
@@ -210,7 +190,7 @@ impl Stage for CnnPPlanStage {
         }
 
         // Every ifmap/ofmap goes through DRAM (Sec. II-B).
-        ctx.lower.all_outputs_to_dram = true;
+        ctx.dram_outputs = true;
         let summary = format!(
             "{} CLPs, {} atoms in {} rounds",
             k,
@@ -226,6 +206,7 @@ impl Stage for CnnPPlanStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use dnn_graph::models;
 
     fn cfg() -> OptimizerConfig {
@@ -234,12 +215,17 @@ mod tests {
         c
     }
 
+    /// CNN-P with exactly `k` CLPs.
+    fn clps(g: &Graph, c: &OptimizerConfig, k: usize) -> accel_sim::SimStats {
+        pipeline(k).execute(g, c).unwrap().stats
+    }
+
     #[test]
     fn cnn_p_batch1_equals_ls() {
         let g = models::tiny_cnn();
         let c = cfg();
-        let cp = run(&g, &c).unwrap();
-        let ls = super::super::ls::run(&g, &c).unwrap();
+        let cp = Strategy::CnnPartition.run(&g, &c).unwrap();
+        let ls = Strategy::LayerSequential.run(&g, &c).unwrap();
         assert_eq!(cp.total_cycles, ls.total_cycles);
     }
 
@@ -247,7 +233,7 @@ mod tests {
     fn cnn_p_pipelines_batches() {
         let g = models::tiny_cnn();
         let c = cfg().with_batch(4);
-        let s = run_with_clps(&g, &c, 2).unwrap();
+        let s = clps(&g, &c, 2);
         assert!(s.total_cycles > 0);
         let expected_macs = g.layers().map(|l| l.macs()).sum::<u64>() * 4;
         assert_eq!(s.total_macs, expected_macs);
@@ -257,8 +243,8 @@ mod tests {
     fn cnn_p_forces_offchip_traffic() {
         let g = models::tiny_cnn();
         let c = cfg().with_batch(4);
-        let cp = run_with_clps(&g, &c, 2).unwrap();
-        let ls = super::super::ls::run(&g, &c).unwrap();
+        let cp = clps(&g, &c, 2);
+        let ls = Strategy::LayerSequential.run(&g, &c).unwrap();
         assert!(
             cp.dram_write_bytes > ls.dram_write_bytes,
             "cnn-p writes {} <= ls writes {}",
@@ -278,8 +264,8 @@ mod tests {
         // Steps grow as (batch + K - 1), not batch × K: quadrupling the
         // batch must take well under 4x the cycles.
         let g = models::tiny_cnn();
-        let s2 = run_with_clps(&g, &cfg().with_batch(2), 2).unwrap();
-        let s8 = run_with_clps(&g, &cfg().with_batch(8), 2).unwrap();
+        let s2 = clps(&g, &cfg().with_batch(2), 2);
+        let s8 = clps(&g, &cfg().with_batch(8), 2);
         assert!(
             s8.total_cycles < 4 * s2.total_cycles,
             "batch8 {} vs 4x batch2 {}",

@@ -6,23 +6,12 @@ use dnn_graph::Graph;
 
 use crate::error::PipelineError;
 use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, Stage, StageReport};
+use crate::pipeline::{Pipeline, PlanContext, Stage, StageReport};
 
 /// Ideal as a (single-stage) list over the shared machinery: the analytic
 /// bound needs no lowering or simulation.
 pub fn pipeline() -> Pipeline {
     Pipeline::new(vec![Box::new(IdealStage)])
-}
-
-/// Like [`run`], but routed through the shared [`Pipeline`] machinery so
-/// the bench harness gets a [`StageReport`] like every other strategy.
-///
-/// # Errors
-///
-/// [`PipelineError::StageOrder`] only if invoked on a graph-less context
-/// (never through this entry point).
-pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
-    pipeline().execute(graph, cfg)
 }
 
 /// The analytic roofline stage.

@@ -13,15 +13,11 @@
 //! utilization. Segment boundaries spill to DRAM (regions are re-allocated
 //! between segments).
 
-use accel_sim::SimStats;
-use dnn_graph::{Graph, LayerId};
+use dnn_graph::LayerId;
 
 use crate::atomic_dag::AtomId;
 use crate::error::PipelineError;
-use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{
-    LowerStage, Pipeline, PlanContext, PlanOutcome, SimulateStage, Stage, StageReport,
-};
+use crate::pipeline::{LowerStage, Pipeline, PlanContext, SimulateStage, Stage, StageReport};
 
 /// Chunks each layer is split into along the pipeline (ALLO granularity).
 /// Pipeline fill/drain costs ≈ `2·m/P` of one sample per segment, so chunks
@@ -40,24 +36,6 @@ pub fn pipeline() -> Pipeline {
         Box::new(LowerStage),
         Box::new(SimulateStage),
     ])
-}
-
-/// Runs IL-Pipe on `graph` under `cfg`.
-///
-/// # Errors
-///
-/// Propagates schedule-integrity errors (a bug if it fires).
-pub fn run(graph: &Graph, cfg: &OptimizerConfig) -> Result<SimStats, PipelineError> {
-    Ok(run_detailed(graph, cfg)?.stats)
-}
-
-/// Like [`run`], but also returns the per-stage reports.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
-    pipeline().execute(graph, cfg)
 }
 
 /// The IL-Pipe planning stage: segment formation, proportional region
@@ -219,8 +197,9 @@ impl Stage for IlPipePlanStage {
         // Segment-boundary tensors stay in the distributed buffers and are
         // pulled by the next segment's regions over the NoC; the buffering
         // policy spills them only under pressure (Tangram's design goal is
-        // precisely to avoid off-chip round-trips): the default lowering
-        // options already express that, so the stage leaves `ctx.lower` alone.
+        // precisely to avoid off-chip round-trips): the default buffered
+        // lowering already expresses that, so the stage leaves
+        // `ctx.dram_outputs` unset.
         let summary = format!(
             "{} segments, {} atoms in {} rounds",
             segments.len(),
@@ -235,7 +214,7 @@ impl Stage for IlPipePlanStage {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{OptimizerConfig, Strategy};
     use dnn_graph::models;
 
     fn cfg() -> OptimizerConfig {
@@ -247,7 +226,7 @@ mod tests {
     #[test]
     fn il_pipe_runs_and_covers_all_macs() {
         let g = models::tiny_cnn();
-        let s = run(&g, &cfg()).unwrap();
+        let s = Strategy::IlPipe.run(&g, &cfg()).unwrap();
         assert_eq!(s.total_macs, g.layers().map(|l| l.macs()).sum::<u64>());
     }
 
@@ -257,8 +236,11 @@ mod tests {
         // off-chip accesses by streaming between adjacent regions.
         let g = models::tiny_cnn();
         let c = cfg().with_batch(4);
-        let il = run(&g, &c).unwrap();
-        let cp = super::super::cnn_p::run_with_clps(&g, &c, 2).unwrap();
+        let il = Strategy::IlPipe.run(&g, &c).unwrap();
+        let cp = super::super::cnn_p::pipeline(2)
+            .execute(&g, &c)
+            .unwrap()
+            .stats;
         assert!(
             il.dram_read_bytes < cp.dram_read_bytes,
             "il {} vs cnn-p {}",
@@ -270,7 +252,7 @@ mod tests {
     #[test]
     fn il_pipe_handles_branching_graphs() {
         let g = models::tiny_branchy();
-        let s = run(&g, &cfg().with_batch(2)).unwrap();
+        let s = Strategy::IlPipe.run(&g, &cfg().with_batch(2)).unwrap();
         assert!(s.total_cycles > 0);
     }
 
@@ -280,7 +262,7 @@ mod tests {
         // clearly below AD's.
         let g = models::tiny_cnn();
         let c = cfg();
-        let il = run(&g, &c).unwrap();
+        let il = Strategy::IlPipe.run(&g, &c).unwrap();
         let ad = crate::Optimizer::new(c).optimize(&g).unwrap().stats;
         assert!(
             ad.pe_utilization > il.pe_utilization,
@@ -298,7 +280,7 @@ mod tests {
         let g = dnn_graph::models::vgg19();
         let mut c = crate::optimizer::OptimizerConfig::paper_default();
         c.sim.mesh = noc_model::MeshConfig::grid(4, 4);
-        let s = run(&g, &c).unwrap();
+        let s = Strategy::IlPipe.run(&g, &c).unwrap();
         assert_eq!(s.total_macs, g.layers().map(|l| l.macs()).sum::<u64>());
     }
 
@@ -307,8 +289,11 @@ mod tests {
         // Per-sample cost must shrink as the pipeline fills.
         let g = models::tiny_cnn();
         let c = cfg();
-        let b1 = run(&g, &c).unwrap().total_cycles;
-        let b6 = run(&g, &c.with_batch(6)).unwrap().total_cycles;
+        let b1 = Strategy::IlPipe.run(&g, &c).unwrap().total_cycles;
+        let b6 = Strategy::IlPipe
+            .run(&g, &c.with_batch(6))
+            .unwrap()
+            .total_cycles;
         assert!(
             (b6 as f64 / 6.0) < b1 as f64 * 0.8,
             "per-sample {} vs fill-bound {}",

@@ -7,15 +7,12 @@
 //! is split into `N / k` partitions, which keeps per-engine sub-tasks larger
 //! than a 1-sample `N`-way split would.
 
-use accel_sim::SimStats;
 use dnn_graph::Graph;
 
 use crate::atomic_dag::AtomId;
 use crate::error::PipelineError;
 use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{
-    LowerStage, Pipeline, PlanContext, PlanOutcome, SimulateStage, Stage, StageReport,
-};
+use crate::pipeline::{LowerStage, Pipeline, PlanContext, SimulateStage, Stage, StageReport};
 
 /// The LS planning stage: builds the naive N-way DAG and the
 /// layer-sequential wave mapping (fused scheduling + placement, since LS
@@ -72,24 +69,6 @@ pub fn pipeline() -> Pipeline {
     ])
 }
 
-/// Runs LS on `graph` under `cfg` and simulates it.
-///
-/// # Errors
-///
-/// Propagates schedule-integrity errors (a bug if it fires).
-pub fn run(graph: &Graph, cfg: &OptimizerConfig) -> Result<SimStats, PipelineError> {
-    Ok(run_detailed(graph, cfg)?.stats)
-}
-
-/// Like [`run`], but also returns the per-stage reports.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
-    pipeline().execute(graph, cfg)
-}
-
 /// The Fig. 2 experiment: per-layer PE utilization of LS with each layer
 /// evenly partitioned across all `N` engines (communication delay excluded).
 /// Returns `(layer_name, utilization)` for every array (CONV/FC) layer.
@@ -120,6 +99,7 @@ pub fn layer_utilizations(graph: &Graph, cfg: &OptimizerConfig) -> Vec<(String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use dnn_graph::models;
 
     fn cfg() -> OptimizerConfig {
@@ -131,7 +111,7 @@ mod tests {
     #[test]
     fn ls_runs_tiny_network() {
         let g = models::tiny_cnn();
-        let s = run(&g, &cfg()).unwrap();
+        let s = Strategy::LayerSequential.run(&g, &cfg()).unwrap();
         assert!(s.total_cycles > 0);
         assert_eq!(s.total_macs, g.layers().map(|l| l.macs()).sum::<u64>());
     }
@@ -140,8 +120,10 @@ mod tests {
     fn ls_batch_enhancement_beats_serial_samples() {
         let g = models::tiny_cnn();
         let c1 = cfg();
-        let s1 = run(&g, &c1).unwrap();
-        let s4 = run(&g, &c1.with_batch(4)).unwrap();
+        let s1 = Strategy::LayerSequential.run(&g, &c1).unwrap();
+        let s4 = Strategy::LayerSequential
+            .run(&g, &c1.with_batch(4))
+            .unwrap();
         assert!(
             s4.total_cycles < 4 * s1.total_cycles,
             "batched LS {} vs 4x single {}",

@@ -12,15 +12,11 @@ use std::collections::VecDeque;
 
 use ad_util::cast::u32_from_usize;
 
-use accel_sim::{EvictionKind, SimStats};
-use dnn_graph::Graph;
+use accel_sim::EvictionKind;
 
 use crate::atomic_dag::AtomId;
 use crate::error::PipelineError;
-use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{
-    LowerStage, Pipeline, PlanContext, PlanOutcome, SimulateStage, Stage, StageReport,
-};
+use crate::pipeline::{LowerStage, Pipeline, PlanContext, SimulateStage, Stage, StageReport};
 
 /// Rammer as a stage list over the shared machinery: plan → lower →
 /// simulate (the plan stage switches the simulated eviction policy to
@@ -31,24 +27,6 @@ pub fn pipeline() -> Pipeline {
         Box::new(LowerStage),
         Box::new(SimulateStage),
     ])
-}
-
-/// Runs the Rammer-like strategy on `graph` under `cfg`.
-///
-/// # Errors
-///
-/// Propagates schedule-integrity errors (a bug if it fires).
-pub fn run(graph: &Graph, cfg: &OptimizerConfig) -> Result<SimStats, PipelineError> {
-    Ok(run_detailed(graph, cfg)?.stats)
-}
-
-/// Like [`run`], but also returns the per-stage reports.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_detailed(graph: &Graph, cfg: &OptimizerConfig) -> Result<PlanOutcome, PipelineError> {
-    pipeline().execute(graph, cfg)
 }
 
 /// The Rammer planning stage: uniform rTask generation, FIFO ready-queue
@@ -117,7 +95,7 @@ impl Stage for RammerPlanStage {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{OptimizerConfig, Strategy};
     use dnn_graph::models;
 
     #[test]
@@ -125,7 +103,7 @@ mod tests {
         let g = models::tiny_branchy();
         let mut cfg = OptimizerConfig::fast_test();
         cfg.sim.mesh = noc_model::MeshConfig::grid(4, 4);
-        let s = run(&g, &cfg).unwrap();
+        let s = Strategy::Rammer.run(&g, &cfg).unwrap();
         assert!(s.total_cycles > 0);
         assert_eq!(s.total_macs, g.layers().map(|l| l.macs()).sum::<u64>());
     }
@@ -139,8 +117,8 @@ mod tests {
         let g = models::tiny_branchy();
         let mut cfg = OptimizerConfig::fast_test();
         cfg.sim.mesh = noc_model::MeshConfig::grid(4, 4);
-        let rammer = run(&g, &cfg).unwrap();
-        let ls = super::super::ls::run(&g, &cfg).unwrap();
+        let rammer = Strategy::Rammer.run(&g, &cfg).unwrap();
+        let ls = Strategy::LayerSequential.run(&g, &cfg).unwrap();
         assert!(
             rammer.rounds <= ls.rounds,
             "rammer rounds {} > ls rounds {}",

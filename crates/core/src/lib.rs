@@ -15,8 +15,8 @@
 //! 2. **Atomic DAG scheduling** ([`scheduler`], Alg. 2) — candidate-set
 //!    maintenance with the paper's four priority rules, plus a bounded
 //!    dynamic-programming lookahead over round combinations.
-//! 3. **Atom–engine mapping** ([`mapping`], Sec. IV-C) — per-round layer
-//!    permutation search minimizing NoC-hop-weighted `TransferCost`;
+//! 3. **Atom–engine mapping** ([`mapping`], Sec. IV-C) — per-round
+//!    placement minimizing NoC-hop-weighted `TransferCost` atom by atom;
 //!    the buffering strategy (Alg. 3) is the `accel-sim` crate's
 //!    `EvictionKind::InvalidOccupation` policy, configured from here.
 //!
@@ -70,8 +70,8 @@ pub use atomgen::{AtomGenConfig, AtomGenMode, GenReport, SaParams};
 pub use atomic_dag::{Atom, AtomId, AtomicDag, CostInterner, Preds, PredsIter, MAX_BATCH};
 pub use error::PipelineError;
 pub use exec::Exec;
-pub use lower::{lower_remaining, lower_to_program, LowerOptions};
-pub use mapping::{Mapper, MappingConfig, MappingError};
+pub use lower::{lower_remaining, lower_to_program};
+pub use mapping::{Mapper, MappingAlgo, MappingError};
 pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
 pub use pipeline::{Pipeline, PlanContext, PlanOutcome, Stage, StageReport};
 pub use recovery::{

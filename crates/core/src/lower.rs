@@ -6,38 +6,21 @@
 //! Lowering is split by what it depends on. The tasks depend only on the
 //! DAG, so [`AtomicDag::build`] lays out their table once, while it derives
 //! the edges (task id = atom id), and every plan of that DAG shares it; a
-//! plan adds only its rounds and its done mask.
+//! plan adds only its rounds, its done mask and whether its outputs go to
+//! DRAM.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use accel_sim::{Program, TaskId};
-use dnn_graph::LayerId;
 
 use crate::atomic_dag::{AtomId, AtomicDag};
 
-/// Lowering options.
-#[derive(Debug, Clone, Default)]
-pub struct LowerOptions {
-    /// Layers whose atom outputs are forced straight to DRAM (consumers then
-    /// read them back from DRAM). The CNN-Partition baseline marks every
-    /// CLP-boundary layer this way; `None` means fully buffered.
-    pub dram_output_layers: Option<BTreeSet<LayerId>>,
-    /// Force *every* output to DRAM (the strictest CNN-P reading, where
-    /// each ifmap/ofmap "inevitably introduces off-chip memory access").
-    pub all_outputs_to_dram: bool,
-}
-
-/// Converts atoms + `(atom, engine)` rounds into a [`Program`].
+/// Converts atoms + `(atom, engine)` rounds into a buffered [`Program`].
 ///
 /// Task ids equal atom ids (`TaskId(a.0)`), so simulator statistics can be
 /// joined back to atoms.
-pub fn lower_to_program(
-    dag: &AtomicDag,
-    rounds: &[Vec<(AtomId, usize)>],
-    opts: &LowerOptions,
-) -> Program {
-    lower_remaining(dag, rounds, opts, &[])
+pub fn lower_to_program(dag: &AtomicDag, rounds: &[Vec<(AtomId, usize)>]) -> Program {
+    lower_remaining(dag, rounds, false, &[])
 }
 
 /// Lowers only the atoms *not* marked `done` — the re-planned remainder of a
@@ -47,22 +30,16 @@ pub fn lower_to_program(
 /// lowering costs O(scheduled atoms). Done atoms are the program's done
 /// tasks: the simulator reads their outputs as recovered data in DRAM,
 /// written back by the recovery layer. An empty `done` slice means
-/// "nothing finished".
+/// "nothing finished". `dram_outputs` sends every output straight to DRAM
+/// (the CNN-Partition rule, [`Program::set_dram_outputs`]).
 pub fn lower_remaining(
     dag: &AtomicDag,
     rounds: &[Vec<(AtomId, usize)>],
-    opts: &LowerOptions,
+    dram_outputs: bool,
     done: &[bool],
 ) -> Program {
-    let table = match (&opts.dram_output_layers, opts.all_outputs_to_dram) {
-        (None, false) => Arc::clone(dag.task_table()),
-        (layers, all) => Arc::new(dag.task_table().with_dram_outputs(|id| {
-            all || layers
-                .as_ref()
-                .is_some_and(|s| s.contains(&dag.atom(AtomId(id.0)).layer))
-        })),
-    };
-    let mut p = Program::with_table(table, done.to_vec());
+    let mut p = Program::with_table(Arc::clone(dag.task_table()), done.to_vec());
+    p.set_dram_outputs(dram_outputs);
     for round in rounds {
         p.push_round(round.iter().map(|&(a, e)| (TaskId(a.0), e)).collect());
     }
@@ -73,7 +50,7 @@ pub fn lower_remaining(
 mod tests {
     use super::*;
     use crate::atom::AtomSpec;
-    use crate::mapping::{Mapper, MappingConfig};
+    use crate::mapping::{Mapper, MappingAlgo};
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use accel_sim::{Operand, Task};
     use dnn_graph::models;
@@ -108,7 +85,7 @@ mod tests {
             .schedule()
             .unwrap();
         let mesh = MeshConfig::grid(4, 4);
-        let mut mapper = Mapper::new(mesh, MappingConfig::default());
+        let mut mapper = Mapper::new(mesh, MappingAlgo::default());
         sched
             .rounds
             .iter()
@@ -120,7 +97,7 @@ mod tests {
     fn lowered_program_validates_and_simulates() {
         let (_, d) = build();
         let rounds = mapped_rounds(&d, 16);
-        let p = lower_to_program(&d, &rounds, &LowerOptions::default());
+        let p = lower_to_program(&d, &rounds);
         assert_eq!(p.tasks().len(), d.atom_count());
         assert_eq!(p.total_macs(), d.total_macs());
         let mut cfg = accel_sim::SimConfig::paper_default();
@@ -131,17 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn dram_output_layers_flagged() {
-        let (g, d) = build();
+    fn dram_outputs_share_the_dags_task_table() {
+        let (_, d) = build();
         let rounds = mapped_rounds(&d, 16);
-        let stem = g.layer_by_name("stem").unwrap().id();
-        let opts = LowerOptions {
-            dram_output_layers: Some([stem].into_iter().collect()),
-            all_outputs_to_dram: false,
-        };
-        let p = lower_to_program(&d, &rounds, &opts);
-        for (i, atom) in d.atoms().iter().enumerate() {
-            assert_eq!(p.tasks()[i].dram_output, atom.layer == stem);
+        for dram_outputs in [false, true] {
+            let p = lower_remaining(&d, &rounds, dram_outputs, &[]);
+            assert_eq!(p.dram_outputs(), dram_outputs);
+            assert!(
+                Arc::ptr_eq(p.table(), d.task_table()),
+                "lowering must not copy the task table"
+            );
         }
     }
 
@@ -214,12 +190,12 @@ mod tests {
         for a in sched.rounds[..k].iter().flatten() {
             done[a.index()] = true;
         }
-        let mut mapper = Mapper::new(mesh, MappingConfig::default());
+        let mut mapper = Mapper::new(mesh, MappingAlgo::default());
         let rounds: Vec<_> = sched.rounds[k..]
             .iter()
             .map(|r| mapper.map_round(d, r).unwrap())
             .collect();
-        let p = lower_remaining(d, &rounds, &LowerOptions::default(), &done);
+        let p = lower_remaining(d, &rounds, false, &done);
         let reference = dense_renumbered_reference(d, &rounds, &done);
 
         assert_eq!(p.tasks().len(), d.atom_count(), "one task per atom");
@@ -293,7 +269,7 @@ mod tests {
         let mut done = vec![false; d.atom_count()];
         done[0] = true;
         let rounds = mapped_rounds(&d, 16);
-        let p = lower_remaining(&d, &rounds, &LowerOptions::default(), &done);
+        let p = lower_remaining(&d, &rounds, false, &done);
         assert_eq!(
             p.validate(16),
             Err(accel_sim::ProgramError::DoubleScheduled(TaskId(0)))
@@ -308,19 +284,8 @@ mod tests {
         cfg.mesh = MeshConfig::grid(4, 4);
         let sim = accel_sim::Simulator::new(cfg);
 
-        let buffered = sim
-            .run(&lower_to_program(&d, &rounds, &LowerOptions::default()))
-            .unwrap();
-        let spilled = sim
-            .run(&lower_to_program(
-                &d,
-                &rounds,
-                &LowerOptions {
-                    dram_output_layers: None,
-                    all_outputs_to_dram: true,
-                },
-            ))
-            .unwrap();
+        let buffered = sim.run(&lower_to_program(&d, &rounds)).unwrap();
+        let spilled = sim.run(&lower_remaining(&d, &rounds, true, &[])).unwrap();
         assert!(spilled.dram_write_bytes > buffered.dram_write_bytes);
         assert!(spilled.total_cycles >= buffered.total_cycles);
     }

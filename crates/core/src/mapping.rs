@@ -1,14 +1,17 @@
 //! Atom–engine mapping (paper Sec. IV-C, Fig. 7).
 //!
-//! Within one round, atoms are placed onto the engine mesh in zig-zag
-//! order, with atoms of the same layer kept adjacent. The free variable is
-//! the *order of the involved layers* (`P`, a permutation): the paper's
-//! `TransferCost(P) = Σ_i Σ_j D(i,j) × Size(Atom)` is evaluated for every
-//! permutation (all `M!` for small `M`, a deterministic subset beyond) and
-//! the cheapest is committed. Producer residency is tracked across rounds
-//! (the engine where each atom's output was produced), as is the engine that
-//! last held each weight slice, so weight multicast distance is part of the
-//! cost as well.
+//! The paper places a round's atoms onto the engine mesh in zig-zag order,
+//! atoms of the same layer kept adjacent, and searches the order of the
+//! involved layers for the least `TransferCost = Σ_i Σ_j D(i,j) × Size(Atom)`.
+//! The default [`MappingAlgo::Affinity`] minimizes the same objective atom
+//! by atom instead of layer group by layer group: each atom takes the free
+//! engine nearest (hop-weighted) to its resident operands. Producer
+//! residency is tracked across rounds (the engine where each atom's output
+//! was produced), as is the engine that last held each weight slice, so
+//! weight multicast distance is part of the cost as well.
+//! [`MappingAlgo::ZigzagIdentity`] is the zig-zag group placement without
+//! any search; DESIGN.md §7 compares the affinity mapper with the paper's
+//! layer-order search.
 //!
 //! Both cross-round tables are flat `Vec`s — residency indexed by the dense
 //! [`AtomId`], weight homes by the DAG's dense weight slots (see
@@ -54,41 +57,19 @@ impl std::fmt::Display for MappingError {
 impl std::error::Error for MappingError {}
 
 /// Which placement algorithm the mapper runs per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingAlgo {
-    /// Atoms placed along the zig-zag in round order, no search — the
-    /// commonly-used allocation the paper improves on (Fig. 7, and the
-    /// "w/o mapping" ablation of Fig. 10).
+    /// Atoms grouped by (batch, layer) in first-appearance order and the
+    /// groups placed along the zig-zag, no search — the commonly-used
+    /// allocation the paper improves on (Fig. 7, and the "w/o mapping"
+    /// ablation of Fig. 10).
     ZigzagIdentity,
-    /// The paper's Sec. IV-C formulation verbatim: zig-zag placement with
-    /// an exhaustive search over the permutation `P` of involved layers.
-    LayerPermutation,
     /// Per-atom affinity assignment: each atom goes to the free engine
     /// minimizing its hop-weighted operand distance (largest consumers
-    /// first). Strictly generalizes the permutation search — the paper's
-    /// `TransferCost` objective is minimized atom-by-atom instead of
-    /// group-by-group — and is the default.
+    /// first). The paper's `TransferCost` objective, minimized atom by atom
+    /// instead of layer group by layer group.
+    #[default]
     Affinity,
-}
-
-/// Mapping-stage configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MappingConfig {
-    /// Placement algorithm.
-    pub algo: MappingAlgo,
-    /// Maximum number of layer groups for exhaustive permutation search
-    /// (`M! ≤ 120` at the default of 5); larger rounds use a deterministic
-    /// rotation/reversal subset.
-    pub max_permutation_layers: usize,
-}
-
-impl Default for MappingConfig {
-    fn default() -> Self {
-        Self {
-            algo: MappingAlgo::Affinity,
-            max_permutation_layers: 5,
-        }
-    }
 }
 
 /// Per-round working buffers, reused across [`Mapper::map_round`] calls so
@@ -125,7 +106,7 @@ struct MapScratch {
 #[derive(Debug, Clone)]
 pub struct Mapper {
     mesh: MeshConfig,
-    cfg: MappingConfig,
+    algo: MappingAlgo,
     zigzag: Vec<usize>,
     /// Zig-zag rank of each engine (inverse of `zigzag`), the deterministic
     /// tie-break of the affinity engine scan.
@@ -148,8 +129,8 @@ pub struct Mapper {
 }
 
 impl Mapper {
-    /// Creates a mapper for `mesh`.
-    pub fn new(mesh: MeshConfig, cfg: MappingConfig) -> Self {
+    /// Creates a mapper for `mesh` running `algo`.
+    pub fn new(mesh: MeshConfig, algo: MappingAlgo) -> Self {
         let zigzag = mesh.zigzag_order();
         let mut zig_rank = vec![0usize; mesh.engines()];
         for (r, &e) in zigzag.iter().enumerate() {
@@ -158,7 +139,7 @@ impl Mapper {
         let alive = vec![true; mesh.engines()];
         Self {
             mesh,
-            cfg,
+            algo,
             zigzag,
             zig_rank,
             residency: Vec::new(),
@@ -229,11 +210,9 @@ impl Mapper {
             return Ok(Vec::new());
         }
         self.ensure_tables(dag);
-        let assignment = match self.cfg.algo {
+        let assignment = match self.algo {
             MappingAlgo::Affinity => self.place_affinity(dag, round)?,
-            MappingAlgo::ZigzagIdentity | MappingAlgo::LayerPermutation => {
-                self.place_permutation(dag, round)?
-            }
+            MappingAlgo::ZigzagIdentity => self.place_zigzag(dag, round)?,
         };
 
         // Commit residency.
@@ -361,25 +340,6 @@ impl Mapper {
             .min_by_key(|&e| (s.xs[e % cols] + s.ys[e / cols], self.zig_rank[e]))
     }
 
-    /// Hop-weighted cost of running `atom` on `engine` given current
-    /// residency (one term of `TransferCost`).
-    fn atom_cost_at(&self, dag: &AtomicDag, atom: AtomId, engine: usize) -> u64 {
-        let mut cost = 0u64;
-        for (p, bytes) in dag.preds(atom) {
-            let src = self.residency[p.index()];
-            if src != NO_ENGINE {
-                cost += self.mesh.hops(src, engine) * bytes;
-            }
-        }
-        for (slot, bytes) in dag.weight_exts(atom) {
-            let src = self.weight_home[*slot as usize];
-            if src != NO_ENGINE {
-                cost += self.mesh.hops(src, engine) * bytes;
-            }
-        }
-        cost
-    }
-
     /// Greedy affinity placement: atoms with the most resident input bytes
     /// choose first; each takes the free engine minimizing its transfer
     /// cost, with zig-zag order breaking ties.
@@ -464,15 +424,16 @@ impl Mapper {
         }
     }
 
-    /// Zig-zag placement with the Sec. IV-C layer-permutation search (or
-    /// the identity order for [`MappingAlgo::ZigzagIdentity`]).
-    fn place_permutation(
+    /// Zig-zag group placement: the round's atoms grouped by (batch,
+    /// layer) in first-appearance order, the groups laid out one after
+    /// another along the zig-zag over the alive engines.
+    fn place_zigzag(
         &mut self,
         dag: &AtomicDag,
         round: &[AtomId],
     ) -> Result<Vec<(AtomId, usize)>, MappingError> {
-        // Group atoms by (batch, layer) in first-appearance order. Rounds
-        // involve a handful of groups, so the key lookup is a linear scan.
+        // Rounds involve a handful of groups, so the key lookup is a
+        // linear scan.
         let mut s = std::mem::take(&mut self.scratch);
         s.group_order.clear();
         for &a in round {
@@ -492,73 +453,22 @@ impl Mapper {
             };
             s.group_atoms[gi].push(a);
         }
-        let groups = &s.group_atoms[..s.group_order.len()];
-
-        let candidate_orders = self.candidate_orders(s.group_order.len());
-        let mut best: Option<(u64, Vec<(AtomId, usize)>)> = None;
-        for perm in &candidate_orders {
-            let assignment = self.place(groups, perm)?;
-            let cost = self.transfer_cost(dag, &assignment);
-            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                best = Some((cost, assignment));
-            }
-        }
-        self.scratch = s;
-        // `candidate_orders` always contains at least the identity, so a
-        // non-empty round always produces a candidate.
-        Ok(best.map(|(_, a)| a).unwrap_or_default())
-    }
-
-    /// Permutations of `0..m` to evaluate.
-    fn candidate_orders(&self, m: usize) -> Vec<Vec<usize>> {
-        let identity: Vec<usize> = (0..m).collect();
-        if self.cfg.algo != MappingAlgo::LayerPermutation || m <= 1 {
-            return vec![identity];
-        }
-        if m <= self.cfg.max_permutation_layers {
-            return permutations(m);
-        }
-        // Deterministic subset: identity, reversal, rotations.
-        let mut out = vec![identity.clone()];
-        let mut rev = identity.clone();
-        rev.reverse();
-        out.push(rev);
-        for k in 1..m.min(8) {
-            let mut rot = identity.clone();
-            rot.rotate_left(k);
-            out.push(rot);
-        }
-        out
-    }
-
-    /// Places the atom groups in permuted order along the zig-zag engine
-    /// enumeration.
-    fn place(
-        &self,
-        groups: &[Vec<AtomId>],
-        perm: &[usize],
-    ) -> Result<Vec<(AtomId, usize)>, MappingError> {
-        let mut out = Vec::new();
         let mut slots = self.zigzag.iter().copied().filter(|e| self.alive[*e]);
-        for &gi in perm {
-            for &a in &groups[gi] {
-                let e = slots.next().ok_or(MappingError::RoundTooLarge {
-                    round_len: groups.iter().map(Vec::len).sum(),
-                    engines: self.alive_engines(),
-                })?;
-                out.push((a, e));
-            }
-        }
-        Ok(out)
-    }
-
-    /// `TransferCost(P)`: hop-weighted bytes pulled from resident producers
-    /// and weight homes.
-    fn transfer_cost(&self, dag: &AtomicDag, assignment: &[(AtomId, usize)]) -> u64 {
-        assignment
+        let placed = s.group_atoms[..s.group_order.len()]
             .iter()
-            .map(|&(a, e)| self.atom_cost_at(dag, a, e))
-            .sum()
+            .flatten()
+            .map(|&a| {
+                slots
+                    .next()
+                    .map(|e| (a, e))
+                    .ok_or_else(|| MappingError::RoundTooLarge {
+                        round_len: round.len(),
+                        engines: self.alive_engines(),
+                    })
+            })
+            .collect();
+        self.scratch = s;
+        placed
     }
 }
 
@@ -599,31 +509,6 @@ fn fold_distances(h: &mut [u64]) {
         upto += bytes;
         x = x + 2 * upto - total;
     }
-}
-
-/// All permutations of `0..m` in lexicographic order (Heap's algorithm not
-/// needed at `m ≤ 5`).
-fn permutations(m: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur: Vec<usize> = Vec::with_capacity(m);
-    let mut used = vec![false; m];
-    fn rec(m: usize, cur: &mut Vec<usize>, used: &mut [bool], out: &mut Vec<Vec<usize>>) {
-        if cur.len() == m {
-            out.push(cur.clone());
-            return;
-        }
-        for i in 0..m {
-            if !used[i] {
-                used[i] = true;
-                cur.push(i);
-                rec(m, cur, used, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
-    }
-    rec(m, &mut cur, &mut used, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -694,20 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn permutation_count() {
-        assert_eq!(permutations(1).len(), 1);
-        assert_eq!(permutations(3).len(), 6);
-        assert_eq!(permutations(5).len(), 120);
-        // Lexicographically first and last.
-        assert_eq!(permutations(3)[0], vec![0, 1, 2]);
-        assert_eq!(permutations(3)[5], vec![2, 1, 0]);
-    }
-
-    #[test]
     fn assignments_are_unique_engines() {
         let d = dag();
         let mesh = MeshConfig::grid(4, 4);
-        let mut m = Mapper::new(mesh, MappingConfig::default());
+        let mut m = Mapper::new(mesh, MappingAlgo::default());
         // Take the first 8 roots as a synthetic round.
         let round: Vec<AtomId> = (0..ad_util::cast::u32_from_usize(d.atom_count()))
             .map(AtomId)
@@ -718,55 +593,6 @@ mod tests {
         assert_eq!(asg.len(), round.len());
         let engines: std::collections::BTreeSet<usize> = asg.iter().map(|(_, e)| *e).collect();
         assert_eq!(engines.len(), asg.len(), "engines must be distinct");
-    }
-
-    #[test]
-    fn optimized_choice_no_worse_than_identity_per_round() {
-        let d = dag();
-        let mesh = MeshConfig::grid(4, 4);
-        let sched =
-            crate::scheduler::Scheduler::new(&d, crate::scheduler::SchedulerConfig::greedy(8))
-                .schedule()
-                .unwrap();
-
-        let mut mapper = Mapper::new(
-            mesh,
-            MappingConfig {
-                algo: MappingAlgo::LayerPermutation,
-                max_permutation_layers: 5,
-            },
-        );
-        mapper.ensure_tables(&d);
-        for round in &sched.rounds {
-            // Identity cost with the *same* pre-round state.
-            let mut order: Vec<(u16, u32)> = Vec::new();
-            let mut groups: Vec<Vec<AtomId>> = Vec::new();
-            for &a in round.iter() {
-                let atom = d.atom(a);
-                let key = (atom.batch, atom.layer.0);
-                let gi = match order.iter().position(|k| *k == key) {
-                    Some(gi) => gi,
-                    None => {
-                        order.push(key);
-                        groups.push(Vec::new());
-                        order.len() - 1
-                    }
-                };
-                groups[gi].push(a);
-            }
-            let identity: Vec<usize> = (0..order.len()).collect();
-            let id_cost = mapper.transfer_cost(&d, &mapper.place(&groups, &identity).unwrap());
-
-            // The committed (optimized) choice, evaluated pre-commit.
-            let mut probe = mapper.clone();
-            let chosen = probe.map_round(&d, round).unwrap();
-            let chosen_cost = mapper.transfer_cost(&d, &chosen);
-            assert!(
-                chosen_cost <= id_cost,
-                "round cost {chosen_cost} > identity {id_cost}"
-            );
-            mapper.map_round(&d, round).unwrap(); // commit for the next iteration
-        }
     }
 
     #[test]
@@ -788,41 +614,25 @@ mod tests {
             }
         };
         let mut got = Vec::new();
-        for algo in [
-            MappingAlgo::ZigzagIdentity,
-            MappingAlgo::Affinity,
-            MappingAlgo::LayerPermutation,
-        ] {
-            let mut m = Mapper::new(
-                MeshConfig::grid(4, 4),
-                MappingConfig {
-                    algo,
-                    max_permutation_layers: 5,
-                },
-            );
+        for algo in [MappingAlgo::ZigzagIdentity, MappingAlgo::Affinity] {
+            let mut m = Mapper::new(MeshConfig::grid(4, 4), algo);
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for round in &sched.rounds {
                 fnv(&m.map_round(&d, round).unwrap(), &mut h);
             }
             got.push(h);
         }
-        // Zigzag and permutation coincide here: on this DAG the permutation
-        // search settles on the identity group order every round.
         assert_eq!(
             got,
-            [
-                0x0249_235e_2833_7324,
-                0xf78b_7845_5fca_6538,
-                0x0249_235e_2833_7324
-            ],
-            "placements changed (zigzag, affinity, permutation)"
+            [0x0249_235e_2833_7324, 0xf78b_7845_5fca_6538],
+            "placements changed (zigzag, affinity)"
         );
     }
 
     #[test]
     fn residency_tracks_mapped_engine() {
         let d = dag();
-        let mut m = Mapper::new(MeshConfig::grid(4, 4), MappingConfig::default());
+        let mut m = Mapper::new(MeshConfig::grid(4, 4), MappingAlgo::default());
         let roots: Vec<AtomId> = (0..ad_util::cast::u32_from_usize(d.atom_count()))
             .map(AtomId)
             .filter(|a| d.preds(*a).is_empty())
@@ -843,13 +653,7 @@ mod tests {
             .filter(|a| d.preds(*a).is_empty())
             .take(6)
             .collect();
-        let mut base = Mapper::new(
-            mesh,
-            MappingConfig {
-                algo: MappingAlgo::ZigzagIdentity,
-                max_permutation_layers: 5,
-            },
-        );
+        let mut base = Mapper::new(mesh, MappingAlgo::ZigzagIdentity);
         let asg = base.map_round(&d, &round).unwrap();
         // Identity order = atoms placed along the zig-zag in round order.
         let zig = mesh.zigzag_order();
@@ -863,7 +667,7 @@ mod tests {
     fn affinity_places_consumer_on_producer_engine() {
         let d = dag();
         let mesh = MeshConfig::grid(4, 4);
-        let mut m = Mapper::new(mesh, MappingConfig::default());
+        let mut m = Mapper::new(mesh, MappingAlgo::default());
         // Find a producer/consumer pair where the consumer has a dominant
         // producer, map the producer alone, then the consumer alone.
         let consumer = (0..ad_util::cast::u32_from_usize(d.atom_count()))
@@ -886,14 +690,8 @@ mod tests {
     fn dead_engines_receive_no_atoms() {
         let d = dag();
         let mesh = MeshConfig::grid(2, 2);
-        for algo in [MappingAlgo::Affinity, MappingAlgo::LayerPermutation] {
-            let mut m = Mapper::new(
-                mesh,
-                MappingConfig {
-                    algo,
-                    max_permutation_layers: 5,
-                },
-            );
+        for algo in [MappingAlgo::Affinity, MappingAlgo::ZigzagIdentity] {
+            let mut m = Mapper::new(mesh, algo);
             m.kill_engine(0);
             m.kill_engine(3);
             assert_eq!(m.alive_engines(), 2);
@@ -925,7 +723,7 @@ mod tests {
     #[test]
     fn kill_engine_drops_residency_hints() {
         let d = dag();
-        let mut m = Mapper::new(MeshConfig::grid(2, 2), MappingConfig::default());
+        let mut m = Mapper::new(MeshConfig::grid(2, 2), MappingAlgo::default());
         let root = (0..ad_util::cast::u32_from_usize(d.atom_count()))
             .map(AtomId)
             .find(|a| d.preds(*a).is_empty())
@@ -941,7 +739,7 @@ mod tests {
     fn oversize_round_is_a_typed_error() {
         let d = dag();
         let mesh = MeshConfig::grid(2, 2);
-        let mut m = Mapper::new(mesh, MappingConfig::default());
+        let mut m = Mapper::new(mesh, MappingAlgo::default());
         let round: Vec<AtomId> = (0..5).map(AtomId).collect();
         assert_eq!(
             m.map_round(&d, &round),
@@ -1023,7 +821,7 @@ mod tests {
         dead: &[usize],
     ) {
         let mapper = |reference_scan: bool| {
-            let mut m = Mapper::new(mesh, MappingConfig::default());
+            let mut m = Mapper::new(mesh, MappingAlgo::default());
             m.reference_scan = reference_scan;
             for &e in dead {
                 m.kill_engine(e);

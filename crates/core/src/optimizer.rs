@@ -13,7 +13,7 @@ use crate::atomic_dag::AtomicDag;
 use crate::baselines;
 use crate::error::PipelineError;
 use crate::exec::Exec;
-use crate::mapping::{Mapper, MappingConfig};
+use crate::mapping::{Mapper, MappingAlgo};
 use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
@@ -32,8 +32,8 @@ pub struct OptimizerConfig {
     pub atomgen: AtomGenConfig,
     /// Scheduling search mode.
     pub schedule_mode: ScheduleMode,
-    /// Mapping stage configuration.
-    pub mapping: MappingConfig,
+    /// Mapping-stage placement algorithm.
+    pub mapping: MappingAlgo,
     /// Atom-granularity scales explored by the iterative optimizing loop of
     /// Fig. 4(b): each entry seeds the generator's `target_atoms_per_layer`,
     /// the rest of the pipeline runs once per distinct atomization, and the
@@ -68,7 +68,7 @@ impl OptimizerConfig {
                 lookahead: 2,
                 branch: 3,
             },
-            mapping: MappingConfig::default(),
+            mapping: MappingAlgo::default(),
             search_targets: [24, 64, 160],
             parallelism: 1,
             validate: ValidateMode::default(),
@@ -166,21 +166,6 @@ impl OptimizerConfig {
             p.chains = chains.max(1);
         }
         self
-    }
-
-    /// Returns a copy with the SA chain count scaled up to the configured
-    /// parallelism (`chains = max(chains, parallelism)`), so extra threads
-    /// buy search throughput instead of idling. This is an explicit
-    /// *search-config* choice, not an automatic side effect of the thread
-    /// count: it changes the chain set (and therefore the plan
-    /// fingerprint), so callers that sweep thread counts while pinning
-    /// byte-identical output must fix `chains` instead of calling this.
-    pub fn with_chains_scaled_to_parallelism(self) -> Self {
-        let chains = match self.atomgen.mode {
-            crate::atomgen::AtomGenMode::Sa(p) => p.chains.max(self.parallelism),
-            _ => return self,
-        };
-        self.with_sa_chains(chains)
     }
 
     /// Returns a copy with a different plan-admission mode.
@@ -640,11 +625,11 @@ impl Strategy {
                     reports: r.stage_reports,
                 })
             }
-            Strategy::LayerSequential => baselines::ls::run_detailed(graph, cfg),
-            Strategy::CnnPartition => baselines::cnn_p::run_detailed(graph, cfg),
-            Strategy::IlPipe => baselines::il_pipe::run_detailed(graph, cfg),
-            Strategy::Rammer => baselines::rammer::run_detailed(graph, cfg),
-            Strategy::Ideal => baselines::ideal::run_detailed(graph, cfg),
+            Strategy::LayerSequential => baselines::ls::pipeline().execute(graph, cfg),
+            Strategy::CnnPartition => baselines::cnn_p::search(graph, cfg),
+            Strategy::IlPipe => baselines::il_pipe::pipeline().execute(graph, cfg),
+            Strategy::Rammer => baselines::rammer::pipeline().execute(graph, cfg),
+            Strategy::Ideal => baselines::ideal::pipeline().execute(graph, cfg),
         }
     }
 }

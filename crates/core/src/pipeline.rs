@@ -36,7 +36,7 @@ use crate::atomgen::{self, CandidateTable, GenReport};
 use crate::atomic_dag::{AtomId, AtomicDag};
 use crate::error::PipelineError;
 use crate::exec::Exec;
-use crate::lower::{lower_remaining, LowerOptions};
+use crate::lower::lower_remaining;
 use crate::mapping::Mapper;
 use crate::optimizer::OptimizerConfig;
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
@@ -101,9 +101,9 @@ pub struct PlanContext<'g> {
     /// Per-round `(atom, engine)` assignment (produced by [`MapStage`] or
     /// directly by baseline plan stages that fuse scheduling and mapping).
     pub mapped: Option<Vec<Vec<(AtomId, usize)>>>,
-    /// Lowering options ([`LowerStage`] input; plan stages may set it, e.g.
-    /// CNN-P forces every ofmap through DRAM).
-    pub lower: LowerOptions,
+    /// Whether the plan sends every output straight to DRAM ([`LowerStage`]
+    /// input; CNN-P's plan stage sets it).
+    pub dram_outputs: bool,
     /// The lowered program (produced by [`LowerStage`]).
     pub program: Option<Program>,
     /// Simulation statistics (produced by [`SimulateStage`]).
@@ -158,7 +158,7 @@ impl<'g> PlanContext<'g> {
             dag: None,
             schedule: None,
             mapped: None,
-            lower: LowerOptions::default(),
+            dram_outputs: false,
             program: None,
             stats: None,
             reports: Vec::new(),
@@ -573,7 +573,7 @@ impl Stage for MapStage {
 /// shared task table; completed atoms are the program's done tasks, whose
 /// outputs the simulator reads from DRAM.
 ///
-/// Consumes: `dag`, `mapped`, `lower` options. Produces: `program`.
+/// Consumes: `dag`, `mapped`, `dram_outputs`. Produces: `program`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LowerStage;
 
@@ -585,7 +585,7 @@ impl Stage for LowerStage {
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let mapped = ctx.require_mapped(self.name())?;
         let dag = ctx.require_dag(self.name())?;
-        let program = lower_remaining(dag, mapped, &ctx.lower, &ctx.done);
+        let program = lower_remaining(dag, mapped, ctx.dram_outputs, &ctx.done);
         let pending = dag.atom_count() - ctx.done.iter().filter(|d| **d).count();
         let summary = format!("{} tasks in {} rounds", pending, mapped.len());
         ctx.program = Some(program);

@@ -474,7 +474,12 @@ fn install(
     mapped: Vec<Vec<(AtomId, usize)>>,
     summary: String,
 ) -> Result<(), PipelineError> {
-    let program = lower_remaining(ctx.require_dag(stage)?, &mapped, &ctx.lower, &ctx.done);
+    let program = lower_remaining(
+        ctx.require_dag(stage)?,
+        &mapped,
+        ctx.dram_outputs,
+        &ctx.done,
+    );
     ctx.schedule = Some(Schedule { rounds });
     ctx.mapped = Some(mapped);
     ctx.program = Some(program);

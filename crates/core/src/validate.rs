@@ -441,7 +441,7 @@ pub fn check_dag(
             }
 
             // Pairwise disjointness (atom counts per layer are small —
-            // bounded by max_atoms_per_layer — so O(k^2) is fine).
+            // bounded by the generator's per-layer atom cap — so O(k^2) is fine).
             for (i, &a) in ids.iter().enumerate() {
                 for &b in &ids[i + 1..] {
                     let ov = dag.atom(a).coords.overlap_elements(&dag.atom(b).coords);

@@ -57,15 +57,6 @@ impl HbmConfig {
     pub fn occupancy_cycles(&self, bytes: u64) -> u64 {
         bytes.div_ceil((self.peak_bytes_per_cycle / self.channels.max(1) as u64).max(1))
     }
-
-    /// Unloaded service time: latency + serialization.
-    pub fn service_cycles(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            0
-        } else {
-            self.access_latency_cycles + self.occupancy_cycles(bytes)
-        }
-    }
 }
 
 impl Default for HbmConfig {

@@ -60,7 +60,9 @@ fn main() {
     println!("  energy         : {:.2} mJ", s.energy.total_mj());
 
     // 4. Compare against the Layer-Sequential baseline on the same platform.
-    let ls = baselines::ls::run(&net, &cfg).expect("baseline succeeds");
+    let ls = Strategy::LayerSequential
+        .run(&net, &cfg)
+        .expect("baseline succeeds");
     println!(
         "\nvs Layer-Sequential: {:.3} ms -> AD is {:.2}x faster",
         ls.latency_ms(cfg.sim.engine.freq_mhz),

@@ -24,7 +24,7 @@ pub mod prelude {
         SimError, SimStats, Simulator,
     };
     pub use atomic_dataflow::{
-        baselines, run_with_recovery, AtomGenConfig, AtomGenMode, BudgetOutcome, MappingConfig,
+        baselines, run_with_recovery, AtomGenConfig, AtomGenMode, BudgetOutcome, MappingAlgo,
         Optimizer, OptimizerConfig, Pipeline, PipelineError, PlanBudget, PlanContext, PlanOutcome,
         RecoveryConfig, RecoveryOutcome, ScheduleMode, SchedulerConfig, Stage, StageReport,
         Strategy, ValidateMode, ValidationError,

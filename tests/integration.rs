@@ -3,7 +3,7 @@
 //! mapping → lowering → simulation.
 
 use ad_repro::prelude::*;
-use atomic_dataflow::{lower_to_program, LowerOptions, Optimizer};
+use atomic_dataflow::{lower_to_program, Optimizer};
 
 fn small_cfg() -> OptimizerConfig {
     let mut cfg = OptimizerConfig::fast_test();
@@ -97,7 +97,7 @@ fn lowered_programs_validate_for_every_topology_class() {
         let (_, dag) = opt.build_dag(&g);
         let (sched, mapped) = opt.schedule_and_map(&dag).unwrap();
         assert_eq!(sched.len(), mapped.len());
-        let p = lower_to_program(&dag, &mapped, &LowerOptions::default());
+        let p = lower_to_program(&dag, &mapped);
         assert!(p.validate(cfg.engines()).is_ok(), "{name}");
     }
 }

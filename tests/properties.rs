@@ -210,7 +210,7 @@ fn sim_time_lower_bounds_hold() {
             .iter()
             .map(|r| mapper.map_round(&dag, r).expect("round fits the mesh"))
             .collect();
-        let p = atomic_dataflow::lower_to_program(&dag, &mapped, &Default::default());
+        let p = atomic_dataflow::lower_to_program(&dag, &mapped);
         let stats = Simulator::new(sim_cfg).run(&p).unwrap();
 
         let slowest = dag.atoms().iter().map(|a| a.cost.cycles).max().unwrap_or(0);
@@ -290,14 +290,17 @@ fn adversarial_graphs_pass_admission_in_every_strategy() {
             .optimize(&g)
             .unwrap_or_else(|e| panic!("seed {seed}: planner rejected: {e}"));
         assert!(opt.stats.tasks > 0, "seed {seed}");
-        baselines::ls::run(&g, &cfg).unwrap_or_else(|e| panic!("seed {seed}: ls rejected: {e}"));
-        baselines::cnn_p::run(&g, &cfg)
-            .unwrap_or_else(|e| panic!("seed {seed}: cnn_p rejected: {e}"));
-        baselines::il_pipe::run(&g, &cfg)
-            .unwrap_or_else(|e| panic!("seed {seed}: il_pipe rejected: {e}"));
-        baselines::rammer::run(&g, &cfg)
-            .unwrap_or_else(|e| panic!("seed {seed}: rammer rejected: {e}"));
-        let ideal = baselines::ideal::run(&g, &cfg);
+        for strategy in [
+            Strategy::LayerSequential,
+            Strategy::CnnPartition,
+            Strategy::IlPipe,
+            Strategy::Rammer,
+        ] {
+            strategy
+                .run(&g, &cfg)
+                .unwrap_or_else(|e| panic!("seed {seed}: {} rejected: {e}", strategy.label()));
+        }
+        let ideal = Strategy::Ideal.run(&g, &cfg).unwrap();
         assert!(ideal.total_cycles > 0, "seed {seed}");
     }
 }
