@@ -159,8 +159,8 @@ const PLANNING_CRATES: [&str; 4] = ["core", "accel-sim", "noc-model", "ad-serve"
 /// Crates whose cost/cycle paths must not read entropy or wall clocks (D2):
 /// the planning crates plus every model crate they are built from, plus
 /// `ad-serve` (its LRU order must be a logical tick, not wall time, or
-/// eviction — and therefore which plans survive to warm-start others —
-/// becomes timing-dependent).
+/// eviction — and therefore which requests are hits — becomes
+/// timing-dependent).
 const MODEL_CRATES: [&str; 7] = [
     "core",
     "accel-sim",

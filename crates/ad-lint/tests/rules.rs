@@ -518,8 +518,8 @@ fn ad_serve_is_in_planning_scope() {
 }
 
 /// The LRU stamp must be a logical tick: a wall-clock read in either the
-/// library or the daemon binary makes eviction — and so which entries
-/// survive to warm-start later requests — timing-dependent.
+/// library or the daemon binary makes eviction — and so which later
+/// requests are hits — timing-dependent.
 #[test]
 fn ad_serve_is_in_determinism_scope_including_its_binary() {
     let src = "use std::time::Instant;\n";

@@ -24,15 +24,11 @@
 //!   ([`persist`]). A restart — graceful or `kill -9` — recovers every
 //!   fully-appended entry byte-identically; torn tails and corrupt
 //!   records are dropped and counted, never served.
-//! * **Warm start** — a second index keyed by
-//!   ([`Graph::canonical_fingerprint`],
-//!   [`request::batchless_config_fingerprint`]) finds the cached plan of
-//!   the nearest graph differing only in batch size; its per-layer atom
-//!   specs seed the SA search of the miss (see the `warm` argument of
-//!   `atomic_dataflow::atomgen::generate`). Warm starts change only
-//!   where the search *starts*; the admitted plan still passes Deny-mode
-//!   validation, and whatever plan is computed first for a key is what the
-//!   cache returns forever after (DESIGN.md §14).
+//!
+//! A miss plans exactly what [`request::plan`] plans for the same request:
+//! the cache never feeds one entry into another's search, so a served plan
+//! depends only on its request, not on what the daemon cached before
+//! (DESIGN.md §14).
 //!
 //! The daemon itself ([`serve`]) speaks line-delimited JSON over TCP:
 //! one request object per line, one response object per line. One shared
@@ -48,7 +44,7 @@
 //!
 //! ```json
 //! {"op": "plan", "model": "resnet50", "batch": 4}
-//! {"ok": true, "cached": false, "warm_started": false,
+//! {"ok": true, "cached": false,
 //!  "graph_fp": "…", "config_fp": "…", "plan": {…}}
 //! ```
 //!
@@ -69,8 +65,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use ad_util::{BoundedQueue, Fingerprint, Json, PushError, WorkerPool};
 use atomic_dataflow::{
-    request, AdmissionRefusal, AtomSpec, OptimizerConfig, PipelineError, PlanBudget, PlanRequest,
-    Strategy, ValidateMode, MAX_BATCH,
+    request, AdmissionRefusal, OptimizerConfig, PipelineError, PlanBudget, PlanRequest, Strategy,
+    ValidateMode, MAX_BATCH,
 };
 use dnn_graph::{models, Graph};
 use engine_model::HardwareConfig;
@@ -84,10 +80,6 @@ pub use persist::{Persist, PersistStats, PlanRecord};
 /// Key of the content-addressed cache: (graph fingerprint, config
 /// fingerprint). Equal keys describe the same planning problem.
 pub type CacheKey = (Fingerprint, Fingerprint);
-
-/// Key of the warm-start neighbor index: (graph fingerprint, batchless
-/// config fingerprint). Entries sharing it differ at most in batch size.
-type WarmKey = (Fingerprint, Fingerprint);
 
 /// Locks a mutex, recovering the guard if a worker panicked while holding
 /// it (the store's state is a cache: a poisoned entry is still sound to
@@ -104,8 +96,6 @@ pub struct ServeOutcome {
     pub plan: String,
     /// Whether the payload came from the cache (no pipeline stage ran).
     pub cached: bool,
-    /// Whether a cache neighbor seeded the SA search (misses only).
-    pub warm_started: bool,
     /// Graph half of the cache key.
     pub graph_fp: Fingerprint,
     /// Config half of the cache key.
@@ -123,8 +113,6 @@ pub struct StoreStats {
     pub misses: u64,
     /// Entries dropped by the LRU bound.
     pub evictions: u64,
-    /// Misses seeded from a batch neighbor.
-    pub warm_starts: u64,
     /// Requests that inherited the typed error of the failed planning
     /// attempt they waited on (single-flight failure propagation).
     pub shared_failures: u64,
@@ -138,7 +126,6 @@ impl StoreStats {
             ("hits".into(), Json::from(self.hits)),
             ("misses".into(), Json::from(self.misses)),
             ("evictions".into(), Json::from(self.evictions)),
-            ("warm_starts".into(), Json::from(self.warm_starts)),
             ("shared_failures".into(), Json::from(self.shared_failures)),
         ])
     }
@@ -147,12 +134,6 @@ impl StoreStats {
 /// One cached plan.
 struct Entry {
     plan: String,
-    /// Winning per-layer atom specs (atomic dataflow only) — the payload a
-    /// warm-started neighbor request reuses.
-    specs: Option<Arc<Vec<AtomSpec>>>,
-    warm_key: WarmKey,
-    /// Batch size of the request (warm-index coordinate; persisted).
-    batch: usize,
     /// Logical LRU stamp (ticks, not wall time: ad-lint D2).
     last_used: u64,
 }
@@ -182,15 +163,12 @@ struct Inner {
     inflight: BTreeMap<CacheKey, Flight>,
     /// Failed attempts whose waiters have not all inherited the error yet.
     failed: BTreeMap<CacheKey, FailedAttempt>,
-    /// Warm-start neighbor index: entries per batch-insensitive key.
-    warm: BTreeMap<WarmKey, Vec<(usize, CacheKey)>>,
     /// Monotonic attempt counter feeding [`Flight::gen`].
     attempt_gen: u64,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
-    warm_starts: u64,
     shared_failures: u64,
     /// Durability backend; `None` for a memory-only store.
     persist: Option<Persist>,
@@ -234,32 +212,12 @@ impl PlanStore {
             ..Inner::default()
         };
         for rec in records {
-            let key = (rec.graph_fp, rec.config_fp);
-            let warm_key = (rec.graph_fp, rec.warm_cfg_fp);
             inner.tick += 1;
-            let tick = inner.tick;
-            let has_specs = rec.specs.is_some();
-            if let Some(old) = inner.cache.insert(
-                key,
-                Entry {
-                    plan: rec.plan,
-                    specs: rec.specs.map(Arc::new),
-                    warm_key,
-                    batch: rec.batch,
-                    last_used: tick,
-                },
-            ) {
-                // Replay overwrote an older record for the same key: drop
-                // its warm link so the index holds each entry once.
-                unlink_warm(&mut inner, old.warm_key, key);
-            }
-            if has_specs {
-                inner
-                    .warm
-                    .entry(warm_key)
-                    .or_default()
-                    .push((rec.batch, key));
-            }
+            let entry = Entry {
+                plan: rec.plan,
+                last_used: inner.tick,
+            };
+            inner.cache.insert((rec.graph_fp, rec.config_fp), entry);
         }
         let capacity = capacity.max(1);
         while inner.cache.len() > capacity {
@@ -280,7 +238,6 @@ impl PlanStore {
             hits: g.hits,
             misses: g.misses,
             evictions: g.evictions,
-            warm_starts: g.warm_starts,
             shared_failures: g.shared_failures,
         }
     }
@@ -301,8 +258,7 @@ impl PlanStore {
     }
 
     /// Returns the cached plan for (`graph`, `cfg`, `strategy`) or plans it
-    /// once, warm-starting the SA search from the nearest cached neighbor
-    /// differing only in batch size.
+    /// once with [`request::plan`].
     ///
     /// # Errors
     ///
@@ -339,20 +295,12 @@ impl PlanStore {
         };
         let graph_fp = graph.canonical_fingerprint();
         let config_fp = request::config_fingerprint(&cfg, strategy);
-        let warm_key = (
-            graph_fp,
-            request::batchless_config_fingerprint(&cfg, strategy),
-        );
-        self.resolve(graph_fp, config_fp, warm_key, cfg.batch, |warm| {
+        self.resolve(graph_fp, config_fp, || {
             let mut req = PlanRequest::new(graph, cfg).with_strategy(strategy);
-            if let Some(w) = warm {
-                req = req.with_warm_start(w);
-            }
             if let Some(p) = pool {
                 req = req.with_pool(p.clone());
             }
-            let resp = request::plan(&req)?;
-            Ok((resp.plan, resp.detail.map(|d| Arc::new(d.specs))))
+            Ok(request::plan(&req)?.plan)
         })
     }
 
@@ -371,14 +319,10 @@ impl PlanStore {
         &self,
         graph_fp: Fingerprint,
         config_fp: Fingerprint,
-        warm_key: WarmKey,
-        batch: usize,
-        compute: impl FnOnce(
-            Option<Arc<Vec<AtomSpec>>>,
-        ) -> Result<(String, Option<Arc<Vec<AtomSpec>>>), E>,
+        compute: impl FnOnce() -> Result<String, E>,
     ) -> Result<ServeOutcome, E> {
         let key = (graph_fp, config_fp);
-        let warm_seed = {
+        {
             let mut g = lock(&self.inner);
             // Generation of the attempt this thread is waiting on, if any.
             let mut waited: Option<u64> = None;
@@ -408,7 +352,6 @@ impl PlanStore {
                     return Ok(ServeOutcome {
                         plan,
                         cached: true,
-                        warm_started: false,
                         graph_fp,
                         config_fp,
                     });
@@ -437,13 +380,9 @@ impl PlanStore {
                 let gen = g.attempt_gen;
                 g.inflight.insert(key, Flight { gen, waiters: 0 });
                 g.misses += 1;
-                let seed = nearest_warm(&g, warm_key, batch, key);
-                if seed.is_some() {
-                    g.warm_starts += 1;
-                }
-                break seed;
+                break;
             }
-        };
+        }
 
         // Plan outside the lock; identical concurrent requests block on the
         // condvar, everything else proceeds in parallel. The guard releases
@@ -453,28 +392,20 @@ impl PlanStore {
             key,
             armed: true,
         };
-        let result = compute(warm_seed.clone());
+        let result = compute();
         guard.armed = false;
 
         let mut g = lock(&self.inner);
         let flight = g.inflight.remove(&key);
         let out = match result {
-            Ok((plan, specs)) => {
+            Ok(plan) => {
                 g.tick += 1;
-                let tick = g.tick;
-                let has_specs = specs.is_some();
                 let entry = Entry {
                     plan: plan.clone(),
-                    specs,
-                    warm_key,
-                    batch,
-                    last_used: tick,
+                    last_used: g.tick,
                 };
                 let rec = g.persist.is_some().then(|| record_of(key, &entry));
                 g.cache.insert(key, entry);
-                if has_specs {
-                    g.warm.entry(warm_key).or_default().push((batch, key));
-                }
                 while g.cache.len() > self.capacity {
                     evict_lru(&mut g);
                 }
@@ -484,7 +415,6 @@ impl PlanStore {
                 Ok(ServeOutcome {
                     plan,
                     cached: false,
-                    warm_started: warm_seed.is_some(),
                     graph_fp,
                     config_fp,
                 })
@@ -539,9 +469,6 @@ fn record_of(key: CacheKey, e: &Entry) -> PlanRecord {
     PlanRecord {
         graph_fp: key.0,
         config_fp: key.1,
-        warm_cfg_fp: e.warm_key.1,
-        batch: e.batch,
-        specs: e.specs.as_ref().map(|s| s.as_ref().clone()),
         plan: e.plan.clone(),
     }
 }
@@ -570,54 +497,18 @@ fn persist_insert(g: &mut Inner, rec: &PlanRecord) {
     }
 }
 
-/// Specs of the cached neighbor closest in batch size (ties toward the
-/// smaller batch, then the smaller key — deterministic for any insertion
-/// order).
-fn nearest_warm(
-    inner: &Inner,
-    warm_key: WarmKey,
-    batch: usize,
-    key: CacheKey,
-) -> Option<Arc<Vec<AtomSpec>>> {
-    let neighbors = inner.warm.get(&warm_key)?;
-    let mut best: Option<(usize, usize, CacheKey)> = None;
-    for &(b, k) in neighbors {
-        if k == key {
-            continue;
-        }
-        let cand = (b.abs_diff(batch), b, k);
-        if best.is_none_or(|x| cand < x) {
-            best = Some(cand);
-        }
-    }
-    let (_, _, k) = best?;
-    inner.cache.get(&k).and_then(|e| e.specs.clone())
-}
-
-/// Drops the least-recently-used entry and unlinks it from the warm index.
-/// For a persistent store the entry's records stay in the files until the
-/// next compaction rewrites the snapshot from the live set.
+/// Drops the least-recently-used entry. For a persistent store the entry's
+/// records stay in the files until the next compaction rewrites the
+/// snapshot from the live set.
 fn evict_lru(inner: &mut Inner) {
     let victim = inner
         .cache
         .iter()
         .min_by_key(|(_, e)| e.last_used)
         .map(|(k, _)| *k);
-    let Some(k) = victim else { return };
-    let Some(e) = inner.cache.remove(&k) else {
-        return;
-    };
-    unlink_warm(inner, e.warm_key, k);
-    inner.evictions += 1;
-}
-
-/// Removes `key`'s link under `warm_key` from the warm-start index.
-fn unlink_warm(inner: &mut Inner, warm_key: WarmKey, key: CacheKey) {
-    if let Some(v) = inner.warm.get_mut(&warm_key) {
-        v.retain(|&(_, k)| k != key);
-        if v.is_empty() {
-            inner.warm.remove(&warm_key);
-        }
+    if let Some(k) = victim {
+        inner.cache.remove(&k);
+        inner.evictions += 1;
     }
 }
 
@@ -794,9 +685,8 @@ fn handle_plan(doc: &Json, ctx: &ServeCtx<'_>) -> String {
         // The plan payload is spliced in verbatim (it is already compact
         // JSON), so cache hits return byte-identical plan bytes.
         Ok(out) => format!(
-            "{{\"ok\":true,\"cached\":{},\"warm_started\":{},\"graph_fp\":\"{}\",\
-             \"config_fp\":\"{}\",\"plan\":{}}}",
-            out.cached, out.warm_started, out.graph_fp, out.config_fp, out.plan
+            "{{\"ok\":true,\"cached\":{},\"graph_fp\":\"{}\",\"config_fp\":\"{}\",\"plan\":{}}}",
+            out.cached, out.graph_fp, out.config_fp, out.plan
         ),
         Err(e) => err_line(&format!("planning failed: {e}")),
     }
@@ -873,7 +763,7 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
     if let Some(v) = doc.get("validate") {
         let s = v
             .as_str()
-            .ok_or_else(|| "`validate` must be a string (deny|warn|off)".to_string())?;
+            .ok_or_else(|| "`validate` must be a string (deny|off)".to_string())?;
         cfg = cfg.with_validate(s.parse::<ValidateMode>()?);
     }
     if let Some(v) = doc.get("budget") {
@@ -1121,10 +1011,10 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
-                        store.resolve(fp(1), fp(2), (fp(1), fp(3)), 1, |_| {
+                        store.resolve(fp(1), fp(2), || {
                             calls.fetch_add(1, Ordering::SeqCst);
                             std::thread::sleep(std::time::Duration::from_millis(30));
-                            Ok::<_, ()>(("{\"p\":1}".to_string(), None))
+                            Ok::<_, ()>("{\"p\":1}".to_string())
                         })
                     })
                 })
@@ -1144,15 +1034,11 @@ mod tests {
     #[test]
     fn failed_plan_releases_the_key_for_retry() {
         let store = PlanStore::new(8);
-        let r = store.resolve(fp(1), fp(2), (fp(1), fp(3)), 1, |_| {
-            Err::<(String, _), _>("boom")
-        });
+        let r = store.resolve(fp(1), fp(2), || Err::<String, _>("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         // The key is not cached and not in flight: the retry computes.
         let out = store
-            .resolve(fp(1), fp(2), (fp(1), fp(3)), 1, |_| {
-                Ok::<_, &str>(("{}".to_string(), None))
-            })
+            .resolve(fp(1), fp(2), || Ok::<_, &str>("{}".to_string()))
             .unwrap();
         assert!(!out.cached);
         assert_eq!(store.stats().misses, 2);
@@ -1164,59 +1050,22 @@ mod tests {
         let plan_of = |k: u64| format!("{{\"k\":{k}}}");
         for k in 1..=3 {
             store
-                .resolve(fp(k), fp(0), (fp(k), fp(0)), 1, |_| {
-                    Ok::<_, ()>((plan_of(k), None))
-                })
+                .resolve(fp(k), fp(0), || Ok::<_, ()>(plan_of(k)))
                 .unwrap();
         }
         let st = store.stats();
         assert_eq!((st.entries, st.evictions), (2, 1));
         // Key 1 was the least recently used: it is gone and recomputes.
         let out = store
-            .resolve(fp(1), fp(0), (fp(1), fp(0)), 1, |_| {
-                Ok::<_, ()>((plan_of(1), None))
-            })
+            .resolve(fp(1), fp(0), || Ok::<_, ()>(plan_of(1)))
             .unwrap();
         assert!(!out.cached);
         // Key 3 survived: byte-identical hit.
         let out = store
-            .resolve(fp(3), fp(0), (fp(3), fp(0)), 1, |_| {
-                Ok::<_, ()>((String::new(), None))
-            })
+            .resolve(fp(3), fp(0), || Ok::<_, ()>(String::new()))
             .unwrap();
         assert!(out.cached);
         assert_eq!(out.plan, plan_of(3));
-    }
-
-    #[test]
-    fn warm_start_seeds_from_nearest_batch_neighbor() {
-        let store = PlanStore::new(8);
-        let wk = (fp(9), fp(7));
-        let specs = Arc::new(Vec::<AtomSpec>::new());
-        let out = store
-            .resolve(fp(9), fp(1), wk, 1, |w| {
-                assert!(w.is_none(), "nothing cached yet");
-                Ok::<_, ()>(("{}".to_string(), Some(specs.clone())))
-            })
-            .unwrap();
-        assert!(!out.warm_started);
-        // Same graph and batchless config at batch 4: seeded from batch 1.
-        let out = store
-            .resolve(fp(9), fp(2), wk, 4, |w| {
-                assert!(w.is_some(), "neighbor specs expected");
-                Ok::<_, ()>(("{}".to_string(), None))
-            })
-            .unwrap();
-        assert!(out.warm_started);
-        // A different batchless key never cross-seeds.
-        let out = store
-            .resolve(fp(9), fp(4), (fp(9), fp(8)), 4, |w| {
-                assert!(w.is_none(), "different batchless key must not seed");
-                Ok::<_, ()>(("{}".to_string(), None))
-            })
-            .unwrap();
-        assert!(!out.warm_started);
-        assert_eq!(store.stats().warm_starts, 1);
     }
 
     /// Spins until `cond` holds (the condition is made true by another
@@ -1235,29 +1084,25 @@ mod tests {
     fn failed_attempt_error_reaches_only_its_own_waiters() {
         let store = PlanStore::new(8);
         let key = (fp(1), fp(2));
-        let wk = (fp(1), fp(3));
         let a_entered = AtomicBool::new(false);
         let a_release = AtomicBool::new(false);
 
         std::thread::scope(|s| {
             // A becomes the planner and parks inside its compute closure.
             let a = s.spawn(|| {
-                store.resolve(key.0, key.1, wk, 1, |_| {
+                store.resolve(key.0, key.1, || {
                     a_entered.store(true, Ordering::SeqCst);
                     while !a_release.load(Ordering::SeqCst) {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
-                    Err::<(String, _), &str>("boom")
+                    Err::<String, &str>("boom")
                 })
             });
             wait_until(|| a_entered.load(Ordering::SeqCst));
 
             // B finds the key in flight and registers on A's generation.
-            let b = s.spawn(|| {
-                store.resolve(key.0, key.1, wk, 1, |_| {
-                    Ok::<_, &str>(("fresh-B".to_string(), None))
-                })
-            });
+            let b =
+                s.spawn(|| store.resolve(key.0, key.1, || Ok::<_, &str>("fresh-B".to_string())));
             wait_until(|| store.waiters_on(key) == 1);
 
             // A fails; B must inherit exactly that error.
@@ -1270,9 +1115,7 @@ mod tests {
         // C arrives after the failure: no matching generation, so it can
         // never observe the stale error — it plans fresh and succeeds.
         let c = store
-            .resolve(key.0, key.1, wk, 1, |_| {
-                Ok::<_, &str>(("fresh-C".to_string(), None))
-            })
+            .resolve(key.0, key.1, || Ok::<_, &str>("fresh-C".to_string()))
             .unwrap();
         assert!(!c.cached);
         assert_eq!(c.plan, "fresh-C");
@@ -1294,20 +1137,11 @@ mod tests {
         let plan = "{\"p\":1,\"cost\":0.5}".to_string();
         {
             let store = PlanStore::open(8, &dir).unwrap();
-            let specs = Arc::new(vec![AtomSpec {
-                th: 7,
-                tw: 3,
-                tc: 16,
-            }]);
             store
-                .resolve(fp(1), fp(2), (fp(1), fp(3)), 1, |_| {
-                    Ok::<_, ()>((plan.clone(), Some(specs)))
-                })
+                .resolve(fp(1), fp(2), || Ok::<_, ()>(plan.clone()))
                 .unwrap();
             store
-                .resolve(fp(4), fp(5), (fp(4), fp(6)), 2, |_| {
-                    Ok::<_, ()>(("{\"p\":2}".to_string(), None))
-                })
+                .resolve(fp(4), fp(5), || Ok::<_, ()>("{\"p\":2}".to_string()))
                 .unwrap();
         }
         // A new store over the same directory serves both entries as hits,
@@ -1316,20 +1150,37 @@ mod tests {
         assert_eq!(store.stats().entries, 2);
         assert!(store.persist_stats().unwrap().is_clean_load());
         let out = store
-            .resolve(fp(1), fp(2), (fp(1), fp(3)), 1, |_| {
-                Err::<(String, _), &str>("recovered entry must not recompute")
+            .resolve(fp(1), fp(2), || {
+                Err::<String, &str>("recovered entry must not recompute")
             })
             .unwrap();
         assert!(out.cached);
         assert_eq!(out.plan, plan);
-        // The recovered warm index still seeds batch neighbors.
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A v1 record (written when a miss could be seeded from a cached batch
+    /// neighbour, so its plan may differ from what the request alone
+    /// plans) is dropped and counted at open, and its key plans afresh.
+    #[test]
+    fn v1_record_is_counted_undecodable_and_never_served() {
+        let dir = scratch_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1 = format!("v1 {} {} {} 4\n7:3:16\n{{\"old\":1}}", fp(1), fp(2), fp(3));
+        std::fs::write(
+            dir.join(persist::WAL_FILE),
+            ad_util::record::encode_record(v1.as_bytes()),
+        )
+        .unwrap();
+        let store = PlanStore::open(8, &dir).unwrap();
+        let ps = store.persist_stats().unwrap();
+        assert_eq!((ps.undecodable_records, ps.recovered), (1, 0));
+        assert_eq!(store.stats().entries, 0);
         let out = store
-            .resolve(fp(1), fp(9), (fp(1), fp(3)), 4, |w| {
-                assert!(w.is_some(), "recovered specs must seed the neighbor");
-                Ok::<_, ()>(("{}".to_string(), None))
-            })
+            .resolve(fp(1), fp(2), || Ok::<_, ()>("{\"new\":1}".to_string()))
             .unwrap();
-        assert!(out.warm_started);
+        assert!(!out.cached);
+        assert_eq!(out.plan, "{\"new\":1}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1340,9 +1191,7 @@ mod tests {
             let store = PlanStore::open(8, &dir).unwrap();
             for k in 1..=4 {
                 store
-                    .resolve(fp(k), fp(0), (fp(k), fp(0)), 1, |_| {
-                        Ok::<_, ()>((format!("{{\"k\":{k}}}"), None))
-                    })
+                    .resolve(fp(k), fp(0), || Ok::<_, ()>(format!("{{\"k\":{k}}}")))
                     .unwrap();
             }
         }
@@ -1351,9 +1200,7 @@ mod tests {
         assert_eq!((st.entries, st.evictions), (2, 2));
         // The most recently appended entries survive the clamp.
         let out = store
-            .resolve(fp(4), fp(0), (fp(4), fp(0)), 1, |_| {
-                Ok::<_, ()>((String::new(), None))
-            })
+            .resolve(fp(4), fp(0), || Ok::<_, ()>(String::new()))
             .unwrap();
         assert!(out.cached);
         assert_eq!(out.plan, "{\"k\":4}");
@@ -1385,6 +1232,10 @@ mod tests {
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"budget\":{\"sa_iterz\":1}}",
                 "unknown budget field",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"validate\":\"warn\"}",
+                "unknown validate mode",
             ),
         ] {
             let reply = handle_line(req, &store, &sc);

@@ -24,9 +24,13 @@
 //! * `--fast` — apply the fast search configuration to every request.
 //! * `--summary=` — write a cache-counter JSON summary on shutdown.
 //! * `--smoke` — CI self-test: serve on a loopback port, submit the same
-//!   ResNet-50 request twice plus a batch-2 neighbor, then persist the
+//!   ResNet-50 request twice plus a batch-2 request, then persist the
 //!   cache, restart the store from disk, and exit non-zero unless the
-//!   recovered entry serves a byte-identical cache hit.
+//!   batch-2 miss equals an in-process `request::plan` of the same request
+//!   and the recovered entry serves a byte-identical cache hit.
+//!
+//! A numeric flag whose value does not parse is an error: the daemon names
+//! the flag and exits with status 2 instead of running on the default.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -36,6 +40,8 @@ use std::path::PathBuf;
 
 use ad_serve::{serve, PlanStore, ServerConfig};
 use ad_util::Json;
+use atomic_dataflow::{request, OptimizerConfig, PlanRequest};
+use dnn_graph::models;
 use engine_model::HardwareConfig;
 
 fn main() {
@@ -48,15 +54,11 @@ fn main() {
     };
 
     let addr = opt("--addr=").unwrap_or_else(|| "127.0.0.1:7474".to_string());
-    let workers = opt("--workers=").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let capacity = opt("--capacity=")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
+    let workers = num_flag(&args, "--workers=").unwrap_or(4);
+    let capacity = num_flag(&args, "--capacity=").unwrap_or(128);
     let cache_dir = opt("--cache-dir=").map(PathBuf::from);
-    let deadline_ms = opt("--deadline-ms=").and_then(|v| v.parse().ok());
-    let max_queue = opt("--max-queue=")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let deadline_ms = num_flag(&args, "--deadline-ms=");
+    let max_queue = num_flag(&args, "--max-queue=").unwrap_or(64);
     let summary = opt("--summary=");
     let base_hw = match opt("--hw=") {
         Some(path) => match HardwareConfig::load(&path) {
@@ -104,9 +106,26 @@ fn main() {
         write_summary(&path, &stats.to_json(), true, &[]);
     }
     println!(
-        "ad-serve: shut down ({} hits / {} misses / {} evictions / {} warm starts)",
-        stats.hits, stats.misses, stats.evictions, stats.warm_starts
+        "ad-serve: shut down ({} hits / {} misses / {} evictions)",
+        stats.hits, stats.misses, stats.evictions
     );
+}
+
+/// The value of the numeric flag `prefix` (e.g. `--workers=`), or `None`
+/// when absent. A value that does not parse names the flag on stderr and
+/// exits with status 2.
+fn num_flag<T: std::str::FromStr>(args: &[String], prefix: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = args.iter().find_map(|a| a.strip_prefix(prefix))?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(e) => {
+            eprintln!("ad-serve: bad value for {prefix}{v}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Opens the plan store, persistent when a cache directory was given.
@@ -131,12 +150,12 @@ fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str)
     Json::parse(&line).expect("response parses")
 }
 
-/// The CI self-test: cold plan, byte-identical cache hit, warm-started
-/// batch neighbor, counter check, then a persist → restart → recovered-hit
-/// round trip. Returns the process exit code.
+/// The CI self-test: cold plan, byte-identical cache hit, a batch-2 miss
+/// checked against an in-process plan, counter check, then a persist →
+/// restart → recovered-hit round trip. Returns the process exit code.
 fn run_smoke(capacity: usize, sc: &ServerConfig, summary: Option<&str>) -> i32 {
     // Smoke always uses the fast search configuration: CI budget, and the
-    // cache/warm-start semantics under test do not depend on search scale.
+    // cache semantics under test do not depend on search scale.
     let sc = ServerConfig { fast: true, ..*sc };
     let cache_dir = std::env::temp_dir().join(format!("ad-serve-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -204,9 +223,10 @@ fn run_smoke(capacity: usize, sc: &ServerConfig, summary: Option<&str>) -> i32 {
     i32::from(!ok)
 }
 
-/// First smoke phase (pre-restart): cold plan, byte-identical hit,
-/// warm-started neighbor, counters, graceful shutdown. Returns the cold
-/// plan payload for the post-restart byte-identity check.
+/// First smoke phase (pre-restart): cold plan, byte-identical hit, a
+/// batch-2 miss equal to `request::plan` of the same request, counters,
+/// graceful shutdown. Returns the cold plan payload for the post-restart
+/// byte-identity check.
 fn serve_smoke_phase(
     store: &PlanStore,
     sc: &ServerConfig,
@@ -250,12 +270,19 @@ fn serve_smoke_phase(
             "{\"op\":\"plan\",\"model\":\"resnet50\",\"batch\":2}",
         );
         check(
-            "batch-2 neighbor plans fresh",
+            "batch-2 request plans fresh",
             r3.get("cached").and_then(Json::as_bool) == Some(false),
         );
+        let cfg = OptimizerConfig::for_hardware(&sc.base_hw)
+            .expect("smoke hardware config is valid")
+            .with_fast_search()
+            .with_batch(2);
+        let direct = request::plan(&PlanRequest::new(&models::resnet50(), cfg))
+            .expect("in-process batch-2 plan");
         check(
-            "batch-2 neighbor warm-starts from the batch-1 plan",
-            r3.get("warm_started").and_then(Json::as_bool) == Some(true),
+            "batch-2 miss equals request::plan of the same request",
+            r3.get("plan").map(|p| p.to_compact())
+                == Json::parse(&direct.plan).ok().map(|p| p.to_compact()),
         );
 
         let st = roundtrip(&mut conn, &mut reader, "{\"op\":\"stats\"}");

@@ -28,7 +28,6 @@ use std::sync::Mutex;
 use ad_serve::{Persist, PlanRecord};
 use ad_util::record::encode_record;
 use ad_util::{Fingerprint, Rng64};
-use atomic_dataflow::AtomSpec;
 
 /// Counts live heap bytes and their high-water mark.
 struct CountingAlloc;
@@ -66,25 +65,13 @@ static SERIAL: Mutex<()> = Mutex::new(());
 const ALLOC_PER_FILE_BYTE: usize = 8;
 const ALLOC_SLACK: usize = 64 * 1024;
 
-/// A random record: random keys, optional specs, a plan of printable
+/// A random record: random keys and a plan of printable
 /// ASCII, newlines and multi-byte UTF-8.
 fn random_record(rng: &mut Rng64) -> PlanRecord {
     const PLAN_CHARS: [char; 10] = ['{', '}', '"', ':', ',', '1', 'x', '\n', ' ', 'é'];
-    let specs = rng.chance(0.7).then(|| {
-        (0..rng.range_usize(1, 5))
-            .map(|_| AtomSpec {
-                th: rng.range_usize(1, 64),
-                tw: rng.range_usize(1, 64),
-                tc: rng.range_usize(1, 512),
-            })
-            .collect()
-    });
     PlanRecord {
         graph_fp: Fingerprint(rng.next_u64()),
         config_fp: Fingerprint(rng.next_u64()),
-        warm_cfg_fp: Fingerprint(rng.next_u64()),
-        batch: rng.range_usize(1, 65),
-        specs,
         plan: (0..rng.below(200))
             .map(|_| PLAN_CHARS[rng.below(PLAN_CHARS.len())])
             .collect(),

@@ -34,7 +34,7 @@ fn corpus() -> Vec<Json> {
             hw.to_compact()
         ),
         format!(
-            r#"{{"op":"plan","model":"tiny_cnn","batch":3,"strategy":"CNN-P","validate":"warn","hw":{}}}"#,
+            r#"{{"op":"plan","model":"tiny_cnn","batch":3,"strategy":"CNN-P","validate":"off","hw":{}}}"#,
             hw.to_compact()
         ),
     ];

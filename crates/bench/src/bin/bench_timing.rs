@@ -61,7 +61,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/sa_resnet50", iters, || {
-        atomgen::generate(&g, &table, &sa, None, None, &Exec::default())
+        atomgen::generate(&g, &table, &sa, None, &Exec::default())
     });
     let ga = AtomGenConfig {
         mode: AtomGenMode::Ga(GaParams {
@@ -71,7 +71,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/ga_resnet50", iters, || {
-        atomgen::generate(&g, &table, &ga, None, None, &Exec::default())
+        atomgen::generate(&g, &table, &ga, None, &Exec::default())
     });
 
     let cfg = small_cfg();

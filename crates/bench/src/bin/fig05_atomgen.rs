@@ -45,14 +45,7 @@ fn main() {
     );
     for (name, graph) in &w.list {
         let cfg = AtomGenConfig::default();
-        let rep = atomgen::generate(
-            graph,
-            &candidates(graph),
-            &cfg,
-            None,
-            None,
-            &Exec::default(),
-        );
+        let rep = atomgen::generate(graph, &candidates(graph), &cfg, None, &Exec::default());
         let total_atoms: usize = rep.layer_cycles.iter().map(|(_, n)| n).sum();
         let near: usize = rep
             .layer_cycles
@@ -90,7 +83,7 @@ fn main() {
             mode,
             ..AtomGenConfig::default()
         };
-        atomgen::generate(graph, &table, &cfg, None, None, &Exec::default())
+        atomgen::generate(graph, &table, &cfg, None, &Exec::default())
     };
     let sa = run(AtomGenMode::Sa(SaParams {
         max_iters: iters,

@@ -13,6 +13,9 @@
 //!    (silent disk corruption). The audits:
 //!    - **zero corrupted hits** — every response served from the cache is
 //!      byte-identical to the response that populated that key;
+//!    - **zero changed re-plans** — a miss on a key planned before (its
+//!      record evicted, torn or flipped) returns that key's first bytes,
+//!      because a plan depends only on its request;
 //!    - injected damage is *counted* (torn/corrupt records in the
 //!      recovery stats), never served;
 //!    - a clean restart recovers with no defects at all.
@@ -32,7 +35,7 @@
 //!
 //! Flags: `--fast` (CI smoke shape: fewer seeds/cycles/requests),
 //! `--seeds=N` (default 3), `--cycles=N` (restart cycles per seed,
-//! default 5), `--json=PATH`, `--validate deny|warn|off` (also
+//! default 5), `--json=PATH`, `--validate deny|off` (also
 //! `--validate=MODE`) — forwarded to every plan request, so `deny` makes
 //! the daemon fail loudly on any invariant violation while chaos runs.
 
@@ -59,6 +62,7 @@ struct Totals {
     requests: u64,
     hits: u64,
     corrupted_hits: u64,
+    changed_replans: u64,
     recovered_entries: u64,
     torn_records: u64,
     corrupt_records: u64,
@@ -122,6 +126,10 @@ fn main() {
         totals.corrupted_hits.to_string(),
     ]);
     table.add_row(vec![
+        "re-plans with changed bytes (must be 0)".into(),
+        totals.changed_replans.to_string(),
+    ]);
+    table.add_row(vec![
         "entries recovered across restarts".into(),
         totals.recovered_entries.to_string(),
     ]);
@@ -172,6 +180,7 @@ fn main() {
             ("requests".into(), Json::from(totals.requests)),
             ("hits".into(), Json::from(totals.hits)),
             ("corrupted_hits".into(), Json::from(totals.corrupted_hits)),
+            ("changed_replans".into(), Json::from(totals.changed_replans)),
             (
                 "recovered_entries".into(),
                 Json::from(totals.recovered_entries),
@@ -261,9 +270,9 @@ fn crash_restart_cycles(
     let mut rng = Rng64::new(seed);
     let dir = scratch_dir(seed);
     let sc = chaos_server_config(2, 8);
-    // Byte-identity ledger: request line → the plan bytes that populated
-    // its cache key (updated whenever the key is re-planned, e.g. after
-    // its record was torn off the WAL).
+    // Byte-identity ledger: request line → the plan bytes that first
+    // populated its cache key. Hits and re-plans (after the key's record
+    // was torn off the WAL) must both return exactly these bytes.
     let mut expected: BTreeMap<String, String> = BTreeMap::new();
     let mut torn_records = 0u64;
     let mut corrupt_records = 0u64;
@@ -339,7 +348,18 @@ fn crash_restart_cycles(
                         }
                     }
                 } else {
-                    expected.insert(req, plan);
+                    match expected.get(&req) {
+                        None => {
+                            expected.insert(req, plan);
+                        }
+                        Some(want) if *want == plan => {}
+                        Some(_) => {
+                            totals.changed_replans += 1;
+                            totals.violations.push(format!(
+                                "seed {seed:#x} cycle {cycle}: RE-PLAN CHANGED BYTES for {req}"
+                            ));
+                        }
+                    }
                 }
             }
 

@@ -272,13 +272,15 @@ pub fn ls_layer_utilizations(graph: &Graph, cfg: &OptimizerConfig) -> Vec<(Strin
 ///   byte-identical for every value);
 /// - `--batch=N` — override the experiment's default batch size;
 /// - `--json=PATH` — also dump records as JSON;
-/// - `--validate deny|warn|off` (also `--validate=MODE`) — plan-admission
-///   mode: `deny` fails on the first invariant violation, `warn` prints and
-///   continues, `off` skips the audit (the default follows the build:
-///   deny in debug, off in release);
+/// - `--validate deny|off` (also `--validate=MODE`) — plan-admission
+///   mode: `deny` fails on the first invariant violation, `off` skips the
+///   audit (the default follows the build: deny in debug, off in release);
 /// - `--sa-budget=N` — cap simulated-annealing iterations per chain;
 /// - `--dp-budget=N` — cap DP scheduling expansions;
 /// - `--deadline-ms=N` — wall-clock deadline for the refinement pass.
+///
+/// A value that does not parse panics with a message naming the flag, as an
+/// unknown workload name does, so a mistyped flag never runs on a default.
 #[derive(Debug, Clone)]
 pub struct Workloads {
     /// Selected `(name, graph)` pairs.
@@ -334,29 +336,26 @@ impl Workloads {
             } else if let Some(v) = a.strip_prefix("--hw=") {
                 hw_path = Some(v.to_string());
             } else if let Some(v) = a.strip_prefix("--par=") {
-                parallelism = v.parse().ok();
+                parallelism = Some(flag_value("--par=", v));
             } else if let Some(v) = a.strip_prefix("--batch=") {
-                batch_override = v.parse().ok();
+                batch_override = Some(flag_value("--batch=", v));
             } else if let Some(v) = a.strip_prefix("--json=") {
                 json_path = Some(v.to_string());
-            } else if a == "--validate" && i + 1 < args.len() {
+            } else if a == "--validate" {
                 // Two-token form: `--validate deny`.
-                validate = args[i + 1].parse().ok();
+                let v = args
+                    .get(i + 1)
+                    .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
+                validate = Some(flag_value("--validate ", v));
                 i += 1;
             } else if let Some(v) = a.strip_prefix("--validate=") {
-                validate = v.parse().ok();
+                validate = Some(flag_value("--validate=", v));
             } else if let Some(v) = a.strip_prefix("--sa-budget=") {
-                if let Ok(n) = v.parse() {
-                    budget = budget.with_sa_iters(n);
-                }
+                budget = budget.with_sa_iters(flag_value("--sa-budget=", v));
             } else if let Some(v) = a.strip_prefix("--dp-budget=") {
-                if let Ok(n) = v.parse() {
-                    budget = budget.with_dp_expansions(n);
-                }
+                budget = budget.with_dp_expansions(flag_value("--dp-budget=", v));
             } else if let Some(v) = a.strip_prefix("--deadline-ms=") {
-                if let Ok(n) = v.parse() {
-                    budget = budget.with_deadline_ms(n);
-                }
+                budget = budget.with_deadline_ms(flag_value("--deadline-ms=", v));
             }
             i += 1;
         }
@@ -449,6 +448,19 @@ impl Workloads {
     }
 }
 
+/// The value `v` of flag `flag` (spelled as typed, e.g. `--par=`).
+///
+/// # Panics
+///
+/// Panics with a message naming the flag when `v` does not parse.
+fn flag_value<T: std::str::FromStr>(flag: &str, v: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse()
+        .unwrap_or_else(|e| panic!("bad value for {flag}{v}: {e}"))
+}
+
 /// Paper-default configuration for a given dataflow and batch, resolved
 /// through the declarative [`HardwareConfig`] path like every other config.
 ///
@@ -499,13 +511,42 @@ mod tests {
         assert_eq!(cfg.budget, w.budget);
 
         // `=` form, and defaults when absent.
-        let w = Workloads::from_arg_slice(&["--validate=warn".into()]);
-        assert_eq!(w.validate, Some(ValidateMode::Warn));
+        let w = Workloads::from_arg_slice(&["--validate=off".into()]);
+        assert_eq!(w.validate, Some(ValidateMode::Off));
         let w = Workloads::from_arg_slice(&[]);
         assert_eq!(w.validate, None);
         assert!(!w.budget.is_limited());
         let cfg = w.config(Dataflow::KcPartition, 1);
         assert_eq!(cfg.validate, ValidateMode::default());
+    }
+
+    /// Every value-taking flag rejects a value that does not parse, naming
+    /// the flag, instead of running on its default.
+    #[test]
+    fn unparseable_flag_values_are_rejected_by_name() {
+        let cases: [&[&str]; 9] = [
+            &["--par=two"],
+            &["--batch=-1"],
+            &["--sa-budget=many"],
+            &["--dp-budget=1e3"],
+            &["--deadline-ms=soon"],
+            &["--validate=dny"],
+            &["--validate=warn"],
+            &["--validate", "dny"],
+            &["--validate"],
+        ];
+        for case in cases {
+            let mut args = vec!["--workloads=tiny_cnn".to_string()];
+            args.extend(case.iter().map(|a| a.to_string()));
+            let err = std::panic::catch_unwind(|| Workloads::from_arg_slice(&args))
+                .expect_err(&case.join(" "));
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(&case.join(" ")), "{case:?}: `{msg}`");
+        }
     }
 
     #[test]

@@ -239,24 +239,16 @@ impl CandidateTable {
 ///   iteration count; the chain returns its best-so-far choice vector and
 ///   the report is flagged [`GenReport::truncated`] when the cap fired
 ///   before convergence.
-/// * `warm` is a *warm start*: per-layer atom specs from a previously
-///   planned, closely related request (the plan cache's nearest neighbor
-///   differing only in batch). SA chains initialize from the warm specs
-///   instead of the granularity-target heuristic. Annealing then proceeds
-///   unchanged, so the result still passes the same admission checks.
-///   Layers whose warm spec is not in the candidate table (different
-///   engine geometry) fall back to the default initialization.
 /// * `exec` carries the request's worker pool for the SA chain fan-out;
 ///   every pool size gives byte-identical output.
 ///
 /// GA and uniform generation have a fixed iteration structure and ignore
-/// both the cap and the warm start.
+/// the cap.
 pub fn generate(
     graph: &Graph,
     table: &CandidateTable,
     cfg: &AtomGenConfig,
     iter_budget: Option<usize>,
-    warm: Option<&[AtomSpec]>,
     exec: &Exec,
 ) -> GenReport {
     debug_assert_eq!(
@@ -270,7 +262,6 @@ pub fn generate(
             p,
             cfg.target_atoms_per_layer,
             iter_budget,
-            warm,
             exec,
         ),
         AtomGenMode::Ga(p) => run_ga(graph, table, p),
@@ -664,17 +655,16 @@ fn run_sa(
     p: SaParams,
     target_count: usize,
     iter_budget: Option<usize>,
-    warm: Option<&[AtomSpec]>,
     exec: &Exec,
 ) -> GenReport {
     let chains = p.chains.max(1);
     if chains == 1 {
-        return run_sa_chain(graph, table, p, target_count, iter_budget, warm);
+        return run_sa_chain(graph, table, p, target_count, iter_budget);
     }
     let reports = exec.map(chains, |i| {
         let mut pi = p;
         pi.seed = chain_seed(p.seed, i);
-        run_sa_chain(graph, table, pi, target_count, iter_budget, warm)
+        run_sa_chain(graph, table, pi, target_count, iter_budget)
     });
     let mut best: Option<GenReport> = None;
     for r in reports {
@@ -683,7 +673,7 @@ fn run_sa(
         }
     }
     // `chains >= 1`, so at least one report exists.
-    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget, warm))
+    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget))
 }
 
 /// One annealing chain (Algorithm 1), deterministic given `p.seed`. An
@@ -696,7 +686,6 @@ fn run_sa_chain(
     p: SaParams,
     target_count: usize,
     iter_budget: Option<usize>,
-    warm: Option<&[AtomSpec]>,
 ) -> GenReport {
     let soa = &table.soa;
     let mut rng = Rng64::new(p.seed);
@@ -705,19 +694,10 @@ fn run_sa_chain(
     // Initialization (Alg. 1 lines 1-3): tile sizes such that large layers
     // split into about `target_count` atoms — the cycle level with enough
     // intra-layer parallelism to fill the rounds. The annealing below is
-    // free to move `S` anywhere from here. A warm start replaces the
-    // heuristic with the specs of a cached neighboring plan where they
-    // still exist in this layer's candidate menu.
+    // free to move `S` anywhere from here.
     let mut choice: Vec<usize> = (0..nl)
         .map(|li| {
-            let cands = &table.layers[li];
-            if let Some(i) = warm
-                .and_then(|w| w.get(li))
-                .and_then(|spec| cands.iter().position(|c| c.spec == *spec))
-            {
-                return i;
-            }
-            cands
+            table.layers[li]
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
@@ -1015,16 +995,8 @@ mod tests {
         cfg: &AtomGenConfig,
         e: &EngineConfig,
         iter_budget: Option<usize>,
-        warm: Option<&[AtomSpec]>,
     ) -> GenReport {
-        generate(
-            g,
-            &table(g, cfg, e),
-            cfg,
-            iter_budget,
-            warm,
-            &Exec::default(),
-        )
+        generate(g, &table(g, cfg, e), cfg, iter_budget, &Exec::default())
     }
 
     /// The per-layer argmin spelled out as a left-to-right scan over every
@@ -1048,7 +1020,7 @@ mod tests {
     fn sa_reduces_variance() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = run(&g, &cfg, &e, None, None);
+        let rep = run(&g, &cfg, &e, None);
         assert!(!rep.history.is_empty());
         let first = rep.history[0];
         let last = *rep.history.last().unwrap();
@@ -1063,8 +1035,8 @@ mod tests {
     fn sa_deterministic_given_seed() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let r1 = run(&g, &cfg, &e, None, None);
-        let r2 = run(&g, &cfg, &e, None, None);
+        let r1 = run(&g, &cfg, &e, None);
+        let r2 = run(&g, &cfg, &e, None);
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
     }
@@ -1075,16 +1047,16 @@ mod tests {
         let cfg = AtomGenConfig::default();
         // Tight cap: far below max_iters, and (for this graph/seed) below
         // the convergence point, so the truncated flag must be set.
-        let r1 = run(&g, &cfg, &e, Some(3), None);
-        let r2 = run(&g, &cfg, &e, Some(3), None);
+        let r1 = run(&g, &cfg, &e, Some(3));
+        let r2 = run(&g, &cfg, &e, Some(3));
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
         assert!(r1.history.len() <= 4); // initial E + ≤3 iterations
                                         // A budget at/above max_iters never truncates.
-        let full = run(&g, &cfg, &e, Some(10_000), None);
+        let full = run(&g, &cfg, &e, Some(10_000));
         assert!(!full.truncated);
         // An unlimited run is identical to budget=None.
-        let unb = run(&g, &cfg, &e, None, None);
+        let unb = run(&g, &cfg, &e, None);
         assert_eq!(full.specs, unb.specs);
     }
 
@@ -1092,7 +1064,7 @@ mod tests {
     fn kc_candidates_snap_channels_to_pe_multiple() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = run(&g, &cfg, &e, None, None);
+        let rep = run(&g, &cfg, &e, None);
         for layer in g.layers() {
             if !layer.is_array_op() {
                 continue;
@@ -1119,7 +1091,7 @@ mod tests {
             }),
             ..AtomGenConfig::default()
         };
-        let rep = run(&g, &cfg, &e, None, None);
+        let rep = run(&g, &cfg, &e, None);
         assert!(rep.history.len() > 10);
         assert!(*rep.history.last().unwrap() <= rep.history[0]);
     }
@@ -1131,7 +1103,7 @@ mod tests {
             mode: AtomGenMode::Uniform { parts: 8 },
             ..AtomGenConfig::default()
         };
-        let rep = run(&g, &cfg, &e, None, None);
+        let rep = run(&g, &cfg, &e, None);
         // Large layers should land near 8 atoms.
         let stem = g.layer_by_name("stem").unwrap();
         let n = rep.specs[stem.id().index()].count(stem.out_shape());
@@ -1145,7 +1117,7 @@ mod tests {
         // before streaming-aware candidates was Var > 40).
         let g = models::vgg19();
         let e = EngineConfig::paper_default();
-        let rep = run(&g, &AtomGenConfig::default(), &e, None, None);
+        let rep = run(&g, &AtomGenConfig::default(), &e, None);
         assert!(rep.variance < 0.2, "variance = {}", rep.variance);
         // And the resulting specs split large conv layers into many atoms.
         let c12 = g.layer_by_name("conv1_2").unwrap();
@@ -1375,7 +1347,7 @@ mod tests {
                 };
                 let table = table(g, &cfg, &e);
                 for budget in [None, Some(0), Some(1), Some(7)] {
-                    let fast = generate(g, &table, &cfg, budget, None, &Exec::default());
+                    let fast = generate(g, &table, &cfg, budget, &Exec::default());
                     let slow = reference_chain(g, &table, p, target, budget);
                     let case = format!("graph {gi}, epsilon {epsilon}, budget {budget:?}");
                     assert_eq!(fast.specs, slow.specs, "{case}");

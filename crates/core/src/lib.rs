@@ -79,8 +79,7 @@ pub use recovery::{
     RecoveryOutcome, RecoveryTrace,
 };
 pub use request::{
-    batchless_config_fingerprint, config_fingerprint, plan, AdmissionRefusal, PlanDetail,
-    PlanRequest, PlanResponse,
+    config_fingerprint, plan, AdmissionRefusal, PlanDetail, PlanRequest, PlanResponse,
 };
 pub use scheduler::{
     Schedule, ScheduleError, ScheduleMode, Scheduler, SchedulerConfig, SearchWork,

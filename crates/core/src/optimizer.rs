@@ -233,7 +233,6 @@ pub struct OptimizeResult {
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     cfg: OptimizerConfig,
-    warm: Option<std::sync::Arc<Vec<crate::atom::AtomSpec>>>,
     /// Shared persistent worker pool ([`Optimizer::with_pool`]); `None`
     /// gives each run a pool of its own (see [`Optimizer::exec`]).
     pool: Option<std::sync::Arc<WorkerPool>>,
@@ -242,11 +241,7 @@ pub struct Optimizer {
 impl Optimizer {
     /// Creates an optimizer with the given configuration.
     pub fn new(cfg: OptimizerConfig) -> Self {
-        Self {
-            cfg,
-            warm: None,
-            pool: None,
-        }
+        Self { cfg, pool: None }
     }
 
     /// Runs every fan-out of this optimizer on `pool` instead of a
@@ -262,15 +257,6 @@ impl Optimizer {
     /// The configuration.
     pub fn config(&self) -> &OptimizerConfig {
         &self.cfg
-    }
-
-    /// Warm-starts the SA atom-generation search from the per-layer specs
-    /// of a previously planned neighboring request (see
-    /// [`crate::PlanContext::warm_specs`]). The warm-started plan still
-    /// runs through the full pipeline and its admission checks.
-    pub fn with_warm_start(mut self, specs: std::sync::Arc<Vec<crate::atom::AtomSpec>>) -> Self {
-        self.warm = Some(specs);
-        self
     }
 
     /// The execution context of one run: the injected pool, or a pool of
@@ -295,7 +281,7 @@ impl Optimizer {
             self.cfg.dataflow,
             &exec,
         );
-        let report = atomgen::generate(graph, &table, &gen_cfg, None, None, &exec);
+        let report = atomgen::generate(graph, &table, &gen_cfg, None, &exec);
         let dag = AtomicDag::build(
             graph,
             &report.specs,
@@ -378,7 +364,6 @@ impl Optimizer {
             self.cfg.dataflow,
             &exec,
         );
-        let warm = self.warm.as_deref().map(Vec::as_slice);
         let generated = exec.map(targets.len(), |i| {
             let started = Instant::now(); // ad-lint: allow(d2) — reporting only
             let report = atomgen::generate(
@@ -386,7 +371,6 @@ impl Optimizer {
                 &table,
                 &self.cfg.atomgen_config(Some(targets[i])),
                 self.cfg.budget.sa_iter_cap(),
-                warm,
                 &exec,
             );
             (report, started.elapsed().as_secs_f64() * 1e3)

@@ -114,12 +114,6 @@ pub struct PlanContext<'g> {
     /// (see the `VALIDATED_*` bits in [`crate::validate`]); cleared for
     /// re-plannable artifacts by [`PlanContext::reset_plan`].
     pub validated: u8,
-    /// Per-layer atom specs of a previously planned neighboring request
-    /// (same graph, different batch): [`AtomGenStage`] initializes the SA
-    /// search from them instead of the granularity heuristic. Purely a
-    /// search accelerator — the warm-started plan runs through the same
-    /// admission checks as a cold one.
-    pub warm_specs: Option<std::sync::Arc<Vec<crate::atom::AtomSpec>>>,
     /// The request's execution context: the worker pool stages fan out
     /// through and the cost-oracle interner candidate DAGs share. The
     /// constructors give each context its own, sized from
@@ -163,7 +157,6 @@ impl<'g> PlanContext<'g> {
             stats: None,
             reports: Vec::new(),
             validated: 0,
-            warm_specs: None,
             exec: Exec::with_threads(cfg.parallelism),
         }
     }
@@ -185,8 +178,7 @@ impl<'g> PlanContext<'g> {
 
     /// Audits the context's current artifacts under the configured
     /// [`ValidateMode`]: `Off` skips, `Deny` fails with
-    /// [`PipelineError::Validation`], `Warn` prints the violation and
-    /// continues. [`Pipeline::run`] calls it after every stage; the recovery
+    /// [`PipelineError::Validation`]. [`Pipeline::run`] calls it after every stage; the recovery
     /// rungs that assemble artifacts by hand call it once at the end.
     ///
     /// # Errors
@@ -196,11 +188,6 @@ impl<'g> PlanContext<'g> {
         match self.cfg.validate {
             ValidateMode::Off => {}
             ValidateMode::Deny => validate::admit(self)?,
-            ValidateMode::Warn => {
-                if let Err(v) = validate::admit(self) {
-                    eprintln!("validation warning: {v}");
-                }
-            }
         }
         Ok(())
     }
@@ -440,7 +427,6 @@ impl Stage for AtomGenStage {
             &table,
             &gen_cfg,
             ctx.cfg.budget.sa_iter_cap(),
-            ctx.warm_specs.as_deref().map(Vec::as_slice),
             &ctx.exec,
         ));
         AtomDagStage.run(ctx)

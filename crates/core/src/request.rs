@@ -3,8 +3,8 @@
 //! Before this module, each front end (bench grid, timing binaries, fault
 //! harnesses, tests) invoked [`Optimizer`] or [`crate::Pipeline`] directly with an
 //! ad-hoc hard-coded config. The serving work (ROADMAP's front-door item)
-//! needs all of them to speak one language so plans can be cached,
-//! replayed and warm-started: a [`PlanRequest`] identifies *what* to plan
+//! needs all of them to speak one language so plans can be cached and
+//! replayed: a [`PlanRequest`] identifies *what* to plan
 //! — a workload graph and an [`OptimizerConfig`] — and the pair of stable
 //! fingerprints ([`Graph::canonical_fingerprint`], [`config_fingerprint`])
 //! identifies the request content-addressably. [`plan`] resolves a request
@@ -16,9 +16,7 @@
 //! The config fingerprint deliberately *excludes* every execution-only
 //! knob ([`OptimizerConfig::parallelism`], the worker-pool size): the
 //! planner is byte-deterministic across thread counts, so requests that
-//! differ only there must share a cache entry. A batch-insensitive variant
-//! ([`batchless_config_fingerprint`]) keys the warm-start neighbor index:
-//! two requests equal up to batch size may seed each other's SA search.
+//! differ only there must share a cache entry.
 
 use accel_sim::{EvictionKind, SimStats};
 use ad_util::{Fingerprint, FpHasher, Json};
@@ -34,9 +32,9 @@ use crate::pipeline::StageReport;
 use crate::scheduler::ScheduleMode;
 use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
 
-/// A fully specified planning request: the workload, the platform +
-/// strategy configuration, and optional warm-start specs from a cached
-/// neighboring plan.
+/// A fully specified planning request: the workload and the platform +
+/// strategy configuration. The plan it resolves to is a function of these
+/// alone.
 #[derive(Debug, Clone)]
 pub struct PlanRequest<'g> {
     /// The workload to plan.
@@ -45,9 +43,6 @@ pub struct PlanRequest<'g> {
     pub cfg: OptimizerConfig,
     /// Orchestration strategy (default: atomic dataflow).
     pub strategy: Strategy,
-    /// Per-layer atom specs of a cached neighboring plan; seeds the SA
-    /// search (atomic dataflow only; see [`crate::PlanContext::warm_specs`]).
-    pub warm: Option<std::sync::Arc<Vec<AtomSpec>>>,
     /// Persistent worker pool shared across requests (atomic dataflow
     /// only): planning fans out on it instead of creating a run-local pool,
     /// so long-lived callers (the serve daemon) keep their total thread
@@ -63,7 +58,6 @@ impl<'g> PlanRequest<'g> {
             graph,
             cfg,
             strategy: Strategy::AtomicDataflow,
-            warm: None,
             pool: None,
         }
     }
@@ -81,12 +75,6 @@ impl<'g> PlanRequest<'g> {
         self
     }
 
-    /// Returns a copy that warm-starts the SA search from `specs`.
-    pub fn with_warm_start(mut self, specs: std::sync::Arc<Vec<AtomSpec>>) -> Self {
-        self.warm = Some(specs);
-        self
-    }
-
     /// The graph half of the cache key.
     pub fn graph_fingerprint(&self) -> Fingerprint {
         self.graph.canonical_fingerprint()
@@ -95,11 +83,6 @@ impl<'g> PlanRequest<'g> {
     /// The config half of the cache key.
     pub fn config_fingerprint(&self) -> Fingerprint {
         config_fingerprint(&self.cfg, self.strategy)
-    }
-
-    /// The batch-insensitive config fingerprint (warm-start index key).
-    pub fn batchless_config_fingerprint(&self) -> Fingerprint {
-        batchless_config_fingerprint(&self.cfg, self.strategy)
     }
 }
 
@@ -113,7 +96,7 @@ pub struct PlanDetail {
     pub atoms: usize,
     /// Mean engine occupancy of the schedule.
     pub occupancy: f64,
-    /// Chosen tile per layer — the payload a warm-started request reuses.
+    /// Chosen tile per layer.
     pub specs: Vec<AtomSpec>,
 }
 
@@ -154,7 +137,7 @@ pub struct PlanResponse {
     pub reports: Vec<StageReport>,
     /// Whether planning completed within its [`PlanBudget`].
     pub budget: BudgetOutcome,
-    /// Plan structure and warm-start payload (atomic dataflow only).
+    /// Plan structure (atomic dataflow only).
     pub detail: Option<PlanDetail>,
     /// The deterministic response payload: compact JSON over the
     /// fingerprints, strategy, budget outcome, statistics and detail.
@@ -216,9 +199,6 @@ pub fn plan(req: &PlanRequest<'_>) -> Result<PlanResponse, PipelineError> {
     match req.strategy {
         Strategy::AtomicDataflow => {
             let mut opt = Optimizer::new(req.cfg);
-            if let Some(w) = &req.warm {
-                opt = opt.with_warm_start(w.clone());
-            }
             if let Some(p) = &req.pool {
                 opt = opt.with_pool(p.clone());
             }
@@ -336,23 +316,8 @@ impl std::error::Error for AdmissionRefusal {}
 pub fn config_fingerprint(cfg: &OptimizerConfig, strategy: Strategy) -> Fingerprint {
     let mut h = FpHasher::new();
     h.write_str("plan-config/v1");
-    hash_config(&mut h, cfg, strategy, cfg.batch);
-    h.finish()
-}
-
-/// Like [`config_fingerprint`] with the batch size held at a sentinel:
-/// requests equal up to batch share this digest and may warm-start each
-/// other's SA search.
-pub fn batchless_config_fingerprint(cfg: &OptimizerConfig, strategy: Strategy) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_str("plan-config-batchless/v1");
-    hash_config(&mut h, cfg, strategy, 0);
-    h.finish()
-}
-
-fn hash_config(h: &mut FpHasher, cfg: &OptimizerConfig, strategy: Strategy, batch: usize) {
     h.write_str(strategy.label());
-    h.write_usize(batch);
+    h.write_usize(cfg.batch);
     h.write_u64(match cfg.dataflow {
         Dataflow::KcPartition => 0,
         Dataflow::YxPartition => 1,
@@ -394,8 +359,8 @@ fn hash_config(h: &mut FpHasher, cfg: &OptimizerConfig, strategy: Strategy, batc
 
     // Search configuration. `atomgen.engines` is overwritten from the mesh
     // by the pipeline, so it is not hashed.
-    hash_atomgen(h, &cfg.atomgen);
-    hash_schedule_mode(h, cfg.schedule_mode);
+    hash_atomgen(&mut h, &cfg.atomgen);
+    hash_schedule_mode(&mut h, cfg.schedule_mode);
     h.write_u64(match cfg.mapping {
         MappingAlgo::ZigzagIdentity => 0,
         MappingAlgo::Affinity => 2,
@@ -404,12 +369,13 @@ fn hash_config(h: &mut FpHasher, cfg: &OptimizerConfig, strategy: Strategy, batc
     for t in cfg.search_targets {
         h.write_usize(t);
     }
+    // 1 stays unused so existing Deny and Off digests keep their values.
     h.write_u64(match cfg.validate {
         ValidateMode::Deny => 0,
-        ValidateMode::Warn => 1,
         ValidateMode::Off => 2,
     });
-    hash_budget(h, &cfg.budget);
+    hash_budget(&mut h, &cfg.budget);
+    h.finish()
 }
 
 fn hash_atomgen(h: &mut FpHasher, g: &AtomGenConfig) {
@@ -506,7 +472,7 @@ mod tests {
 
     /// Literal config fingerprints of both preset configs under every
     /// strategy: they are the daemon's cache keys and sit in every plan
-    /// payload, so any change to what `hash_config` feeds the hasher shows
+    /// payload, so any change to what `config_fingerprint` feeds the hasher shows
     /// here. Admission is pinned to `Off` (the release default) so the
     /// values do not depend on the build profile.
     #[test]
@@ -548,25 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn batchless_fingerprint_merges_batches_only() {
-        let cfg = OptimizerConfig::fast_test();
-        let s = Strategy::AtomicDataflow;
-        assert_eq!(
-            batchless_config_fingerprint(&cfg, s),
-            batchless_config_fingerprint(&cfg.with_batch(4), s)
-        );
-        assert_ne!(
-            batchless_config_fingerprint(&cfg, s),
-            batchless_config_fingerprint(&cfg.with_dataflow(Dataflow::YxPartition), s)
-        );
-        // The two fingerprint families never collide for the same config.
-        assert_ne!(
-            batchless_config_fingerprint(&cfg, s),
-            config_fingerprint(&cfg, s)
-        );
-    }
-
-    #[test]
     fn plan_resolves_and_pins_payload_bytes() {
         let g = models::tiny_branchy();
         let req = PlanRequest::new(&g, OptimizerConfig::fast_test());
@@ -595,23 +542,6 @@ mod tests {
             .unwrap()
             .to_compact()
             .contains("detail"));
-    }
-
-    #[test]
-    fn warm_started_plan_passes_deny_admission_and_matches_cold_bytes() {
-        let g = models::tiny_branchy();
-        let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
-        let cold = plan(&PlanRequest::new(&g, cfg)).unwrap();
-        let specs = std::sync::Arc::new(cold.detail.as_ref().unwrap().specs.clone());
-        // Same graph at a different batch, seeded from the cold plan's
-        // specs: must still pass Deny-mode admission.
-        let warm =
-            plan(&PlanRequest::new(&g, cfg.with_batch(2)).with_warm_start(specs.clone())).unwrap();
-        assert!(warm.stats.total_cycles > 0);
-        // Warm-starting an *identical* request may only change where the
-        // search starts, never break determinism of repeated calls.
-        let warm2 = plan(&PlanRequest::new(&g, cfg.with_batch(2)).with_warm_start(specs)).unwrap();
-        assert_eq!(warm.plan, warm2.plan);
     }
 
     #[test]

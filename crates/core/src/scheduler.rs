@@ -1444,7 +1444,7 @@ mod tests {
             cfg.dataflow,
             &exec,
         );
-        let report = crate::atomgen::generate(g, &table, &gen_cfg, None, None, &exec);
+        let report = crate::atomgen::generate(g, &table, &gen_cfg, None, &exec);
         AtomicDag::build(g, &report.specs, 1, &cfg.sim.engine, cfg.dataflow)
     }
 

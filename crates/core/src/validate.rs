@@ -16,7 +16,7 @@
 //! into [`Pipeline::run`](crate::Pipeline::run) as post-stage guards gated by
 //! [`ValidateMode`]: `Deny` (default in debug builds and tests) turns a
 //! violation into [`PipelineError::Validation`](crate::PipelineError),
-//! `Warn` logs it once, `Off` (default in release) skips the audit.
+//! `Off` (default in release) skips the audit.
 //!
 //! The second half of the admission layer is [`PlanBudget`]: deterministic
 //! iteration caps (plus a coarse wall-clock deadline) threaded through SA
@@ -41,8 +41,6 @@ use crate::scheduler::Schedule;
 pub enum ValidateMode {
     /// A violation aborts the pipeline with `PipelineError::Validation`.
     Deny,
-    /// A violation is reported on stderr once; the pipeline continues.
-    Warn,
     /// No validation is performed.
     Off,
 }
@@ -65,9 +63,8 @@ impl std::str::FromStr for ValidateMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "deny" => Ok(ValidateMode::Deny),
-            "warn" => Ok(ValidateMode::Warn),
             "off" => Ok(ValidateMode::Off),
-            other => Err(format!("unknown validate mode `{other}` (deny|warn|off)")),
+            other => Err(format!("unknown validate mode `{other}` (deny|off)")),
         }
     }
 }
@@ -302,8 +299,8 @@ pub(crate) const VALIDATED_STATS: u8 = 1 << 4;
 pub(crate) const PLAN_BITS: u8 = VALIDATED_SCHED | VALIDATED_MAP | VALIDATED_PROG | VALIDATED_STATS;
 
 /// Audit every newly produced artifact in `ctx`, returning the first
-/// violation. Sets the corresponding `validated` bit even on failure so
-/// `Warn` mode reports each violation once.
+/// violation. Sets the corresponding `validated` bit even on failure, so
+/// no artifact is audited twice.
 pub fn admit(ctx: &mut PlanContext<'_>) -> Result<(), ValidationError> {
     let mut first: Option<ValidationError> = None;
     let record = |r: Result<(), ValidationError>, first: &mut Option<ValidationError>| {
@@ -1113,8 +1110,8 @@ mod tests {
     #[test]
     fn validate_mode_parses() {
         assert_eq!("deny".parse::<ValidateMode>(), Ok(ValidateMode::Deny));
-        assert_eq!("warn".parse::<ValidateMode>(), Ok(ValidateMode::Warn));
         assert_eq!("off".parse::<ValidateMode>(), Ok(ValidateMode::Off));
         assert!("loud".parse::<ValidateMode>().is_err());
+        assert!("warn".parse::<ValidateMode>().is_err());
     }
 }

@@ -53,7 +53,7 @@ fn resnet50_dag_retains_one_copy_of_each_edge() {
     let gen = cfg.atomgen_config(Some(24));
     let exec = Exec::with_threads(1);
     let table = CandidateTable::build(&graph, &gen, &cfg.sim.engine, cfg.dataflow, &exec);
-    let specs = atomgen::generate(&graph, &table, &gen, None, None, &exec).specs;
+    let specs = atomgen::generate(&graph, &table, &gen, None, &exec).specs;
     drop(table);
 
     let before = LIVE.load(Ordering::Relaxed);

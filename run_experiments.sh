@@ -20,7 +20,8 @@ run fig13 target/release/fig13_buffer_sweep
 run fig09 target/release/fig09_throughput --json=$R/fig09.json
 run tab2  target/release/tab2_utilization --json=$R/tab2.json
 run fig11 target/release/fig11_energy --json=$R/fig11.json
-# Serving layer: cold plan -> byte-identical cache hit -> warm-started
-# batch neighbor; the binary exits non-zero if any check fails.
+# Serving layer: cold plan -> byte-identical cache hit -> batch-2 miss
+# equal to request::plan -> persist/restart -> recovered hit; the binary
+# exits non-zero if any check fails.
 run serve target/release/ad-serve --smoke --summary=$R/serve_smoke.json
 echo "ALL EXPERIMENTS DONE"

@@ -11,7 +11,7 @@
 use ad_repro::prelude::*;
 use ad_util::{FpHasher, Json};
 use atomic_dataflow::atomgen::{self, CandidateTable, GenReport};
-use atomic_dataflow::{AtomSpec, Exec};
+use atomic_dataflow::Exec;
 
 /// A pin's text: everything about a report that the optimizer consumes or
 /// that shows the search took the same path.
@@ -55,10 +55,9 @@ fn generate(
     table: &CandidateTable,
     target: usize,
     sa_iters: Option<usize>,
-    warm: Option<&[AtomSpec]>,
 ) -> GenReport {
     let cfg = OptimizerConfig::paper_default().atomgen_config(Some(target));
-    atomgen::generate(g, table, &cfg, sa_iters, warm, &Exec::default())
+    atomgen::generate(g, table, &cfg, sa_iters, &Exec::default())
 }
 
 fn table(g: &Graph) -> CandidateTable {
@@ -81,20 +80,14 @@ fn assert_pins(cases: Vec<Json>, golden: &str, name: &str) {
 }
 
 #[test]
-fn golden_atomgen_resnet50_targets_warm_start_and_sa_budget() {
+fn golden_atomgen_resnet50_targets_and_sa_budget() {
     let g = models::resnet50();
     let table = table(&g);
-    let mut cases = Vec::new();
-    let mut reports = Vec::new();
-    for target in [24, 64, 160] {
-        let r = generate(&g, &table, target, None, None);
-        cases.push(pin(&format!("target {target}"), &r));
-        reports.push(r);
-    }
-    // Warm-started from the target-24 plan's specs, run at target 160.
-    let warm = generate(&g, &table, 160, None, Some(&reports[0].specs));
-    cases.push(pin("target 160, warm from target 24", &warm));
-    let capped = generate(&g, &table, 64, Some(5), None);
+    let mut cases: Vec<Json> = [24, 64, 160]
+        .into_iter()
+        .map(|t| pin(&format!("target {t}"), &generate(&g, &table, t, None)))
+        .collect();
+    let capped = generate(&g, &table, 64, Some(5));
     assert!(capped.truncated);
     cases.push(pin("target 64, 5 SA iterations", &capped));
     assert_pins(
@@ -110,7 +103,7 @@ fn golden_atomgen_inception_v3_targets() {
     let table = table(&g);
     let cases = [24, 64, 160]
         .into_iter()
-        .map(|t| pin(&format!("target {t}"), &generate(&g, &table, t, None, None)))
+        .map(|t| pin(&format!("target {t}"), &generate(&g, &table, t, None)))
         .collect();
     assert_pins(
         cases,
