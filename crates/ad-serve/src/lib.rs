@@ -273,10 +273,11 @@ impl PlanStore {
         self.get_or_plan_pooled(graph, cfg, strategy, None)
     }
 
-    /// [`PlanStore::get_or_plan`] with planning fanned out on a shared
-    /// [`WorkerPool`] instead of request-local threads. Parallelism is
-    /// execution-only — never part of the config fingerprint — so the
-    /// cache key and the plan bytes are identical with or without a pool.
+    /// [`PlanStore::get_or_plan`] with atomic-dataflow planning fanned out
+    /// on a shared [`WorkerPool`] instead of request-local threads; the
+    /// baselines plan at `cfg.parallelism`. Parallelism is execution-only —
+    /// never part of the config fingerprint — so the cache key and the plan
+    /// bytes are identical with or without a pool.
     ///
     /// # Errors
     ///
@@ -289,10 +290,6 @@ impl PlanStore {
         strategy: Strategy,
         pool: Option<&Arc<WorkerPool>>,
     ) -> Result<ServeOutcome, PipelineError> {
-        let cfg = match pool {
-            Some(p) => cfg.with_parallelism(p.threads()),
-            None => cfg,
-        };
         let graph_fp = graph.canonical_fingerprint();
         let config_fp = request::config_fingerprint(&cfg, strategy);
         self.resolve(graph_fp, config_fp, || {
@@ -782,7 +779,6 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
                     budget = budget.with_sa_iters(iters);
                 }
                 "dp_expansions" => budget = budget.with_dp_expansions(n),
-                "deadline_ms" => budget = budget.with_deadline_ms(n),
                 other => return Err(format!("unknown budget field `{other}`")),
             }
         }
@@ -1231,6 +1227,10 @@ mod tests {
             ),
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"budget\":{\"sa_iterz\":1}}",
+                "unknown budget field",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"budget\":{\"deadline_ms\":5}}",
                 "unknown budget field",
             ),
             (

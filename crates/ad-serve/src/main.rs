@@ -29,8 +29,9 @@
 //!   batch-2 miss equals an in-process `request::plan` of the same request
 //!   and the recovered entry serves a byte-identical cache hit.
 //!
-//! A numeric flag whose value does not parse is an error: the daemon names
-//! the flag and exits with status 2 instead of running on the default.
+//! An unknown flag, or a numeric flag whose value does not parse, is an
+//! error: the daemon names the flag and exits with status 2 instead of
+//! running on the default.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -44,8 +45,33 @@ use atomic_dataflow::{request, OptimizerConfig, PlanRequest};
 use dnn_graph::models;
 use engine_model::HardwareConfig;
 
+/// Flags that take a `=value`.
+const VALUE_FLAGS: [&str; 8] = [
+    "--addr=",
+    "--workers=",
+    "--capacity=",
+    "--cache-dir=",
+    "--deadline-ms=",
+    "--max-queue=",
+    "--hw=",
+    "--summary=",
+];
+/// Flags that take no value.
+const SWITCHES: [&str; 2] = ["--fast", "--smoke"];
+
+/// The first argument that is neither a switch nor a value flag.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| !SWITCHES.contains(a) && !VALUE_FLAGS.iter().any(|p| a.starts_with(p)))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(a) = unknown_flag(&args) {
+        eprintln!("ad-serve: unknown flag `{a}`");
+        std::process::exit(2);
+    }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt = |prefix: &str| {
         args.iter()
@@ -328,5 +354,33 @@ fn write_summary(path: &str, stats: &Json, ok: bool, failures: &[String]) {
     match std::fs::write(path, format!("{}\n", doc.to_pretty())) {
         Ok(()) => println!("ad-serve: wrote summary to {path}"),
         Err(e) => eprintln!("ad-serve: failed to write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        assert_eq!(
+            unknown_flag(&args(&[
+                "--addr=127.0.0.1:0",
+                "--workers=2",
+                "--deadline-ms=250",
+                "--fast",
+                "--smoke",
+                "--summary=s.json",
+            ])),
+            None
+        );
+        for bad in ["--worker=2", "--sa_budget=5", "--fast=1", "smoke"] {
+            let list = args(&["--fast", bad, "--workers=2"]);
+            assert_eq!(unknown_flag(&list), Some(bad));
+        }
     }
 }

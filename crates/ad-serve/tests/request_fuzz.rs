@@ -27,7 +27,7 @@ fn corpus() -> Vec<Json> {
         r#"{"op":"plan","model":"tiny_cnn"}"#.to_string(),
         r#"{"op":"plan","model":"tiny_branchy","batch":2,"strategy":"AD","validate":"deny"}"#
             .to_string(),
-        r#"{"op":"plan","model":"tiny_cnn","strategy":"LS","fast":true,"budget":{"sa_iters":5,"dp_expansions":200,"deadline_ms":1000}}"#
+        r#"{"op":"plan","model":"tiny_cnn","strategy":"LS","fast":true,"budget":{"sa_iters":5,"dp_expansions":200}}"#
             .to_string(),
         format!(
             r#"{{"op":"plan","model":"tiny_branchy","strategy":"IL-Pipe","hw":{}}}"#,

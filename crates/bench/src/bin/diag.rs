@@ -6,16 +6,17 @@ use atomic_dataflow::{request, Optimizer, PlanRequest, Strategy};
 use engine_model::Dataflow;
 
 fn main() {
-    let w = Workloads::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let w = Workloads::from_arg_slice_with(&args, &["--yx", "--bigbuf"]);
     let batch = w.batch_override.unwrap_or(1);
     for (name, graph) in &w.list {
-        let df = if std::env::args().any(|a| a == "--yx") {
+        let df = if args.iter().any(|a| a == "--yx") {
             Dataflow::YxPartition
         } else {
             Dataflow::KcPartition
         };
         let mut cfg = ad_bench::harness::paper_config(df, batch);
-        if std::env::args().any(|a| a == "--bigbuf") {
+        if args.iter().any(|a| a == "--bigbuf") {
             cfg.sim.engine.buffer_bytes = 1 << 20;
         }
         println!("=== {name} (batch {batch}) ===");

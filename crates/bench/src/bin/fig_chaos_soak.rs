@@ -85,7 +85,7 @@ fn main() {
     {
         args.push("--workloads=resnet50,vgg19".to_string());
     }
-    let w = Workloads::from_arg_slice(&args);
+    let w = Workloads::from_arg_slice_with(&args, &["--seeds=", "--chaos="]);
     let (workloads, cfg) = if w.fast {
         // Smoke shape: tiny models, the small platform, a handful of seeds.
         seeds = seeds.min(6);

@@ -36,8 +36,10 @@
 //! Flags: `--fast` (CI smoke shape: fewer seeds/cycles/requests),
 //! `--seeds=N` (default 3), `--cycles=N` (restart cycles per seed,
 //! default 5), `--json=PATH`, `--validate deny|off` (also
-//! `--validate=MODE`) — forwarded to every plan request, so `deny` makes
-//! the daemon fail loudly on any invariant violation while chaos runs.
+//! `--validate=MODE`) — checked at start-up and forwarded to every plan
+//! request, so `deny` makes the daemon fail loudly on any invariant
+//! violation while chaos runs. A `--validate` with no value or an unknown
+//! mode panics naming the flag before anything runs.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -45,9 +47,11 @@ use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use ad_bench::harness::flag_value;
 use ad_bench::Table;
 use ad_serve::{serve, PlanStore, ServerConfig};
 use ad_util::{Json, Rng64};
+use atomic_dataflow::ValidateMode;
 use engine_model::HardwareConfig;
 
 /// Read timeout after which a silent connection counts as a violation
@@ -91,10 +95,15 @@ fn main() {
             cycles = v.parse().expect("--cycles=N takes an integer");
         } else if let Some(v) = a.strip_prefix("--json=") {
             json_path = Some(v.to_string());
-        } else if a == "--validate" && i + 1 < args.len() {
-            validate = Some(args[i + 1].clone());
+        } else if a == "--validate" {
+            let v = args
+                .get(i + 1)
+                .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
+            flag_value::<ValidateMode>("--validate ", v);
+            validate = Some(v.clone());
             i += 1;
         } else if let Some(v) = a.strip_prefix("--validate=") {
+            flag_value::<ValidateMode>("--validate=", v);
             validate = Some(v.to_string());
         }
         i += 1;

@@ -180,7 +180,7 @@ fn measure_replan(g: &dnn_graph::Graph, cfg: OptimizerConfig, iters: usize) -> R
         c.done = done.clone();
         c.dead_engines = dead.clone();
         let t0 = Instant::now();
-        let r = replan_attempt(&mut c, Some(&prior), None).expect("incremental replan");
+        let r = replan_attempt(&mut c, Some(&prior)).expect("incremental replan");
         incremental_ms = incremental_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         rung = Some(r);
     }

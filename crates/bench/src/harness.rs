@@ -46,7 +46,7 @@ pub struct ExpRecord {
     /// Host-side search/simulation time in seconds.
     pub search_secs: f64,
     /// Planning-budget outcome: `"completed"`, or `"truncated@<stage>"`
-    /// when an iteration cap or deadline cut the search short
+    /// when an iteration cap cut the search short
     /// ([`atomic_dataflow::BudgetOutcome`]).
     pub budget: String,
     /// Per-stage wall times and summaries of the strategy's planning
@@ -276,11 +276,11 @@ pub fn ls_layer_utilizations(graph: &Graph, cfg: &OptimizerConfig) -> Vec<(Strin
 ///   mode: `deny` fails on the first invariant violation, `off` skips the
 ///   audit (the default follows the build: deny in debug, off in release);
 /// - `--sa-budget=N` — cap simulated-annealing iterations per chain;
-/// - `--dp-budget=N` — cap DP scheduling expansions;
-/// - `--deadline-ms=N` — wall-clock deadline for the refinement pass.
+/// - `--dp-budget=N` — cap DP scheduling expansions.
 ///
-/// A value that does not parse panics with a message naming the flag, as an
-/// unknown workload name does, so a mistyped flag never runs on a default.
+/// An unknown flag, or a value that does not parse, panics with a message
+/// naming the flag, as an unknown workload name does, so a mistyped flag
+/// never runs on a default.
 #[derive(Debug, Clone)]
 pub struct Workloads {
     /// Selected `(name, graph)` pairs.
@@ -297,8 +297,8 @@ pub struct Workloads {
     pub parallelism: Option<usize>,
     /// Plan-admission mode override (`--validate`), if any.
     pub validate: Option<ValidateMode>,
-    /// Planning budget assembled from `--sa-budget` / `--dp-budget` /
-    /// `--deadline-ms` (unlimited when none given).
+    /// Planning budget assembled from `--sa-budget` / `--dp-budget`
+    /// (unlimited when none given).
     pub budget: PlanBudget,
 }
 
@@ -311,6 +311,13 @@ impl Workloads {
 
     /// Parses an explicit argument slice (testable).
     pub fn from_arg_slice(args: &[String]) -> Self {
+        Self::from_arg_slice_with(args, &[])
+    }
+
+    /// [`Workloads::from_arg_slice`] for a binary that reads flags of its
+    /// own: each `own` name is skipped here, matched exactly or, when it
+    /// ends in `=`, as a prefix.
+    pub fn from_arg_slice_with(args: &[String], own: &[&str]) -> Self {
         let mut names: Option<Vec<String>> = None;
         let mut batch_override = None;
         let mut json_path = None;
@@ -354,8 +361,11 @@ impl Workloads {
                 budget = budget.with_sa_iters(flag_value("--sa-budget=", v));
             } else if let Some(v) = a.strip_prefix("--dp-budget=") {
                 budget = budget.with_dp_expansions(flag_value("--dp-budget=", v));
-            } else if let Some(v) = a.strip_prefix("--deadline-ms=") {
-                budget = budget.with_deadline_ms(flag_value("--deadline-ms=", v));
+            } else if !own
+                .iter()
+                .any(|o| a == o || (o.ends_with('=') && a.starts_with(o)))
+            {
+                panic!("unknown flag `{a}`");
             }
             i += 1;
         }
@@ -453,7 +463,7 @@ impl Workloads {
 /// # Panics
 ///
 /// Panics with a message naming the flag when `v` does not parse.
-fn flag_value<T: std::str::FromStr>(flag: &str, v: &str) -> T
+pub fn flag_value<T: std::str::FromStr>(flag: &str, v: &str) -> T
 where
     T::Err: std::fmt::Display,
 {
@@ -500,12 +510,10 @@ mod tests {
             "deny".into(),
             "--sa-budget=5".into(),
             "--dp-budget=1000".into(),
-            "--deadline-ms=250".into(),
         ]);
         assert_eq!(w.validate, Some(ValidateMode::Deny));
         assert_eq!(w.budget.sa_iters, Some(5));
         assert_eq!(w.budget.dp_expansions, Some(1000));
-        assert_eq!(w.budget.deadline_ms, Some(250));
         let cfg = w.config(Dataflow::KcPartition, 1);
         assert_eq!(cfg.validate, ValidateMode::Deny);
         assert_eq!(cfg.budget, w.budget);
@@ -515,25 +523,29 @@ mod tests {
         assert_eq!(w.validate, Some(ValidateMode::Off));
         let w = Workloads::from_arg_slice(&[]);
         assert_eq!(w.validate, None);
-        assert!(!w.budget.is_limited());
+        assert_eq!(w.budget, PlanBudget::unlimited());
         let cfg = w.config(Dataflow::KcPartition, 1);
         assert_eq!(cfg.validate, ValidateMode::default());
     }
 
-    /// Every value-taking flag rejects a value that does not parse, naming
-    /// the flag, instead of running on its default.
+    /// Every value-taking flag rejects a value that does not parse, and
+    /// an unknown flag is rejected, naming the flag, instead of running on
+    /// a default.
     #[test]
     fn unparseable_flag_values_are_rejected_by_name() {
-        let cases: [&[&str]; 9] = [
+        let cases: [&[&str]; 12] = [
             &["--par=two"],
             &["--batch=-1"],
             &["--sa-budget=many"],
             &["--dp-budget=1e3"],
-            &["--deadline-ms=soon"],
             &["--validate=dny"],
             &["--validate=warn"],
             &["--validate", "dny"],
             &["--validate"],
+            &["--deadline-ms=250"],
+            &["--sa_budget=5"],
+            &["--worker=2"],
+            &["--yx"],
         ];
         for case in cases {
             let mut args = vec!["--workloads=tiny_cnn".to_string()];
@@ -546,6 +558,24 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().copied())
                 .unwrap_or_default();
             assert!(msg.contains(&case.join(" ")), "{case:?}: `{msg}`");
+        }
+    }
+
+    /// A binary's own flags pass the harness; a value flag's name admits
+    /// neither the bare switch nor the reverse.
+    #[test]
+    fn own_flags_pass_the_harness() {
+        let args = ["--workloads=tiny_cnn", "--yx", "--seeds=3"].map(String::from);
+        let w = Workloads::from_arg_slice_with(&args, &["--yx", "--seeds="]);
+        assert_eq!(w.list.len(), 1);
+        for (bad, own) in [("--seeds", "--seeds="), ("--yx=1", "--yx")] {
+            let args = vec![bad.to_string()];
+            let err = std::panic::catch_unwind(|| Workloads::from_arg_slice_with(&args, &[own]))
+                .expect_err(bad);
+            assert_eq!(
+                err.downcast_ref::<String>(),
+                Some(&format!("unknown flag `{bad}`"))
+            );
         }
     }
 

@@ -35,7 +35,7 @@
 //!
 //! Two robustness layers sit on top: the [`validate`] module independently
 //! re-checks every pipeline artifact against the paper's invariants
-//! ([`ValidateMode`] selects deny/warn/off), and [`PlanBudget`] bounds the
+//! ([`ValidateMode`] selects deny/off), and [`PlanBudget`] bounds the
 //! SA and DP searches so planning is *anytime* — on exhaustion the best
 //! validated plan so far is returned, falling back to the greedy LS
 //! baseline if nothing passed admission ([`BudgetOutcome`]).

@@ -1,7 +1,7 @@
 //! The end-to-end atomic-dataflow optimization pipeline (paper Fig. 4) and
 //! the [`Strategy`] dispatcher used by the experiment harness.
 
-use std::time::Instant; // ad-lint: allow(d2) — deadline gate and reporting-only timing
+use std::time::Instant; // ad-lint: allow(d2) — reporting-only timing
 
 use accel_sim::{Program, SimConfig, SimStats};
 use ad_util::WorkerPool;
@@ -49,8 +49,8 @@ pub struct OptimizerConfig {
     /// [`crate::validate`] after the stage that produced it. Defaults to
     /// `Deny` in debug builds and `Off` in release.
     pub validate: ValidateMode,
-    /// Anytime-planning budget (iteration caps + coarse deadline); the
-    /// default is unlimited.
+    /// Anytime-planning budget (SA and DP iteration caps); the default is
+    /// unlimited.
     pub budget: PlanBudget,
 }
 
@@ -353,7 +353,6 @@ impl Optimizer {
         // pure functions of (layer, extent), so each extent is evaluated
         // once across the search.
         let exec = self.exec();
-        let t0 = Instant::now(); // ad-lint: allow(d2) — coarse deadline, gates whole refinement passes only
 
         // Phase 1: one candidate table for the request (it does not depend
         // on the granularity target), then SA per target.
@@ -425,37 +424,23 @@ impl Optimizer {
         };
         // Phase 3: layer-topological ordering is itself a point in Alg. 2's
         // search space; when DP search is enabled, evaluate it on the
-        // winner's DAG and keep whichever the simulator prefers. Skipped if
-        // the coarse deadline has passed — a whole-pass gate, so plan bytes
-        // at a fixed iteration budget stay deterministic.
+        // winner's DAG and keep whichever the simulator prefers.
         if refine {
-            let deadline_hit = self
-                .cfg
-                .budget
-                .deadline_ms
-                .is_some_and(|ms| t0.elapsed().as_millis() >= u128::from(ms));
-            if deadline_hit {
-                best.budget = BudgetOutcome::Truncated {
-                    stage: "refine",
-                    fallback: false,
-                };
-            } else {
-                // The refined plan's reports start with the winner's atomgen
-                // report, so an atomgen truncation still sets its budget.
-                ctx.reset_plan();
-                ctx.reports.extend(best.stage_reports.first().cloned());
-                match Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx) {
-                    Ok(()) => {
-                        let lo = self.finish(&mut ctx)?;
-                        if lo.stats.total_cycles < best.stats.total_cycles {
-                            best = lo;
-                        }
+            // The refined plan's reports start with the winner's atomgen
+            // report, so an atomgen truncation still sets its budget.
+            ctx.reset_plan();
+            ctx.reports.extend(best.stage_reports.first().cloned());
+            match Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx) {
+                Ok(()) => {
+                    let lo = self.finish(&mut ctx)?;
+                    if lo.stats.total_cycles < best.stats.total_cycles {
+                        best = lo;
                     }
-                    // An inadmissible refinement never replaces an admitted
-                    // plan.
-                    Err(PipelineError::Validation(_)) => {}
-                    Err(e) => return Err(e),
                 }
+                // An inadmissible refinement never replaces an admitted
+                // plan.
+                Err(PipelineError::Validation(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(best)

@@ -23,24 +23,21 @@
 //!    stage suffix (schedule → map → lower) over the whole remainder.
 //! 4. [`LadderRung::GreedyFallback`] — the same stage suffix with
 //!    priority-greedy scheduling, which spends no search budget at all: the
-//!    bounded-time anchor of the ladder.
+//!    last step when the full re-plan fails admission.
 //!
 //! The rungs are built from the pipeline's own parts: rungs 3–4 are stage
 //! lists, and rungs 1–2 place atoms with the same survivor mapper as
 //! [`MapStage`] and lower through the same lowering as [`LowerStage`].
 //! Every rung's artifacts pass the admission policy [`Pipeline::run`]
 //! applies (a rung that fails admission escalates to the next); the rungs
-//! trade plan *quality*, never validity. Rung choice is
-//! driven by the perturbation size and by [`crate::PlanBudget`]'s coarse
-//! `deadline_ms` (whole-rung gating only, so plan bytes stay deterministic
-//! — the doctrine established for the optimizer's refinement pass).
-//! Statistics of every attempt, including the wasted partial runs, are
-//! merged so latency/energy overheads are honest.
+//! trade plan *quality*, never validity. Rung choice is driven by the
+//! perturbation size and by admission alone, never by the wall clock, so a
+//! re-plan is a function of the context it repairs. Statistics of every
+//! attempt, including the wasted partial runs, are merged so
+//! latency/energy overheads are honest.
 
 use std::collections::{BTreeSet, VecDeque};
-// Wall-clock is used only for reporting and for the coarse whole-rung
-// deadline gate described on `PlanBudget` (never mid-search decisions).
-use std::time::Instant; // ad-lint: allow(d2)
+use std::time::Instant; // ad-lint: allow(d2) — reporting-only replan and rung wall time
 
 use accel_sim::{
     DegradationStats, FaultEvent, FaultKind, FaultPlan, FaultedOutcome, SimError, SimStats,
@@ -250,7 +247,6 @@ fn run_recovery_inner(
     // artifacts reset.
     let mut ctx = PlanContext::for_dag(dag.clone(), *cfg);
     ctx.done = vec![false; n];
-    let started = Instant::now(); // ad-lint: allow(d2) — coarse whole-rung deadline gate
     let mut merged: Option<SimStats> = None;
     let mut attempts = 0usize;
     let mut remap_rounds = 0u64;
@@ -268,13 +264,7 @@ fn run_recovery_inner(
             Pipeline::replan().run(&mut ctx)?;
         } else {
             let rung = if recovery.incremental {
-                // Coarse deadline backoff: how much of the planning budget
-                // is left decides which rungs are even attempted.
-                let remaining_ms = cfg
-                    .budget
-                    .deadline_ms
-                    .map(|ms| ms as f64 - started.elapsed().as_secs_f64() * 1e3);
-                replan_attempt(&mut ctx, prior.as_deref(), remaining_ms)?
+                replan_attempt(&mut ctx, prior.as_deref())?
             } else {
                 ctx.reset_plan();
                 Pipeline::replan().run(&mut ctx)?;
@@ -362,14 +352,12 @@ const REUSE_ORPHAN_DENOM: usize = 4;
 
 /// One replan attempt through the degradation ladder. On entry `ctx` holds
 /// the updated `done` mask and dead-engine list; `prior` is the failed
-/// attempt's mapped rounds (when available) and `remaining_ms` the coarse
-/// deadline budget left (`None` = unbounded). On success the context holds
+/// attempt's mapped rounds (when available). On success the context holds
 /// a complete, admission-checked schedule/mapping/program for the pending
 /// remainder, and the rung that produced it is returned.
 ///
-/// Rung selection: a non-positive deadline jumps straight to
-/// [`LadderRung::GreedyFallback`]; with a prior plan whose orphaned-atom
-/// fraction is small the [`LadderRung::ReuseSuffix`] patch is tried first,
+/// Rung selection: with a prior plan whose orphaned-atom fraction is small
+/// the [`LadderRung::ReuseSuffix`] patch is tried first,
 /// otherwise [`LadderRung::ScopedReplan`]; a rung whose artifacts fail
 /// admission (or whose mapping overflows) escalates to the next; the greedy
 /// rung's failure is final.
@@ -382,13 +370,7 @@ const REUSE_ORPHAN_DENOM: usize = 4;
 pub fn replan_attempt(
     ctx: &mut PlanContext<'_>,
     prior: Option<&[Vec<(AtomId, usize)>]>,
-    remaining_ms: Option<f64>,
 ) -> Result<LadderRung, PipelineError> {
-    if remaining_ms.is_some_and(|r| r <= 0.0) {
-        ctx.reset_plan();
-        greedy_fallback(ctx)?;
-        return Ok(LadderRung::GreedyFallback);
-    }
     // The prior rounds restricted to atoms still pending, empty rounds
     // dropped: what every repair rung starts from.
     let pending: Vec<Vec<(AtomId, usize)>> = prior

@@ -19,8 +19,7 @@
 //! `Off` (default in release) skips the audit.
 //!
 //! The second half of the admission layer is [`PlanBudget`]: deterministic
-//! iteration caps (plus a coarse wall-clock deadline) threaded through SA
-//! atom generation and DP scheduling. On exhaustion the optimizer returns
+//! iteration caps threaded through SA atom generation and DP scheduling. On exhaustion the optimizer returns
 //! its best-so-far *validated* plan — falling back to the greedy LS stage if
 //! no candidate passed admission — and surfaces the outcome as a
 //! [`BudgetOutcome`] in [`StageReport`](crate::StageReport) and
@@ -207,20 +206,15 @@ impl std::error::Error for ValidationError {}
 
 /// Deterministic anytime-planning budget (ISSUE 5 second half).
 ///
-/// Iteration caps are the primary mechanism: they are checked against seeded
-/// iteration counters, so two runs at the same budget visit the same search
-/// prefix and produce byte-identical plans. `deadline_ms` is a coarse
-/// optimizer-level check (it only gates whole optional refinement passes,
-/// never mid-search decisions) so it cannot perturb determinism of the plan
-/// bytes for a fixed iteration budget.
+/// Both caps are checked against seeded iteration counters, so two runs at
+/// the same budget visit the same search prefix and produce byte-identical
+/// plans. The wall clock has no say: a plan is a function of its request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanBudget {
     /// Cap on SA iterations per annealing chain (atom generation, Alg. 1).
     pub sa_iters: Option<u32>,
     /// Cap on DP combination evaluations (scheduling, Alg. 2).
     pub dp_expansions: Option<u64>,
-    /// Coarse wall-clock deadline; gates optional refinement passes only.
-    pub deadline_ms: Option<u64>,
 }
 
 impl PlanBudget {
@@ -243,16 +237,6 @@ impl PlanBudget {
     pub fn with_dp_expansions(mut self, expansions: u64) -> Self {
         self.dp_expansions = Some(expansions);
         self
-    }
-
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
-    /// True when any cap is set.
-    pub fn is_limited(&self) -> bool {
-        self.sa_iters.is_some() || self.dp_expansions.is_some() || self.deadline_ms.is_some()
     }
 }
 
@@ -1104,7 +1088,6 @@ mod tests {
             "truncated@admission+fallback"
         );
         assert!(PlanBudget::unlimited() == PlanBudget::default());
-        assert!(PlanBudget::default().with_sa_iters(5).is_limited());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use std::time::Instant;
 
 use ad_repro::prelude::*;
+use atomic_dataflow::pipeline::{LowerStage, MapStage, ScheduleStage};
 use atomic_dataflow::{replan_attempt, run_with_recovery, LadderRung};
 
 /// Two full optimizer runs with the same seed must serialize to
@@ -391,26 +392,21 @@ fn rounds_fingerprint<T>(rounds: &[Vec<T>], item: impl Fn(&mut ad_util::FpHasher
 /// retired (`prior = false` withholds the prior plan), asserts the rung it
 /// lands on, and compares its artifacts with `golden`.
 #[allow(clippy::unwrap_used)]
-fn assert_rung_golden(
-    dead: &[usize],
-    prior: bool,
-    remaining_ms: Option<f64>,
-    rung: LadderRung,
-    golden: &str,
-) {
+fn assert_rung_golden(dead: &[usize], prior: bool, rung: LadderRung, golden: &str) {
     let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
     let (dag, prior_rounds, done) = perturbed_resnet50(cfg);
     let mut ctx = PlanContext::for_dag(dag, cfg);
     ctx.done = done;
     ctx.dead_engines = dead.to_vec();
-    let got = replan_attempt(
-        &mut ctx,
-        prior.then_some(prior_rounds.as_slice()),
-        remaining_ms,
-    )
-    .unwrap();
+    let got = replan_attempt(&mut ctx, prior.then_some(prior_rounds.as_slice())).unwrap();
     assert_eq!(got, rung, "wrong rung under test");
+    assert_pin_golden(&ctx, rung, golden);
+}
 
+/// Compares the repaired plan in `ctx` with the `golden` pin of `rung`.
+#[allow(clippy::unwrap_used)]
+fn assert_pin_golden(ctx: &PlanContext<'_>, rung: LadderRung, golden: &str) {
+    let cfg = ctx.cfg;
     let program = ctx.program.as_ref().unwrap();
     let stats = Simulator::new(cfg.sim).run(program).unwrap();
     let pin = ad_util::Json::Obj(vec![
@@ -452,7 +448,6 @@ fn golden_replan_reuse_suffix_one_dead_engine() {
     assert_rung_golden(
         &[3],
         true,
-        None,
         LadderRung::ReuseSuffix,
         include_str!("golden/replan_reuse_suffix.json"),
     );
@@ -465,7 +460,6 @@ fn golden_replan_scoped_five_dead_engines() {
     assert_rung_golden(
         &[0, 1, 2, 3, 4],
         true,
-        None,
         LadderRung::ScopedReplan,
         include_str!("golden/replan_scoped.json"),
     );
@@ -478,19 +472,33 @@ fn golden_replan_full_without_prior() {
     assert_rung_golden(
         &[3],
         false,
-        None,
         LadderRung::FullReplan,
         include_str!("golden/replan_full.json"),
     );
 }
 
-/// An exhausted deadline skips straight to the budget-free greedy rung.
+/// The ladder's last rung, the budget-free greedy stage list, run on the
+/// same perturbed context the other rungs repair. (The ladder reaches it
+/// only when a full re-plan fails admission.)
+#[allow(clippy::unwrap_used)]
 #[test]
-fn golden_replan_greedy_fallback_past_deadline() {
-    assert_rung_golden(
-        &[3],
-        true,
-        Some(0.0),
+fn golden_replan_greedy_fallback() {
+    let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
+    let (dag, _, done) = perturbed_resnet50(cfg);
+    let mut ctx = PlanContext::for_dag(dag, cfg);
+    ctx.done = done;
+    ctx.dead_engines = vec![3];
+    Pipeline::new(vec![
+        Box::new(ScheduleStage {
+            mode: Some(ScheduleMode::PriorityGreedy),
+        }),
+        Box::new(MapStage),
+        Box::new(LowerStage),
+    ])
+    .run(&mut ctx)
+    .unwrap();
+    assert_pin_golden(
+        &ctx,
         LadderRung::GreedyFallback,
         include_str!("golden/replan_greedy.json"),
     );
@@ -585,7 +593,7 @@ fn incremental_replan_is_order_of_magnitude_faster_than_cold() {
         ctx.done = done.clone();
         ctx.dead_engines = dead.to_vec();
         let t0 = Instant::now();
-        let rung = replan_attempt(&mut ctx, Some(&prior), None).unwrap();
+        let rung = replan_attempt(&mut ctx, Some(&prior)).unwrap();
         warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(rung, LadderRung::ReuseSuffix, "wrong rung under test");
         last = Some(ctx);
