@@ -16,8 +16,10 @@
 //! can share; each program adds only its rounds, the tasks already done
 //! and one flag that sends every output to DRAM (the CNN-Partition rule,
 //! [`Program::set_dram_outputs`]). The table keeps every task's operands
-//! in one flat operand table (slot and bytes per operand); a hand-built
-//! program passes each task's [`Operand`]s to [`Program::push_task`].
+//! in one flat operand table (slot and bytes per operand), laid out once
+//! by [`TaskTable::from_rows`]; a hand-built table passes each task's
+//! [`Operand`]s to a [`TaskTableBuilder`]. [`Program::validate`] is the
+//! one integrity check, and every simulation runs it first.
 //!
 //! # Execution semantics
 //!
@@ -38,11 +40,12 @@
 //!   (Alg. 3 lines 8–12).
 //!
 //! ```rust
-//! use accel_sim::{Operand, Program, SimConfig, Simulator, Task};
+//! use accel_sim::{Operand, Program, SimConfig, Simulator, Task, TaskTableBuilder};
 //!
-//! let mut p = Program::new();
-//! let a = p.push_task(Task::compute(1000, 0, 4096), &[]);
-//! let b = p.push_task(Task::compute(800, 0, 2048), &[Operand::task(a, 4096)]);
+//! let mut t = TaskTableBuilder::default();
+//! let a = t.push(Task::compute(1000, 0, 4096), &[]);
+//! let b = t.push(Task::compute(800, 0, 2048), &[Operand::task(a, 4096)]);
+//! let mut p = Program::new(t.build().unwrap());
 //! p.push_round(vec![(a, 0)]);
 //! p.push_round(vec![(b, 1)]); // consumes a's output over the NoC
 //! let stats = Simulator::new(SimConfig::paper_default()).run(&p).unwrap();
@@ -58,6 +61,8 @@ mod stats;
 
 pub use buffer::{BufferState, Datum, EvictionKind};
 pub use fault::{ChaosProfile, FaultConfigError, FaultEvent, FaultKind, FaultPlan, FaultRates};
-pub use program::{DataId, Operand, Program, ProgramError, Task, TaskId, TaskTable};
+pub use program::{
+    DataId, Operand, Program, ProgramError, Task, TaskId, TaskTable, TaskTableBuilder,
+};
 pub use sim::{FailureReport, FaultedOutcome, SimConfig, SimError, Simulator};
 pub use stats::{DegradationStats, EnergyBreakdown, SimStats};

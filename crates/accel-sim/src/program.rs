@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use ad_util::cast::u32_from_usize;
 
@@ -109,7 +109,8 @@ impl Task {
     }
 }
 
-/// Structural problems detected by [`Program::validate`].
+/// Integrity problems detected by [`Program::validate`] and
+/// [`TaskTableBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
     /// A round references a task id that does not exist.
@@ -123,7 +124,8 @@ pub enum ProgramError {
     DoubleScheduled(TaskId),
     /// A task is never scheduled.
     Unscheduled(TaskId),
-    /// A task consumes a producer scheduled in the same or a later round.
+    /// A task consumes a producer scheduled in the same or a later round,
+    /// or one outside its table.
     DependencyViolation {
         /// Consuming task.
         consumer: TaskId,
@@ -145,7 +147,7 @@ pub enum ProgramError {
         engine: usize,
     },
     /// A task reads more bytes of a producer's output than the producer
-    /// wrote (detected by [`Program::validate_with`]).
+    /// wrote.
     OverRead {
         /// Round-major instruction index of the consuming assignment.
         instr: usize,
@@ -157,20 +159,6 @@ pub enum ProgramError {
         bytes: u64,
         /// Bytes the producer actually outputs.
         available: u64,
-    },
-    /// A buffered task output exceeds the per-engine buffer capacity
-    /// (detected by [`Program::validate_with`] when a capacity is given).
-    BufferOverflow {
-        /// Round-major instruction index of the offending assignment.
-        instr: usize,
-        /// Offending task.
-        task: TaskId,
-        /// Engine the task runs on.
-        engine: usize,
-        /// Bytes the task writes to its local buffer.
-        bytes: u64,
-        /// Buffer capacity in bytes.
-        capacity: u64,
     },
 }
 
@@ -207,19 +195,6 @@ impl fmt::Display for ProgramError {
                      which outputs only {available}"
                 )
             }
-            ProgramError::BufferOverflow {
-                instr,
-                task,
-                engine,
-                bytes,
-                capacity,
-            } => {
-                write!(
-                    f,
-                    "instruction {instr}: task {task} on engine {engine} writes {bytes} \
-                     bytes into a {capacity}-byte buffer"
-                )
-            }
         }
     }
 }
@@ -234,55 +209,22 @@ impl std::error::Error for ProgramError {}
 /// operand rows `in_off[t]..in_off[t + 1]`: `in_slot` names each datum
 /// and `in_bytes` the bytes read of it.
 ///
-/// A table is built once and shared (`Arc`) by every program scheduled
-/// over it: the planner builds one per atomic DAG ([`TaskTable::from_rows`])
-/// and every plan of that DAG — candidate judgments, refinements, recovery
-/// replans — only adds its own rounds and done mask. Tasks added one at a
-/// time ([`Program::push_task`]) append their bytes to the same rows; their
-/// slots are resolved once, on first use, because an external's slot
-/// depends on every task and external id in the table.
+/// A table is built once, by [`TaskTable::from_rows`], and never grows. It
+/// is shared (`Arc`) by every program scheduled over it: the planner lays
+/// out one per atomic DAG, and every plan of that DAG — candidate
+/// judgments, refinements, recovery replans — only adds its own rounds and
+/// done mask. Hand-built tables come from a [`TaskTableBuilder`], which
+/// resolves their slots and lays out the same rows.
 #[derive(Debug, Clone)]
 pub struct TaskTable {
     tasks: Vec<Task>,
-    in_off: Vec<usize>,
-    in_bytes: Vec<u64>,
-    /// What each operand added by [`TaskTable::push`] reads, in row order;
-    /// empty for tables built from rows.
-    pushed: Vec<Source>,
-    slots: OnceLock<Slots>,
-}
-
-/// The datum an operand added by [`TaskTable::push`] reads.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Task(TaskId),
-    External(DataId),
-}
-
-/// The slot half of a [`TaskTable`]'s rows and the task-only integrity
-/// facts read off them.
-#[derive(Debug, Clone)]
-struct Slots {
-    in_slot: Vec<u32>,
+    pub(crate) in_off: Vec<usize>,
+    pub(crate) in_slot: Vec<u32>,
+    pub(crate) in_bytes: Vec<u64>,
     /// Distinct external data, ascending (slots `tasks..tasks + len`).
-    ext_ids: Vec<DataId>,
-    /// The first `(consumer, producer)` operand naming a task outside the
-    /// table, in task order.
-    unknown_producer: Option<(TaskId, TaskId)>,
+    pub(crate) ext_ids: Vec<DataId>,
     /// Whether some task reads more bytes of a producer than it writes.
     over_read: bool,
-}
-
-/// A borrowed view of a [`TaskTable`]'s operand rows.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Operands<'a> {
-    /// Distinct external data (slots `tasks..tasks + externals`).
-    pub(crate) externals: usize,
-    pub(crate) in_slot: &'a [u32],
-    pub(crate) in_bytes: &'a [u64],
-    pub(crate) in_off: &'a [usize],
-    pub(crate) unknown_producer: Option<(TaskId, TaskId)>,
-    pub(crate) over_read: bool,
 }
 
 impl Default for TaskTable {
@@ -332,14 +274,10 @@ impl TaskTable {
         Self {
             tasks,
             in_off,
+            in_slot,
             in_bytes,
-            pushed: Vec::new(),
-            slots: OnceLock::from(Slots {
-                in_slot,
-                ext_ids,
-                unknown_producer: None,
-                over_read,
-            }),
+            ext_ids,
+            over_read,
         }
     }
 
@@ -350,7 +288,7 @@ impl TaskTable {
 
     /// The slots task `t` reads, in operand order (see [`TaskTable`]).
     pub fn operand_slots(&self, t: TaskId) -> &[u32] {
-        &self.slots().in_slot[self.in_off[t.index()]..self.in_off[t.index() + 1]]
+        &self.in_slot[self.in_off[t.index()]..self.in_off[t.index() + 1]]
     }
 
     /// The bytes task `t` reads of each operand, in operand order.
@@ -366,99 +304,73 @@ impl TaskTable {
     /// The distinct external data, ascending: slot `tasks().len() + i`
     /// holds `external_ids()[i]`.
     pub fn external_ids(&self) -> &[DataId] {
-        &self.slots().ext_ids
+        &self.ext_ids
     }
+}
 
-    /// Appends `task` reading `inputs`; the slots are resolved again on
-    /// the next use.
-    fn push(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
-        if self.pushed.len() < self.in_bytes.len() {
-            // Built from rows: recover what each operand reads.
-            let n = self.tasks.len();
-            let slots = self.slots();
-            self.pushed = slots
-                .in_slot
-                .iter()
-                .map(|&s| match (s as usize).checked_sub(n) {
-                    Some(i) => Source::External(slots.ext_ids[i]),
-                    None => Source::Task(TaskId(s)),
-                })
-                .collect();
-        }
+/// Builds a [`TaskTable`] by hand, one task and its [`Operand`]s at a
+/// time. Tasks may be added in any order — only rounds define execution
+/// order — so an operand may name a producer added later.
+#[derive(Debug, Clone, Default)]
+pub struct TaskTableBuilder {
+    tasks: Vec<Task>,
+    /// Where each task's operands end in `inputs`.
+    ends: Vec<usize>,
+    inputs: Vec<Operand>,
+}
+
+impl TaskTableBuilder {
+    /// Adds `task` reading `inputs` and returns its id.
+    pub fn push(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
         let id = TaskId(u32_from_usize(self.tasks.len()));
         self.tasks.push(task);
-        for op in inputs {
-            self.pushed.push(match *op {
-                Operand::Task { producer, .. } => Source::Task(producer),
-                Operand::External { id, .. } => Source::External(id),
-            });
-            self.in_bytes.push(op.bytes());
-        }
-        self.in_off.push(self.in_bytes.len());
-        self.slots = OnceLock::new();
+        self.inputs.extend_from_slice(inputs);
+        self.ends.push(self.inputs.len());
         id
     }
 
-    fn slots(&self) -> &Slots {
-        self.slots.get_or_init(|| self.resolve())
-    }
-
-    /// Slots of the operands added by [`TaskTable::push`].
-    fn resolve(&self) -> Slots {
+    /// Lays out the operand rows: the external ids sorted and deduplicated,
+    /// every slot resolved once, then [`TaskTable::from_rows`].
+    ///
+    /// # Errors
+    ///
+    /// [`ProgramError::DependencyViolation`] for the first operand, in task
+    /// order, whose producer is not in the table.
+    pub fn build(self) -> Result<TaskTable, ProgramError> {
         let n = self.tasks.len();
         let mut ext_ids: Vec<DataId> = self
-            .pushed
+            .inputs
             .iter()
-            .filter_map(|s| match s {
-                Source::External(id) => Some(*id),
-                Source::Task(_) => None,
+            .filter_map(|op| match op {
+                Operand::External { id, .. } => Some(*id),
+                Operand::Task { .. } => None,
             })
             .collect();
         ext_ids.sort_unstable();
         ext_ids.dedup();
 
-        let mut in_slot = Vec::with_capacity(self.pushed.len());
-        let mut unknown_producer = None;
-        let mut over_read = false;
-        for t in 0..n {
-            for k in self.in_off[t]..self.in_off[t + 1] {
-                in_slot.push(match self.pushed[k] {
-                    Source::Task(producer) => {
-                        match self.tasks.get(producer.index()) {
-                            Some(p) => over_read |= self.in_bytes[k] > p.output_bytes,
-                            None => {
-                                unknown_producer
-                                    .get_or_insert((TaskId(u32_from_usize(t)), producer));
-                            }
-                        }
-                        producer.0
+        let in_off: Vec<usize> = std::iter::once(0).chain(self.ends).collect();
+        let mut in_slot = Vec::with_capacity(self.inputs.len());
+        for (t, row) in in_off.windows(2).enumerate() {
+            for op in &self.inputs[row[0]..row[1]] {
+                in_slot.push(match *op {
+                    Operand::Task { producer, .. } if producer.index() < n => producer.0,
+                    Operand::Task { producer, .. } => {
+                        return Err(ProgramError::DependencyViolation {
+                            consumer: TaskId(u32_from_usize(t)),
+                            producer,
+                        })
                     }
-                    // Present by construction: every external id was
-                    // collected into `ext_ids` above.
-                    Source::External(id) => {
-                        u32_from_usize(n + ext_ids.binary_search(&id).unwrap_or(0))
+                    Operand::External { id, .. } => {
+                        u32_from_usize(n + ext_ids.partition_point(|&e| e < id))
                     }
                 });
             }
         }
-        Slots {
-            in_slot,
-            ext_ids,
-            unknown_producer,
-            over_read,
-        }
-    }
-
-    pub(crate) fn operands(&self) -> Operands<'_> {
-        let slots = self.slots();
-        Operands {
-            externals: slots.ext_ids.len(),
-            in_slot: &slots.in_slot,
-            in_bytes: &self.in_bytes,
-            in_off: &self.in_off,
-            unknown_producer: slots.unknown_producer,
-            over_read: slots.over_read,
-        }
+        let in_bytes = self.inputs.iter().map(Operand::bytes).collect();
+        Ok(TaskTable::from_rows(
+            self.tasks, in_off, in_slot, in_bytes, ext_ids,
+        ))
     }
 }
 
@@ -482,9 +394,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// An empty program.
-    pub fn new() -> Self {
-        Self::default()
+    /// A program over `table` with no rounds yet and no task done.
+    pub fn new(table: TaskTable) -> Self {
+        Self::with_table(Arc::new(table), Vec::new())
     }
 
     /// A program over a shared task table with no rounds yet; `done` marks
@@ -496,13 +408,6 @@ impl Program {
             done,
             dram_outputs: false,
         }
-    }
-
-    /// Adds a task reading `inputs` and returns its id. Tasks may be added
-    /// in any order; only rounds define execution order. A table shared
-    /// with other programs is copied first.
-    pub fn push_task(&mut self, task: Task, inputs: &[Operand]) -> TaskId {
-        Arc::make_mut(&mut self.table).push(task, inputs)
     }
 
     /// Appends a round of `(task, engine)` assignments.
@@ -579,23 +484,22 @@ impl Program {
         self.pending().map(|t| t.macs).sum()
     }
 
-    pub(crate) fn operands(&self) -> Operands<'_> {
-        self.table.operands()
-    }
-
-    /// Checks schedule integrity against a mesh of `engines` engines.
+    /// Checks the program's integrity against a mesh of `engines` engines:
+    /// first the schedule's structure, then a round-major instruction pass
+    /// that rejects operand over-reads (skipped when the table has none).
+    /// Buffer capacity is not checked: the simulator spills an output too
+    /// large for its engine's buffer to DRAM, a cost rather than an error.
     ///
     /// # Errors
     ///
     /// Returns the first [`ProgramError`] found (see its variants). A done
     /// task that is scheduled again counts as
     /// [`ProgramError::DoubleScheduled`]; a consumer of a done task needs
-    /// no earlier round for it.
+    /// no earlier round for it, and reading more of it than it wrote is no
+    /// over-read. [`ProgramError::OverRead`] carries the index of the first
+    /// offending instruction, counted round-major across
+    /// [`Program::rounds`].
     pub fn validate(&self, engines: usize) -> Result<(), ProgramError> {
-        let ops = self.operands();
-        if let Some((consumer, producer)) = ops.unknown_producer {
-            return Err(ProgramError::DependencyViolation { consumer, producer });
-        }
         let n = self.tasks().len();
         let mut scheduled_round = vec![usize::MAX; n];
         for (r, round) in self.rounds.iter().enumerate() {
@@ -652,75 +556,30 @@ impl Program {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Extended integrity check: everything [`Program::validate`] checks,
-    /// plus a round-major instruction pass that rejects operand over-reads
-    /// and — when `buffer_capacity` is given — buffered outputs that cannot
-    /// fit an engine's local buffer at all.
-    ///
-    /// Errors from the instruction pass carry the index of the first
-    /// offending instruction, counted round-major across
-    /// [`Program::rounds`]. The capacity pass is skipped when outputs go to
-    /// DRAM ([`Program::dram_outputs`]: they bypass the buffer) and is
-    /// opt-in because the simulator can legally spill over-capacity outputs
-    /// to DRAM; pass `None` to audit structure only.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ProgramError`] found.
-    pub fn validate_with(
-        &self,
-        engines: usize,
-        buffer_capacity: Option<u64>,
-    ) -> Result<(), ProgramError> {
-        self.validate(engines)?;
-        let buffer_capacity = buffer_capacity.filter(|_| !self.dram_outputs);
-        // Both passes below hunt task-only faults: skip the walk when the
-        // table has none.
-        let tasks = self.tasks();
-        let ops = self.operands();
-        if !ops.over_read && buffer_capacity.is_none() {
+        if !self.table.over_read {
             return Ok(());
         }
-        let mut instr = 0usize;
-        for round in &self.rounds {
-            for (tid, engine) in round {
-                let task = &tasks[tid.index()];
-                let (slots, bytes) = (
-                    self.table.operand_slots(*tid),
-                    self.table.operand_bytes(*tid),
-                );
-                for (&slot, &bytes) in slots.iter().zip(bytes) {
-                    // Slots past the tasks are externals: `validate` has
-                    // rejected producers outside the table.
-                    let Some(p) = tasks.get(slot as usize) else {
-                        continue;
-                    };
-                    let producer = TaskId(slot);
-                    if bytes > p.output_bytes && !self.is_done(producer) {
-                        return Err(ProgramError::OverRead {
-                            instr,
-                            task: *tid,
-                            producer,
-                            bytes,
-                            available: p.output_bytes,
-                        });
-                    }
+        let tasks = self.tasks();
+        for (instr, (tid, _)) in self.rounds.iter().flatten().enumerate() {
+            let (slots, bytes) = (
+                self.table.operand_slots(*tid),
+                self.table.operand_bytes(*tid),
+            );
+            for (&slot, &bytes) in slots.iter().zip(bytes) {
+                // Slots past the tasks are externals.
+                let Some(p) = tasks.get(slot as usize) else {
+                    continue;
+                };
+                let producer = TaskId(slot);
+                if bytes > p.output_bytes && !self.is_done(producer) {
+                    return Err(ProgramError::OverRead {
+                        instr,
+                        task: *tid,
+                        producer,
+                        bytes,
+                        available: p.output_bytes,
+                    });
                 }
-                if let Some(capacity) = buffer_capacity {
-                    if task.output_bytes > capacity {
-                        return Err(ProgramError::BufferOverflow {
-                            instr,
-                            task: *tid,
-                            engine: *engine,
-                            bytes: task.output_bytes,
-                            capacity,
-                        });
-                    }
-                }
-                instr += 1;
             }
         }
         Ok(())
@@ -731,11 +590,16 @@ impl Program {
 mod tests {
     use super::*;
 
+    /// A program over the tasks of `t`, with no rounds yet.
+    fn program(t: TaskTableBuilder) -> Program {
+        Program::new(t.build().unwrap())
+    }
+
     fn two_task_program() -> (Program, TaskId, TaskId) {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 100, 64), &[]);
-        let b = p.push_task(Task::compute(20, 200, 32), &[Operand::task(a, 64)]);
-        (p, a, b)
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 100, 64), &[]);
+        let b = t.push(Task::compute(20, 200, 32), &[Operand::task(a, 64)]);
+        (program(t), a, b)
     }
 
     #[test]
@@ -767,9 +631,10 @@ mod tests {
 
     #[test]
     fn engine_conflict_rejected() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0), &[]);
-        let b = p.push_task(Task::compute(1, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1, 0, 0), &[]);
+        let b = t.push(Task::compute(1, 0, 0), &[]);
+        let mut p = program(t);
         p.push_round(vec![(a, 2), (b, 2)]);
         assert!(matches!(
             p.validate(4),
@@ -779,8 +644,9 @@ mod tests {
 
     #[test]
     fn engine_range_checked() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1, 0, 0), &[]);
+        let mut p = program(t);
         p.push_round(vec![(a, 64)]);
         assert!(matches!(
             p.validate(64),
@@ -790,8 +656,9 @@ mod tests {
 
     #[test]
     fn double_schedule_rejected() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1, 0, 0), &[]);
+        let mut p = program(t);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(a, 1)]);
         assert!(matches!(
@@ -802,14 +669,14 @@ mod tests {
 
     #[test]
     fn over_read_reports_first_offending_instruction() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 64), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 64), &[]);
         // b reads 100 bytes of a, which only wrote 64.
-        let b = p.push_task(Task::compute(10, 0, 32), &[Operand::task(a, 100)]);
+        let b = t.push(Task::compute(10, 0, 32), &[Operand::task(a, 100)]);
+        let mut p = program(t);
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
-        assert!(p.validate(4).is_ok()); // structural pass is blind to bytes
-        match p.validate_with(4, None) {
+        match p.validate(4) {
             Err(ProgramError::OverRead {
                 instr,
                 task,
@@ -825,40 +692,6 @@ mod tests {
             }
             other => panic!("expected OverRead, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn buffer_capacity_checked_when_requested() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 4096), &[]);
-        p.push_round(vec![(a, 3)]);
-        assert!(p.validate_with(4, None).is_ok());
-        assert!(p.validate_with(4, Some(8192)).is_ok());
-        match p.validate_with(4, Some(1024)) {
-            Err(ProgramError::BufferOverflow {
-                instr,
-                task,
-                engine,
-                bytes,
-                capacity,
-            }) => {
-                assert_eq!(instr, 0);
-                assert_eq!(task, a);
-                assert_eq!(engine, 3);
-                assert_eq!(bytes, 4096);
-                assert_eq!(capacity, 1024);
-            }
-            other => panic!("expected BufferOverflow, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dram_output_exempt_from_capacity() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 4096), &[]);
-        p.push_round(vec![(a, 0)]);
-        p.set_dram_outputs(true);
-        assert!(p.validate_with(4, Some(1024)).is_ok());
     }
 
     #[test]
@@ -882,60 +715,46 @@ mod tests {
     }
 
     #[test]
-    fn pushing_onto_a_shared_table_copies_it() {
-        let (p, _, _) = two_task_program();
-        let mut grown = p.clone();
-        let c = grown.push_task(Task::compute(1, 0, 0), &[Operand::task(TaskId(1), 32)]);
-        assert_eq!((p.tasks().len(), grown.tasks().len()), (2, 3));
-        grown.push_round(vec![(TaskId(0), 0)]);
-        grown.push_round(vec![(TaskId(1), 0)]);
-        grown.push_round(vec![(c, 0)]);
-        assert!(
-            grown.validate(1).is_ok(),
-            "the grown table re-derives its layout"
-        );
-    }
-
-    #[test]
     fn producer_outside_the_table_is_a_dependency_violation() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0), &[Operand::task(TaskId(7), 8)]);
-        p.push_round(vec![(a, 0)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1, 0, 0), &[]);
+        let b = t.push(Task::compute(1, 0, 0), &[Operand::task(TaskId(7), 8)]);
+        t.push(Task::compute(1, 0, 0), &[Operand::task(a, 0)]);
         assert_eq!(
-            p.validate(1),
-            Err(ProgramError::DependencyViolation {
-                consumer: a,
+            t.build().unwrap_err(),
+            ProgramError::DependencyViolation {
+                consumer: b,
                 producer: TaskId(7)
-            })
+            }
         );
     }
 
     #[test]
     fn operand_bytes_sum() {
-        let mut p = Program::new();
-        let t = p.push_task(
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(
             Task::compute(1, 0, 0),
             &[
                 Operand::external(DataId(1), 100),
                 Operand::task(TaskId(0), 28),
             ],
         );
-        assert_eq!(p.table().operand_bytes(t).iter().sum::<u64>(), 128);
+        assert_eq!(program(t).table().operand_bytes(a).iter().sum::<u64>(), 128);
     }
 
     /// Three tasks reading externals 9, 2, 9, 5, 2, 5 out of order: the
     /// externals take slots 3, 4, 5 in ascending id order, and each task
     /// output keeps slot = task index.
     fn out_of_order_externals() -> (Program, [TaskId; 3]) {
-        let mut p = Program::new();
+        let mut t = TaskTableBuilder::default();
         let ext = |id, bytes| Operand::external(DataId(id), bytes);
-        let a = p.push_task(Task::compute(10, 0, 64), &[ext(9, 10), ext(2, 20)]);
-        let b = p.push_task(
+        let a = t.push(Task::compute(10, 0, 64), &[ext(9, 10), ext(2, 20)]);
+        let b = t.push(
             Task::compute(10, 0, 32),
             &[Operand::task(a, 100), ext(9, 10), ext(5, 30), ext(2, 5)],
         );
-        let c = p.push_task(Task::compute(10, 0, 8), &[ext(5, 30), Operand::task(b, 40)]);
-        (p, [a, b, c])
+        let c = t.push(Task::compute(10, 0, 8), &[ext(5, 30), Operand::task(b, 40)]);
+        (program(t), [a, b, c])
     }
 
     #[test]
@@ -952,9 +771,8 @@ mod tests {
         run.push_round(vec![(a, 0)]);
         run.push_round(vec![(b, 1)]);
         run.push_round(vec![(c, 0)]);
-        assert!(run.validate(2).is_ok());
         assert_eq!(
-            run.validate_with(2, None),
+            run.validate(2),
             Err(ProgramError::OverRead {
                 instr: 1,
                 task: b,
@@ -969,7 +787,7 @@ mod tests {
         rest.push_round(vec![(b, 1)]);
         rest.push_round(vec![(c, 0)]);
         assert_eq!(
-            rest.validate_with(2, None),
+            rest.validate(2),
             Err(ProgramError::OverRead {
                 instr: 1,
                 task: c,
@@ -981,56 +799,41 @@ mod tests {
     }
 
     #[test]
-    fn rows_built_tables_equal_pushed_ones_and_grow_alike() {
+    fn rows_built_tables_equal_builder_ones() {
         let (p, _) = out_of_order_externals();
-        let pushed = p.table();
-        let n = pushed.tasks().len();
+        let built = p.table();
+        let n = built.tasks().len();
         let ids = || (0..n).map(|t| TaskId(u32_from_usize(t)));
         let rows = TaskTable::from_rows(
-            pushed.tasks().to_vec(),
+            built.tasks().to_vec(),
             std::iter::once(0)
                 .chain(ids().scan(0, |end, t| {
-                    *end += pushed.operand_slots(t).len();
+                    *end += built.operand_slots(t).len();
                     Some(*end)
                 }))
                 .collect(),
             ids()
-                .flat_map(|t| pushed.operand_slots(t).to_vec())
+                .flat_map(|t| built.operand_slots(t).to_vec())
                 .collect(),
             ids()
-                .flat_map(|t| pushed.operand_bytes(t).to_vec())
+                .flat_map(|t| built.operand_bytes(t).to_vec())
                 .collect(),
-            pushed.external_ids().to_vec(),
+            built.external_ids().to_vec(),
         );
-        let mut grown = [p.clone(), Program::with_table(Arc::new(rows), Vec::new())];
-        for g in &mut grown {
-            for t in ids() {
-                assert_eq!(g.table().operand_slots(t), pushed.operand_slots(t));
-                assert_eq!(g.table().operand_bytes(t), pushed.operand_bytes(t));
-            }
-            let mut run = g.clone();
-            for (t, engine) in ids().zip([0, 1, 0]) {
-                run.push_round(vec![(t, engine)]);
-            }
-            assert!(
-                matches!(
-                    run.validate_with(2, None),
-                    Err(ProgramError::OverRead { instr: 1, .. })
-                ),
-                "both tables see the same over-read"
-            );
-            // One more task shifts every external slot up by one, and a
-            // new smallest id shifts them once more.
-            g.push_task(
-                Task::compute(1, 0, 0),
-                &[Operand::external(DataId(1), 4), Operand::task(TaskId(2), 8)],
-            );
-            assert_eq!(g.table().operand_slots(TaskId(1)), &[0, 7, 6, 5]);
-            assert_eq!(g.table().operand_slots(TaskId(3)), &[4, 2]);
+        for t in ids() {
+            assert_eq!(rows.operand_slots(t), built.operand_slots(t));
+            assert_eq!(rows.operand_bytes(t), built.operand_bytes(t));
         }
-        assert_eq!(
-            grown[0].table().operand_slots(TaskId(0)),
-            grown[1].table().operand_slots(TaskId(0))
+        let mut run = Program::new(rows);
+        for (t, engine) in ids().zip([0, 1, 0]) {
+            run.push_round(vec![(t, engine)]);
+        }
+        assert!(
+            matches!(
+                run.validate(2),
+                Err(ProgramError::OverRead { instr: 1, .. })
+            ),
+            "the rows-built table sees the same over-read"
         );
     }
 }

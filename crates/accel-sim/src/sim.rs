@@ -336,8 +336,8 @@ impl<'p> Runtime<'p> {
     fn new(cfg: &'p SimConfig, program: &'p Program, plan: &FaultPlan) -> Self {
         let engines = cfg.engines();
         let n_tasks = program.tasks().len();
-        let ops = program.operands();
-        let ext_end = n_tasks + ops.externals;
+        let table = &**program.table();
+        let ext_end = n_tasks + table.ext_ids.len();
 
         // A done task's consumers read its output as recovered data, slotted
         // after the externals in task order.
@@ -353,15 +353,16 @@ impl<'p> Runtime<'p> {
                 }
             }
             Cow::Owned(
-                ops.in_slot
+                table
+                    .in_slot
                     .iter()
                     .map(|&s| moved.get(s as usize).copied().unwrap_or(s))
                     .collect(),
             )
         } else {
-            Cow::Borrowed(ops.in_slot)
+            Cow::Borrowed(&table.in_slot[..])
         };
-        let in_off = ops.in_off;
+        let in_off = &table.in_off[..];
         let task_slots = |tid: TaskId| &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]];
 
         // Only scheduled tasks read anything; count their uses per slot,
@@ -418,7 +419,7 @@ impl<'p> Runtime<'p> {
             pin_stamp: vec![0; slots],
             pin_gen: 0,
             in_slot,
-            in_bytes: ops.in_bytes,
+            in_bytes: &table.in_bytes,
             in_off,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
@@ -924,7 +925,7 @@ impl<'p> Runtime<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{DataId, Operand, Task};
+    use crate::program::{DataId, Operand, Task, TaskTableBuilder};
 
     fn sim() -> Simulator {
         Simulator::new(SimConfig::paper_default())
@@ -932,7 +933,7 @@ mod tests {
 
     #[test]
     fn empty_program_runs() {
-        let p = Program::new();
+        let p = Program::default();
         let s = sim().run(&p).unwrap();
         assert_eq!(s.rounds, 0);
         assert_eq!(s.tasks, 0);
@@ -940,12 +941,13 @@ mod tests {
 
     #[test]
     fn single_task_reads_weights_from_dram() {
-        let mut p = Program::new();
-        let t = p.push_task(
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(
             Task::compute(1000, 256_000, 4096),
             &[Operand::external(DataId(1), 2048)],
         );
-        p.push_round(vec![(t, 0)]);
+        let mut p = Program::new(t.build().unwrap());
+        p.push_round(vec![(a, 0)]);
         let s = sim().run(&p).unwrap();
         // Load (100 latency + ceil(2048/256)=8 -> 108) hides behind the
         // 1000-cycle compute (double buffering).
@@ -957,9 +959,10 @@ mod tests {
 
     #[test]
     fn local_reuse_is_free() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
-        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(100, 0, 4096), &[]);
+        let b = t.push(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 3)]);
         p.push_round(vec![(b, 3)]); // same engine: operand already local
         let s = sim().run(&p).unwrap();
@@ -971,9 +974,10 @@ mod tests {
 
     #[test]
     fn cross_engine_reuse_uses_noc() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
-        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(100, 0, 4096), &[]);
+        let b = t.push(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // adjacent engine
         let s = sim().run(&p).unwrap();
@@ -987,9 +991,10 @@ mod tests {
     #[test]
     fn weights_cached_across_rounds() {
         let w = Operand::external(DataId(9), 1024);
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0), &[w]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[w]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 0), &[w]);
+        let b = t.push(Task::compute(10, 0, 0), &[w]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 2)]);
         p.push_round(vec![(b, 2)]); // same engine: second use hits the buffer
         let s = sim().run(&p).unwrap();
@@ -1001,9 +1006,10 @@ mod tests {
     #[test]
     fn weight_multicast_from_peer_engine() {
         let w = Operand::external(DataId(9), 1024);
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0), &[w]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[w]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 0), &[w]);
+        let b = t.push(Task::compute(10, 0, 0), &[w]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // fetches from engine 0, not DRAM
         let s = sim().run(&p).unwrap();
@@ -1013,9 +1019,10 @@ mod tests {
 
     #[test]
     fn dram_output_flag_forces_offchip_roundtrip() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 2048), &[]);
-        let b = p.push_task(Task::compute(10, 0, 64), &[Operand::task(a, 2048)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 2048), &[]);
+        let b = t.push(Task::compute(10, 0, 64), &[Operand::task(a, 2048)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]); // same engine, but data went to DRAM
         p.set_dram_outputs(true);
@@ -1026,8 +1033,9 @@ mod tests {
 
     #[test]
     fn final_outputs_written_back() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 512), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 512), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         let s = sim().run(&p).unwrap();
         // No consumers -> network output -> DRAM.
@@ -1038,17 +1046,14 @@ mod tests {
     fn buffer_overflow_spills_dirty_data() {
         // Engine buffer is 128 KB; produce three 60 KB tensors on the same
         // engine, all consumed much later: the third insert must evict one.
-        let mut p = Program::new();
+        let mut t = TaskTableBuilder::default();
         let k60 = 60 * 1024;
-        let a = p.push_task(Task::compute(10, 0, k60), &[]);
-        let b = p.push_task(Task::compute(10, 0, k60), &[]);
-        let c = p.push_task(Task::compute(10, 0, k60), &[]);
-        let consume = |p: &mut Program, t: TaskId| {
-            p.push_task(Task::compute(10, 0, 0), &[Operand::task(t, k60)])
-        };
-        let ca = consume(&mut p, a);
-        let cb = consume(&mut p, b);
-        let cc = consume(&mut p, c);
+        let a = t.push(Task::compute(10, 0, k60), &[]);
+        let b = t.push(Task::compute(10, 0, k60), &[]);
+        let c = t.push(Task::compute(10, 0, k60), &[]);
+        let [ca, cb, cc] =
+            [a, b, c].map(|x| t.push(Task::compute(10, 0, 0), &[Operand::task(x, k60)]));
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         p.push_round(vec![(c, 0)]);
@@ -1070,10 +1075,11 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.engine = cfg.engine.with_buffer_bytes(4 * 1024);
         let big = 64 * 1024;
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, big), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
-        let c = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, big), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
+        let c = t.push(Task::compute(10, 0, 0), &[Operand::task(a, big)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         p.push_round(vec![(c, 1)]);
@@ -1093,11 +1099,12 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.engine = cfg.engine.with_buffer_bytes(100 * 1024);
         let k60 = 60 * 1024;
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, k60), &[]);
-        let b = p.push_task(Task::compute(10, 0, k60), &[]);
-        let cb = p.push_task(Task::compute(10, 0, 0), &[Operand::task(b, k60)]);
-        let ca = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, k60)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, k60), &[]);
+        let b = t.push(Task::compute(10, 0, k60), &[]);
+        let cb = t.push(Task::compute(10, 0, 0), &[Operand::task(b, k60)]);
+        let ca = t.push(Task::compute(10, 0, 0), &[Operand::task(a, k60)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]); // evicts a (b is pinned, a waits longest)
         p.push_round(vec![(cb, 0)]);
@@ -1117,9 +1124,10 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.engine = cfg.engine.with_buffer_bytes(0);
         let w = Operand::external(DataId(9), 1024);
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 512), &[w]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 512), w]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 512), &[w]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 512), w]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let s = Simulator::new(cfg).run(&p).unwrap();
@@ -1131,13 +1139,14 @@ mod tests {
 
     #[test]
     fn dead_data_released_without_writeback() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 1024), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
         // After b, a is dead; produce lots more data on the same engine and
         // verify no write-back of a happens.
-        let c = p.push_task(Task::compute(10, 0, 120 * 1024), &[]);
-        let d = p.push_task(Task::compute(10, 0, 0), &[Operand::task(c, 120 * 1024)]);
+        let c = t.push(Task::compute(10, 0, 120 * 1024), &[]);
+        let d = t.push(Task::compute(10, 0, 0), &[Operand::task(c, 120 * 1024)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         p.push_round(vec![(c, 0)]);
@@ -1150,11 +1159,11 @@ mod tests {
     fn done_producer_output_is_read_from_dram() {
         // `a` ran in an earlier execution: `b` finds its output in DRAM,
         // then engine 1 serves the second read from its cached copy.
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 2048), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
-        let c = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
-        let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 2048), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
+        let c = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 2048)]);
+        let mut rest = Program::with_table(std::sync::Arc::new(t.build().unwrap()), vec![true]);
         rest.push_round(vec![(b, 1)]);
         rest.push_round(vec![(c, 1)]);
         let s = sim().run(&rest).unwrap();
@@ -1173,15 +1182,15 @@ mod tests {
         // its 40 KiB from DRAM.
         let k = 1024;
         let w = Operand::external(DataId(9), 40 * k);
-        let mut p = Program::new();
-        let done = p.push_task(Task::compute(10, 0, 30 * k), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(done, 30 * k), w]);
-        let c = p.push_task(Task::compute(10, 0, 50 * k), &[]);
-        let d = p.push_task(
+        let mut t = TaskTableBuilder::default();
+        let done = t.push(Task::compute(10, 0, 30 * k), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(done, 30 * k), w]);
+        let c = t.push(Task::compute(10, 0, 50 * k), &[]);
+        let d = t.push(
             Task::compute(10, 0, 0),
             &[Operand::task(done, 30 * k), w, Operand::task(c, 50 * k)],
         );
-        let mut rest = Program::with_table(std::sync::Arc::clone(p.table()), vec![true]);
+        let mut rest = Program::with_table(std::sync::Arc::new(t.build().unwrap()), vec![true]);
         rest.push_round(vec![(b, 0)]);
         rest.push_round(vec![(c, 0)]);
         rest.push_round(vec![(d, 0)]);
@@ -1196,9 +1205,10 @@ mod tests {
     fn utilization_accounts_wallclock() {
         let cfg = SimConfig::paper_default();
         let pes = cfg.engine.pe_count();
-        let mut p = Program::new();
+        let mut t = TaskTableBuilder::default();
         // One task, 1000 cycles, perfectly utilized on one engine.
-        let a = p.push_task(Task::compute(1000, 1000 * pes, 0), &[]);
+        let a = t.push(Task::compute(1000, 1000 * pes, 0), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         let s = Simulator::new(cfg).run(&p).unwrap();
         // 1 of 64 engines busy -> chip utilization 1/64.
@@ -1208,18 +1218,40 @@ mod tests {
 
     #[test]
     fn invalid_program_rejected() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(1, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1, 0, 0), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(a, 0)]);
         assert!(sim().run(&p).is_err());
     }
 
     #[test]
+    fn over_reading_program_rejected() {
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 64), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
+        p.push_round(vec![(a, 0)]);
+        p.push_round(vec![(b, 1)]);
+        assert_eq!(
+            sim().run(&p),
+            Err(SimError::Program(ProgramError::OverRead {
+                instr: 1,
+                task: b,
+                producer: a,
+                bytes: 4096,
+                available: 64
+            }))
+        );
+    }
+
+    #[test]
     fn faulted_run_with_empty_plan_matches_run() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
-        let b = p.push_task(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(100, 0, 4096), &[]);
+        let b = t.push(Task::compute(100, 0, 64), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         let healthy = sim().run(&p).unwrap();
@@ -1234,9 +1266,10 @@ mod tests {
 
     #[test]
     fn engine_failure_with_pending_work_reports_failure() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 0), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1258,9 +1291,10 @@ mod tests {
 
     #[test]
     fn engine_failure_after_last_task_completes_gracefully() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 0), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 0), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]); // engine 0 is never needed again
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1276,10 +1310,11 @@ mod tests {
 
     #[test]
     fn losing_the_only_output_copy_fails_the_run() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
-        let filler = p.push_task(Task::compute(10, 0, 0), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 1024), &[]);
+        let filler = t.push(Task::compute(10, 0, 0), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(filler, 1)]);
         p.push_round(vec![(b, 1)]);
@@ -1297,9 +1332,10 @@ mod tests {
 
     #[test]
     fn link_failure_reroutes_and_counts() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
-        let b = p.push_task(Task::compute(1, 0, 64), &[Operand::task(a, 4096)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(100, 0, 4096), &[]);
+        let b = t.push(Task::compute(1, 0, 64), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         let healthy = sim().run(&p).unwrap();
@@ -1327,10 +1363,11 @@ mod tests {
         // Round 1 pulls `a` 0 -> 1 over healthy links (hop table). Link
         // 1-2 dies at the round-2 barrier, so round 2's pull from the
         // nearest copy (engine 1) detours 1 -> 9 -> 10 -> 2.
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(100, 0, 4096), &[]);
-        let b = p.push_task(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
-        let c = p.push_task(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(100, 0, 4096), &[]);
+        let b = t.push(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
+        let c = t.push(Task::compute(100, 0, 0), &[Operand::task(a, 4096)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         p.push_round(vec![(c, 2)]);
@@ -1352,9 +1389,10 @@ mod tests {
 
     #[test]
     fn disconnected_transfer_without_dram_copy_is_unroutable() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 1024), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 1)]);
         // Engine 0's only mesh links on the 8x8 grid are to 1 (east) and 8
@@ -1374,12 +1412,13 @@ mod tests {
 
     #[test]
     fn hbm_derate_slows_external_reads() {
-        let mut p = Program::new();
-        let t = p.push_task(
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(
             Task::compute(0, 0, 0),
             &[Operand::external(DataId(1), 64 * 1024)],
         );
-        p.push_round(vec![(t, 0)]);
+        let mut p = Program::new(t.build().unwrap());
+        p.push_round(vec![(a, 0)]);
         let healthy = sim().run(&p).unwrap();
         let plan = FaultPlan::none().with_event(FaultEvent {
             cycle: 0,
@@ -1396,7 +1435,7 @@ mod tests {
 
     #[test]
     fn invalid_fault_targets_are_rejected() {
-        let p = Program::new();
+        let p = Program::default();
         let bad_engine = FaultPlan::engine_fail(999, 0);
         assert!(matches!(
             sim().run_faulted(&p, &bad_engine),
@@ -1422,9 +1461,10 @@ mod tests {
 
     #[test]
     fn faulted_runs_are_deterministic() {
-        let mut p = Program::new();
-        let a = p.push_task(Task::compute(10, 0, 1024), &[]);
-        let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(10, 0, 1024), &[]);
+        let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 1024)]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(a, 0)]);
         p.push_round(vec![(b, 0)]);
         let plan = FaultPlan::engine_fail(0, 5);
@@ -1435,10 +1475,11 @@ mod tests {
 
     #[test]
     fn round_barrier_synchronizes() {
-        let mut p = Program::new();
-        let fast = p.push_task(Task::compute(10, 0, 0), &[]);
-        let slow = p.push_task(Task::compute(500, 0, 0), &[]);
-        let next = p.push_task(Task::compute(10, 0, 0), &[]);
+        let mut t = TaskTableBuilder::default();
+        let fast = t.push(Task::compute(10, 0, 0), &[]);
+        let slow = t.push(Task::compute(500, 0, 0), &[]);
+        let next = t.push(Task::compute(10, 0, 0), &[]);
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(fast, 0), (slow, 1)]);
         p.push_round(vec![(next, 0)]);
         let s = sim().run(&p).unwrap();

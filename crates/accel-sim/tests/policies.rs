@@ -1,7 +1,9 @@
 //! Behavioral tests of the simulator's buffering policies and staging
 //! options, on hand-crafted programs where the right answer is computable.
 
-use accel_sim::{DataId, EvictionKind, Operand, Program, SimConfig, Simulator, Task, TaskId};
+use accel_sim::{
+    DataId, EvictionKind, Operand, Program, SimConfig, Simulator, Task, TaskId, TaskTableBuilder,
+};
 
 fn cfg_with(eviction: EvictionKind, buffer: u64) -> SimConfig {
     let mut cfg = SimConfig::paper_default();
@@ -17,17 +19,20 @@ fn cfg_with(eviction: EvictionKind, buffer: u64) -> SimConfig {
 fn invalid_occupation_beats_fifo_on_reuse_distance() {
     let k = 40 * 1024; // two of these do not fit a 64 KB buffer
     let build = || {
-        let mut p = Program::new();
-        let late = p.push_task(Task::compute(100, 0, k), &[]);
-        let soon = p.push_task(Task::compute(100, 0, k), &[]);
-        let use_soon = p.push_task(Task::compute(100, 0, 64), &[Operand::task(soon, k)]);
-        let use_late = p.push_task(Task::compute(100, 0, 64), &[Operand::task(late, k)]);
+        let mut t = TaskTableBuilder::default();
+        let late = t.push(Task::compute(100, 0, k), &[]);
+        let soon = t.push(Task::compute(100, 0, k), &[]);
+        let use_soon = t.push(Task::compute(100, 0, 64), &[Operand::task(soon, k)]);
+        let use_late = t.push(Task::compute(100, 0, 64), &[Operand::task(late, k)]);
+        // Pad distance so `late` has a long invalid occupation.
+        let fillers: Vec<TaskId> = (0..6)
+            .map(|_| t.push(Task::compute(50, 0, 0), &[]))
+            .collect();
+        let mut p = Program::new(t.build().unwrap());
         p.push_round(vec![(late, 0)]);
         p.push_round(vec![(soon, 0)]);
         p.push_round(vec![(use_soon, 0)]);
-        // Pad distance so `late` has a long invalid occupation.
-        for _ in 0..6 {
-            let filler = p.push_task(Task::compute(50, 0, 0), &[]);
+        for filler in fillers {
             p.push_round(vec![(filler, 1)]);
         }
         p.push_round(vec![(use_late, 0)]);
@@ -62,7 +67,7 @@ fn lru_keeps_hot_data() {
     let cold1 = Operand::external(DataId(2), k);
     let cold2 = Operand::external(DataId(3), k);
     let build = || {
-        let mut p = Program::new();
+        let mut t = TaskTableBuilder::default();
         // hot is used every round; colds rotate, forcing evictions.
         let ops = [
             vec![hot, cold1],
@@ -70,9 +75,13 @@ fn lru_keeps_hot_data() {
             vec![hot, cold1],
             vec![hot, cold2],
         ];
-        for inputs in ops {
-            let t = p.push_task(Task::compute(10, 0, 0), &inputs);
-            p.push_round(vec![(t, 0)]);
+        let tasks: Vec<TaskId> = ops
+            .iter()
+            .map(|inputs| t.push(Task::compute(10, 0, 0), inputs))
+            .collect();
+        let mut p = Program::new(t.build().unwrap());
+        for task in tasks {
+            p.push_round(vec![(task, 0)]);
         }
         p
     };
@@ -95,12 +104,13 @@ fn lru_keeps_hot_data() {
 #[test]
 fn double_buffer_overlaps_gather() {
     let cycles = |compute| {
-        let mut p = Program::new();
-        let t = p.push_task(
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(
             Task::compute(compute, 0, 0),
             &[Operand::external(DataId(7), 64 * 1024)],
         );
-        p.push_round(vec![(t, 0)]);
+        let mut p = Program::new(t.build().unwrap());
+        p.push_round(vec![(a, 0)]);
         Simulator::new(SimConfig::paper_default())
             .run(&p)
             .unwrap()
@@ -115,11 +125,12 @@ fn double_buffer_overlaps_gather() {
 /// NoC overhead statistic reflects transfer blocking and stays in [0, 1].
 #[test]
 fn noc_overhead_bounded() {
-    let mut p = Program::new();
+    let mut t = TaskTableBuilder::default();
     // 64 KB fits the producer's buffer, so the consumer pulls it over 14
     // mesh hops instead of spilling through DRAM.
-    let a = p.push_task(Task::compute(10, 0, 64 * 1024), &[]);
-    let b = p.push_task(Task::compute(10, 0, 0), &[Operand::task(a, 64 * 1024)]);
+    let a = t.push(Task::compute(10, 0, 64 * 1024), &[]);
+    let b = t.push(Task::compute(10, 0, 0), &[Operand::task(a, 64 * 1024)]);
+    let mut p = Program::new(t.build().unwrap());
     p.push_round(vec![(a, 0)]);
     p.push_round(vec![(b, 63)]); // far corner: 14 hops
     let s = Simulator::new(SimConfig::paper_default()).run(&p).unwrap();
@@ -135,16 +146,18 @@ fn noc_overhead_bounded() {
 /// hash-map iteration or eviction order).
 #[test]
 fn simulation_is_deterministic() {
-    let mut p = Program::new();
+    let mut t = TaskTableBuilder::default();
     let mut prev: Option<TaskId> = None;
     for i in 0..50u32 {
         let mut inputs = vec![Operand::external(DataId(i as u64 % 7), 9000)];
         if let Some(pr) = prev {
             inputs.push(Operand::task(pr, 5000));
         }
-        let t = p.push_task(Task::compute(100 + i as u64, 0, 20_000), &inputs);
-        p.push_round(vec![(t, (i % 16) as usize)]);
-        prev = Some(t);
+        prev = Some(t.push(Task::compute(100 + i as u64, 0, 20_000), &inputs));
+    }
+    let mut p = Program::new(t.build().unwrap());
+    for i in 0..50u32 {
+        p.push_round(vec![(TaskId(i), (i % 16) as usize)]);
     }
     let mut cfg = SimConfig::paper_default();
     cfg.engine.buffer_bytes = 48 * 1024; // force evictions

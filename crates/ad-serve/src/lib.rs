@@ -49,7 +49,9 @@
 //! ```
 //!
 //! Ops: `plan` (fields `model`, optional `batch`/`strategy`/`hw`/`fast`/
-//! `validate`/`budget`), `stats` (cache counters), `shutdown`.
+//! `validate`/`budget`/`deadline_ms`), `stats` (cache counters),
+//! `shutdown`. A `plan` member the daemon does not know, or one of the
+//! wrong type, is refused with an error naming it.
 //!
 //! One line can never take the daemon down. A line longer than
 //! [`MAX_REQUEST_BYTES`] gets `{"ok":false,"refused":"line_too_long",…}`
@@ -724,8 +726,32 @@ fn line_too_long() -> String {
     .to_compact()
 }
 
-/// Decodes a `plan` request into (workload, config, strategy).
+/// The members a `plan` request may carry (`deadline_ms` is read by the
+/// admission edge in `handle_plan`).
+const PLAN_MEMBERS: [&str; 9] = [
+    "op",
+    "model",
+    "batch",
+    "strategy",
+    "hw",
+    "fast",
+    "validate",
+    "budget",
+    "deadline_ms",
+];
+
+/// Decodes a `plan` request into (workload, config, strategy). A member
+/// it does not know is an error, never ignored: a misspelt setting must
+/// not plan on its default.
 fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, Strategy), String> {
+    if let Some((k, _)) = doc
+        .as_object()
+        .unwrap_or_default()
+        .iter()
+        .find(|(k, _)| !PLAN_MEMBERS.contains(&k.as_str()))
+    {
+        return Err(format!("unknown plan member `{k}`"));
+    }
     let name = doc
         .get("model")
         .and_then(Json::as_str)
@@ -740,20 +766,31 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
                 format!("`batch` must be a positive integer no larger than {MAX_BATCH}")
             })?,
     };
-    let strategy = match doc.get("strategy").and_then(Json::as_str) {
+    let strategy = match doc.get("strategy") {
         None => Strategy::AtomicDataflow,
-        Some(label) => Strategy::ALL
-            .iter()
-            .copied()
-            .find(|s| s.label() == label)
-            .ok_or_else(|| format!("unknown strategy `{label}`"))?,
+        Some(v) => {
+            let label = v
+                .as_str()
+                .ok_or_else(|| "`strategy` must be a string".to_string())?;
+            Strategy::ALL
+                .iter()
+                .copied()
+                .find(|s| s.label() == label)
+                .ok_or_else(|| format!("unknown strategy `{label}`"))?
+        }
     };
     let hw = match doc.get("hw") {
         None => sc.base_hw,
         Some(v) => HardwareConfig::from_json(v).map_err(|e| e.to_string())?,
     };
     let mut cfg = OptimizerConfig::for_hardware(&hw).map_err(|e| e.to_string())?;
-    if sc.fast || doc.get("fast").and_then(Json::as_bool) == Some(true) {
+    let fast = match doc.get("fast") {
+        None => false,
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| "`fast` must be a bool".to_string())?,
+    };
+    if sc.fast || fast {
         cfg = cfg.with_fast_search();
     }
     cfg = cfg.with_batch(batch);
@@ -1236,6 +1273,18 @@ mod tests {
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"validate\":\"warn\"}",
                 "unknown validate mode",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"valdiate\":\"deny\"}",
+                "unknown plan member `valdiate`",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"strategy\":7}",
+                "`strategy` must be a string",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"fast\":\"yes\"}",
+                "`fast` must be a bool",
             ),
         ] {
             let reply = handle_line(req, &store, &sc);

@@ -1,13 +1,17 @@
 //! Plain wall-clock timing for the pipeline stages and substrate crates.
 //!
 //! Replaces the earlier Criterion benches with a dependency-free harness:
-//! each scenario runs a warmup pass plus `--iters=N` (default 5) timed
-//! passes and reports min/mean milliseconds. Paper-scale numbers come from
-//! the experiment binaries (`src/bin/fig*.rs`).
+//! each scenario runs a warmup pass plus `--iters=N` (N ≥ 1, default 5) timed
+//! passes and reports min/mean milliseconds; `--pipeline` or `--substrates`
+//! runs only that half. An unknown flag, or an `--iters=` value that does
+//! not parse, panics naming the flag. Paper-scale numbers come from the
+//! experiment binaries (`src/bin/fig*.rs`).
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use accel_sim::Simulator;
+use ad_bench::harness::flag_value;
 use atomic_dataflow::atomgen::{
     self, AtomGenConfig, AtomGenMode, CandidateTable, GaParams, SaParams,
 };
@@ -164,19 +168,60 @@ fn bench_substrates(iters: usize) {
     time("model_zoo/nasnet", iters, models::nasnet);
 }
 
+/// `(iters, only_substrates, only_pipeline)` from the flags `--iters=N`,
+/// `--substrates` and `--pipeline`.
+///
+/// # Panics
+///
+/// Panics naming the flag on an unknown flag or an `--iters=` value that
+/// does not parse.
+fn parse_args(args: &[String]) -> (usize, bool, bool) {
+    let mut parsed = (5, false, false);
+    for a in args {
+        if let Some(v) = a.strip_prefix("--iters=") {
+            parsed.0 = flag_value::<NonZeroUsize>("--iters=", v).get();
+        } else if a == "--substrates" {
+            parsed.1 = true;
+        } else if a == "--pipeline" {
+            parsed.2 = true;
+        } else {
+            panic!("unknown flag `{a}`");
+        }
+    }
+    parsed
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let iters = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--iters="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let only_substrates = args.iter().any(|a| a == "--substrates");
-    let only_pipeline = args.iter().any(|a| a == "--pipeline");
+    let (iters, only_substrates, only_pipeline) = parse_args(&args);
     if !only_substrates {
         bench_pipeline(iters);
     }
     if !only_pipeline {
         bench_substrates(iters);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flags_parse() {
+        let args = ["--iters=2", "--pipeline"].map(String::from);
+        assert_eq!(parse_args(&args), (2, false, true));
+        assert_eq!(parse_args(&[]), (5, false, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad value for --iters=x")]
+    fn unparseable_iters_rejected() {
+        parse_args(&["--iters=x".to_string()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad value for --iters=0")]
+    fn zero_iters_rejected() {
+        parse_args(&["--iters=0".to_string()]);
     }
 }

@@ -38,8 +38,9 @@
 //! default 5), `--json=PATH`, `--validate deny|off` (also
 //! `--validate=MODE`) — checked at start-up and forwarded to every plan
 //! request, so `deny` makes the daemon fail loudly on any invariant
-//! violation while chaos runs. A `--validate` with no value or an unknown
-//! mode panics naming the flag before anything runs.
+//! violation while chaos runs. An unknown flag, a value that does not
+//! parse, or a `--validate` with no value panics naming the flag before
+//! anything runs.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -79,35 +80,70 @@ struct Totals {
     violations: Vec<String>,
 }
 
+/// The command line (see the module docs).
+struct Args {
+    fast: bool,
+    seeds: u64,
+    cycles: u64,
+    json_path: Option<String>,
+    /// The `--validate` mode as given, checked and forwarded verbatim.
+    validate: Option<String>,
+}
+
+impl Args {
+    /// Parses the flags after the program name.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the flag on an unknown flag, a value that does not
+    /// parse, or a `--validate` with no value.
+    fn parse(args: &[String]) -> Self {
+        let fast = args.iter().any(|a| a == "--fast");
+        let mut parsed = Self {
+            fast,
+            seeds: if fast { 2 } else { 3 },
+            cycles: if fast { 3 } else { 5 },
+            json_path: None,
+            validate: None,
+        };
+        let mut i = 0;
+        while i < args.len() {
+            let a = &args[i];
+            if a == "--fast" {
+            } else if let Some(v) = a.strip_prefix("--seeds=") {
+                parsed.seeds = flag_value("--seeds=", v);
+            } else if let Some(v) = a.strip_prefix("--cycles=") {
+                parsed.cycles = flag_value("--cycles=", v);
+            } else if let Some(v) = a.strip_prefix("--json=") {
+                parsed.json_path = Some(v.to_string());
+            } else if a == "--validate" {
+                let v = args
+                    .get(i + 1)
+                    .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
+                flag_value::<ValidateMode>("--validate ", v);
+                parsed.validate = Some(v.clone());
+                i += 1;
+            } else if let Some(v) = a.strip_prefix("--validate=") {
+                flag_value::<ValidateMode>("--validate=", v);
+                parsed.validate = Some(v.to_string());
+            } else {
+                panic!("unknown flag `{a}`");
+            }
+            i += 1;
+        }
+        parsed
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let mut seeds = if fast { 2 } else { 3 };
-    let mut cycles = if fast { 3 } else { 5 };
-    let mut json_path: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(v) = a.strip_prefix("--seeds=") {
-            seeds = v.parse().expect("--seeds=N takes an integer");
-        } else if let Some(v) = a.strip_prefix("--cycles=") {
-            cycles = v.parse().expect("--cycles=N takes an integer");
-        } else if let Some(v) = a.strip_prefix("--json=") {
-            json_path = Some(v.to_string());
-        } else if a == "--validate" {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
-            flag_value::<ValidateMode>("--validate ", v);
-            validate = Some(v.clone());
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--validate=") {
-            flag_value::<ValidateMode>("--validate=", v);
-            validate = Some(v.to_string());
-        }
-        i += 1;
-    }
+    let Args {
+        fast,
+        seeds,
+        cycles,
+        json_path,
+        validate,
+    } = Args::parse(&args);
     let requests_per_cycle = if fast { 6 } else { 10 };
     let burst = if fast { 6 } else { 8 };
 
@@ -565,4 +601,28 @@ fn overload_burst(seed: u64, burst: usize, validate: Option<&str>, totals: &mut 
     totals.refused_overloaded += refused_overloaded;
     totals.refused_deadline += refused_deadline;
     totals.served_after_queue += served_after_queue;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Args {
+        Args::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn ci_flags_parse() {
+        let a = parse(&["--fast", "--validate", "deny", "--json=serve_chaos_ci.json"]);
+        assert!(a.fast);
+        assert_eq!((a.seeds, a.cycles), (2, 3));
+        assert_eq!(a.validate.as_deref(), Some("deny"));
+        assert_eq!(a.json_path.as_deref(), Some("serve_chaos_ci.json"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag `--seed=3`")]
+    fn misspelt_seeds_rejected() {
+        parse(&["--seed=3"]);
+    }
 }

@@ -26,7 +26,7 @@
 //!   single candidate) instead of paper scale; seconds, not minutes.
 //! * `--threads=1,8` — comma-separated thread counts to sweep (default
 //!   `1,2,4,8,16`; `--fast` default `1,8`).
-//! * `--iters=N` — timed passes per thread level (default 3 paper / 1
+//! * `--iters=N` — timed passes per thread level, N ≥ 1 (default 3 paper / 1
 //!   fast); the *minimum* total wall time is recorded.
 //! * `--out=PATH` — output path (default `BENCH_planner.json`).
 //! * `--check-inversion` — exit non-zero if the highest thread level's
@@ -35,6 +35,8 @@
 //!   entry. Without it, a pre-existing v2 `baseline` in the output file is
 //!   carried forward, so post-optimization runs keep the pre-optimization
 //!   reference they are measured against.
+//!
+//! An unknown flag, or a value that does not parse, panics naming the flag.
 //!
 //! Before overwriting, the harness reads the committed output file and
 //! prints each run's delta against the matching committed run (same
@@ -50,9 +52,11 @@
 //! workload's `peak_rss_mib`. Workloads run smallest first, so each reading
 //! is that workload's own peak.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ad_bench::harness::flag_value;
 use ad_util::{Json, WorkerPool};
 use atomic_dataflow::pipeline::StageReport;
 use atomic_dataflow::{
@@ -93,7 +97,7 @@ struct RunRecord {
 fn measure(g: &dnn_graph::Graph, cfg: OptimizerConfig, threads: usize, iters: usize) -> RunRecord {
     let pool = Arc::new(WorkerPool::new(threads));
     let mut best: Option<RunRecord> = None;
-    for _ in 0..iters.max(1) {
+    for _ in 0..iters {
         let t0 = Instant::now();
         let req = PlanRequest::new(g, cfg).with_pool(pool.clone());
         let out = request::plan(&req).expect("planner runs");
@@ -168,7 +172,7 @@ fn measure_replan(g: &dnn_graph::Graph, cfg: OptimizerConfig, iters: usize) -> R
     let mut cold_ms = f64::MAX;
     let mut incremental_ms = f64::MAX;
     let mut rung = None;
-    for _ in 0..iters.max(1) {
+    for _ in 0..iters {
         let mut c = PlanContext::for_dag(dag.clone(), cfg);
         c.done = done.clone();
         c.dead_engines = dead.clone();
@@ -309,40 +313,70 @@ fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let set_baseline = args.iter().any(|a| a == "--set-baseline");
-    let check_inversion = args.iter().any(|a| a == "--check-inversion");
-    let out_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_planner.json")
-        .to_string();
-    let iters = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--iters="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if fast { 1 } else { 3 });
-    let threads: Vec<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--threads="))
-        .map(|list| {
-            list.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect()
-        })
-        .unwrap_or_else(|| {
-            if fast {
+/// The command line (see the module docs).
+struct Args {
+    fast: bool,
+    set_baseline: bool,
+    check_inversion: bool,
+    out_path: String,
+    iters: usize,
+    threads: Vec<usize>,
+}
+
+impl Args {
+    /// Parses the flags after the program name.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the flag on an unknown flag or a value that does not
+    /// parse (one bad entry of `--threads=` included).
+    fn parse(args: &[String]) -> Self {
+        let fast = args.iter().any(|a| a == "--fast");
+        let mut parsed = Self {
+            fast,
+            set_baseline: false,
+            check_inversion: false,
+            out_path: "BENCH_planner.json".to_string(),
+            iters: if fast { 1 } else { 3 },
+            threads: if fast {
                 vec![1, 8]
             } else {
                 vec![1, 2, 4, 8, 16]
+            },
+        };
+        for a in args {
+            if a == "--fast" {
+            } else if a == "--set-baseline" {
+                parsed.set_baseline = true;
+            } else if a == "--check-inversion" {
+                parsed.check_inversion = true;
+            } else if let Some(v) = a.strip_prefix("--out=") {
+                parsed.out_path = v.to_string();
+            } else if let Some(v) = a.strip_prefix("--iters=") {
+                parsed.iters = flag_value::<NonZeroUsize>("--iters=", v).get();
+            } else if let Some(v) = a.strip_prefix("--threads=") {
+                parsed.threads = v
+                    .split(',')
+                    .map(|t| flag_value("--threads=", t.trim()))
+                    .collect();
+            } else {
+                panic!("unknown flag `{a}`");
             }
-        });
-    if threads.is_empty() {
-        eprintln!("--threads= must name at least one thread count");
-        std::process::exit(1);
+        }
+        parsed
     }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        fast,
+        set_baseline,
+        check_inversion,
+        out_path,
+        iters,
+        threads,
+    } = Args::parse(&args);
 
     let base_cfg = if fast {
         OptimizerConfig::for_hardware(&HardwareConfig::fast_test())
@@ -521,5 +555,46 @@ fn main() {
             eprintln!("parallel inversion: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Args {
+        Args::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn ci_flags_parse() {
+        let a = parse(&[
+            "--fast",
+            "--iters=3",
+            "--threads=1,8",
+            "--check-inversion",
+            "--out=planner_perf_ci.json",
+        ]);
+        assert!(a.fast && a.check_inversion && !a.set_baseline);
+        assert_eq!((a.iters, a.threads), (3, vec![1, 8]));
+        assert_eq!(a.out_path, "planner_perf_ci.json");
+    }
+
+    #[test]
+    #[should_panic(expected = "bad value for --iters=x")]
+    fn unparseable_iters_rejected() {
+        parse(&["--iters=x"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag `--thread=1,8`")]
+    fn misspelt_threads_rejected() {
+        parse(&["--thread=1,8"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad value for --threads=x")]
+    fn bad_thread_count_rejected() {
+        parse(&["--threads=1,x"]);
     }
 }

@@ -857,28 +857,28 @@ mod tests {
     }
 
     /// The task table the DAG used to derive from its edge lists: one
-    /// pushed task per atom reading its producers, then its externals,
+    /// built task per atom reading its producers, then its externals,
     /// with the slots resolved from those operand lists.
     fn pushed_task_table(
         dag: &AtomicDag,
         preds: &[Vec<(AtomId, u64)>],
         externals: &[Vec<(DataId, u64)>],
-    ) -> Arc<TaskTable> {
-        let mut p = accel_sim::Program::new();
+    ) -> TaskTable {
+        let mut t = accel_sim::TaskTableBuilder::default();
         for (i, atom) in dag.atoms().iter().enumerate() {
             let inputs: Vec<Operand> = preds[i]
                 .iter()
                 .map(|&(a, b)| Operand::task(TaskId(a.0), b))
                 .chain(externals[i].iter().map(|&(d, b)| Operand::external(d, b)))
                 .collect();
-            p.push_task(
+            t.push(
                 Task::compute(atom.cost.cycles, atom.cost.macs, atom.cost.output_bytes)
                     .with_tag(atom.layer.0)
                     .with_energy_pj(atom.cost.energy_pj),
                 &inputs,
             );
         }
-        Arc::clone(p.table())
+        t.build().unwrap()
     }
 
     #[test]

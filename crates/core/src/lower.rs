@@ -138,7 +138,7 @@ mod tests {
                 next += 1;
             }
         }
-        let mut p = Program::new();
+        let mut t = accel_sim::TaskTableBuilder::default();
         for (i, atom) in d.atoms().iter().enumerate() {
             if done[i] {
                 continue;
@@ -155,13 +155,14 @@ mod tests {
                 })
                 .collect();
             inputs.extend(d.externals(id).map(|(x, b)| Operand::external(x, b)));
-            p.push_task(
+            t.push(
                 Task::compute(atom.cost.cycles, atom.cost.macs, atom.cost.output_bytes)
                     .with_tag(atom.layer.0)
                     .with_energy_pj(atom.cost.energy_pj),
                 &inputs,
             );
         }
+        let mut p = Program::new(t.build().unwrap());
         for round in rounds {
             p.push_round(
                 round

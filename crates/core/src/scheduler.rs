@@ -151,11 +151,12 @@ impl SchedulerConfig {
 pub struct Scheduler<'a> {
     dag: &'a AtomicDag,
     cfg: SchedulerConfig,
-    /// Whether the DP lookahead memoizes `estimate` results in a
-    /// transposition table (on by default; [`Scheduler::with_memo`]).
-    memo: bool,
     /// Optional cap on DP expansions ([`Scheduler::with_budget`]).
     budget: Option<u64>,
+    /// Whether the DP lookahead may memoize `estimate` results in a
+    /// transposition table (on unless a test turns it off to compare).
+    #[cfg(test)]
+    memo: bool,
     /// Routes the DP through the apply → estimate → undo leaf path and the
     /// full-sort variant selection that leaf pricing and partial selection
     /// replaced, so tests can compare the two.
@@ -619,21 +620,20 @@ impl<'a> Scheduler<'a> {
         Self {
             dag,
             cfg,
-            memo: true,
             budget: None,
+            #[cfg(test)]
+            memo: true,
             #[cfg(test)]
             reference: false,
         }
     }
 
-    /// Enables or disables the DP transposition table (on by default).
-    ///
-    /// Memoization is a pure speedup: `estimate` is a deterministic
-    /// function of the search state, so a cached value equals what the
-    /// recursion would recompute and the resulting [`Schedule`] is
-    /// identical either way (the equivalence is pinned by a test). The
-    /// switch exists for that test and for profiling the raw search.
-    pub fn with_memo(mut self, enabled: bool) -> Self {
+    /// Enables or disables the DP transposition table (on by default),
+    /// so tests can pin that memoization is a pure speedup: `estimate` is
+    /// a deterministic function of the search state, so a cached value
+    /// equals what the recursion would recompute.
+    #[cfg(test)]
+    fn with_memo(mut self, enabled: bool) -> Self {
         self.memo = enabled;
         self
     }
@@ -705,12 +705,13 @@ impl<'a> Scheduler<'a> {
         }
         let mut state = State::new(self.dag, done);
         let n = self.cfg.engines;
-        // The transposition table lives for this pass only.
+        // The transposition table lives for this pass only, and only a
+        // lookahead reads it.
+        let memo = matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0);
+        #[cfg(test)]
+        let memo = memo && self.memo;
         let mut search = Search {
-            memo: MemoTable::new(
-                self.memo
-                    && matches!(self.cfg.mode, ScheduleMode::Dp { lookahead, .. } if lookahead > 0),
-            ),
+            memo: MemoTable::new(memo),
             budget: SearchBudget::new(self.budget),
             work: SearchWork::default(),
         };
@@ -1065,6 +1066,29 @@ mod tests {
             let off = Scheduler::new(&d, cfg).with_memo(false).schedule().unwrap();
             assert_eq!(on.rounds, off.rounds, "batch {batch} diverged");
             check_valid(&d, &on, 4);
+        }
+    }
+
+    /// Differential memoization check on adversarial graphs: the DP
+    /// transposition table must be a pure speedup — identical rounds with
+    /// the table on and off — for every seeded graph, not just the
+    /// hand-written test networks.
+    #[test]
+    fn memo_is_pure_speedup_on_adversarial_graphs() {
+        for seed in 0..50u64 {
+            let g = models::random(&models::RandomGraphConfig::seeded(seed));
+            let cfg = crate::OptimizerConfig::fast_test();
+            let (_, dag) = crate::Optimizer::new(cfg).build_dag(&g);
+            let scfg = SchedulerConfig::dp(cfg.sim.mesh.engines());
+            let on = Scheduler::new(&dag, scfg).schedule().expect("dp on");
+            let off = Scheduler::new(&dag, scfg)
+                .with_memo(false)
+                .schedule()
+                .expect("dp off");
+            assert_eq!(
+                on.rounds, off.rounds,
+                "seed {seed}: memo changed the schedule"
+            );
         }
     }
 

@@ -751,21 +751,21 @@ pub fn check_mapping(
     Ok(())
 }
 
-/// Program-level admission: the IR's own rules (via `Program::validate_with`,
-/// which also checks operand over-reads), plus conservation against the DAG
-/// when available — task count equals pending atoms, MACs conserved.
+/// Program-level admission: the IR's own rules (`Program::validate`, the
+/// same check the simulator runs, operand over-reads included), plus
+/// conservation against the DAG when available — task count equals pending
+/// atoms, MACs conserved.
 ///
-/// Buffer capacity is deliberately *not* enforced here: the simulator
-/// legally spills oversized outputs to DRAM (Alg. 3's eviction handles
+/// Buffer capacity is deliberately *not* enforced: the simulator legally
+/// spills oversized outputs to DRAM (Alg. 3's eviction handles
 /// over-capacity residents), so a static capacity bound would reject legal
-/// plans. The capacity checker exists as an opt-in pass on
-/// `Program::validate_with` and is unit-tested there.
+/// plans.
 pub fn check_program(
     program: &Program,
     engines: usize,
     dag_info: Option<(&AtomicDag, &[bool])>,
 ) -> Result<(), ValidationError> {
-    if let Err(e) = program.validate_with(engines, None) {
+    if let Err(e) = program.validate(engines) {
         return Err(ValidationError::new(
             Artifact::Program,
             Invariant::ProgramRule,

@@ -305,29 +305,6 @@ fn adversarial_graphs_pass_admission_in_every_strategy() {
     }
 }
 
-/// Differential memoization check on adversarial graphs: the DP
-/// transposition table must be a pure speedup — identical rounds with the
-/// table on and off — for every seeded graph, not just the hand-written
-/// test networks.
-#[test]
-fn memo_is_pure_speedup_on_adversarial_graphs() {
-    for seed in 0..50u64 {
-        let g = models::random(&models::RandomGraphConfig::seeded(seed));
-        let cfg = OptimizerConfig::fast_test();
-        let (_, dag) = Optimizer::new(cfg).build_dag(&g);
-        let scfg = SchedulerConfig::dp(cfg.sim.mesh.engines());
-        let on = Scheduler::new(&dag, scfg).schedule().expect("dp on");
-        let off = Scheduler::new(&dag, scfg)
-            .with_memo(false)
-            .schedule()
-            .expect("dp off");
-        assert_eq!(
-            on.rounds, off.rounds,
-            "seed {seed}: memo changed the schedule"
-        );
-    }
-}
-
 /// Differential recovery check on adversarial graphs: an early engine
 /// death forces a replan, and the replanned run — which passes through
 /// Deny-mode admission in debug builds — must complete with exact task
