@@ -26,8 +26,6 @@ pub enum EvictionKind {
     /// datum that would otherwise sit idle in the buffer the longest per
     /// byte.
     InvalidOccupation,
-    /// Least-recently-used (baseline).
-    Lru,
     /// First-in-first-out (baseline).
     Fifo,
 }
@@ -36,7 +34,6 @@ pub enum EvictionKind {
 struct Entry {
     bytes: u64,
     inserted_at: u64,
-    last_used: u64,
     /// Round of the datum's next anticipated use (`u64::MAX` = never),
     /// refreshed on insert and on every touch.
     next_use: u64,
@@ -154,7 +151,6 @@ impl BufferState {
         let entry = Entry {
             bytes,
             inserted_at: round,
-            last_used: round,
             next_use,
         };
         match self.find(slot) {
@@ -175,13 +171,11 @@ impl BufferState {
         self.used += bytes;
     }
 
-    /// Marks `slot` as used at `round` and refreshes its next-use estimate
-    /// (for LRU and invalid-occupation bookkeeping).
-    pub fn touch(&mut self, slot: u32, round: u64, next_use: u64) {
+    /// Marks `slot` as used and refreshes its next-use estimate (the
+    /// invalid-occupation bookkeeping).
+    pub fn touch(&mut self, slot: u32, next_use: u64) {
         if let Some(i) = self.find(slot) {
-            let e = &mut self.vals[i];
-            e.last_used = round;
-            e.next_use = next_use;
+            self.vals[i].next_use = next_use;
         }
     }
 
@@ -229,8 +223,7 @@ impl BufferState {
                         };
                         (wait as u128) * (e.bytes.max(1) as u128)
                     }
-                    // LRU/FIFO evict the *smallest* timestamp first: invert.
-                    EvictionKind::Lru => u128::MAX - e.last_used as u128,
+                    // FIFO evicts the *smallest* timestamp first: invert.
                     EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
                 };
                 (score, s, e.bytes)
@@ -340,13 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn lru_and_fifo_orders() {
+    fn fifo_evicts_the_oldest_insert() {
         let mut b = BufferState::new(1000);
         b.insert(0, 10, 0, NEVER);
         b.insert(1, 10, 1, NEVER);
-        b.touch(0, 5, NEVER);
-        let lru = b.pick_victims(EvictionKind::Lru, 6, 1, &|_| false);
-        assert_eq!(lru, vec![1]); // slot 0 touched more recently
+        b.touch(0, NEVER); // a use does not refresh FIFO age
         let fifo = b.pick_victims(EvictionKind::Fifo, 6, 1, &|_| false);
         assert_eq!(fifo, vec![0]); // inserted first
     }
@@ -355,7 +346,7 @@ mod tests {
     fn pinned_entries_never_chosen() {
         let mut b = BufferState::new(1000);
         b.insert(0, 10, 0, NEVER);
-        let v = b.pick_victims(EvictionKind::Lru, 1, 1, &|s| s == 0);
+        let v = b.pick_victims(EvictionKind::Fifo, 1, 1, &|s| s == 0);
         assert!(v.is_empty());
     }
 
@@ -371,7 +362,7 @@ mod tests {
             .is_empty());
         assert_eq!(b.remove(0), None);
         assert!(!b.contains(0));
-        b.touch(0, 0, NEVER); // no-op, must not panic
+        b.touch(0, NEVER); // no-op, must not panic
         assert_eq!(b.used(), 0);
     }
 
@@ -412,7 +403,7 @@ mod tests {
         b.insert(1, 10, 0, 50);
         // After round 2, slot 0's next use moves out to round 100: it now
         // out-waits slot 1.
-        b.touch(0, 2, 100);
+        b.touch(0, 100);
         let v = b.pick_victims(EvictionKind::InvalidOccupation, 3, 1, &|_| false);
         assert_eq!(v, vec![0]);
     }
@@ -477,7 +468,6 @@ mod tests {
                 let entry = Entry {
                     bytes,
                     inserted_at: round,
-                    last_used: round,
                     next_use,
                 };
                 match self.find(slot) {
@@ -503,11 +493,9 @@ mod tests {
                 self.used += bytes;
             }
 
-            fn touch(&mut self, slot: u32, round: u64, next_use: u64) {
+            fn touch(&mut self, slot: u32, next_use: u64) {
                 if let Ok(i) = self.find(slot) {
-                    let e = self.entry_mut(i);
-                    e.last_used = round;
-                    e.next_use = next_use;
+                    self.entry_mut(i).next_use = next_use;
                 }
             }
 
@@ -541,7 +529,6 @@ mod tests {
                                 };
                                 (wait as u128) * (e.bytes.max(1) as u128)
                             }
-                            EvictionKind::Lru => u128::MAX - e.last_used as u128,
                             EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
                         };
                         (score, s, e.bytes)
@@ -561,11 +548,7 @@ mod tests {
             }
         }
 
-        const KINDS: [EvictionKind; 3] = [
-            EvictionKind::InvalidOccupation,
-            EvictionKind::Lru,
-            EvictionKind::Fifo,
-        ];
+        const KINDS: [EvictionKind; 2] = [EvictionKind::InvalidOccupation, EvictionKind::Fifo];
 
         /// A next-use round: mostly near the current round, sometimes
         /// "never", so invalid-occupation scores collide and tie-break.
@@ -623,8 +606,8 @@ mod tests {
                     }
                     2 => {
                         let nu = next_use(&mut rng, round);
-                        got.touch(slot, round, nu);
-                        want.touch(slot, round, nu);
+                        got.touch(slot, nu);
+                        want.touch(slot, nu);
                     }
                     3 => assert_eq!(got.remove(slot), want.remove(slot), "step {step}"),
                     4 => {

@@ -728,7 +728,7 @@ impl<'p> Runtime<'p> {
         // Local hit: free.
         if self.copies.contains(slot, engine) {
             let nu = self.next_use(slot);
-            self.buffers[engine].touch(slot, self.round_idx, nu);
+            self.buffers[engine].touch(slot, nu);
             self.onchip_served += bytes;
             return Ok((noc_t, dram_ready));
         }
@@ -775,7 +775,7 @@ impl<'p> Runtime<'p> {
             let cycles = self.cfg.mesh.transfer_cycles(bytes, hops);
             self.traffic.record(bytes, direct);
             let nu = self.next_use(slot);
-            self.buffers[src].touch(slot, self.round_idx, nu);
+            self.buffers[src].touch(slot, nu);
             self.onchip_served += bytes;
             self.task_noc_cycles += cycles;
             (noc_t + cycles, dram_ready, noc_t + cycles)

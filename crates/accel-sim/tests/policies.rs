@@ -59,46 +59,6 @@ fn invalid_occupation_beats_fifo_on_reuse_distance() {
     assert!(alg3.total_cycles <= fifo.total_cycles);
 }
 
-/// LRU keeps the hot datum; FIFO evicts it. Two weights alternate, one hot.
-#[test]
-fn lru_keeps_hot_data() {
-    let k = 40 * 1024;
-    let hot = Operand::external(DataId(1), k);
-    let cold1 = Operand::external(DataId(2), k);
-    let cold2 = Operand::external(DataId(3), k);
-    let build = || {
-        let mut t = TaskTableBuilder::default();
-        // hot is used every round; colds rotate, forcing evictions.
-        let ops = [
-            vec![hot, cold1],
-            vec![hot, cold2],
-            vec![hot, cold1],
-            vec![hot, cold2],
-        ];
-        let tasks: Vec<TaskId> = ops
-            .iter()
-            .map(|inputs| t.push(Task::compute(10, 0, 0), inputs))
-            .collect();
-        let mut p = Program::new(t.build().unwrap());
-        for task in tasks {
-            p.push_round(vec![(task, 0)]);
-        }
-        p
-    };
-    let lru = Simulator::new(cfg_with(EvictionKind::Lru, 96 * 1024))
-        .run(&build())
-        .unwrap();
-    let fifo = Simulator::new(cfg_with(EvictionKind::Fifo, 96 * 1024))
-        .run(&build())
-        .unwrap();
-    assert!(
-        lru.dram_read_bytes <= fifo.dram_read_bytes,
-        "lru {} > fifo {}",
-        lru.dram_read_bytes,
-        fifo.dram_read_bytes
-    );
-}
-
 /// Operand gathering overlaps compute (double buffering): a task takes
 /// `max(gather, compute)`, never their sum.
 #[test]

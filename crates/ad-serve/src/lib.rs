@@ -49,9 +49,11 @@
 //! ```
 //!
 //! Ops: `plan` (fields `model`, optional `batch`/`strategy`/`hw`/`fast`/
-//! `validate`/`budget`/`deadline_ms`), `stats` (cache counters),
-//! `shutdown`. A `plan` member the daemon does not know, or one of the
-//! wrong type, is refused with an error naming it.
+//! `budget`/`deadline_ms`), `stats` (cache counters), `shutdown`. A `plan`
+//! member the daemon does not know, or one of the wrong type, is refused
+//! with an error naming it. Every plan is admitted by the planner's
+//! independent checker before it is served; there is no member to turn
+//! that off.
 //!
 //! One line can never take the daemon down. A line longer than
 //! [`MAX_REQUEST_BYTES`] gets `{"ok":false,"refused":"line_too_long",…}`
@@ -68,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use ad_util::{BoundedQueue, Fingerprint, Json, PushError, WorkerPool};
 use atomic_dataflow::{
     request, AdmissionRefusal, OptimizerConfig, PipelineError, PlanBudget, PlanRequest, Strategy,
-    ValidateMode, MAX_BATCH,
+    MAX_BATCH,
 };
 use dnn_graph::{models, Graph};
 use engine_model::HardwareConfig;
@@ -728,14 +730,13 @@ fn line_too_long() -> String {
 
 /// The members a `plan` request may carry (`deadline_ms` is read by the
 /// admission edge in `handle_plan`).
-const PLAN_MEMBERS: [&str; 9] = [
+const PLAN_MEMBERS: [&str; 8] = [
     "op",
     "model",
     "batch",
     "strategy",
     "hw",
     "fast",
-    "validate",
     "budget",
     "deadline_ms",
 ];
@@ -794,12 +795,6 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
         cfg = cfg.with_fast_search();
     }
     cfg = cfg.with_batch(batch);
-    if let Some(v) = doc.get("validate") {
-        let s = v
-            .as_str()
-            .ok_or_else(|| "`validate` must be a string (deny|off)".to_string())?;
-        cfg = cfg.with_validate(s.parse::<ValidateMode>()?);
-    }
     if let Some(v) = doc.get("budget") {
         let fields = v
             .as_object()
@@ -1271,8 +1266,8 @@ mod tests {
                 "unknown budget field",
             ),
             (
-                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"validate\":\"warn\"}",
-                "unknown validate mode",
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"validate\":\"deny\"}",
+                "unknown plan member `validate`",
             ),
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"valdiate\":\"deny\"}",

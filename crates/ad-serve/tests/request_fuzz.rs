@@ -3,7 +3,7 @@
 //! `Json::parse` has its own fuzzer; this one starts past it. Each case
 //! takes a well-formed `plan` request and mutates what the daemon decodes
 //! from it — the type or value of `batch`, a `budget` field, `strategy`,
-//! `validate`, `fast`, the inline `hw` object or one of its fields — then
+//! `fast`, the inline `hw` object or one of its fields — then
 //! hands the line to [`handle_line`]. The reply must be one JSON object
 //! carrying `ok`; a refusal must carry an `error` string. A panic fails the
 //! test and names the line.
@@ -25,7 +25,7 @@ fn corpus() -> Vec<Json> {
     let hw = HardwareConfig::fast_test().to_json();
     let text = [
         r#"{"op":"plan","model":"tiny_cnn"}"#.to_string(),
-        r#"{"op":"plan","model":"tiny_branchy","batch":2,"strategy":"AD","validate":"deny"}"#
+        r#"{"op":"plan","model":"tiny_branchy","batch":2,"strategy":"AD"}"#
             .to_string(),
         r#"{"op":"plan","model":"tiny_cnn","strategy":"LS","fast":true,"budget":{"sa_iters":5,"dp_expansions":200}}"#
             .to_string(),
@@ -34,7 +34,7 @@ fn corpus() -> Vec<Json> {
             hw.to_compact()
         ),
         format!(
-            r#"{{"op":"plan","model":"tiny_cnn","batch":3,"strategy":"CNN-P","validate":"off","hw":{}}}"#,
+            r#"{{"op":"plan","model":"tiny_cnn","batch":3,"strategy":"CNN-P","hw":{}}}"#,
             hw.to_compact()
         ),
     ];
@@ -103,9 +103,7 @@ fn members(v: &mut Json) -> Option<&mut Vec<(String, Json)>> {
 
 /// Applies one structural mutation to the decoded fields of `req`.
 fn mutate(req: &mut Json, pool: &[Json], rng: &mut Rng64) {
-    const FIELDS: [&str; 8] = [
-        "batch", "budget", "strategy", "validate", "fast", "hw", "model", "op",
-    ];
+    const FIELDS: [&str; 7] = ["batch", "budget", "strategy", "fast", "hw", "model", "op"];
     let Some(top) = members(req) else { return };
     let field = FIELDS[rng.below(FIELDS.len())];
     let pick = |rng: &mut Rng64, key: &str| loop {

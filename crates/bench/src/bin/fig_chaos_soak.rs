@@ -26,7 +26,7 @@
 //! `chaos_soak/v1` JSON summary via `--json=`.
 //!
 //! Flags: the shared harness set (`--workloads=`, `--fast`, `--par=N`,
-//! `--json=`, `--validate <mode>`) plus `--seeds=N` (default 50) and
+//! `--json=`) plus `--seeds=N` (default 50) and
 //! `--chaos=soak|mild` (default `soak`). Seed-level work is data-parallel
 //! and deterministic at any `--par`.
 
@@ -42,11 +42,10 @@ use atomic_dataflow::{
 use engine_model::Dataflow;
 
 /// Ladder rungs in display order.
-const RUNGS: [LadderRung; 4] = [
+const RUNGS: [LadderRung; 3] = [
     LadderRung::ReuseSuffix,
     LadderRung::ScopedReplan,
     LadderRung::FullReplan,
-    LadderRung::GreedyFallback,
 ];
 
 /// Per-seed soak result (one recovery mode).
@@ -122,7 +121,7 @@ fn main() {
             "workload",
             "recovered",
             "attempts",
-            "reuse/scoped/full/greedy",
+            "reuse/scoped/full",
             "incr ms",
             "cold ms",
             "speedup",
@@ -153,7 +152,7 @@ fn main() {
         let mut recovered = 0usize;
         let mut unrecovered = 0usize;
         let mut attempts_total = 0usize;
-        let mut occupancy = [0usize; 4];
+        let mut occupancy = [0usize; 3];
         let mut incr_ms: Vec<f64> = Vec::new();
         let mut cold_ms: Vec<f64> = Vec::new();
         let mut speedups: Vec<f64> = Vec::new();
@@ -191,10 +190,7 @@ fn main() {
             name.clone(),
             format!("{recovered}/{}", recovered + unrecovered),
             format!("{attempts_total}"),
-            format!(
-                "{}/{}/{}/{}",
-                occupancy[0], occupancy[1], occupancy[2], occupancy[3]
-            ),
+            format!("{}/{}/{}", occupancy[0], occupancy[1], occupancy[2]),
             format!("{med_incr:.2}"),
             format!("{med_cold:.2}"),
             format!("{med_speedup:.1}x"),

@@ -35,12 +35,10 @@
 //!
 //! Flags: `--fast` (CI smoke shape: fewer seeds/cycles/requests),
 //! `--seeds=N` (default 3), `--cycles=N` (restart cycles per seed,
-//! default 5), `--json=PATH`, `--validate deny|off` (also
-//! `--validate=MODE`) — checked at start-up and forwarded to every plan
-//! request, so `deny` makes the daemon fail loudly on any invariant
-//! violation while chaos runs. An unknown flag, a value that does not
-//! parse, or a `--validate` with no value panics naming the flag before
-//! anything runs.
+//! default 5), `--json=PATH`. The daemon admits every plan it serves, so
+//! an invariant violation while chaos runs fails the request loudly. An
+//! unknown flag or a value that does not parse panics naming the flag
+//! before anything runs.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -52,7 +50,6 @@ use ad_bench::harness::flag_value;
 use ad_bench::Table;
 use ad_serve::{serve, PlanStore, ServerConfig};
 use ad_util::{Json, Rng64};
-use atomic_dataflow::ValidateMode;
 use engine_model::HardwareConfig;
 
 /// Read timeout after which a silent connection counts as a violation
@@ -86,8 +83,6 @@ struct Args {
     seeds: u64,
     cycles: u64,
     json_path: Option<String>,
-    /// The `--validate` mode as given, checked and forwarded verbatim.
-    validate: Option<String>,
 }
 
 impl Args {
@@ -95,8 +90,8 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// Panics naming the flag on an unknown flag, a value that does not
-    /// parse, or a `--validate` with no value.
+    /// Panics naming the flag on an unknown flag or a value that does not
+    /// parse.
     fn parse(args: &[String]) -> Self {
         let fast = args.iter().any(|a| a == "--fast");
         let mut parsed = Self {
@@ -104,11 +99,8 @@ impl Args {
             seeds: if fast { 2 } else { 3 },
             cycles: if fast { 3 } else { 5 },
             json_path: None,
-            validate: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
+        for a in args {
             if a == "--fast" {
             } else if let Some(v) = a.strip_prefix("--seeds=") {
                 parsed.seeds = flag_value("--seeds=", v);
@@ -116,20 +108,9 @@ impl Args {
                 parsed.cycles = flag_value("--cycles=", v);
             } else if let Some(v) = a.strip_prefix("--json=") {
                 parsed.json_path = Some(v.to_string());
-            } else if a == "--validate" {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
-                flag_value::<ValidateMode>("--validate ", v);
-                parsed.validate = Some(v.clone());
-                i += 1;
-            } else if let Some(v) = a.strip_prefix("--validate=") {
-                flag_value::<ValidateMode>("--validate=", v);
-                parsed.validate = Some(v.to_string());
             } else {
                 panic!("unknown flag `{a}`");
             }
-            i += 1;
         }
         parsed
     }
@@ -142,7 +123,6 @@ fn main() {
         seeds,
         cycles,
         json_path,
-        validate,
     } = Args::parse(&args);
     let requests_per_cycle = if fast { 6 } else { 10 };
     let burst = if fast { 6 } else { 8 };
@@ -150,14 +130,8 @@ fn main() {
     let mut totals = Totals::default();
     for s in 0..seeds {
         let seed = 0x5E1F_C4A0 + s;
-        crash_restart_cycles(
-            seed,
-            cycles,
-            requests_per_cycle,
-            validate.as_deref(),
-            &mut totals,
-        );
-        overload_burst(seed, burst, validate.as_deref(), &mut totals);
+        crash_restart_cycles(seed, cycles, requests_per_cycle, &mut totals);
+        overload_burst(seed, burst, &mut totals);
     }
 
     let mut table = Table::new(
@@ -305,13 +279,7 @@ fn request_line(
 
 /// Phase 1: crash/restart cycles with seeded torn-tail and bit-flip
 /// injection between restarts.
-fn crash_restart_cycles(
-    seed: u64,
-    cycles: u64,
-    requests_per_cycle: u64,
-    validate: Option<&str>,
-    totals: &mut Totals,
-) {
+fn crash_restart_cycles(seed: u64, cycles: u64, requests_per_cycle: u64, totals: &mut Totals) {
     let mut rng = Rng64::new(seed);
     let dir = scratch_dir(seed);
     let sc = chaos_server_config(2, 8);
@@ -352,12 +320,7 @@ fn crash_restart_cycles(
             for _ in 0..requests_per_cycle {
                 let (model, max_batch) = MODELS[rng.below(MODELS.len())];
                 let batch = 1 + rng.below(max_batch);
-                let validate_field = validate
-                    .map(|m| format!(",\"validate\":\"{m}\""))
-                    .unwrap_or_default();
-                let req = format!(
-                    "{{\"op\":\"plan\",\"model\":\"{model}\",\"batch\":{batch}{validate_field}}}"
-                );
+                let req = format!("{{\"op\":\"plan\",\"model\":\"{model}\",\"batch\":{batch}}}");
                 totals.requests += 1;
                 let Some(resp) = request_line(&mut conn, &mut reader, &req) else {
                     totals.timeouts += 1;
@@ -495,7 +458,7 @@ fn flip_wal_byte(dir: &Path, rng: &mut Rng64) -> bool {
 /// Phase 2: a slow client pins the single worker, a burst overflows the
 /// bounded queue, and seeded deadlines split the queued survivors into
 /// served and refused — all audited as refuse-or-serve, never hang.
-fn overload_burst(seed: u64, burst: usize, validate: Option<&str>, totals: &mut Totals) {
+fn overload_burst(seed: u64, burst: usize, totals: &mut Totals) {
     let mut rng = Rng64::new(seed ^ 0xB0_0B57);
     let store = PlanStore::new(16);
     let max_queue = 2;
@@ -522,12 +485,8 @@ fn overload_burst(seed: u64, burst: usize, validate: Option<&str>, totals: &mut 
             let mut conn = TcpStream::connect(addr).expect("connect burst client");
             conn.set_read_timeout(Some(READ_TIMEOUT)).expect("timeout");
             let deadline_ms = if rng.chance(0.5) { 0 } else { 60_000 };
-            let validate_field = validate
-                .map(|m| format!(",\"validate\":\"{m}\""))
-                .unwrap_or_default();
-            let req = format!(
-                "{{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"deadline_ms\":{deadline_ms}{validate_field}}}"
-            );
+            let req =
+                format!("{{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"deadline_ms\":{deadline_ms}}}");
             writeln!(conn, "{req}").expect("send burst request");
             totals.requests += 1;
             clients.push(conn);
@@ -613,10 +572,9 @@ mod tests {
 
     #[test]
     fn ci_flags_parse() {
-        let a = parse(&["--fast", "--validate", "deny", "--json=serve_chaos_ci.json"]);
+        let a = parse(&["--fast", "--json=serve_chaos_ci.json"]);
         assert!(a.fast);
         assert_eq!((a.seeds, a.cycles), (2, 3));
-        assert_eq!(a.validate.as_deref(), Some("deny"));
         assert_eq!(a.json_path.as_deref(), Some("serve_chaos_ci.json"));
     }
 
@@ -624,5 +582,11 @@ mod tests {
     #[should_panic(expected = "unknown flag `--seed=3`")]
     fn misspelt_seeds_rejected() {
         parse(&["--seed=3"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag `--validate`")]
+    fn retired_validate_flag_rejected() {
+        parse(&["--validate", "deny"]);
     }
 }

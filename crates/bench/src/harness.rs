@@ -7,7 +7,6 @@ use accel_sim::{FaultKind, FaultPlan, SimStats};
 use ad_util::Json;
 use atomic_dataflow::{
     baselines, request, OptimizerConfig, PlanBudget, PlanRequest, StageReport, Strategy,
-    ValidateMode,
 };
 use dnn_graph::{models, Graph};
 use engine_model::{Dataflow, HardwareConfig};
@@ -272,9 +271,6 @@ pub fn ls_layer_utilizations(graph: &Graph, cfg: &OptimizerConfig) -> Vec<(Strin
 ///   byte-identical for every value);
 /// - `--batch=N` — override the experiment's default batch size;
 /// - `--json=PATH` — also dump records as JSON;
-/// - `--validate deny|off` (also `--validate=MODE`) — plan-admission
-///   mode: `deny` fails on the first invariant violation, `off` skips the
-///   audit (the default follows the build: deny in debug, off in release);
 /// - `--sa-budget=N` — cap simulated-annealing iterations per chain;
 /// - `--dp-budget=N` — cap DP scheduling expansions.
 ///
@@ -295,8 +291,6 @@ pub struct Workloads {
     pub hw_path: Option<String>,
     /// Candidate-search worker threads, if overridden.
     pub parallelism: Option<usize>,
-    /// Plan-admission mode override (`--validate`), if any.
-    pub validate: Option<ValidateMode>,
     /// Planning budget assembled from `--sa-budget` / `--dp-budget`
     /// (unlimited when none given).
     pub budget: PlanBudget,
@@ -324,11 +318,8 @@ impl Workloads {
         let mut fast = false;
         let mut hw_path = None;
         let mut parallelism = None;
-        let mut validate = None;
         let mut budget = PlanBudget::unlimited();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
+        for a in args {
             if let Some(v) = a.strip_prefix("--workloads=") {
                 names = Some(v.split(',').map(|s| s.trim().to_string()).collect());
             } else if a == "--quick" {
@@ -348,15 +339,6 @@ impl Workloads {
                 batch_override = Some(flag_value("--batch=", v));
             } else if let Some(v) = a.strip_prefix("--json=") {
                 json_path = Some(v.to_string());
-            } else if a == "--validate" {
-                // Two-token form: `--validate deny`.
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("--validate needs a value (deny|off)"));
-                validate = Some(flag_value("--validate ", v));
-                i += 1;
-            } else if let Some(v) = a.strip_prefix("--validate=") {
-                validate = Some(flag_value("--validate=", v));
             } else if let Some(v) = a.strip_prefix("--sa-budget=") {
                 budget = budget.with_sa_iters(flag_value("--sa-budget=", v));
             } else if let Some(v) = a.strip_prefix("--dp-budget=") {
@@ -367,7 +349,6 @@ impl Workloads {
             {
                 panic!("unknown flag `{a}`");
             }
-            i += 1;
         }
         let names = names.unwrap_or_else(|| {
             models::PAPER_WORKLOADS
@@ -389,7 +370,6 @@ impl Workloads {
             fast,
             hw_path,
             parallelism,
-            validate,
             budget,
         }
     }
@@ -423,15 +403,10 @@ impl Workloads {
         } else {
             base
         };
-        let mut cfg = base
-            .with_dataflow(dataflow)
+        base.with_dataflow(dataflow)
             .with_batch(batch)
             .with_parallelism(self.parallelism.unwrap_or(1))
-            .with_budget(self.budget);
-        if let Some(mode) = self.validate {
-            cfg = cfg.with_validate(mode);
-        }
-        cfg
+            .with_budget(self.budget)
     }
 
     /// Default batch size for throughput experiments on this workload: the
@@ -502,30 +477,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_and_budget_flags_parse() {
-        // Two-token `--validate deny` (the CI smoke form).
+    fn budget_flags_parse() {
         let w = Workloads::from_arg_slice(&[
             "--workloads=resnet50".into(),
-            "--validate".into(),
-            "deny".into(),
             "--sa-budget=5".into(),
             "--dp-budget=1000".into(),
         ]);
-        assert_eq!(w.validate, Some(ValidateMode::Deny));
         assert_eq!(w.budget.sa_iters, Some(5));
         assert_eq!(w.budget.dp_expansions, Some(1000));
         let cfg = w.config(Dataflow::KcPartition, 1);
-        assert_eq!(cfg.validate, ValidateMode::Deny);
         assert_eq!(cfg.budget, w.budget);
 
-        // `=` form, and defaults when absent.
-        let w = Workloads::from_arg_slice(&["--validate=off".into()]);
-        assert_eq!(w.validate, Some(ValidateMode::Off));
+        // Unlimited when absent.
         let w = Workloads::from_arg_slice(&[]);
-        assert_eq!(w.validate, None);
         assert_eq!(w.budget, PlanBudget::unlimited());
-        let cfg = w.config(Dataflow::KcPartition, 1);
-        assert_eq!(cfg.validate, ValidateMode::default());
     }
 
     /// Every value-taking flag rejects a value that does not parse, and
@@ -533,14 +498,12 @@ mod tests {
     /// a default.
     #[test]
     fn unparseable_flag_values_are_rejected_by_name() {
-        let cases: [&[&str]; 12] = [
+        let cases: [&[&str]; 10] = [
             &["--par=two"],
             &["--batch=-1"],
             &["--sa-budget=many"],
             &["--dp-budget=1e3"],
-            &["--validate=dny"],
-            &["--validate=warn"],
-            &["--validate", "dny"],
+            &["--validate=deny"],
             &["--validate"],
             &["--deadline-ms=250"],
             &["--sa_budget=5"],

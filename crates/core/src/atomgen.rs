@@ -152,21 +152,6 @@ pub struct GenReport {
     pub truncated: bool,
 }
 
-impl GenReport {
-    /// A degenerate report for plans that bypass atom generation (e.g. the
-    /// optimizer's greedy fallback path).
-    pub fn empty() -> Self {
-        Self {
-            specs: Vec::new(),
-            unified_cycle: 0.0,
-            variance: 0.0,
-            history: Vec::new(),
-            layer_cycles: Vec::new(),
-            truncated: false,
-        }
-    }
-}
-
 /// One pre-enumerated tiling candidate of a layer.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {

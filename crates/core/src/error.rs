@@ -33,8 +33,8 @@ pub enum PipelineError {
         /// The missing [`crate::pipeline::PlanContext`] artifact.
         missing: &'static str,
     },
-    /// Plan admission rejected a pipeline artifact
-    /// ([`crate::validate`], [`crate::ValidateMode::Deny`]).
+    /// Plan admission ([`crate::validate::admit`]) rejected an artifact of
+    /// a plan about to be handed out: a planner bug, naming the invariant.
     Validation(ValidationError),
     /// The requested batch size is outside `1..=`[`crate::MAX_BATCH`].
     BatchOutOfRange {

@@ -34,11 +34,11 @@
 //! identically.
 //!
 //! Two robustness layers sit on top: the [`validate`] module independently
-//! re-checks every pipeline artifact against the paper's invariants
-//! ([`ValidateMode`] selects deny/off), and [`PlanBudget`] bounds the
-//! SA and DP searches so planning is *anytime* — on exhaustion the best
-//! validated plan so far is returned, falling back to the greedy LS
-//! baseline if nothing passed admission ([`BudgetOutcome`]).
+//! re-checks every plan against the paper's invariants before it is handed
+//! out, in every build ([`admit`]; a violation is a bug, returned as
+//! [`PipelineError::Validation`]), and [`PlanBudget`] bounds the SA and DP
+//! searches so planning is *anytime* — on exhaustion the best plan so far
+//! is returned ([`BudgetOutcome`]).
 //!
 //! ```rust
 //! use atomic_dataflow::{Optimizer, OptimizerConfig};
@@ -84,6 +84,4 @@ pub use request::{
 pub use scheduler::{
     Schedule, ScheduleError, ScheduleMode, Scheduler, SchedulerConfig, SearchWork,
 };
-pub use validate::{
-    admit, Artifact, BudgetOutcome, Invariant, PlanBudget, ValidateMode, ValidationError,
-};
+pub use validate::{admit, Artifact, BudgetOutcome, Invariant, PlanBudget, ValidationError};

@@ -213,7 +213,6 @@ mod tests {
         let mut configs = vec![cfg];
         for kind in [
             accel_sim::EvictionKind::InvalidOccupation,
-            accel_sim::EvictionKind::Lru,
             accel_sim::EvictionKind::Fifo,
         ] {
             let mut small = cfg;

@@ -16,7 +16,7 @@ use crate::exec::Exec;
 use crate::mapping::{Mapper, MappingAlgo};
 use crate::pipeline::{Pipeline, PlanContext, PlanOutcome, StageReport};
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
-use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
+use crate::validate::{self, BudgetOutcome, PlanBudget};
 
 /// Configuration of the full pipeline. Also consumed by the baselines so
 /// that every strategy sees the identical platform.
@@ -45,10 +45,6 @@ pub struct OptimizerConfig {
     /// always visit candidates in index order, so every value of this field
     /// produces byte-identical results (1 = fully sequential, the default).
     pub parallelism: usize,
-    /// Plan-admission mode: every pipeline artifact is audited by
-    /// [`crate::validate`] after the stage that produced it. Defaults to
-    /// `Deny` in debug builds and `Off` in release.
-    pub validate: ValidateMode,
     /// Anytime-planning budget (SA and DP iteration caps); the default is
     /// unlimited.
     pub budget: PlanBudget,
@@ -71,7 +67,6 @@ impl OptimizerConfig {
             mapping: MappingAlgo::default(),
             search_targets: [24, 64, 160],
             parallelism: 1,
-            validate: ValidateMode::default(),
             budget: PlanBudget::unlimited(),
         }
     }
@@ -168,12 +163,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Returns a copy with a different plan-admission mode.
-    pub fn with_validate(mut self, validate: ValidateMode) -> Self {
-        self.validate = validate;
-        self
-    }
-
     /// Returns a copy with a different planning budget.
     pub fn with_budget(mut self, budget: PlanBudget) -> Self {
         self.budget = budget;
@@ -222,9 +211,8 @@ pub struct OptimizeResult {
     /// Per-stage wall times and summaries of the winning candidate's
     /// pipeline run (reporting only — never an input to planning).
     pub stage_reports: Vec<StageReport>,
-    /// Whether the search completed within its [`PlanBudget`], was
-    /// truncated (best-so-far validated plan), or fell back to the greedy
-    /// LS plan because no candidate passed admission.
+    /// Whether the search completed within its [`PlanBudget`] or was
+    /// truncated (best-so-far plan).
     pub budget: BudgetOutcome,
 }
 
@@ -326,13 +314,16 @@ impl Optimizer {
     /// from one candidate table, each distinct atomization is built into a
     /// DAG, scheduled, mapped and evaluated once, and the minimum-cost
     /// solution (refined under layer order when DP scheduling is on) is
-    /// returned. DESIGN.md §10 gives the soundness argument.
+    /// admitted ([`validate::admit`]) and returned. DESIGN.md §10 gives the
+    /// soundness argument.
     ///
     /// # Errors
     ///
     /// Propagates a [`PipelineError`] from any stage: scheduling, mapping,
-    /// or simulation of an inconsistent lowered schedule (the latter a bug,
-    /// not a user error — surfaced rather than panicked for diagnosability).
+    /// or simulation of an inconsistent lowered schedule; and
+    /// [`PipelineError::Validation`] when the returned plan fails
+    /// admission. The last two are bugs, not user errors — surfaced rather
+    /// than panicked for diagnosability.
     pub fn optimize(&self, graph: &Graph) -> Result<OptimizeResult, PipelineError> {
         let mut targets: Vec<usize> = self
             .cfg
@@ -376,12 +367,11 @@ impl Optimizer {
         });
         // Judging never reads the table; free it before the DAGs exist.
         drop(table);
-        // Phase 2: build, audit and judge each distinct spec vector once.
-        // The DAG and every later stage are deterministic functions of
-        // (specs, config, mode, budget), so a candidate whose specs equal
-        // an earlier one's would pass or fail admission alike and simulate
-        // to the same cycles — and the earliest-index tie-break below never
-        // picks it.
+        // Phase 2: build and judge each distinct spec vector once. The DAG
+        // and every later stage are deterministic functions of (specs,
+        // config, mode, budget), so a candidate whose specs equal an earlier
+        // one's would simulate to the same cycles — and the earliest-index
+        // tie-break below never picks it.
         let distinct: Vec<usize> = (0..generated.len())
             .filter(|&i| (0..i).all(|j| generated[j].0.specs != generated[i].0.specs))
             .collect();
@@ -399,92 +389,48 @@ impl Optimizer {
         });
         // Reduce in index order: strictly cheaper wins, so the earliest
         // index breaks ties and the result is byte-identical for every
-        // thread count. Validation rejections disqualify a candidate
-        // without aborting the search (anytime semantics: keep the best
-        // *admitted* plan); every other error is a real failure.
-        let mut best: Option<(PlanContext<'_>, OptimizeResult)> = None;
+        // thread count.
+        let mut best: Option<PlanContext<'_>> = None;
         for outcome in judged {
-            let mut ctx = match outcome {
-                Ok(ctx) => ctx,
-                Err(PipelineError::Validation(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            let candidate = self.finish(&mut ctx)?;
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| candidate.stats.total_cycles < b.stats.total_cycles)
-            {
-                best = Some((ctx, candidate));
+            let ctx = outcome?;
+            if best.as_ref().is_none_or(|b| cycles(&ctx) < cycles(b)) {
+                best = Some(ctx);
             }
         }
-        let Some((mut ctx, mut best)) = best else {
-            // Every candidate failed admission: degrade gracefully to the
-            // greedy LS plan (which itself must pass admission).
-            return self.ls_fallback(graph);
-        };
+        let mut ctx = best.ok_or(PipelineError::StageOrder {
+            stage: "optimize",
+            missing: "candidate",
+        })?;
         // Phase 3: layer-topological ordering is itself a point in Alg. 2's
         // search space; when DP search is enabled, evaluate it on the
         // winner's DAG and keep whichever the simulator prefers.
         if refine {
+            let judged_cycles = cycles(&ctx);
+            let schedule = ctx.schedule.take();
+            let mapped = ctx.mapped.take();
+            let program = ctx.program.take();
+            let stats = ctx.stats.take();
+            let reports = std::mem::take(&mut ctx.reports);
             // The refined plan's reports start with the winner's atomgen
             // report, so an atomgen truncation still sets its budget.
-            ctx.reset_plan();
-            ctx.reports.extend(best.stage_reports.first().cloned());
-            match Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx) {
-                Ok(()) => {
-                    let lo = self.finish(&mut ctx)?;
-                    if lo.stats.total_cycles < best.stats.total_cycles {
-                        best = lo;
-                    }
-                }
-                // An inadmissible refinement never replaces an admitted
-                // plan.
-                Err(PipelineError::Validation(_)) => {}
-                Err(e) => return Err(e),
+            ctx.reports.extend(reports.first().cloned());
+            Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx)?;
+            if cycles(&ctx) >= judged_cycles {
+                (
+                    ctx.schedule,
+                    ctx.mapped,
+                    ctx.program,
+                    ctx.stats,
+                    ctx.reports,
+                ) = (schedule, mapped, program, stats, reports);
             }
         }
-        Ok(best)
+        // The plan handed out is audited once, whichever pass produced it.
+        validate::admit(&mut ctx)?;
+        self.finish(&mut ctx)
     }
 
-    /// Graceful degradation when no search candidate passes admission: the
-    /// greedy layer-sequential plan, itself run through admission, packaged
-    /// as an [`OptimizeResult`] flagged `Truncated{admission, fallback}`.
-    fn ls_fallback(&self, graph: &Graph) -> Result<OptimizeResult, PipelineError> {
-        let mut ctx = PlanContext::new(graph, self.cfg);
-        baselines::ls::pipeline().run(&mut ctx)?;
-        let missing = |m: &'static str| PipelineError::StageOrder {
-            stage: "ls-fallback",
-            missing: m,
-        };
-        let dag = ctx.dag.take().ok_or_else(|| missing("dag"))?;
-        let mapped = ctx.mapped.take().ok_or_else(|| missing("mapped rounds"))?;
-        let program = ctx.program.take().ok_or_else(|| missing("program"))?;
-        let stats = ctx.stats.take().ok_or_else(|| missing("stats"))?;
-        let engines = self.cfg.engines();
-        let occupied: usize = mapped.iter().map(Vec::len).sum();
-        let occupancy = if mapped.is_empty() || engines == 0 {
-            0.0
-        } else {
-            occupied as f64 / (mapped.len() * engines) as f64
-        };
-        Ok(OptimizeResult {
-            occupancy,
-            rounds: mapped.len(),
-            atoms: dag.atom_count(),
-            program,
-            stats,
-            gen_report: GenReport::empty(),
-            stage_reports: ctx.reports,
-            budget: BudgetOutcome::Truncated {
-                stage: "admission",
-                fallback: true,
-            },
-        })
-    }
-
-    /// Packages a judged candidate context as an [`OptimizeResult`], taking
-    /// its plan artifacts and reports but leaving the DAG and generation
-    /// report for a refinement pass.
+    /// Packages the admitted winner's context as an [`OptimizeResult`].
     fn finish(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizeResult, PipelineError> {
         let missing = |m: &'static str| PipelineError::StageOrder {
             stage: "optimize",
@@ -516,6 +462,11 @@ impl Optimizer {
             budget,
         })
     }
+}
+
+/// Simulated cycles of a judged context (`u64::MAX` before simulation).
+fn cycles(ctx: &PlanContext<'_>) -> u64 {
+    ctx.stats.as_ref().map_or(u64::MAX, |s| s.total_cycles)
 }
 
 /// The workload-orchestration strategies compared throughout the paper's

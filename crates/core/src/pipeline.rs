@@ -19,9 +19,8 @@
 //! [`LowerStage`] and [`SimulateStage`]); and the fault-recovery ladder
 //! re-runs the shared [`ScheduleStage`] → [`MapStage`] → [`LowerStage`]
 //! suffix over the surviving engines, its repair rungs reusing the same
-//! survivor mapper and admission policy. A stage that runs before its
-//! prerequisites returns the typed
-//! [`PipelineError::StageOrder`] instead of panicking.
+//! survivor mapper. A stage that runs before its prerequisites returns the
+//! typed [`PipelineError::StageOrder`] instead of panicking.
 //!
 //! Stage wall-times are host-side *reporting only*: they are measured
 //! around the stage call, never feed back into any planning decision, and
@@ -40,7 +39,7 @@ use crate::lower::lower_remaining;
 use crate::mapping::Mapper;
 use crate::optimizer::OptimizerConfig;
 use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
-use crate::validate::{self, BudgetOutcome, ValidateMode};
+use crate::validate::{self, BudgetOutcome};
 
 /// Wall-time and a one-line summary of one executed stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,22 +173,6 @@ impl<'g> PlanContext<'g> {
             mapper.kill_engine(e);
         }
         mapper
-    }
-
-    /// Audits the context's current artifacts under the configured
-    /// [`ValidateMode`]: `Off` skips, `Deny` fails with
-    /// [`PipelineError::Validation`]. [`Pipeline::run`] calls it after every stage; the recovery
-    /// rungs that assemble artifacts by hand call it once at the end.
-    ///
-    /// # Errors
-    ///
-    /// The first invariant violation, in `Deny` mode only.
-    pub(crate) fn admit_by_policy(&mut self) -> Result<(), PipelineError> {
-        match self.cfg.validate {
-            ValidateMode::Off => {}
-            ValidateMode::Deny => validate::admit(self)?,
-        }
-        Ok(())
     }
 
     /// Clears the re-plannable artifacts (schedule, mapping, program,
@@ -328,33 +311,33 @@ impl Pipeline {
     }
 
     /// Runs every stage in order, appending one [`StageReport`] per stage
-    /// to `ctx.reports`.
+    /// to `ctx.reports`. Audits nothing: admission is the business of the
+    /// code that hands the plan out ([`Pipeline::execute`] and the
+    /// optimizer, see [`crate::validate`]).
     ///
     /// # Errors
     ///
     /// The first failing stage's error, including
-    /// [`PipelineError::StageOrder`] for malformed stage lists and
-    /// [`PipelineError::Validation`] when admission (enabled via
-    /// [`crate::OptimizerConfig::validate`]) rejects a produced artifact.
+    /// [`PipelineError::StageOrder`] for malformed stage lists.
     pub fn run(&self, ctx: &mut PlanContext<'_>) -> Result<(), PipelineError> {
         for stage in &self.stages {
             let t0 = Instant::now(); // ad-lint: allow(d2) — reporting only
             let mut report = stage.run(ctx)?;
             report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             ctx.reports.push(report);
-            ctx.admit_by_policy()?;
         }
         Ok(())
     }
 
-    /// Builds a fresh context for `graph`, runs the pipeline and returns
-    /// the simulated statistics plus the per-stage reports.
+    /// Builds a fresh context for `graph`, runs the pipeline, admits the
+    /// plan ([`validate::admit`]) and returns the simulated statistics
+    /// plus the per-stage reports.
     ///
     /// # Errors
     ///
-    /// Everything [`Pipeline::run`] reports; additionally a
-    /// [`PipelineError::StageOrder`] if the stage list never produced
-    /// statistics.
+    /// Everything [`Pipeline::run`] reports; [`PipelineError::Validation`]
+    /// when the plan fails admission; a [`PipelineError::StageOrder`] if
+    /// the stage list never produced statistics.
     pub fn execute(
         &self,
         graph: &Graph,
@@ -362,6 +345,7 @@ impl Pipeline {
     ) -> Result<PlanOutcome, PipelineError> {
         let mut ctx = PlanContext::new(graph, *cfg);
         self.run(&mut ctx)?;
+        validate::admit(&mut ctx)?;
         let stats = ctx.stats.take().ok_or(PipelineError::StageOrder {
             stage: "execute",
             missing: "stats",
@@ -436,8 +420,8 @@ impl Stage for AtomGenStage {
 /// The DAG-building half of [`AtomGenStage`], for a context whose
 /// `gen_report` is already generated: [`crate::Optimizer::optimize`]
 /// anneals every granularity target first and builds DAGs only for the
-/// distinct spec vectors. Reports under the `atomgen` name, so admission
-/// audits its DAG exactly as it audits [`AtomGenStage`]'s.
+/// distinct spec vectors. Reports under the `atomgen` name, like
+/// [`AtomGenStage`].
 ///
 /// Consumes: graph, `gen_report`. Produces: `dag`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -471,10 +455,7 @@ impl Stage for AtomDagStage {
         );
         let mut stage_report = StageReport::new(self.name(), summary);
         if report.truncated {
-            stage_report.budget = BudgetOutcome::Truncated {
-                stage: self.name(),
-                fallback: false,
-            };
+            stage_report.budget = BudgetOutcome::Truncated { stage: self.name() };
         }
         ctx.dag = Some(dag);
         Ok(stage_report)
@@ -515,10 +496,7 @@ impl Stage for ScheduleStage {
         ctx.schedule = Some(sched);
         let mut report = StageReport::new(self.name(), summary);
         if work.truncated {
-            report.budget = BudgetOutcome::Truncated {
-                stage: self.name(),
-                fallback: false,
-            };
+            report.budget = BudgetOutcome::Truncated { stage: self.name() };
         }
         Ok(report)
     }

@@ -21,17 +21,16 @@
 //!    and map it onto the survivors.
 //! 3. [`LadderRung::FullReplan`] — the optimizer's own [`Pipeline::replan`]
 //!    stage suffix (schedule → map → lower) over the whole remainder.
-//! 4. [`LadderRung::GreedyFallback`] — the same stage suffix with
-//!    priority-greedy scheduling, which spends no search budget at all: the
-//!    last step when the full re-plan fails admission.
 //!
-//! The rungs are built from the pipeline's own parts: rungs 3–4 are stage
-//! lists, and rungs 1–2 place atoms with the same survivor mapper as
+//! The rungs are built from the pipeline's own parts: rung 3 is a stage
+//! list, and rungs 1–2 place atoms with the same survivor mapper as
 //! [`MapStage`] and lower through the same lowering as [`LowerStage`].
-//! Every rung's artifacts pass the admission policy [`Pipeline::run`]
-//! applies (a rung that fails admission escalates to the next); the rungs
-//! trade plan *quality*, never validity. Rung choice is driven by the
-//! perturbation size and by admission alone, never by the wall clock, so a
+//! A rung whose mapping overflows the surviving mesh escalates to the next.
+//! The rungs audit nothing: [`run_with_recovery`] admits every attempt's
+//! plan ([`validate::admit`]) before simulating it, and a violation is a
+//! bug returned as [`PipelineError::Validation`], never repaired by another
+//! rung. The rungs trade plan *quality*, never validity. Rung choice is
+//! driven by the perturbation size alone, never by the wall clock, so a
 //! re-plan is a function of the context it repairs. Statistics of every
 //! attempt, including the wasted partial runs, are merged so
 //! latency/energy overheads are honest.
@@ -49,8 +48,9 @@ use crate::error::PipelineError;
 use crate::lower::lower_remaining;
 use crate::mapping::Mapper;
 use crate::optimizer::OptimizerConfig;
-use crate::pipeline::{LowerStage, MapStage, Pipeline, PlanContext, ScheduleStage, StageReport};
-use crate::scheduler::{Schedule, ScheduleMode, Scheduler, SchedulerConfig};
+use crate::pipeline::{Pipeline, PlanContext, StageReport};
+use crate::scheduler::{Schedule, Scheduler, SchedulerConfig};
+use crate::validate;
 
 /// Recovery policy for fault-injected runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +103,7 @@ impl Default for RecoveryConfig {
 
 /// One rung of the recovery degradation ladder, cheapest first. See the
 /// module docs for what each rung does; [`replan_attempt`] walks them in
-/// order, escalating when a rung is inapplicable or its artifacts fail
-/// admission.
+/// order, escalating when a rung is inapplicable or its mapping overflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LadderRung {
     /// Reuse the prior plan's pending rounds, patching orphans in place.
@@ -113,10 +112,6 @@ pub enum LadderRung {
     ScopedReplan,
     /// Cold `schedule → map → lower` over the whole remainder.
     FullReplan,
-    /// Priority-greedy scheduling with no search budget: the bounded-time
-    /// last resort (still fully validated — "relaxed" refers to the plan
-    /// quality admission, not the structural auditor).
-    GreedyFallback,
 }
 
 impl LadderRung {
@@ -126,7 +121,6 @@ impl LadderRung {
             Self::ReuseSuffix => "reuse-suffix",
             Self::ScopedReplan => "scoped-replan",
             Self::FullReplan => "full-replan",
-            Self::GreedyFallback => "greedy-fallback",
         }
     }
 }
@@ -206,6 +200,8 @@ pub struct RecoveryTrace {
 /// - [`PipelineError::Schedule`] /
 ///   [`PipelineError::Mapping`] when the surviving mesh cannot hold the
 ///   remainder (e.g. every engine dead);
+/// - [`PipelineError::Validation`] when an attempt's plan fails admission
+///   (a planner bug: every attempt is audited before it is simulated);
 /// - any error [`Simulator::run_faulted`] itself reports (malformed plans,
 ///   disconnected transfers with no DRAM fallback).
 pub fn run_with_recovery(
@@ -274,6 +270,7 @@ fn run_recovery_inner(
             remap_rounds += ctx.require_schedule("recovery")?.len() as u64;
         }
         trace.replan_wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        validate::admit(&mut ctx)?;
         let program = ctx.require_program("recovery")?;
 
         match sim.run_faulted(program, &attempt_plan(plan, elapsed, &ctx.dead_engines))? {
@@ -353,20 +350,19 @@ const REUSE_ORPHAN_DENOM: usize = 4;
 /// One replan attempt through the degradation ladder. On entry `ctx` holds
 /// the updated `done` mask and dead-engine list; `prior` is the failed
 /// attempt's mapped rounds (when available). On success the context holds
-/// a complete, admission-checked schedule/mapping/program for the pending
-/// remainder, and the rung that produced it is returned.
+/// a complete, unaudited schedule/mapping/program for the pending
+/// remainder, and the rung that produced it is returned; admitting it is
+/// the caller's business ([`run_with_recovery`] does).
 ///
 /// Rung selection: with a prior plan whose orphaned-atom fraction is small
 /// the [`LadderRung::ReuseSuffix`] patch is tried first,
-/// otherwise [`LadderRung::ScopedReplan`]; a rung whose artifacts fail
-/// admission (or whose mapping overflows) escalates to the next; the greedy
-/// rung's failure is final.
+/// otherwise [`LadderRung::ScopedReplan`]; a rung whose mapping overflows
+/// escalates to the next; the full replan's failure is final.
 ///
 /// # Errors
 ///
-/// Anything the pipeline stages report, except that
-/// [`PipelineError::Validation`] and [`PipelineError::Mapping`] escalate
-/// down the ladder and only surface from the last rung.
+/// Anything the pipeline stages report, except that a
+/// [`PipelineError::Mapping`] from a repair rung escalates down the ladder.
 pub fn replan_attempt(
     ctx: &mut PlanContext<'_>,
     prior: Option<&[Vec<(AtomId, usize)>]>,
@@ -391,26 +387,20 @@ pub fn replan_attempt(
             ctx.reset_plan();
             match reuse_suffix(ctx, &pending) {
                 Ok(()) => return Ok(LadderRung::ReuseSuffix),
-                Err(PipelineError::Validation(_) | PipelineError::Mapping(_)) => {}
+                Err(PipelineError::Mapping(_)) => {}
                 Err(e) => return Err(e),
             }
         }
         ctx.reset_plan();
         match scoped_replan(ctx, &pending) {
             Ok(()) => return Ok(LadderRung::ScopedReplan),
-            Err(PipelineError::Validation(_) | PipelineError::Mapping(_)) => {}
+            Err(PipelineError::Mapping(_)) => {}
             Err(e) => return Err(e),
         }
     }
     ctx.reset_plan();
-    match Pipeline::replan().run(ctx) {
-        Ok(()) => return Ok(LadderRung::FullReplan),
-        Err(PipelineError::Validation(_)) => {}
-        Err(e) => return Err(e),
-    }
-    ctx.reset_plan();
-    greedy_fallback(ctx)?;
-    Ok(LadderRung::GreedyFallback)
+    Pipeline::replan().run(ctx)?;
+    Ok(LadderRung::FullReplan)
 }
 
 /// Whether a prior placement on engine `e` lost its engine (retired, or
@@ -446,8 +436,8 @@ fn push_patched(
 }
 
 /// The shared epilogue of the repair rungs: lowers the repaired rounds,
-/// installs schedule, mapping and program, records the rung's report (timed
-/// from `started`) and applies the admission policy.
+/// installs schedule, mapping and program, and records the rung's report
+/// (timed from `started`).
 fn install(
     ctx: &mut PlanContext<'_>,
     stage: &'static str,
@@ -468,7 +458,7 @@ fn install(
     let mut report = StageReport::new(stage, summary);
     report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
     ctx.reports.push(report);
-    ctx.admit_by_policy()
+    Ok(())
 }
 
 /// Rung 1: reuse every pending round of the prior plan in order, patch
@@ -613,20 +603,6 @@ fn scoped_replan(
     install(ctx, STAGE, t0, sched, mapped, summary)
 }
 
-/// Rung 4: the [`Pipeline::replan`] stages with priority-greedy scheduling,
-/// which spends no search budget — bounded time, degraded quality, still
-/// fully validated.
-fn greedy_fallback(ctx: &mut PlanContext<'_>) -> Result<(), PipelineError> {
-    Pipeline::new(vec![
-        Box::new(ScheduleStage {
-            mode: Some(ScheduleMode::PriorityGreedy),
-        }),
-        Box::new(MapStage),
-        Box::new(LowerStage),
-    ])
-    .run(ctx)
-}
-
 /// The fault plan as seen by a retry attempt that starts `elapsed` cycles
 /// into the original timeline: unfired events shift left, already-fired
 /// persistent faults saturate to cycle 0 (they are still broken), and
@@ -661,6 +637,25 @@ mod tests {
         let g = models::tiny_branchy();
         let (_, dag) = crate::Optimizer::new(cfg).build_dag(&g);
         (dag, cfg)
+    }
+
+    /// The ladder repairs a prior plan's placement, never its legality: a
+    /// prior plan with its rounds reversed (every consumer before its
+    /// producer) comes back from the reuse rung as it was, and admission —
+    /// not another rung — reports the violated invariant.
+    #[test]
+    fn a_broken_prior_plan_is_reported_not_repaired() {
+        let (dag, cfg) = dag_and_cfg();
+        let mut ctx = PlanContext::for_dag(dag, cfg);
+        Pipeline::replan().run(&mut ctx).unwrap();
+        let mut prior = ctx.mapped.take().unwrap();
+        assert!(prior.len() > 1, "the reversal must reorder something");
+        prior.reverse();
+        ctx.reset_plan();
+        let rung = replan_attempt(&mut ctx, Some(&prior)).unwrap();
+        assert_eq!(rung, LadderRung::ReuseSuffix);
+        let err = validate::admit(&mut ctx).unwrap_err();
+        assert_eq!(err.invariant, validate::Invariant::DependencyOrder, "{err}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::mapping::MappingAlgo;
 use crate::optimizer::{Optimizer, OptimizerConfig, Strategy};
 use crate::pipeline::StageReport;
 use crate::scheduler::ScheduleMode;
-use crate::validate::{BudgetOutcome, PlanBudget, ValidateMode};
+use crate::validate::{BudgetOutcome, PlanBudget};
 
 /// A fully specified planning request: the workload and the platform +
 /// strategy configuration. The plan it resolves to is a function of these
@@ -186,8 +186,8 @@ impl PlanResponse {
 ///
 /// [`PipelineError::BatchOutOfRange`] for a batch outside
 /// `1..=`[`crate::MAX_BATCH`]; otherwise the strategy's
-/// [`PipelineError`]s — scheduling/mapping failures and Deny-mode
-/// admission rejections.
+/// [`PipelineError`]s — scheduling/mapping failures and
+/// [`PipelineError::Validation`] when the plan fails admission.
 pub fn plan(req: &PlanRequest<'_>) -> Result<PlanResponse, PipelineError> {
     if !(1..=crate::MAX_BATCH).contains(&req.cfg.batch) {
         return Err(PipelineError::BatchOutOfRange {
@@ -346,9 +346,9 @@ pub fn config_fingerprint(cfg: &OptimizerConfig, strategy: Strategy) -> Fingerpr
     h.write_u64(hbm.access_latency_cycles);
     h.write_f64(hbm.energy_pj_per_byte);
     h.write_usize(hbm.channels);
+    // 1 was LRU eviction, since retired; it stays unused.
     h.write_u64(match cfg.sim.eviction {
         EvictionKind::InvalidOccupation => 0,
-        EvictionKind::Lru => 1,
         EvictionKind::Fifo => 2,
     });
     // Retired settings hash as the constants they became, so every digest
@@ -369,11 +369,9 @@ pub fn config_fingerprint(cfg: &OptimizerConfig, strategy: Strategy) -> Fingerpr
     for t in cfg.search_targets {
         h.write_usize(t);
     }
-    // 1 stays unused so existing Deny and Off digests keep their values.
-    h.write_u64(match cfg.validate {
-        ValidateMode::Deny => 0,
-        ValidateMode::Off => 2,
-    });
+    // A retired admission-mode switch: admission always runs now, and the
+    // constant is the value release builds hashed, so their keys stay put.
+    h.write_u64(2);
     hash_budget(&mut h, &cfg.budget);
     h.finish()
 }
@@ -476,8 +474,8 @@ mod tests {
     /// Literal config fingerprints of both preset configs under every
     /// strategy: they are the daemon's cache keys and sit in every plan
     /// payload, so any change to what `config_fingerprint` feeds the hasher shows
-    /// here. Admission is pinned to `Off` (the release default) so the
-    /// values do not depend on the build profile.
+    /// here. Nothing in them depends on the build profile: debug and
+    /// release builds must agree on every literal.
     #[test]
     fn preset_config_fingerprints_are_pinned() {
         let expected = [
@@ -505,7 +503,6 @@ mod tests {
             ),
         ];
         for (cfg, fps) in expected {
-            let cfg = cfg.with_validate(ValidateMode::Off);
             for (strategy, fp) in Strategy::ALL.into_iter().zip(fps) {
                 assert_eq!(
                     config_fingerprint(&cfg, strategy).to_string(),

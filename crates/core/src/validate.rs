@@ -12,18 +12,22 @@
 //!
 //! Checkers are pure functions returning the *first* violated invariant as a
 //! typed [`ValidationError`] carrying the artifact path (e.g.
-//! `schedule/round 3`) and the violated [`Invariant`]. [`admit`] wires them
-//! into [`Pipeline::run`](crate::Pipeline::run) as post-stage guards gated by
-//! [`ValidateMode`]: `Deny` (default in debug builds and tests) turns a
-//! violation into [`PipelineError::Validation`](crate::PipelineError),
-//! `Off` (default in release) skips the audit.
+//! `schedule/round 3`) and the violated [`Invariant`]. [`admit`] runs them
+//! over a planned context. It runs in every build, once per plan, in the
+//! code that hands the plan out: [`Optimizer::optimize`](crate::Optimizer::optimize)
+//! on its winner, [`Pipeline::execute`](crate::Pipeline::execute) and CNN-P's
+//! search on their plans, and [`run_with_recovery`](crate::run_with_recovery)
+//! on every attempt before it is simulated. The pipeline stages and the
+//! recovery ladder's rungs audit nothing themselves. A violation is a
+//! planner bug, surfaced as
+//! [`PipelineError::Validation`](crate::PipelineError) naming the
+//! invariant; no caller falls back to another plan.
 //!
 //! The second half of the admission layer is [`PlanBudget`]: deterministic
-//! iteration caps threaded through SA atom generation and DP scheduling. On exhaustion the optimizer returns
-//! its best-so-far *validated* plan — falling back to the greedy LS stage if
-//! no candidate passed admission — and surfaces the outcome as a
-//! [`BudgetOutcome`] in [`StageReport`](crate::StageReport) and
-//! [`OptimizeResult`](crate::OptimizeResult).
+//! iteration caps threaded through SA atom generation and DP scheduling. On
+//! exhaustion the search keeps its best-so-far plan and surfaces the
+//! outcome as a [`BudgetOutcome`] in [`StageReport`](crate::StageReport)
+//! and [`OptimizeResult`](crate::OptimizeResult).
 
 use std::fmt;
 
@@ -34,39 +38,6 @@ use engine_model::{Dataflow, EngineConfig};
 use crate::atomic_dag::{AtomId, AtomicDag};
 use crate::pipeline::PlanContext;
 use crate::scheduler::Schedule;
-
-/// How admission violations are handled by the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidateMode {
-    /// A violation aborts the pipeline with `PipelineError::Validation`.
-    Deny,
-    /// No validation is performed.
-    Off,
-}
-
-impl Default for ValidateMode {
-    /// Deny in debug builds (so every test runs under full admission),
-    /// off in release (bench hot paths opt in via `--validate`).
-    fn default() -> Self {
-        if cfg!(debug_assertions) {
-            ValidateMode::Deny
-        } else {
-            ValidateMode::Off
-        }
-    }
-}
-
-impl std::str::FromStr for ValidateMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "deny" => Ok(ValidateMode::Deny),
-            "off" => Ok(ValidateMode::Off),
-            other => Err(format!("unknown validate mode `{other}` (deny|off)")),
-        }
-    }
-}
 
 /// Which pipeline artifact a violation was found in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,9 +217,8 @@ pub enum BudgetOutcome {
     /// The search ran to natural completion within budget.
     #[default]
     Completed,
-    /// A budget cap fired in `stage`; `fallback` is true when the result
-    /// came from the greedy LS fallback rather than a truncated search.
-    Truncated { stage: &'static str, fallback: bool },
+    /// A budget cap fired in `stage`; the plan is the best found so far.
+    Truncated { stage: &'static str },
 }
 
 impl BudgetOutcome {
@@ -261,13 +231,7 @@ impl fmt::Display for BudgetOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BudgetOutcome::Completed => f.write_str("completed"),
-            BudgetOutcome::Truncated { stage, fallback } => {
-                write!(
-                    f,
-                    "truncated@{stage}{}",
-                    if *fallback { "+fallback" } else { "" }
-                )
-            }
+            BudgetOutcome::Truncated { stage } => write!(f, "truncated@{stage}"),
         }
     }
 }
@@ -1072,29 +1036,9 @@ mod tests {
         assert_eq!(BudgetOutcome::default(), BudgetOutcome::Completed);
         assert_eq!(BudgetOutcome::Completed.to_string(), "completed");
         assert_eq!(
-            BudgetOutcome::Truncated {
-                stage: "schedule",
-                fallback: false
-            }
-            .to_string(),
+            BudgetOutcome::Truncated { stage: "schedule" }.to_string(),
             "truncated@schedule"
         );
-        assert_eq!(
-            BudgetOutcome::Truncated {
-                stage: "admission",
-                fallback: true
-            }
-            .to_string(),
-            "truncated@admission+fallback"
-        );
         assert!(PlanBudget::unlimited() == PlanBudget::default());
-    }
-
-    #[test]
-    fn validate_mode_parses() {
-        assert_eq!("deny".parse::<ValidateMode>(), Ok(ValidateMode::Deny));
-        assert_eq!("off".parse::<ValidateMode>(), Ok(ValidateMode::Off));
-        assert!("loud".parse::<ValidateMode>().is_err());
-        assert!("warn".parse::<ValidateMode>().is_err());
     }
 }

@@ -27,7 +27,7 @@ pub mod prelude {
         baselines, run_with_recovery, AtomGenConfig, AtomGenMode, BudgetOutcome, MappingAlgo,
         Optimizer, OptimizerConfig, Pipeline, PipelineError, PlanBudget, PlanContext, PlanOutcome,
         RecoveryConfig, RecoveryOutcome, ScheduleMode, SchedulerConfig, Stage, StageReport,
-        Strategy, ValidateMode, ValidationError,
+        Strategy, ValidationError,
     };
     pub use dnn_graph::{models, Graph, Layer, LayerId, OpKind};
     pub use engine_model::{ConvTask, CostEstimate, Dataflow, EngineConfig};

@@ -13,7 +13,6 @@
 use std::time::Instant;
 
 use ad_repro::prelude::*;
-use atomic_dataflow::pipeline::{LowerStage, MapStage, ScheduleStage};
 use atomic_dataflow::{replan_attempt, run_with_recovery, LadderRung};
 
 /// Two full optimizer runs with the same seed must serialize to
@@ -71,19 +70,17 @@ fn optimizer_is_deterministic_across_thread_counts() {
 }
 
 /// Anytime planning under a tight budget: a ResNet-50 plan cut short by
-/// iteration caps must still pass Deny-mode admission, report the
+/// iteration caps must still pass admission, report the
 /// truncation, and — because the caps count iterations, never wall-clock —
 /// serialize byte-identically across reruns.
 #[test]
 fn tight_budget_resnet50_is_deterministic_and_truncated() {
     let g = models::resnet50();
-    let cfg = OptimizerConfig::fast_test()
-        .with_validate(ValidateMode::Deny)
-        .with_budget(
-            PlanBudget::unlimited()
-                .with_sa_iters(5)
-                .with_dp_expansions(1_000),
-        );
+    let cfg = OptimizerConfig::fast_test().with_budget(
+        PlanBudget::unlimited()
+            .with_sa_iters(5)
+            .with_dp_expansions(1_000),
+    );
     let a = Optimizer::new(cfg).optimize(&g).unwrap();
     let b = Optimizer::new(cfg).optimize(&g).unwrap();
     assert!(
@@ -139,18 +136,15 @@ fn deep_graph_multi_chain_optimizer_is_byte_identical_across_parallelism() {
 /// The same pin under a *tight* [`PlanBudget`]: anytime truncation points
 /// are iteration counts, never wall clock, so a deep-graph plan cut short
 /// mid-search is still byte-identical at any thread count — and still
-/// passes Deny-mode admission.
+/// passes admission.
 #[test]
 fn deep_graph_tight_budget_is_byte_identical_across_parallelism() {
     let g = models::resnet1001();
-    let cfg = OptimizerConfig::fast_test()
-        .with_sa_chains(4)
-        .with_validate(ValidateMode::Deny)
-        .with_budget(
-            PlanBudget::unlimited()
-                .with_sa_iters(5)
-                .with_dp_expansions(1_000),
-        );
+    let cfg = OptimizerConfig::fast_test().with_sa_chains(4).with_budget(
+        PlanBudget::unlimited()
+            .with_sa_iters(5)
+            .with_dp_expansions(1_000),
+    );
     let runs: Vec<_> = [1usize, 4, 16]
         .iter()
         .map(|&p| {
@@ -305,13 +299,7 @@ fn layer_order_refinement_keeps_the_atomgen_budget_outcome() {
         "LayerOrder must win this case"
     );
     let r = Optimizer::new(tight).optimize(&g).unwrap();
-    assert_eq!(
-        r.budget,
-        BudgetOutcome::Truncated {
-            stage: "atomgen",
-            fallback: false,
-        }
-    );
+    assert_eq!(r.budget, BudgetOutcome::Truncated { stage: "atomgen" });
 }
 
 /// Recovery replans after an injected engine failure; the replan path
@@ -390,22 +378,24 @@ fn rounds_fingerprint<T>(rounds: &[Vec<T>], item: impl Fn(&mut ad_util::FpHasher
 
 /// Runs one ladder attempt over [`perturbed_resnet50`] with `dead` engines
 /// retired (`prior = false` withholds the prior plan), asserts the rung it
-/// lands on, and compares its artifacts with `golden`.
+/// lands on, and compares its admitted artifacts with `golden`.
 #[allow(clippy::unwrap_used)]
 fn assert_rung_golden(dead: &[usize], prior: bool, rung: LadderRung, golden: &str) {
-    let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
+    let cfg = OptimizerConfig::fast_test();
     let (dag, prior_rounds, done) = perturbed_resnet50(cfg);
     let mut ctx = PlanContext::for_dag(dag, cfg);
     ctx.done = done;
     ctx.dead_engines = dead.to_vec();
     let got = replan_attempt(&mut ctx, prior.then_some(prior_rounds.as_slice())).unwrap();
     assert_eq!(got, rung, "wrong rung under test");
-    assert_pin_golden(&ctx, rung, golden);
+    assert_pin_golden(&mut ctx, rung, golden);
 }
 
-/// Compares the repaired plan in `ctx` with the `golden` pin of `rung`.
+/// Admits the repaired plan in `ctx` (the ladder's rungs audit nothing
+/// themselves) and compares it with the `golden` pin of `rung`.
 #[allow(clippy::unwrap_used)]
-fn assert_pin_golden(ctx: &PlanContext<'_>, rung: LadderRung, golden: &str) {
+fn assert_pin_golden(ctx: &mut PlanContext<'_>, rung: LadderRung, golden: &str) {
+    atomic_dataflow::validate::admit(ctx).unwrap();
     let cfg = ctx.cfg;
     let program = ctx.program.as_ref().unwrap();
     let stats = Simulator::new(cfg.sim).run(program).unwrap();
@@ -477,39 +467,12 @@ fn golden_replan_full_without_prior() {
     );
 }
 
-/// The ladder's last rung, the budget-free greedy stage list, run on the
-/// same perturbed context the other rungs repair. (The ladder reaches it
-/// only when a full re-plan fails admission.)
-#[allow(clippy::unwrap_used)]
-#[test]
-fn golden_replan_greedy_fallback() {
-    let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
-    let (dag, _, done) = perturbed_resnet50(cfg);
-    let mut ctx = PlanContext::for_dag(dag, cfg);
-    ctx.done = done;
-    ctx.dead_engines = vec![3];
-    Pipeline::new(vec![
-        Box::new(ScheduleStage {
-            mode: Some(ScheduleMode::PriorityGreedy),
-        }),
-        Box::new(MapStage),
-        Box::new(LowerStage),
-    ])
-    .run(&mut ctx)
-    .unwrap();
-    assert_pin_golden(
-        &ctx,
-        LadderRung::GreedyFallback,
-        include_str!("golden/replan_greedy.json"),
-    );
-}
-
 /// One whole fault-injected run: `tiny_branchy` on 8×8 under the paper's
 /// DP shape (lookahead 2, branch 3), hit by a seeded chaos plan whose two
 /// retries both take the scoped DP rung.
 #[test]
 fn golden_recovery_tiny_branchy_chaos_scoped_twice() {
-    let mut cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
+    let mut cfg = OptimizerConfig::fast_test();
     cfg.sim.mesh = MeshConfig::grid(8, 8);
     cfg.schedule_mode = ScheduleMode::Dp {
         lookahead: 2,
@@ -570,7 +533,7 @@ fn golden_recovery_tiny_branchy_chaos_scoped_twice() {
 /// direction.
 #[test]
 fn incremental_replan_is_order_of_magnitude_faster_than_cold() {
-    let mut cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Off);
+    let mut cfg = OptimizerConfig::fast_test();
     cfg.sim.mesh = MeshConfig::grid(8, 8);
     let dead = [3usize];
     let (dag, prior, done) = perturbed_resnet50(cfg);
@@ -609,7 +572,6 @@ fn incremental_replan_is_order_of_magnitude_faster_than_cold() {
     // The speed does not come from skipping the auditor: the incremental
     // artifacts still pass Deny-mode admission.
     let mut ctx = last.unwrap();
-    ctx.cfg.validate = ValidateMode::Deny;
     atomic_dataflow::validate::admit(&mut ctx).expect("incremental replan artifacts must admit");
 }
 
@@ -728,10 +690,6 @@ fn golden_sim_stats_resnet50_8x8_64k_buffer_under_each_eviction_kind() {
         (
             EvictionKind::InvalidOccupation,
             include_str!("golden/sim_resnet50_8x8_buf64k_invalid_occupation.json"),
-        ),
-        (
-            EvictionKind::Lru,
-            include_str!("golden/sim_resnet50_8x8_buf64k_lru.json"),
         ),
         (
             EvictionKind::Fifo,

@@ -278,14 +278,15 @@ fn atomic_dag_edges_conserve_input_volume() {
 /// Differential admission check over seeded adversarial graphs: the
 /// independent validator must pass every strategy — the full planner and
 /// all five baselines — on 50 random graphs with prime extents, odd
-/// channel counts and skip-leaf funnels. A rejection here means either a
-/// planner bug or a validator bug; both are worth failing loudly.
+/// channel counts and skip-leaf funnels. Every strategy admits the plan it
+/// returns, in every build, so a plain successful run is the check. A
+/// rejection here means either a planner bug or a validator bug; both are
+/// worth failing loudly.
 #[test]
 fn adversarial_graphs_pass_admission_in_every_strategy() {
-    use atomic_dataflow::ValidateMode;
     for seed in 0..50u64 {
         let g = models::random(&models::RandomGraphConfig::seeded(seed));
-        let cfg = OptimizerConfig::fast_test().with_validate(ValidateMode::Deny);
+        let cfg = OptimizerConfig::fast_test();
         let opt = Optimizer::new(cfg)
             .optimize(&g)
             .unwrap_or_else(|e| panic!("seed {seed}: planner rejected: {e}"));
@@ -306,9 +307,9 @@ fn adversarial_graphs_pass_admission_in_every_strategy() {
 }
 
 /// Differential recovery check on adversarial graphs: an early engine
-/// death forces a replan, and the replanned run — which passes through
-/// Deny-mode admission in debug builds — must complete with exact task
-/// conservation on every seeded graph.
+/// death forces a replan, and the replanned run — whose every attempt
+/// `run_with_recovery` admits before simulating it, in every build — must
+/// complete with exact task conservation on every seeded graph.
 #[test]
 fn recovery_replans_admit_on_adversarial_graphs() {
     for seed in 0..50u64 {
