@@ -1,3 +1,6 @@
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ad_util::cast::u32_from_usize;
 
 use crate::program::{DataId, TaskId};
@@ -193,11 +196,16 @@ impl BufferState {
     }
 
     /// Selects victims freeing at least `deficit` bytes, in eviction order,
-    /// according to `kind` (one scan — Alg. 3 evaluated over the buffer).
+    /// according to `kind` (Alg. 3 evaluated over the buffer).
     ///
     /// `now` is the current round; `pinned(slot)` marks entries that must
     /// stay (operands/outputs of the executing round). May free fewer bytes
     /// than requested when everything else is pinned.
+    ///
+    /// Eviction order is score descending, then slot ascending. The
+    /// unpinned entries are scored once into a heap and popped only until
+    /// `deficit` bytes are freed, so a call that needs few victims never
+    /// sorts the whole buffer.
     pub fn pick_victims(
         &self,
         kind: EvictionKind,
@@ -205,13 +213,12 @@ impl BufferState {
         deficit: u64,
         pinned: &dyn Fn(u32) -> bool,
     ) -> Vec<u32> {
-        let mut scored: Vec<(u128, u32, u64)> = self
+        let mut heap: BinaryHeap<(u128, Reverse<u32>, u64)> = self
             .keys
             .iter()
             .zip(&self.vals)
-            .map(|(&s, e)| (s, e))
-            .filter(|&(s, _)| !pinned(s))
-            .map(|(s, e)| {
+            .filter(|&(&s, _)| !pinned(s))
+            .map(|(&s, e)| {
                 let score: u128 = match kind {
                     EvictionKind::InvalidOccupation => {
                         // Alg. 3: invalid occupation = wait-time × size.
@@ -226,16 +233,15 @@ impl BufferState {
                     // FIFO evicts the *smallest* timestamp first: invert.
                     EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
                 };
-                (score, s, e.bytes)
+                (score, Reverse(s), e.bytes)
             })
             .collect();
-        scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut out = Vec::new();
         let mut freed = 0u64;
-        for (_, s, bytes) in scored {
-            if freed >= deficit {
+        while freed < deficit {
+            let Some((_, Reverse(s), bytes)) = heap.pop() else {
                 break;
-            }
+            };
             freed += bytes;
             out.push(s);
         }

@@ -1,5 +1,3 @@
-use std::borrow::Cow;
-
 use ad_util::cast::u32_from_usize;
 use engine_model::EngineConfig;
 use mem_model::{HbmConfig, HbmModel};
@@ -8,7 +6,7 @@ use noc_model::{LinkFaults, MeshConfig, TrafficTracker};
 use crate::buffer::{BufferState, EvictionKind};
 use crate::copyset::CopySets;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::program::{Program, ProgramError, TaskId};
+use crate::program::{Program, ProgramError, TaskId, TaskTable};
 use crate::stats::{DegradationStats, EnergyBreakdown, SimStats};
 
 /// Full system configuration: engine micro-architecture, mesh, HBM and the
@@ -232,11 +230,87 @@ impl Simulator {
                 });
             }
         }
-        let mut rt = Runtime::new(&self.cfg, program, plan);
+        let rows = OperandRows::new(program);
+        let mut rt = Runtime::new(&self.cfg, program, &rows, plan);
         match rt.execute()? {
             Some(report) => Ok(FaultedOutcome::Failed(report)),
             None => Ok(FaultedOutcome::Completed(rt.into_stats())),
         }
+    }
+}
+
+/// Every task's operand slots and sizes, as the table lays them out: task
+/// `t` owns `in_slot[in_off[t]..in_off[t + 1]]` and the same range of
+/// `in_bytes`.
+///
+/// A done task's output moves to the recovered range after the externals,
+/// so the rows of pending tasks that read one are rewritten once into
+/// `moved`; every other row is the table's own. Without done tasks
+/// `row_at` and `moved` are empty and a row lookup is one bounds check.
+struct OperandRows<'p> {
+    table: &'p TaskTable,
+    /// Per task, the start of its rewritten row in `moved`, or
+    /// [`NOT_MOVED`]. Empty when no task is done.
+    row_at: Vec<usize>,
+    moved: Vec<u32>,
+    /// Slot count: task outputs, externals, then one per done task.
+    slots: usize,
+}
+
+/// `row_at` marker of a row read straight from the table.
+const NOT_MOVED: usize = usize::MAX;
+
+impl<'p> OperandRows<'p> {
+    fn new(program: &'p Program) -> Self {
+        let table = &**program.table();
+        let n_tasks = program.tasks().len();
+        let mut rows = Self {
+            table,
+            row_at: Vec::new(),
+            moved: Vec::new(),
+            slots: n_tasks + table.ext_ids.len(),
+        };
+        if program.pending_tasks() == n_tasks {
+            return rows;
+        }
+        // A done task's consumers read its output as recovered data,
+        // slotted after the externals in task order.
+        let done = |t: usize| program.is_done(TaskId(u32_from_usize(t)));
+        let mut recovered: Vec<Option<u32>> = vec![None; n_tasks];
+        for (t, r) in recovered.iter_mut().enumerate() {
+            if done(t) {
+                *r = Some(u32_from_usize(rows.slots));
+                rows.slots += 1;
+            }
+        }
+        let moved_to = |s: u32| recovered.get(s as usize).copied().flatten();
+        rows.row_at = vec![NOT_MOVED; n_tasks];
+        // Done tasks never run, so their rows are never read.
+        for t in (0..n_tasks).filter(|&t| !done(t)) {
+            let row = &table.in_slot[table.in_off[t]..table.in_off[t + 1]];
+            if row.iter().any(|&s| moved_to(s).is_some()) {
+                rows.row_at[t] = rows.moved.len();
+                rows.moved
+                    .extend(row.iter().map(|&s| moved_to(s).unwrap_or(s)));
+            }
+        }
+        rows
+    }
+
+    /// Operand slots of `tid`, in operand order.
+    fn slots(&'p self, tid: TaskId) -> &'p [u32] {
+        let (t, table) = (tid.index(), self.table);
+        let row = &table.in_slot[table.in_off[t]..table.in_off[t + 1]];
+        match self.row_at.get(t) {
+            Some(&at) if at != NOT_MOVED => &self.moved[at..at + row.len()],
+            _ => row,
+        }
+    }
+
+    /// Operand sizes of `tid`, parallel to [`OperandRows::slots`].
+    fn bytes(&self, tid: TaskId) -> &'p [u64] {
+        let (t, table) = (tid.index(), self.table);
+        &table.in_bytes[table.in_off[t]..table.in_off[t + 1]]
     }
 }
 
@@ -284,16 +358,8 @@ struct Runtime<'p> {
     /// is one load instead of a scan of the operand list.
     pin_stamp: Vec<u32>,
     pin_gen: u32,
-    /// Operand slots and sizes from the task table's layout, so the hot
-    /// path never re-resolves `Operand`s: task `t` owns
-    /// `in_slot[in_off[t]..in_off[t + 1]]` and the same range of
-    /// `in_bytes`. Split so the passes that need only slots (pinning,
-    /// releasing) read 4 bytes per operand. Borrowed from the table unless
-    /// some task is done, whose output slot then moves to the recovered
-    /// range.
-    in_slot: Cow<'p, [u32]>,
-    in_bytes: &'p [u64],
-    in_off: &'p [usize],
+    /// Operand slots and sizes of every task (see [`OperandRows`]).
+    rows: &'p OperandRows<'p>,
     /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
     /// transfer distance while no link is dead.
     hop_table: Vec<u64>,
@@ -333,44 +399,22 @@ struct Runtime<'p> {
 }
 
 impl<'p> Runtime<'p> {
-    fn new(cfg: &'p SimConfig, program: &'p Program, plan: &FaultPlan) -> Self {
+    fn new(
+        cfg: &'p SimConfig,
+        program: &'p Program,
+        rows: &'p OperandRows<'p>,
+        plan: &FaultPlan,
+    ) -> Self {
         let engines = cfg.engines();
         let n_tasks = program.tasks().len();
-        let table = &**program.table();
-        let ext_end = n_tasks + table.ext_ids.len();
-
-        // A done task's consumers read its output as recovered data, slotted
-        // after the externals in task order.
-        let mut slots = ext_end;
-        let in_slot = if program.pending_tasks() < n_tasks {
-            let mut moved = Vec::with_capacity(n_tasks);
-            for t in 0..u32_from_usize(n_tasks) {
-                if program.is_done(TaskId(t)) {
-                    moved.push(u32_from_usize(slots));
-                    slots += 1;
-                } else {
-                    moved.push(t);
-                }
-            }
-            Cow::Owned(
-                table
-                    .in_slot
-                    .iter()
-                    .map(|&s| moved.get(s as usize).copied().unwrap_or(s))
-                    .collect(),
-            )
-        } else {
-            Cow::Borrowed(&table.in_slot[..])
-        };
-        let in_off = &table.in_off[..];
-        let task_slots = |tid: TaskId| &in_slot[in_off[tid.index()]..in_off[tid.index() + 1]];
+        let slots = rows.slots;
 
         // Only scheduled tasks read anything; count their uses per slot,
         // then lay the per-slot use lists out back to back and fill them in
         // round order, so each list comes out sorted.
         let mut remaining_uses = vec![0u32; slots];
         for &(tid, _) in program.rounds().iter().flatten() {
-            for &slot in task_slots(tid) {
+            for &slot in rows.slots(tid) {
                 remaining_uses[slot as usize] += 1;
             }
         }
@@ -383,7 +427,7 @@ impl<'p> Runtime<'p> {
         let mut use_cursor = use_off[..slots].to_vec();
         for (r, round) in program.rounds().iter().enumerate() {
             for (tid, _) in round {
-                for &slot in task_slots(*tid) {
+                for &slot in rows.slots(*tid) {
                     let at = &mut use_cursor[slot as usize];
                     use_rounds[*at] = u32_from_usize(r);
                     *at += 1;
@@ -418,9 +462,7 @@ impl<'p> Runtime<'p> {
             use_cursor,
             pin_stamp: vec![0; slots],
             pin_gen: 0,
-            in_slot,
-            in_bytes: &table.in_bytes,
-            in_off,
+            rows,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
             hbm: HbmModel::new(cfg.hbm),
@@ -571,8 +613,7 @@ impl<'p> Runtime<'p> {
             // A slot at zero has already been released (the maps used to
             // drop the key entirely), so it is skipped, never re-released.
             for &(tid, _) in assignments {
-                for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
-                    let slot = self.in_slot[k];
+                for &slot in self.rows.slots(tid) {
                     let uses = &mut self.remaining_uses[slot as usize];
                     if *uses > 0 {
                         *uses -= 1;
@@ -660,8 +701,8 @@ impl<'p> Runtime<'p> {
         // `max(last DRAM completion, end of NoC streaming)`.
         let mut noc_t = round_start;
         let mut dram_ready = round_start;
-        for k in self.in_off[tid.index()]..self.in_off[tid.index() + 1] {
-            let (slot, bytes) = (self.in_slot[k], self.in_bytes[k]);
+        let (slots, sizes) = (self.rows.slots(tid), self.rows.bytes(tid));
+        for (&slot, &bytes) in slots.iter().zip(sizes) {
             if bytes == 0 {
                 continue;
             }
@@ -821,7 +862,7 @@ impl<'p> Runtime<'p> {
         }
         let gen = self.pin_gen;
         self.pin_stamp[tid.index()] = gen;
-        for &op in &self.in_slot[self.in_off[tid.index()]..self.in_off[tid.index() + 1]] {
+        for &op in self.rows.slots(tid) {
             self.pin_stamp[op as usize] = gen;
         }
         let stamps = &self.pin_stamp;

@@ -919,10 +919,25 @@ pub fn serve(listener: &TcpListener, store: &PlanStore, sc: &ServerConfig) -> st
     Ok(())
 }
 
-/// Writes one typed refusal line and closes the connection.
-fn refuse_connection(mut conn: TcpStream, r: &AdmissionRefusal) {
-    let _ = writeln!(conn, "{}", refusal_line(r));
-    let _ = conn.flush();
+/// Writes one typed refusal line; the connection closes when `conn` drops.
+fn refuse_connection(mut conn: impl Write, r: &AdmissionRefusal) {
+    let _ = write_line(&mut conn, refusal_line(r));
+}
+
+/// Sends `line` and its newline in one `write_all`, the way every line
+/// the daemon and its clients put on a socket goes out.
+///
+/// `writeln!` on an unbuffered `TcpStream` makes two writes, so the
+/// newline leaves as a second small segment. Nagle's algorithm holds that
+/// segment until the first is acknowledged, and the peer delays its ACK by
+/// up to ≈ 40 ms: every request or reply would wait that long.
+///
+/// # Errors
+///
+/// Whatever the writer reports.
+pub fn write_line<W: Write + ?Sized>(w: &mut W, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// Longest request line the daemon reads, newline excluded. A request is a
@@ -960,8 +975,16 @@ fn read_request_line<'b>(
     Ok(RequestLine::Line(line.strip_suffix(b"\r").unwrap_or(line)))
 }
 
+/// What ended a connection's request loop.
+#[derive(Debug, PartialEq, Eq)]
+enum ConnEnd {
+    /// End of stream, an I/O error, or a refused line.
+    Closed,
+    /// A `shutdown` request was answered.
+    Shutdown,
+}
+
 /// Serves one connection: a sequence of request lines until EOF.
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     item: QueuedConn,
     store: &PlanStore,
@@ -971,52 +994,64 @@ fn serve_connection(
     pool: &Arc<WorkerPool>,
     admission: &Admission,
 ) {
-    let QueuedConn { conn, clock } = item;
+    let QueuedConn { mut conn, clock } = item;
+    // A reply written while an earlier one is still unacknowledged
+    // (pipelined requests, the tail of a large plan) goes out at once.
+    let _ = conn.set_nodelay(true);
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
-    let mut writer = conn;
-    // The first request's deadline runs from accept time (it includes the
-    // queue wait); follow-up requests run from their read time.
-    let mut first_clock = Some(clock);
-    let mut reader = BufReader::new(read_half);
+    let ctx = ServeCtx {
+        store,
+        sc,
+        pool: Some(pool),
+        admission: Some(admission),
+        clock: Some(clock),
+    };
+    if serve_lines(ctx, BufReader::new(read_half), &mut conn) == ConnEnd::Shutdown {
+        stop.store(true, Ordering::SeqCst);
+        // Wake the accept loop so `serve` can observe the flag.
+        drop(TcpStream::connect(addr));
+    }
+}
+
+/// Answers the request lines read from `reader` on `writer`, one
+/// [`write_line`] per reply, until the stream ends, a line is refused or a
+/// `shutdown` is answered. The first request's deadline runs from
+/// `ctx.clock` (accept time, so it includes the queue wait); follow-up
+/// requests run from their read time.
+fn serve_lines(
+    mut ctx: ServeCtx<'_>,
+    mut reader: impl BufRead,
+    writer: &mut impl Write,
+) -> ConnEnd {
+    let mut first_clock = ctx.clock.take();
     let mut buf = Vec::new();
     loop {
         let line = match read_request_line(&mut reader, &mut buf) {
             Ok(RequestLine::Line(line)) => line,
             Ok(RequestLine::TooLong) => {
-                let _ = writeln!(writer, "{}", line_too_long());
-                let _ = writer.flush();
-                return;
+                let _ = write_line(writer, line_too_long());
+                return ConnEnd::Closed;
             }
-            Ok(RequestLine::Eof) | Err(_) => return,
+            Ok(RequestLine::Eof) | Err(_) => return ConnEnd::Closed,
         };
         let Ok(line) = std::str::from_utf8(line) else {
-            return;
+            return ConnEnd::Closed;
         };
         if line.trim().is_empty() {
             continue;
         }
-        let ctx = ServeCtx {
-            store,
-            sc,
-            pool: Some(pool),
-            admission: Some(admission),
-            clock: Some(first_clock.take().unwrap_or_else(EdgeClock::now)),
-        };
+        ctx.clock = Some(first_clock.take().unwrap_or_else(EdgeClock::now));
         match handle_request(&ctx, line) {
             Reply::Line(resp) => {
-                if writeln!(writer, "{resp}").is_err() {
-                    return;
+                if write_line(writer, resp).is_err() {
+                    return ConnEnd::Closed;
                 }
             }
             Reply::Shutdown(resp) => {
-                let _ = writeln!(writer, "{resp}");
-                let _ = writer.flush();
-                stop.store(true, Ordering::SeqCst);
-                // Wake the accept loop so `serve` can observe the flag.
-                drop(TcpStream::connect(addr));
-                return;
+                let _ = write_line(writer, resp);
+                return ConnEnd::Shutdown;
             }
         }
     }
@@ -1029,6 +1064,98 @@ mod tests {
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint(n)
+    }
+
+    /// Records every `write` call: each one can leave as its own segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl CountingWriter {
+        /// Asserts that each write is one whole line, and returns the lines.
+        fn lines(&self) -> Vec<Json> {
+            self.writes
+                .iter()
+                .map(|w| {
+                    let text = std::str::from_utf8(w).unwrap();
+                    let line = text
+                        .strip_suffix('\n')
+                        .unwrap_or_else(|| panic!("write {text:?} does not end a line"));
+                    assert!(!line.contains('\n'), "one write carried two lines");
+                    Json::parse(line).unwrap()
+                })
+                .collect()
+        }
+    }
+
+    /// Drives the connection loop on `input` with a fast daemon config.
+    fn serve_input(input: &[u8]) -> (ConnEnd, CountingWriter) {
+        let store = PlanStore::new(4);
+        let sc = ServerConfig {
+            base_hw: HardwareConfig::fast_test(),
+            fast: true,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let pool = Arc::new(WorkerPool::new(1));
+        let admission = Admission::new();
+        let ctx = ServeCtx {
+            store: &store,
+            sc: &sc,
+            pool: Some(&pool),
+            admission: Some(&admission),
+            clock: Some(EdgeClock::now()),
+        };
+        let mut w = CountingWriter::default();
+        let end = serve_lines(ctx, input, &mut w);
+        (end, w)
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        // Plan reply (miss, then hit), stats and shutdown: one write each.
+        let plan = r#"{"op":"plan","model":"tiny_cnn"}"#;
+        let input = format!("{plan}\n{plan}\n{{\"op\":\"stats\"}}\n{{\"op\":\"shutdown\"}}\n");
+        let (end, w) = serve_input(input.as_bytes());
+        assert_eq!(end, ConnEnd::Shutdown);
+        let lines = w.lines();
+        assert_eq!(lines.len(), 4, "one write per reply");
+        assert_eq!(lines[0].get("cached").and_then(Json::as_bool), Some(false));
+        assert_eq!(lines[1].get("cached").and_then(Json::as_bool), Some(true));
+        assert!(lines[2].get("stats").is_some());
+        assert_eq!(lines[3].get("shutdown").and_then(Json::as_bool), Some(true));
+
+        // An over-long line: one refusal write, then the loop ends.
+        let (end, w) = serve_input(" ".repeat(MAX_REQUEST_BYTES + 1).as_bytes());
+        assert_eq!(end, ConnEnd::Closed);
+        let lines = w.lines();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(
+            lines[0].get("refused").and_then(Json::as_str),
+            Some("line_too_long")
+        );
+
+        // An admission refusal.
+        let mut w = CountingWriter::default();
+        refuse_connection(&mut w, &AdmissionRefusal::ShuttingDown);
+        let lines = w.lines();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(
+            lines[0].get("refused").and_then(Json::as_str),
+            Some("shutting_down")
+        );
     }
 
     #[test]

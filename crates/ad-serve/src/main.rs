@@ -35,11 +35,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
-use ad_serve::{serve, PlanStore, ServerConfig};
+use ad_serve::{serve, write_line, PlanStore, ServerConfig};
 use ad_util::Json;
 use atomic_dataflow::{request, OptimizerConfig, PlanRequest};
 use dnn_graph::models;
@@ -170,7 +170,7 @@ fn open_store(capacity: usize, cache_dir: Option<&std::path::Path>) -> PlanStore
 
 /// One request line over an open connection; returns the parsed response.
 fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> Json {
-    writeln!(conn, "{req}").expect("send request");
+    write_line(conn, req.to_owned()).expect("send request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("read response");
     Json::parse(&line).expect("response parses")

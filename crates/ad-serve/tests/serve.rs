@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use ad_serve::{serve, PlanStore, ServerConfig, MAX_REQUEST_BYTES};
+use ad_serve::{serve, write_line, PlanStore, ServerConfig, MAX_REQUEST_BYTES};
 use ad_util::Json;
 use atomic_dataflow::{request, OptimizerConfig, PlanRequest, Strategy};
 use dnn_graph::models;
@@ -99,7 +99,7 @@ fn served_plan_does_not_depend_on_store_history() {
 
 #[allow(clippy::expect_used)] // test helper; clippy only auto-exempts #[test] fns
 fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> Json {
-    writeln!(conn, "{req}").expect("send request");
+    write_line(conn, req.to_owned()).expect("send request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("read response");
     Json::parse(&line).expect("response parses")
@@ -261,15 +261,15 @@ fn daemon_sheds_overload_and_drains_with_typed_refusals() {
         // connect order is queue order). Their lines sit in the socket
         // buffers until the worker frees up.
         let mut b = TcpStream::connect(addr).expect("connect B");
-        writeln!(
-            b,
-            "{{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"deadline_ms\":0}}"
+        write_line(
+            &mut b,
+            r#"{"op":"plan","model":"tiny_cnn","deadline_ms":0}"#.to_owned(),
         )
         .expect("send B");
         let mut d = TcpStream::connect(addr).expect("connect D");
-        writeln!(d, "{{\"op\":\"shutdown\"}}").expect("send D");
+        write_line(&mut d, r#"{"op":"shutdown"}"#.to_owned()).expect("send D");
         let mut f = TcpStream::connect(addr).expect("connect F");
-        writeln!(f, "{{\"op\":\"plan\",\"model\":\"tiny_cnn\"}}").expect("send F");
+        write_line(&mut f, r#"{"op":"plan","model":"tiny_cnn"}"#.to_owned()).expect("send F");
 
         // C: the queue is full, so the accept loop refuses immediately —
         // C hears a typed `overloaded` line within its deadline, not a
@@ -420,4 +420,61 @@ fn daemon_survives_deep_and_over_long_request_lines() {
             .expect("server thread")
             .expect("serve loop exits cleanly");
     });
+}
+
+/// A cache hit is answered in well under a millisecond, so its round trip
+/// over loopback must not wait on the peer's delayed ACK (≈ 40 ms on
+/// Linux): every line goes out in one write and accepted sockets are
+/// `TCP_NODELAY`. Linux acknowledges at once during a connection's first
+/// exchanges (quick-ACK), which hides the stall, so the timed hits follow
+/// 30 untimed ones on the same connection.
+#[test]
+fn served_hits_do_not_wait_for_a_delayed_ack() {
+    let store = PlanStore::new(8);
+    let sc = ServerConfig {
+        base_hw: HardwareConfig::fast_test(),
+        fast: true,
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+
+    // Assertions wait until the daemon has been shut down and joined: a
+    // panic inside the scope would leave `serve` running and hang the test.
+    let (ok, mut ms) = std::thread::scope(|s| {
+        let server = s.spawn(|| serve(&listener, &store, &sc));
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
+
+        let req = "{\"op\":\"plan\",\"model\":\"tiny_cnn\"}";
+        let mut ok = true;
+        let mut hit = || {
+            let t0 = std::time::Instant::now();
+            let r = roundtrip(&mut conn, &mut reader, req);
+            ok &= r.get("ok").and_then(Json::as_bool) == Some(true);
+            t0.elapsed().as_secs_f64() * 1e3
+        };
+        hit(); // the miss
+        for _ in 0..30 {
+            hit();
+        }
+        let ms: Vec<f64> = (0..50).map(|_| hit()).collect();
+
+        let bye = roundtrip(&mut conn, &mut reader, "{\"op\":\"shutdown\"}");
+        ok &= bye.get("shutdown").and_then(Json::as_bool) == Some(true);
+        server
+            .join()
+            .expect("server thread")
+            .expect("serve loop exits cleanly");
+        (ok, ms)
+    });
+    assert!(ok, "every request and the shutdown were answered ok");
+    assert_eq!(store.stats().misses, 1, "every timed request was a hit");
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "median hit round trip {median:.2} ms: a line waited on a delayed ACK"
+    );
 }

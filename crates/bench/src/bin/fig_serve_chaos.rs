@@ -41,14 +41,14 @@
 //! before anything runs.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ad_bench::harness::flag_value;
 use ad_bench::Table;
-use ad_serve::{serve, PlanStore, ServerConfig};
+use ad_serve::{serve, write_line, PlanStore, ServerConfig};
 use ad_util::{Json, Rng64};
 use engine_model::HardwareConfig;
 
@@ -271,7 +271,7 @@ fn request_line(
     reader: &mut BufReader<TcpStream>,
     req: &str,
 ) -> Option<Json> {
-    writeln!(conn, "{req}").ok()?;
+    write_line(conn, req.to_owned()).ok()?;
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     Json::parse(&line).ok()
@@ -487,7 +487,7 @@ fn overload_burst(seed: u64, burst: usize, totals: &mut Totals) {
             let deadline_ms = if rng.chance(0.5) { 0 } else { 60_000 };
             let req =
                 format!("{{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"deadline_ms\":{deadline_ms}}}");
-            writeln!(conn, "{req}").expect("send burst request");
+            write_line(&mut conn, req).expect("send burst request");
             totals.requests += 1;
             clients.push(conn);
         }

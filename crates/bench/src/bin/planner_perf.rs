@@ -23,7 +23,8 @@
 //! Flags:
 //!
 //! * `--fast` — CI mode: `fast_test` configuration (4×4 mesh, short SA,
-//!   single candidate) instead of paper scale; seconds, not minutes.
+//!   two search targets, so the sweep reaches the candidate fan-out)
+//!   instead of paper scale; seconds, not minutes.
 //! * `--threads=1,8` — comma-separated thread counts to sweep (default
 //!   `1,2,4,8,16`; `--fast` default `1,8`).
 //! * `--iters=N` — timed passes per thread level, N ≥ 1 (default 3 paper / 1
@@ -379,9 +380,12 @@ fn main() {
     } = Args::parse(&args);
 
     let base_cfg = if fast {
-        OptimizerConfig::for_hardware(&HardwareConfig::fast_test())
+        let mut cfg = OptimizerConfig::for_hardware(&HardwareConfig::fast_test())
             .expect("built-in fast-test hardware config is valid")
-            .with_fast_search()
+            .with_fast_search();
+        // Two targets, so the thread sweep covers phase 2's fan-out.
+        cfg.search_targets = [32, 64, 0];
+        cfg
     } else {
         OptimizerConfig::for_hardware(&HardwareConfig::paper_default())
             .expect("built-in paper hardware config is valid")

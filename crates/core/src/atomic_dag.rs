@@ -664,6 +664,14 @@ fn needed_region(
 }
 
 #[cfg(test)]
+impl AtomicDag {
+    /// An atom's tile, writable, for tests that corrupt a DAG.
+    pub(crate) fn coords_mut(&mut self, id: AtomId) -> &mut AtomCoords {
+        &mut self.atoms[id.index()].coords
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use accel_sim::Operand;

@@ -35,6 +35,7 @@ use accel_sim::{Program, SimStats};
 use dnn_graph::Graph;
 use engine_model::{Dataflow, EngineConfig};
 
+use crate::atom::{AtomCoords, Range};
 use crate::atomic_dag::{AtomId, AtomicDag};
 use crate::pipeline::PlanContext;
 use crate::scheduler::Schedule;
@@ -385,18 +386,22 @@ pub fn check_dag(
                 covered += co.elements();
             }
 
-            // Pairwise disjointness (atom counts per layer are small —
-            // bounded by the generator's per-layer atom cap — so O(k^2) is fine).
-            for (i, &a) in ids.iter().enumerate() {
-                for &b in &ids[i + 1..] {
-                    let ov = dag.atom(a).coords.overlap_elements(&dag.atom(b).coords);
-                    if ov != 0 {
-                        return Err(ValidationError::new(
-                            Artifact::AtomicDag,
-                            Invariant::TilingOverlap,
-                            path(format!("/atom{}+atom{}", a.0, b.0)),
-                            format!("atoms overlap in {ov} output elements"),
-                        ));
+            // Disjointness: proven by the grid check in O(k log k); the
+            // pairwise scan runs only when that proof fails, and then names
+            // the first overlapping pair.
+            let tiles: Vec<AtomCoords> = ids.iter().map(|&id| dag.atom(id).coords).collect();
+            if !grid_disjoint(&tiles) {
+                for (i, &a) in ids.iter().enumerate() {
+                    for &b in &ids[i + 1..] {
+                        let ov = dag.atom(a).coords.overlap_elements(&dag.atom(b).coords);
+                        if ov != 0 {
+                            return Err(ValidationError::new(
+                                Artifact::AtomicDag,
+                                Invariant::TilingOverlap,
+                                path(format!("/atom{}+atom{}", a.0, b.0)),
+                                format!("atoms overlap in {ov} output elements"),
+                            ));
+                        }
                     }
                 }
             }
@@ -439,6 +444,38 @@ pub fn check_dag(
         }
     }
     Ok(())
+}
+
+/// Proves `tiles` pairwise disjoint when they form a grid: on each axis,
+/// every tile spans exactly one cell between consecutive distinct bounds.
+/// Those cells partition space, so two such tiles overlap only if they are
+/// the same cell, i.e. share an origin. O(k log k); `false` means the
+/// proof does not apply or found a shared origin, not that tiles overlap.
+fn grid_disjoint(tiles: &[AtomCoords]) -> bool {
+    let axes: [fn(&AtomCoords) -> Range; 3] = [|t| t.h, |t| t.w, |t| t.c];
+    for axis in axes {
+        let mut bounds: Vec<usize> = tiles
+            .iter()
+            .flat_map(|t| [axis(t).start, axis(t).end])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let one_cell = |t: &AtomCoords| {
+            let r = axis(t);
+            bounds
+                .binary_search(&r.start)
+                .is_ok_and(|i| bounds.get(i + 1) == Some(&r.end))
+        };
+        if !tiles.iter().all(one_cell) {
+            return false;
+        }
+    }
+    let mut origins: Vec<(usize, usize, usize)> = tiles
+        .iter()
+        .map(|t| (t.h.start, t.w.start, t.c.start))
+        .collect();
+    origins.sort_unstable();
+    origins.windows(2).all(|w| w[0] != w[1])
 }
 
 /// Per-atom PE-alignment for array ops: the snapped dimension is either a
@@ -1008,6 +1045,49 @@ mod tests {
         // ...and fails against a graph whose outputs don't match.
         let other = models::tiny_branchy();
         assert!(check_dag(dag, Some(&other), None).is_err());
+    }
+
+    #[test]
+    fn overlapping_atoms_with_matching_coverage_are_rejected() {
+        let g = models::tiny_cnn();
+        let ctx = planned_ctx(&g);
+        let mut dag = ctx.dag.clone().expect("dag");
+        // Every layer of a generated DAG is a grid, so the fast proof
+        // accepts it without the pairwise scan.
+        for layer in 0..dag.layer_count() {
+            let lid = dnn_graph::LayerId(ad_util::cast::u32_from_usize(layer));
+            let tiles: Vec<AtomCoords> = dag
+                .layer_atoms(0, lid)
+                .iter()
+                .map(|&id| dag.atom(id).coords)
+                .collect();
+            assert!(grid_disjoint(&tiles), "layer {layer} is not a grid");
+        }
+        // Move an atom onto a later atom of the same shape: the layer's
+        // element count still matches, so only the overlap check can fail.
+        let (layer, a, b) = (0..dag.layer_count())
+            .find_map(|layer| {
+                let lid = dnn_graph::LayerId(ad_util::cast::u32_from_usize(layer));
+                let ids = dag.layer_atoms(0, lid);
+                let dims = |id: AtomId| {
+                    let c = dag.atom(id).coords;
+                    (c.h.len(), c.w.len(), c.c.len())
+                };
+                ids.iter().enumerate().find_map(|(i, &a)| {
+                    ids[i + 1..]
+                        .iter()
+                        .find(|&&b| dims(a) == dims(b))
+                        .map(|&b| (layer, a, b))
+                })
+            })
+            .expect("some layer has two atoms of one shape");
+        *dag.coords_mut(a) = dag.atom(b).coords;
+        let err = check_dag(&dag, Some(&g), None).expect_err("must reject");
+        assert_eq!(err.invariant, Invariant::TilingOverlap);
+        assert_eq!(
+            err.path,
+            format!("dag/b0/layer{layer}/atom{}+atom{}", a.0, b.0)
+        );
     }
 
     #[test]
