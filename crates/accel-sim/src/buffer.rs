@@ -51,7 +51,7 @@ const ABSENT: u32 = u32::MAX;
 /// `pos` maps a slot straight to its entry, so lookup, insert, touch and
 /// remove are O(1): entries live unordered in the parallel `keys`/`vals`
 /// arrays and a removal swaps the last entry into the hole. Storage order
-/// never shows: [`BufferState::pick_victims`] ranks by a total order
+/// never shows: [`BufferState::pick_victims_into`] ranks by a total order
 /// (score, then slot) and [`BufferState::data`] sorts by slot.
 #[derive(Debug, Clone)]
 pub struct BufferState {
@@ -145,7 +145,7 @@ impl BufferState {
     /// # Panics
     ///
     /// Panics (debug) if the entry does not fit — the simulator always calls
-    /// [`BufferState::pick_victims`] until it does.
+    /// [`BufferState::pick_victims_into`] until it does.
     pub fn insert(&mut self, slot: u32, bytes: u64, round: u64, next_use: u64) {
         debug_assert!(
             self.used + bytes <= self.capacity,
@@ -195,49 +195,65 @@ impl BufferState {
         Some(bytes)
     }
 
-    /// Selects victims freeing at least `deficit` bytes, in eviction order,
-    /// according to `kind` (Alg. 3 evaluated over the buffer).
-    ///
-    /// `now` is the current round; `pinned(slot)` marks entries that must
-    /// stay (operands/outputs of the executing round). May free fewer bytes
-    /// than requested when everything else is pinned.
-    ///
-    /// Eviction order is score descending, then slot ascending. The
-    /// unpinned entries are scored once into a heap and popped only until
-    /// `deficit` bytes are freed, so a call that needs few victims never
-    /// sorts the whole buffer.
-    pub fn pick_victims(
+    /// [`BufferState::pick_victims_into`] into a new vector, for tests.
+    #[cfg(test)]
+    fn pick_victims<F: Fn(u32) -> bool + ?Sized>(
         &self,
         kind: EvictionKind,
         now: u64,
         deficit: u64,
-        pinned: &dyn Fn(u32) -> bool,
+        pinned: &F,
     ) -> Vec<u32> {
-        let mut heap: BinaryHeap<(u128, Reverse<u32>, u64)> = self
-            .keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|&(&s, _)| !pinned(s))
-            .map(|(&s, e)| {
-                let score: u128 = match kind {
-                    EvictionKind::InvalidOccupation => {
-                        // Alg. 3: invalid occupation = wait-time × size.
-                        // Data never used again has unbounded occupation.
-                        let wait = if e.next_use == u64::MAX {
-                            u64::MAX / 2
-                        } else {
-                            e.next_use.saturating_sub(now) + 1
-                        };
-                        (wait as u128) * (e.bytes.max(1) as u128)
-                    }
-                    // FIFO evicts the *smallest* timestamp first: invert.
-                    EvictionKind::Fifo => u128::MAX - e.inserted_at as u128,
-                };
-                (score, Reverse(s), e.bytes)
-            })
-            .collect();
         let mut out = Vec::new();
-        let mut freed = 0u64;
+        self.pick_victims_into(kind, now, deficit, pinned, &mut out);
+        out
+    }
+
+    /// Replaces `out` with victims freeing at least `deficit` bytes, in
+    /// eviction order, according to `kind` (Alg. 3 evaluated over the
+    /// buffer).
+    ///
+    /// `now` is the current round; `pinned(slot)` marks entries that must
+    /// stay (operands/outputs of the executing task). May free fewer bytes
+    /// than requested when everything else is pinned; a zero `deficit`
+    /// selects nothing.
+    ///
+    /// Eviction order is score descending, then slot ascending. One scan
+    /// that allocates nothing finds the top unpinned entry; most calls need
+    /// only that one. When it alone does not cover `deficit`, the other
+    /// unpinned entries are scored into a heap and popped only until the
+    /// deficit is freed, so no call sorts the whole buffer.
+    pub fn pick_victims_into<F: Fn(u32) -> bool + ?Sized>(
+        &self,
+        kind: EvictionKind,
+        now: u64,
+        deficit: u64,
+        pinned: &F,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        if deficit == 0 {
+            return;
+        }
+        // Slots are unique, so `(score, Reverse(slot))` is a total order
+        // and the bytes never break a tie.
+        let ranked = || {
+            self.keys
+                .iter()
+                .zip(&self.vals)
+                .filter(|&(&s, _)| !pinned(s))
+                .map(|(&s, e)| (e.score(kind, now), Reverse(s), e.bytes))
+        };
+        let Some((_, Reverse(top), bytes)) = ranked().max() else {
+            return;
+        };
+        out.push(top);
+        if bytes >= deficit {
+            return;
+        }
+        let mut heap: BinaryHeap<(u128, Reverse<u32>, u64)> =
+            ranked().filter(|&(_, Reverse(s), _)| s != top).collect();
+        let mut freed = bytes;
         while freed < deficit {
             let Some((_, Reverse(s), bytes)) = heap.pop() else {
                 break;
@@ -245,7 +261,27 @@ impl BufferState {
             freed += bytes;
             out.push(s);
         }
-        out
+    }
+}
+
+impl Entry {
+    /// Eviction priority under `kind` at round `now`: the larger, the
+    /// sooner evicted.
+    fn score(&self, kind: EvictionKind, now: u64) -> u128 {
+        match kind {
+            EvictionKind::InvalidOccupation => {
+                // Alg. 3: invalid occupation = wait-time × size. Data never
+                // used again has unbounded occupation.
+                let wait = if self.next_use == u64::MAX {
+                    u64::MAX / 2
+                } else {
+                    self.next_use.saturating_sub(now) + 1
+                };
+                (wait as u128) * (self.bytes.max(1) as u128)
+            }
+            // FIFO evicts the *smallest* timestamp first: invert.
+            EvictionKind::Fifo => u128::MAX - self.inserted_at as u128,
+        }
     }
 }
 
@@ -354,6 +390,34 @@ mod tests {
         b.insert(0, 10, 0, NEVER);
         let v = b.pick_victims(EvictionKind::Fifo, 1, 1, &|s| s == 0);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn zero_deficit_selects_nothing() {
+        let mut b = BufferState::new(100);
+        b.insert(0, 40, 0, NEVER);
+        b.insert(1, 30, 0, 3);
+        for kind in [EvictionKind::InvalidOccupation, EvictionKind::Fifo] {
+            assert!(
+                b.pick_victims(kind, 0, 0, &|_| false).is_empty(),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn victim_buffer_is_cleared_and_reused() {
+        let mut b = BufferState::new(100);
+        b.insert(0, 40, 0, 9);
+        b.insert(1, 30, 0, 2);
+        let mut out = vec![7, 7, 7];
+        let kind = EvictionKind::InvalidOccupation;
+        b.pick_victims_into(kind, 0, 50, &|_| false, &mut out);
+        assert_eq!(out, vec![0, 1], "longest wait first, then the rest");
+        b.pick_victims_into(kind, 0, 0, &|_| false, &mut out);
+        assert!(out.is_empty(), "a zero deficit clears the previous victims");
+        b.pick_victims_into(kind, 0, 1, &|s| s == 0, &mut out);
+        assert_eq!(out, vec![1]);
     }
 
     #[test]
@@ -636,6 +700,51 @@ mod tests {
                 assert_eq!(got.contains(slot), want.find(slot).is_ok(), "step {step}");
                 assert_same(&got, &want, step);
             }
+        }
+
+        /// The top unpinned entry alone covers a deficit up to its own size;
+        /// one byte more needs the heap. Deficits just below, at and just
+        /// above the top entry's bytes (and zero) must pick what the sorted
+        /// reference picks, on seeded random buffers and pinned sets.
+        #[test]
+        fn deficits_around_the_top_entry_match_the_sorted_reference() {
+            let mut checked = 0;
+            for seed in 0..200u64 {
+                let mut rng = Rng64::new(0x70b_e417 + seed);
+                let capacity = 4096;
+                let mut got = BufferState::new(capacity);
+                let mut want = SortedBuffer::new(capacity);
+                let round = rng.below_u64(4);
+                for _ in 0..rng.below(24) {
+                    let slot = u32_from_usize(rng.below(64));
+                    let bytes = rng.below_u64(400);
+                    if got.free() >= bytes && !got.contains(slot) {
+                        let nu = next_use(&mut rng, round);
+                        let at = rng.below_u64(4);
+                        got.insert(slot, bytes, at, nu);
+                        want.insert(slot, bytes, at, nu);
+                    }
+                }
+                let pins: Vec<u32> = (0..rng.below(3))
+                    .map(|_| u32_from_usize(rng.below(64)))
+                    .collect();
+                let pinned = |s: u32| pins.contains(&s);
+                for kind in KINDS {
+                    let Some(&top) = want.pick_victims(kind, round, 1, &pinned).first() else {
+                        continue;
+                    };
+                    let top_bytes = want.data().find(|&(s, _)| s == top).map_or(0, |(_, b)| b);
+                    for deficit in [0, top_bytes.saturating_sub(1), top_bytes, top_bytes + 1] {
+                        assert_eq!(
+                            got.pick_victims(kind, round, deficit, &pinned),
+                            want.pick_victims(kind, round, deficit, &pinned),
+                            "seed {seed}: {kind:?}, deficit {deficit}, top {top_bytes} B"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 1000, "only {checked} cases had a victim");
         }
 
         #[test]

@@ -64,5 +64,7 @@ pub use fault::{ChaosProfile, FaultConfigError, FaultEvent, FaultKind, FaultPlan
 pub use program::{
     DataId, Operand, Program, ProgramError, Task, TaskId, TaskTable, TaskTableBuilder,
 };
-pub use sim::{FailureReport, FaultedOutcome, SimConfig, SimError, Simulator};
+pub use sim::{
+    BoundedOutcome, FailureReport, FaultedOutcome, SimConfig, SimError, Simulator, StopReport,
+};
 pub use stats::{DegradationStats, EnergyBreakdown, SimStats};

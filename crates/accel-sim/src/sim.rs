@@ -155,6 +155,40 @@ pub enum FaultedOutcome {
     Failed(FailureReport),
 }
 
+/// Where a bounded run ([`Simulator::run_within`]) stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StopReport {
+    /// The round barrier the run stopped at: rounds `0..round` ran.
+    pub round: usize,
+    /// Rounds in the program.
+    pub rounds: usize,
+    /// The cycle at that barrier plus each remaining round's longest task
+    /// compute: a lower bound on the full run's cycles, at least `bound`.
+    pub floor: u64,
+    /// The bound the run was given.
+    pub bound: u64,
+}
+
+/// Result of [`Simulator::run_within`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundedOutcome {
+    /// The program ran to completion; the statistics equal
+    /// [`Simulator::run`]'s.
+    Completed(Box<SimStats>),
+    /// The run stopped once it could no longer finish below its bound.
+    Stopped(StopReport),
+}
+
+/// How [`Runtime::execute`] ended.
+enum Exit {
+    /// Every round ran.
+    Ran,
+    /// An engine failure stopped the run.
+    Failed(Box<FailureReport>),
+    /// The run reached its bound at a round barrier.
+    Stopped(StopReport),
+}
+
 /// Executes [`Program`]s against the system model. See the crate docs for
 /// the execution semantics.
 #[derive(Debug, Clone)]
@@ -182,14 +216,29 @@ impl Simulator {
     pub fn run(&self, program: &Program) -> Result<SimStats, SimError> {
         match self.run_faulted(program, &FaultPlan::none())? {
             FaultedOutcome::Completed(stats) => Ok(stats),
-            // An empty plan kills no engine, so no round can fail; surfaced
-            // as a typed error rather than a panic should that ever change.
-            FaultedOutcome::Failed(r) => Err(SimError::EngineFailed {
-                engine: r.engine,
-                cycle: r.cycle,
-                round: r.round,
-            }),
+            FaultedOutcome::Failed(r) => Err(r.into_error()),
         }
+    }
+
+    /// Runs `program` like [`Simulator::run`], but stops at the first round
+    /// barrier where the cycles so far plus each remaining round's longest
+    /// task compute reach `bound`.
+    ///
+    /// A task takes `max(gather, compute)` cycles from its round's start,
+    /// so no round ends before its start plus its longest compute: a run
+    /// that stops would have taken at least `bound` cycles in full. A run
+    /// that does not stop returns exactly [`Simulator::run`]'s statistics.
+    /// With `u64::MAX` the run never stops.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulator::run`].
+    pub fn run_within(&self, program: &Program, bound: u64) -> Result<BoundedOutcome, SimError> {
+        self.execute(program, &FaultPlan::none(), bound, |rt, exit| match exit {
+            Exit::Ran => Ok(BoundedOutcome::Completed(Box::new(rt.into_stats()))),
+            Exit::Stopped(stop) => Ok(BoundedOutcome::Stopped(stop)),
+            Exit::Failed(r) => Err(r.into_error()),
+        })?
     }
 
     /// Runs `program` under the injected faults of `plan`.
@@ -213,6 +262,23 @@ impl Simulator {
         program: &Program,
         plan: &FaultPlan,
     ) -> Result<FaultedOutcome, SimError> {
+        self.execute(program, plan, u64::MAX, |rt, exit| match exit {
+            Exit::Failed(report) => FaultedOutcome::Failed(*report),
+            // Without a bound no barrier stops the run.
+            Exit::Ran | Exit::Stopped(_) => FaultedOutcome::Completed(rt.into_stats()),
+        })
+    }
+
+    /// Validates `program` and `plan`, runs the program under the plan's
+    /// faults until it ends or reaches `bound` (see
+    /// [`Simulator::run_within`]), and hands the run to `finish`.
+    fn execute<T>(
+        &self,
+        program: &Program,
+        plan: &FaultPlan,
+        bound: u64,
+        finish: impl FnOnce(Runtime<'_>, Exit) -> T,
+    ) -> Result<T, SimError> {
         let engines = self.cfg.engines();
         program.validate(engines)?;
         for event in plan.events() {
@@ -232,11 +298,45 @@ impl Simulator {
         }
         let rows = OperandRows::new(program);
         let mut rt = Runtime::new(&self.cfg, program, &rows, plan);
-        match rt.execute()? {
-            Some(report) => Ok(FaultedOutcome::Failed(report)),
-            None => Ok(FaultedOutcome::Completed(rt.into_stats())),
+        let exit = rt.execute(bound)?;
+        Ok(finish(rt, exit))
+    }
+}
+
+impl FailureReport {
+    /// The typed error of a failure on a run that has no recovery path.
+    fn into_error(self) -> SimError {
+        // A fault-free run kills no engine, so no round can fail; surfaced
+        // as a typed error rather than a panic should that ever change.
+        SimError::EngineFailed {
+            engine: self.engine,
+            cycle: self.cycle,
+            round: self.round,
         }
     }
+}
+
+/// Per round, the sum over it and every later round of the round's longest
+/// task compute: at the barrier before round `r`, no run can end before
+/// `now + floors[r]`.
+fn round_floors(program: &Program) -> Vec<u64> {
+    let mut floors: Vec<u64> = program
+        .rounds()
+        .iter()
+        .map(|round| {
+            round
+                .iter()
+                .map(|&(tid, _)| program.task(tid).compute_cycles)
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let mut rest = 0u64;
+    for floor in floors.iter_mut().rev() {
+        rest = rest.saturating_add(*floor);
+        *floor = rest;
+    }
+    floors
 }
 
 /// Every task's operand slots and sizes, as the table lays them out: task
@@ -352,12 +452,17 @@ struct Runtime<'p> {
     /// Per-slot cursor into `use_rounds`: the first use not yet behind the
     /// current round. Rounds only advance, so the cursor only moves right.
     use_cursor: Vec<usize>,
-    /// Eviction pins: slot `s` is pinned in the current [`Runtime::make_room`]
-    /// call iff `pin_stamp[s] == pin_gen`. Each call bumps the generation
-    /// and stamps its task's output and operands, so testing a buffer entry
+    /// Eviction pins: slot `s` is pinned for the running task iff
+    /// `pin_stamp[s] == pin_gen`. The first [`Runtime::make_room`] call of
+    /// a task bumps the generation and stamps the task's output and
+    /// operands; its later calls reuse the stamps. Testing a buffer entry
     /// is one load instead of a scan of the operand list.
     pin_stamp: Vec<u32>,
     pin_gen: u32,
+    /// The task whose pins carry `pin_gen`, if any.
+    pinned_task: Option<TaskId>,
+    /// Victims of the current eviction, reused across calls.
+    victims: Vec<u32>,
     /// Operand slots and sizes of every task (see [`OperandRows`]).
     rows: &'p OperandRows<'p>,
     /// [`MeshConfig::hop_table`]: Manhattan hops per engine pair, the
@@ -462,6 +567,8 @@ impl<'p> Runtime<'p> {
             use_cursor,
             pin_stamp: vec![0; slots],
             pin_gen: 0,
+            pinned_task: None,
+            victims: Vec::new(),
             rows,
             hop_table: cfg.mesh.hop_table(),
             nearest_first: cfg.mesh.nearest_first_table(),
@@ -567,11 +674,30 @@ impl<'p> Runtime<'p> {
         }
     }
 
-    fn execute(&mut self) -> Result<Option<FailureReport>, SimError> {
+    /// Runs the rounds in order until the program ends, an engine failure
+    /// stops it, or, at a round barrier, the run can no longer finish below
+    /// `bound` cycles (`u64::MAX`: never).
+    fn execute(&mut self, bound: u64) -> Result<Exit, SimError> {
         // Copy of the shared reference so round iteration does not hold a
         // borrow of `self`.
         let program = self.program;
+        let floors = if bound == u64::MAX {
+            Vec::new()
+        } else {
+            round_floors(program)
+        };
         for (r, assignments) in program.rounds().iter().enumerate() {
+            if let Some(&rest) = floors.get(r) {
+                let floor = self.now.saturating_add(rest);
+                if floor >= bound {
+                    return Ok(Exit::Stopped(StopReport {
+                        round: r,
+                        rounds: program.rounds().len(),
+                        floor,
+                        bound,
+                    }));
+                }
+            }
             self.round_idx = r as u64;
             let round_start = self.now;
             let mut round_end = round_start;
@@ -596,7 +722,7 @@ impl<'p> Runtime<'p> {
                 // This round's tasks never started; count them and the
                 // destroyed outputs as lost work.
                 self.degradation.lost_tasks += assignments.len() as u64 + lost.len() as u64;
-                return Ok(Some(self.failure_report(engine, r, lost)));
+                return Ok(Exit::Failed(Box::new(self.failure_report(engine, r, lost))));
             }
 
             for &(tid, engine) in assignments {
@@ -629,7 +755,7 @@ impl<'p> Runtime<'p> {
             self.rounds_done += 1;
             self.now = round_end;
         }
-        Ok(None)
+        Ok(Exit::Ran)
     }
 
     /// Debug check: slot `s` is resident in `buffers[e]` exactly when its
@@ -854,6 +980,27 @@ impl<'p> Runtime<'p> {
         if free >= bytes {
             return true;
         }
+        if self.pinned_task != Some(tid) {
+            self.stamp_pins(tid);
+        }
+        let (stamps, gen) = (&self.pin_stamp, self.pin_gen);
+        let mut victims = std::mem::take(&mut self.victims);
+        self.buffers[engine].pick_victims_into(
+            self.cfg.eviction,
+            self.round_idx,
+            bytes - free,
+            &|s: u32| stamps[s as usize] == gen,
+            &mut victims,
+        );
+        for &victim in &victims {
+            self.evict(victim, engine, t);
+        }
+        self.victims = victims;
+        self.buffers[engine].free() >= bytes
+    }
+
+    /// Pins task `tid`'s output and operands under a fresh generation.
+    fn stamp_pins(&mut self, tid: TaskId) {
         self.pin_gen = self.pin_gen.wrapping_add(1);
         if self.pin_gen == 0 {
             // The generation wrapped: clear stale stamps before reuse.
@@ -865,17 +1012,7 @@ impl<'p> Runtime<'p> {
         for &op in self.rows.slots(tid) {
             self.pin_stamp[op as usize] = gen;
         }
-        let stamps = &self.pin_stamp;
-        let victims = self.buffers[engine].pick_victims(
-            self.cfg.eviction,
-            self.round_idx,
-            bytes - free,
-            &|s: u32| stamps[s as usize] == gen,
-        );
-        for victim in victims {
-            self.evict(victim, engine, t);
-        }
-        self.buffers[engine].free() >= bytes
+        self.pinned_task = Some(tid);
     }
 
     /// Removes `victim` from `engine`, writing it back to DRAM when it is
@@ -1526,5 +1663,151 @@ mod tests {
         let s = sim().run(&p).unwrap();
         // Round 1 ends at 500 (slowest atom), round 2 adds 10.
         assert_eq!(s.total_cycles, 510);
+    }
+
+    #[test]
+    fn one_tasks_gathers_keep_its_pins_across_evictions() {
+        // `c` gathers weights of 1500, 1500 and 1200 B on engine 0, each
+        // reused by `d`, into a 4000 B buffer holding two 1800 B outputs
+        // that `z` reads last. Each gather calls `make_room`: the first
+        // evicts `f1`, the second `f2`, the third finds only `c`'s own
+        // pinned operands and streams `w3`. Pins stamped once for `c` must
+        // hold on every call, or the third would evict `w1` and `d` would
+        // re-read it instead of `w3`.
+        let mut cfg = SimConfig::paper_default();
+        cfg.engine = cfg.engine.with_buffer_bytes(4000);
+        let ws = [(1, 1500), (2, 1500), (3, 1200)].map(|(id, b)| Operand::external(DataId(id), b));
+        let mut t = TaskTableBuilder::default();
+        let f1 = t.push(Task::compute(10, 0, 1800), &[]);
+        let f2 = t.push(Task::compute(10, 0, 1800), &[]);
+        let c = t.push(Task::compute(10, 0, 0), &ws);
+        let d = t.push(Task::compute(10, 0, 0), &ws);
+        let z = t.push(
+            Task::compute(10, 0, 0),
+            &[Operand::task(f1, 1800), Operand::task(f2, 1800)],
+        );
+        let mut p = Program::new(t.build().unwrap());
+        for task in [f1, f2, c, d, z] {
+            p.push_round(vec![(task, 0)]);
+        }
+        let s = Simulator::new(cfg).run(&p).unwrap();
+        // `c` reads the three weights, `d` re-reads only `w3`, `z` reads
+        // back both written-back outputs.
+        assert_eq!(s.dram_read_bytes, (1500 + 1500 + 1200) + 1200 + 2 * 1800);
+        assert_eq!(s.dram_write_bytes, 2 * 1800);
+        assert_eq!(s.onchip_served_bytes, 2 * 1500);
+    }
+
+    /// A seeded random program on `engines` engines: tasks join rounds in
+    /// order, and each reads outputs of tasks in earlier rounds and a few
+    /// of eight shared externals.
+    fn random_program(rng: &mut ad_util::Rng64, engines: usize) -> Program {
+        let mut t = TaskTableBuilder::default();
+        let mut rounds: Vec<Vec<(TaskId, usize)>> = Vec::new();
+        let mut earlier: Vec<(TaskId, u64)> = Vec::new();
+        for _ in 0..1 + rng.below(12) {
+            let mut round = Vec::new();
+            let mut produced = Vec::new();
+            for engine in 0..engines {
+                if !rng.chance(0.6) {
+                    continue;
+                }
+                let mut ops = Vec::new();
+                for _ in 0..rng.below(4) {
+                    if let Some(&(p, bytes)) = earlier.get(rng.below(earlier.len() + 1)) {
+                        ops.push(Operand::task(p, 1 + rng.below_u64(bytes)));
+                    }
+                }
+                for _ in 0..rng.below(3) {
+                    let id = DataId(rng.below_u64(8));
+                    ops.push(Operand::external(id, 1 + rng.below_u64(48 * 1024)));
+                }
+                let output = 1 + rng.below_u64(64 * 1024);
+                let compute = rng.below_u64(3000);
+                let tid = t.push(Task::compute(compute, compute * 256, output), &ops);
+                round.push((tid, engine));
+                produced.push((tid, output));
+            }
+            earlier.extend(produced);
+            rounds.push(round);
+        }
+        let mut p = Program::new(t.build().unwrap());
+        for round in rounds {
+            p.push_round(round);
+        }
+        p
+    }
+
+    #[test]
+    fn round_compute_floor_never_exceeds_the_run() {
+        // Compute-bound rounds: the floor is exact, so a bound one cycle
+        // above the run completes and a bound at the run stops.
+        let mut t = TaskTableBuilder::default();
+        let a = t.push(Task::compute(1000, 0, 64), &[]);
+        let b = t.push(Task::compute(300, 0, 0), &[Operand::task(a, 64)]);
+        let mut p = Program::new(t.build().unwrap());
+        p.push_round(vec![(a, 0)]);
+        p.push_round(vec![(b, 1)]);
+        let full = sim().run(&p).unwrap();
+        assert_eq!(full.total_cycles, 1300);
+        assert_eq!(round_floors(&p), vec![1300, 300]);
+        assert_eq!(
+            sim().run_within(&p, 1301).unwrap(),
+            BoundedOutcome::Completed(Box::new(full))
+        );
+        assert_eq!(
+            sim().run_within(&p, 1300).unwrap(),
+            BoundedOutcome::Stopped(StopReport {
+                round: 0,
+                rounds: 2,
+                floor: 1300,
+                bound: 1300,
+            })
+        );
+    }
+
+    #[test]
+    fn bounded_runs_stop_only_when_the_full_run_reaches_the_bound() {
+        let mut cfg = SimConfig::paper_default();
+        cfg.mesh = noc_model::MeshConfig::grid(3, 3);
+        cfg.engine = cfg.engine.with_buffer_bytes(96 * 1024);
+        let sim = Simulator::new(cfg);
+        let mut stopped = 0;
+        for seed in 0..120u64 {
+            let mut rng = ad_util::Rng64::new(0xb0_0d00 + seed);
+            let p = random_program(&mut rng, cfg.engines());
+            let full = sim.run(&p).unwrap();
+            let total = full.total_cycles;
+            let floor = round_floors(&p).first().copied().unwrap_or(0);
+            assert!(floor <= total, "seed {seed}: floor {floor} > {total}");
+            let bounds = [
+                1,
+                floor,
+                total.saturating_sub(1),
+                total,
+                total + 1,
+                rng.below_u64(2 * total + 2),
+                u64::MAX,
+            ];
+            for bound in bounds {
+                match sim.run_within(&p, bound).unwrap() {
+                    BoundedOutcome::Stopped(stop) => {
+                        stopped += 1;
+                        assert!(
+                            total >= bound && stop.floor >= bound && stop.floor <= total,
+                            "seed {seed}: stopped under bound {bound} at floor {} \
+                             but the run takes {total}",
+                            stop.floor
+                        );
+                        assert_eq!(stop.rounds, p.rounds().len());
+                        assert!(stop.round < stop.rounds, "seed {seed}");
+                    }
+                    BoundedOutcome::Completed(stats) => {
+                        assert_eq!(*stats, full, "seed {seed}: bound {bound}");
+                    }
+                }
+            }
+        }
+        assert!(stopped > 100, "only {stopped} bounded runs stopped");
     }
 }

@@ -3,13 +3,24 @@
 //! and a full daemon round trip over TCP.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use ad_serve::{serve, write_line, PlanStore, ServerConfig, MAX_REQUEST_BYTES};
 use ad_util::Json;
 use atomic_dataflow::{request, OptimizerConfig, PlanRequest, Strategy};
 use dnn_graph::models;
 use engine_model::HardwareConfig;
+
+/// Every test holds this for reading while it runs; the thread-count test
+/// holds it for writing, so no other test's daemon or pool threads are
+/// alive while it counts the threads of the process.
+static THREADS: RwLock<()> = RwLock::new(());
+
+/// A read hold on [`THREADS`] (a failed test does not poison the others).
+fn shared_threads() -> RwLockReadGuard<'static, ()> {
+    THREADS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[allow(clippy::expect_used)] // test helper; clippy only auto-exempts #[test] fns
 fn fast_cfg() -> OptimizerConfig {
@@ -22,6 +33,7 @@ fn fast_cfg() -> OptimizerConfig {
 /// without re-running any pipeline stage (the miss counter stays at 1).
 #[test]
 fn cache_hit_is_byte_identical_to_cold_plan() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let g = models::tiny_branchy();
     let cfg = fast_cfg();
@@ -46,6 +58,7 @@ fn cache_hit_is_byte_identical_to_cold_plan() {
 /// Different strategies at the same graph/hardware are distinct cache keys.
 #[test]
 fn strategies_do_not_collide_in_the_cache() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let g = models::tiny_branchy();
     let cfg = fast_cfg();
@@ -66,6 +79,7 @@ fn strategies_do_not_collide_in_the_cache() {
 /// a fresh store and an in-process `request::plan` return.
 #[test]
 fn served_plan_does_not_depend_on_store_history() {
+    let _threads = shared_threads();
     let hw = HardwareConfig::load(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../configs/edge_4x4.json"
@@ -105,11 +119,31 @@ fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str)
     Json::parse(&line).expect("response parses")
 }
 
+/// Shuts the daemon at the address down if the test panics while it still
+/// serves: `std::thread::scope` joins the server thread before it re-raises
+/// the panic, so without a `shutdown` a failed assertion would leave
+/// `serve` accepting and hang the test binary instead of failing it.
+///
+/// Bind it before the test's own connections, so that those drop first
+/// and free the workers the `shutdown` line needs.
+struct ShutdownOnPanic(SocketAddr);
+
+impl Drop for ShutdownOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut conn) = TcpStream::connect(self.0) {
+                let _ = write_line(&mut conn, "{\"op\":\"shutdown\"}".to_owned());
+            }
+        }
+    }
+}
+
 /// Full daemon round trip: plan twice over TCP, assert the second response
 /// is a cache hit carrying an identical plan document, then shut down and
 /// join the server (no thread outlives `serve`).
 #[test]
 fn daemon_serves_cache_hits_over_tcp() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -122,6 +156,7 @@ fn daemon_serves_cache_hits_over_tcp() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
 
@@ -150,12 +185,27 @@ fn daemon_serves_cache_hits_over_tcp() {
     });
 }
 
-/// Threads of this process, per the kernel (`/proc/self/task` has one
-/// entry per live thread).
+/// Threads of this process that belong to the calling test, per the kernel
+/// (`/proc/self/task` has one entry per live thread): the test's own
+/// thread, every thread spawned without a name below it (Linux copies the
+/// creator's name), and the worker pool's `ad-worker-*` runners. The test
+/// harness's threads for other tests start and end while a test runs, so
+/// they are not counted.
 #[cfg(target_os = "linux")]
 fn os_thread_count() -> usize {
+    let name = |path: std::path::PathBuf| {
+        std::fs::read_to_string(path)
+            .map(|n| n.trim_end().to_owned())
+            .unwrap_or_default()
+    };
+    let me = name("/proc/thread-self/comm".into());
     std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
+        .map(|d| {
+            d.filter_map(Result::ok)
+                .map(|t| name(t.path().join("comm")))
+                .filter(|n| *n == me || n.starts_with("ad-worker-"))
+                .count()
+        })
         .unwrap_or(0)
 }
 
@@ -167,6 +217,7 @@ fn os_thread_count() -> usize {
 #[test]
 #[cfg(target_os = "linux")]
 fn daemon_thread_count_stays_bounded_across_planning_misses() {
+    let _alone = THREADS.write().unwrap_or_else(PoisonError::into_inner);
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -180,6 +231,7 @@ fn daemon_thread_count_stays_bounded_across_planning_misses() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
 
@@ -227,6 +279,7 @@ fn daemon_thread_count_stays_bounded_across_planning_misses() {
 ///    refusal; nothing is served after the drain starts.
 #[test]
 fn daemon_sheds_overload_and_drains_with_typed_refusals() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -246,6 +299,7 @@ fn daemon_sheds_overload_and_drains_with_typed_refusals() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
 
         // A: one planned request, then hold the connection (and worker).
         let mut a = TcpStream::connect(addr).expect("connect A");
@@ -323,6 +377,7 @@ fn daemon_sheds_overload_and_drains_with_typed_refusals() {
 /// planner; the connection stays usable afterwards.
 #[test]
 fn daemon_reports_errors_without_dropping_the_connection() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -335,6 +390,7 @@ fn daemon_reports_errors_without_dropping_the_connection() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
 
@@ -370,6 +426,7 @@ fn daemon_reports_errors_without_dropping_the_connection() {
 /// answers `stats` on a fresh connection afterwards.
 #[test]
 fn daemon_survives_deep_and_over_long_request_lines() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -382,6 +439,7 @@ fn daemon_survives_deep_and_over_long_request_lines() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
 
@@ -430,6 +488,7 @@ fn daemon_survives_deep_and_over_long_request_lines() {
 /// 30 untimed ones on the same connection.
 #[test]
 fn served_hits_do_not_wait_for_a_delayed_ack() {
+    let _threads = shared_threads();
     let store = PlanStore::new(8);
     let sc = ServerConfig {
         base_hw: HardwareConfig::fast_test(),
@@ -440,10 +499,11 @@ fn served_hits_do_not_wait_for_a_delayed_ack() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
 
-    // Assertions wait until the daemon has been shut down and joined: a
-    // panic inside the scope would leave `serve` running and hang the test.
+    // Assertions wait until the daemon has been shut down and joined, so
+    // a slow reply fails the test with every timing in hand.
     let (ok, mut ms) = std::thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &store, &sc));
+        let _shutdown = ShutdownOnPanic(addr);
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
 

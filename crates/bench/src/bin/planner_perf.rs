@@ -1,13 +1,18 @@
 //! Tracked perf baseline for the planning pipeline (`planner_perf/v2`).
 //!
-//! Runs the full atomic-dataflow planner over a thread-count sweep on two
-//! workloads — ResNet-50 (the paper's headline network, single SA chain)
-//! and ResNet-1001 (a deep graph where chain-level SA parallelism has
-//! enough independent work to win, 8 chains) — each on one persistent
+//! Runs the full atomic-dataflow planner over a thread-count sweep on three
+//! workloads — ResNet-50 (the paper's headline network, single SA chain),
+//! `resnet50_b8_edge` (ResNet-50 at batch 8 on `configs/edge_4x4.json`
+//! with the fast search: the shape of the serving benchmark's heaviest
+//! planning misses, where buffers bind and the layer-order refinement
+//! loses) and ResNet-1001 (a deep graph where chain-level SA parallelism
+//! has enough independent work to win, 8 chains) — each on one persistent
 //! [`ad_util::WorkerPool`] per thread level, reused across every timed
 //! pass exactly as the serve daemon reuses its pool across requests. The
 //! measurements go to `BENCH_planner.json` so every perf PR has a
-//! trajectory to compare against.
+//! trajectory to compare against. A run's `stages` are the returned
+//! plan's; when the layer-order refinement lost, its own rows follow, and
+//! its `simulate` row names the round where it stopped.
 //!
 //! Two assertions run inside the harness itself:
 //!
@@ -24,7 +29,9 @@
 //!
 //! * `--fast` — CI mode: `fast_test` configuration (4×4 mesh, short SA,
 //!   two search targets, so the sweep reaches the candidate fan-out)
-//!   instead of paper scale; seconds, not minutes.
+//!   instead of paper scale, and no batch-8 edge workload (its one search
+//!   target leaves a thread sweep nothing to run in parallel); seconds,
+//!   not minutes.
 //! * `--threads=1,8` — comma-separated thread counts to sweep (default
 //!   `1,2,4,8,16`; `--fast` default `1,8`).
 //! * `--iters=N` — timed passes per thread level, N ≥ 1 (default 3 paper / 1
@@ -73,10 +80,16 @@ const STAGES: [&str; 5] = ["atomgen", "schedule", "map", "lower", "simulate"];
 /// `--check-inversion` fails the run.
 const INVERSION_TOLERANCE: f64 = 1.25;
 
-/// One workload of the sweep: a model plus its SA chain count.
+/// One workload of the sweep: a model, its planning configuration and its
+/// SA chain count.
 struct Workload {
+    /// Row key in the output file.
+    name: &'static str,
     model: &'static str,
     graph: dnn_graph::Graph,
+    /// What `cfg` is, for the output file.
+    config: &'static str,
+    cfg: OptimizerConfig,
     /// Independent SA chains per layer — the unit of intra-stage
     /// parallelism. Part of the search configuration (it changes the
     /// config fingerprint), so it is fixed per workload, never derived
@@ -210,17 +223,21 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// The committed run matching (`model`, `threads`), if the pre-existing
-/// output file carries one at the v2 schema.
-fn committed_total_ms(committed: Option<&Json>, model: &str, threads: usize) -> Option<f64> {
+/// The committed run matching (`name`, `threads`), if the pre-existing
+/// output file carries one at the v2 schema. A row without a `name` is
+/// keyed by its `model`.
+fn committed_total_ms(committed: Option<&Json>, name: &str, threads: usize) -> Option<f64> {
     let doc = committed?;
     if doc.get("schema").and_then(Json::as_str) != Some("planner_perf/v2") {
         return None;
     }
     let workloads = doc.get("workloads").and_then(Json::as_array)?;
-    let w = workloads
-        .iter()
-        .find(|w| w.get("model").and_then(Json::as_str) == Some(model))?;
+    let w = workloads.iter().find(|w| {
+        w.get("name")
+            .or_else(|| w.get("model"))
+            .and_then(Json::as_str)
+            == Some(name)
+    })?;
     w.get("runs")
         .and_then(Json::as_array)?
         .iter()
@@ -391,23 +408,54 @@ fn main() {
             .expect("built-in paper hardware config is valid")
     };
 
-    // ResNet-50 is the headline single-chain workload; ResNet-1001 is the
-    // deep graph whose multi-chain SA search gives every thread level
-    // enough independent work (8 chains is a search-quality choice — it
-    // enters the config fingerprint and is identical at every thread
-    // count).
-    let workloads = [
+    let base_name = if fast { "fast_test" } else { "paper_default" };
+    // ResNet-50 is the headline single-chain workload; ResNet-50 at batch 8
+    // on the edge machine is a heavy miss of the serving benchmark's mix;
+    // ResNet-1001 is the deep graph whose multi-chain SA search gives every
+    // thread level enough independent work (8 chains is a search-quality
+    // choice — it enters the config fingerprint and is identical at every
+    // thread count). Smallest peak memory first, so each workload's RSS
+    // reading is its own.
+    let mut workloads = vec![
         Workload {
+            name: "resnet50",
             model: "resnet50",
             graph: models::resnet50(),
+            config: base_name,
+            cfg: base_cfg,
             sa_chains: 1,
         },
         Workload {
+            name: "resnet1001",
             model: "resnet1001",
             graph: models::resnet1001(),
+            config: base_name,
+            cfg: base_cfg,
             sa_chains: 8,
         },
     ];
+    if !fast {
+        let edge_hw = HardwareConfig::load(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../configs/edge_4x4.json"
+        ))
+        .expect("configs/edge_4x4.json loads");
+        let edge_b8 = OptimizerConfig::for_hardware(&edge_hw)
+            .expect("configs/edge_4x4.json is valid")
+            .with_fast_search()
+            .with_batch(8);
+        workloads.insert(
+            1,
+            Workload {
+                name: "resnet50_b8_edge",
+                model: "resnet50",
+                graph: models::resnet50(),
+                config: "edge_4x4.json fast batch 8",
+                cfg: edge_b8,
+                sa_chains: 1,
+            },
+        );
+    }
 
     let committed = std::fs::read_to_string(&out_path)
         .ok()
@@ -417,12 +465,12 @@ fn main() {
     let mut inversion_failures = Vec::new();
     let mut serial_totals = Vec::new();
     for w in &workloads {
-        let cfg = base_cfg.with_sa_chains(w.sa_chains);
-        println!("{} (sa_chains {}):", w.model, w.sa_chains);
+        let cfg = w.cfg.with_sa_chains(w.sa_chains);
+        println!("{} ({}, sa_chains {}):", w.name, w.config, w.sa_chains);
         let mut runs: Vec<RunRecord> = Vec::new();
         for &t in &threads {
             let rec = measure(&w.graph, cfg.with_parallelism(t), t, iters);
-            let delta = committed_total_ms(committed.as_ref(), w.model, t)
+            let delta = committed_total_ms(committed.as_ref(), w.name, t)
                 .map(|base| format!(" ({:+.1}% vs committed)", (rec.total_ms / base - 1.0) * 1e2))
                 .unwrap_or_default();
             println!(
@@ -440,7 +488,7 @@ fn main() {
                     eprintln!(
                         "determinism violation: {} at {t} threads diverges from serial \
                          ({} vs {} cycles)",
-                        w.model, rec.total_cycles, first.total_cycles
+                        w.name, rec.total_cycles, first.total_cycles
                     );
                     std::process::exit(1);
                 }
@@ -459,7 +507,7 @@ fn main() {
             if widest.total_ms > serial.total_ms * INVERSION_TOLERANCE {
                 inversion_failures.push(format!(
                     "{}: {} threads took {:.1} ms vs {:.1} ms serial (> {INVERSION_TOLERANCE}x)",
-                    w.model, widest.threads, widest.total_ms, serial.total_ms
+                    w.name, widest.threads, widest.total_ms, serial.total_ms
                 ));
             }
         }
@@ -469,7 +517,9 @@ fn main() {
             None => eprintln!("  peak RSS unavailable (no VmHWM in /proc/self/status)"),
         }
         workloads_json.push(Json::Obj(vec![
+            ("name".into(), Json::Str(w.name.into())),
             ("model".into(), Json::Str(w.model.into())),
+            ("config".into(), Json::Str(w.config.into())),
             ("sa_chains".into(), Json::Num(w.sa_chains as f64)),
             ("total_cycles".into(), Json::Num(serial.total_cycles as f64)),
             ("peak_rss_mib".into(), rss.map_or(Json::Null, Json::Num)),
@@ -504,10 +554,7 @@ fn main() {
 
     let mut doc = vec![
         ("schema".into(), Json::Str("planner_perf/v2".into())),
-        (
-            "config".into(),
-            Json::Str(if fast { "fast_test" } else { "paper_default" }.into()),
-        ),
+        ("config".into(), Json::Str(base_name.into())),
         ("iters".into(), Json::Num(iters as f64)),
         ("workloads".into(), workloads_json),
         (

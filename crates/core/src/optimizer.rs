@@ -209,7 +209,8 @@ pub struct OptimizeResult {
     /// Mean engine occupancy of the schedule.
     pub occupancy: f64,
     /// Per-stage wall times and summaries of the winning candidate's
-    /// pipeline run (reporting only — never an input to planning).
+    /// pipeline run; when the layer-order refinement lost, its rows follow
+    /// (reporting only — never an input to planning).
     pub stage_reports: Vec<StageReport>,
     /// Whether the search completed within its [`PlanBudget`] or was
     /// truncated (best-so-far plan).
@@ -224,12 +225,21 @@ pub struct Optimizer {
     /// Shared persistent worker pool ([`Optimizer::with_pool`]); `None`
     /// gives each run a pool of its own (see [`Optimizer::exec`]).
     pool: Option<std::sync::Arc<WorkerPool>>,
+    /// Simulates the layer-order refinement to its end instead of stopping
+    /// once it cannot win, so tests can compare the two.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl Optimizer {
     /// Creates an optimizer with the given configuration.
     pub fn new(cfg: OptimizerConfig) -> Self {
-        Self { cfg, pool: None }
+        Self {
+            cfg,
+            pool: None,
+            #[cfg(test)]
+            reference: false,
+        }
     }
 
     /// Runs every fan-out of this optimizer on `pool` instead of a
@@ -403,9 +413,14 @@ impl Optimizer {
         })?;
         // Phase 3: layer-topological ordering is itself a point in Alg. 2's
         // search space; when DP search is enabled, evaluate it on the
-        // winner's DAG and keep whichever the simulator prefers.
+        // winner's DAG and keep whichever the simulator prefers. Only a
+        // strictly cheaper plan wins, so its simulation stops once it can
+        // no longer finish below the judged cycles and leaves no stats.
         if refine {
             let judged_cycles = cycles(&ctx);
+            let bound = judged_cycles;
+            #[cfg(test)]
+            let bound = if self.reference { u64::MAX } else { bound };
             let schedule = ctx.schedule.take();
             let mapped = ctx.mapped.take();
             let program = ctx.program.take();
@@ -414,15 +429,13 @@ impl Optimizer {
             // The refined plan's reports start with the winner's atomgen
             // report, so an atomgen truncation still sets its budget.
             ctx.reports.extend(reports.first().cloned());
-            Pipeline::evaluate(Some(ScheduleMode::LayerOrder)).run(&mut ctx)?;
+            Pipeline::refine(bound).run(&mut ctx)?;
             if cycles(&ctx) >= judged_cycles {
-                (
-                    ctx.schedule,
-                    ctx.mapped,
-                    ctx.program,
-                    ctx.stats,
-                    ctx.reports,
-                ) = (schedule, mapped, program, stats, reports);
+                // The kept plan's rows come first, the refinement's follow.
+                let refined = std::mem::replace(&mut ctx.reports, reports);
+                ctx.reports.extend(refined.into_iter().skip(1));
+                (ctx.schedule, ctx.mapped, ctx.program, ctx.stats) =
+                    (schedule, mapped, program, stats);
             }
         }
         // The plan handed out is audited once, whichever pass produced it.
@@ -589,6 +602,115 @@ mod tests {
             2 * one.stats.total_cycles
         );
         assert_eq!(two.stats.total_macs, 2 * one.stats.total_macs);
+    }
+
+    /// The planning configurations the refinement oracle runs under:
+    /// `configs/paper_8x8.json` (KC-P, full search) at batch 1, and
+    /// `configs/edge_4x4.json` with the fast search at each of `edge_batches`.
+    fn oracle_configs(edge_batches: &[usize]) -> Vec<(String, OptimizerConfig)> {
+        let load = |file: &str| {
+            let path = format!("{}/../../configs/{file}", env!("CARGO_MANIFEST_DIR"));
+            let hw = engine_model::HardwareConfig::load(&path).unwrap();
+            OptimizerConfig::for_hardware(&hw).unwrap()
+        };
+        let mut cfgs = vec![(
+            "paper_8x8 b1".to_string(),
+            load("paper_8x8.json").with_dataflow(Dataflow::KcPartition),
+        )];
+        let edge = load("edge_4x4.json").with_fast_search();
+        for &b in edge_batches {
+            cfgs.push((format!("edge_4x4 fast b{b}"), edge.with_batch(b)));
+        }
+        cfgs
+    }
+
+    /// Optimizes `g` with the bounded layer-order refinement and with the
+    /// reference that simulates it to its end, and demands the same plan:
+    /// equal statistics, program, specs, rounds, atoms, occupancy and
+    /// budget, which is everything a plan's bytes hold. Then simulates the
+    /// layer-order plan in full and checks, one cycle above its cycles, that
+    /// no round barrier's floor exceeds the run. Returns whether the
+    /// production refinement stopped early.
+    fn assert_matches_full_refinement(name: &str, g: &Graph, cfg: OptimizerConfig) -> bool {
+        let r = Optimizer::new(cfg).optimize(g).unwrap();
+        let want = Optimizer {
+            reference: true,
+            ..Optimizer::new(cfg)
+        }
+        .optimize(g)
+        .unwrap();
+        assert_eq!(
+            r.stats.to_json().to_compact(),
+            want.stats.to_json().to_compact(),
+            "{name}: statistics"
+        );
+        assert_eq!(r.program.rounds(), want.program.rounds(), "{name}: program");
+        assert_eq!(r.gen_report.specs, want.gen_report.specs, "{name}: specs");
+        assert_eq!(
+            (r.rounds, r.atoms, r.occupancy.to_bits(), r.budget),
+            (
+                want.rounds,
+                want.atoms,
+                want.occupancy.to_bits(),
+                want.budget
+            ),
+            "{name}: plan detail"
+        );
+
+        // The refinement of the winner's atomization, simulated in full.
+        let mut ctx = PlanContext::new(g, cfg);
+        ctx.gen_report = Some(r.gen_report.clone());
+        Pipeline::new(vec![Box::new(crate::pipeline::AtomDagStage)])
+            .run(&mut ctx)
+            .unwrap();
+        Pipeline::refine(u64::MAX).run(&mut ctx).unwrap();
+        let (program, lo) = (ctx.program.unwrap(), ctx.stats.unwrap());
+        let sim = accel_sim::Simulator::new(cfg.sim);
+        assert_eq!(
+            sim.run_within(&program, lo.total_cycles + 1).unwrap(),
+            accel_sim::BoundedOutcome::Completed(Box::new(lo.clone())),
+            "{name}: a round floor exceeds the layer-order run's {} cycles",
+            lo.total_cycles
+        );
+
+        let stopped = r
+            .stage_reports
+            .iter()
+            .any(|s| s.stage == "simulate" && s.summary.starts_with("stopped at round"));
+        if stopped {
+            assert!(
+                lo.total_cycles >= r.stats.total_cycles,
+                "{name}: stopped a refinement that wins ({} < {})",
+                lo.total_cycles,
+                r.stats.total_cycles
+            );
+        }
+        stopped
+    }
+
+    #[test]
+    fn bounded_refinement_matches_the_full_refinement() {
+        let mut stops = 0;
+        for g in [models::tiny_cnn(), models::tiny_branchy()] {
+            for (label, cfg) in oracle_configs(&[1, 4, 8]) {
+                let name = format!("{} {label}", g.name());
+                stops += usize::from(assert_matches_full_refinement(&name, &g, cfg));
+            }
+        }
+        assert!(stops > 0, "no refinement stopped early");
+    }
+
+    #[test]
+    #[ignore = "zoo-wide refinement oracle; run in release with --ignored"]
+    fn bounded_refinement_matches_the_full_refinement_on_every_zoo_graph() {
+        let mut stops = 0;
+        for g in models::all_paper_workloads() {
+            for (label, cfg) in oracle_configs(&[1, 4, 8]) {
+                let name = format!("{} {label}", g.name());
+                stops += usize::from(assert_matches_full_refinement(&name, &g, cfg));
+            }
+        }
+        assert!(stops > 0, "no refinement stopped early");
     }
 
     #[test]

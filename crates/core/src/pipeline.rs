@@ -28,7 +28,7 @@
 
 use std::time::Instant; // ad-lint: allow(d2) — reporting-only stage timing
 
-use accel_sim::{Program, SimStats, Simulator};
+use accel_sim::{BoundedOutcome, Program, SimStats, Simulator};
 use dnn_graph::Graph;
 
 use crate::atomgen::{self, CandidateTable, GenReport};
@@ -282,6 +282,21 @@ impl Pipeline {
             Box::new(MapStage),
             Box::new(LowerStage),
             Box::new(SimulateStage),
+        ])
+    }
+
+    /// The layer-order refinement of [`crate::Optimizer::optimize`]: the
+    /// [`Pipeline::evaluate`] suffix under [`ScheduleMode::LayerOrder`],
+    /// whose simulation stops once the plan cannot finish below `bound`
+    /// cycles ([`Simulator::run_within`]) and then leaves no statistics.
+    pub(crate) fn refine(bound: u64) -> Self {
+        Self::new(vec![
+            Box::new(ScheduleStage {
+                mode: Some(ScheduleMode::LayerOrder),
+            }),
+            Box::new(MapStage),
+            Box::new(LowerStage),
+            Box::new(SimulateWithin(bound)),
         ])
     }
 
@@ -569,10 +584,40 @@ impl Stage for SimulateStage {
     }
 
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
+        SimulateWithin(u64::MAX).run(ctx)
+    }
+}
+
+/// [`SimulateStage`] with a cycle bound: the simulation stops at the first
+/// round barrier where it can no longer finish below the bound
+/// ([`Simulator::run_within`]); a stopped run leaves no statistics and its
+/// report names the round it stopped at. `u64::MAX` never stops.
+///
+/// Consumes: `program`. Produces: `stats` (unless stopped).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SimulateWithin(pub(crate) u64);
+
+impl Stage for SimulateWithin {
+    fn name(&self) -> &'static str {
+        "simulate"
+    }
+
+    fn run(&self, ctx: &mut PlanContext<'_>) -> Result<StageReport, PipelineError> {
         let program = ctx.require_program(self.name())?;
-        let stats = Simulator::new(ctx.cfg.sim).run(program)?;
-        let summary = stats.summary();
-        ctx.stats = Some(stats);
+        let summary = match Simulator::new(ctx.cfg.sim).run_within(program, self.0)? {
+            BoundedOutcome::Completed(stats) => {
+                let summary = stats.summary();
+                ctx.stats = Some(*stats);
+                summary
+            }
+            BoundedOutcome::Stopped(stop) => {
+                ctx.stats = None;
+                format!(
+                    "stopped at round {}/{}: ≥ {} judged",
+                    stop.round, stop.rounds, stop.bound
+                )
+            }
+        };
         Ok(StageReport::new(self.name(), summary))
     }
 }

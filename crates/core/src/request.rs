@@ -530,6 +530,38 @@ mod tests {
         assert_eq!(parsed.get("strategy").and_then(Json::as_str), Some("AD"));
     }
 
+    /// A layer-order refinement that stops early says so in the response's
+    /// reports, after the kept plan's rows, and nowhere in the plan bytes.
+    #[test]
+    fn stopped_refinement_is_reported_outside_the_plan_bytes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/edge_4x4.json");
+        let hw = engine_model::HardwareConfig::load(path).unwrap();
+        let cfg = OptimizerConfig::for_hardware(&hw)
+            .unwrap()
+            .with_fast_search();
+        let g = models::tiny_branchy();
+        let stopped = [1, 4, 8]
+            .into_iter()
+            .map(|batch| plan(&PlanRequest::new(&g, cfg.with_batch(batch))).unwrap())
+            .find(|r| {
+                r.reports
+                    .iter()
+                    .any(|s| s.summary.starts_with("stopped at round"))
+            })
+            .expect("a tiny_branchy edge plan whose refinement stops");
+        let names: Vec<&str> = stopped.reports.iter().map(|s| s.stage).collect();
+        assert_eq!(
+            names,
+            [
+                "atomgen", "schedule", "map", "lower", "simulate", "schedule", "map", "lower",
+                "simulate"
+            ]
+        );
+        let last = &stopped.reports[8].summary;
+        assert!(last.ends_with(&format!(": ≥ {} judged", stopped.stats.total_cycles)));
+        assert!(!stopped.plan.contains("stopped"), "{}", stopped.plan);
+    }
+
     #[test]
     fn baseline_strategies_resolve_without_detail() {
         let g = models::tiny_branchy();
