@@ -235,24 +235,31 @@ impl BufferState {
         if deficit == 0 {
             return;
         }
-        // Slots are unique, so `(score, Reverse(slot))` is a total order
-        // and the bytes never break a tie.
-        let ranked = || {
-            self.keys
-                .iter()
-                .zip(&self.vals)
-                .filter(|&(&s, _)| !pinned(s))
-                .map(|(&s, e)| (e.score(kind, now), Reverse(s), e.bytes))
-        };
-        let Some((_, Reverse(top), bytes)) = ranked().max() else {
+        // The top scan scores a pinned entry 0. Every unpinned score is at
+        // least 1 (see `Entry::score`), so a top score of 0 means nothing
+        // is evictable. Slots are unique, so `(score, slot)` is a total
+        // order and the bytes never break a tie.
+        let (mut top_score, mut top, mut bytes) = (0u128, u32::MAX, 0u64);
+        for (&s, e) in self.keys.iter().zip(&self.vals) {
+            let score = if pinned(s) { 0 } else { e.score(kind, now) };
+            if score > top_score || (score == top_score && s < top) {
+                (top_score, top, bytes) = (score, s, e.bytes);
+            }
+        }
+        if top_score == 0 {
             return;
-        };
+        }
         out.push(top);
         if bytes >= deficit {
             return;
         }
-        let mut heap: BinaryHeap<(u128, Reverse<u32>, u64)> =
-            ranked().filter(|&(_, Reverse(s), _)| s != top).collect();
+        let mut heap: BinaryHeap<(u128, Reverse<u32>, u64)> = self
+            .keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|&(&s, _)| s != top && !pinned(s))
+            .map(|(&s, e)| (e.score(kind, now), Reverse(s), e.bytes))
+            .collect();
         let mut freed = bytes;
         while freed < deficit {
             let Some((_, Reverse(s), bytes)) = heap.pop() else {
@@ -266,7 +273,8 @@ impl BufferState {
 
 impl Entry {
     /// Eviction priority under `kind` at round `now`: the larger, the
-    /// sooner evicted.
+    /// sooner evicted. Never 0: the wait and the byte factor are each at
+    /// least 1, and the FIFO score is at least `u128::MAX − u64::MAX`.
     fn score(&self, kind: EvictionKind, now: u64) -> u128 {
         match kind {
             EvictionKind::InvalidOccupation => {
@@ -390,6 +398,28 @@ mod tests {
         b.insert(0, 10, 0, NEVER);
         let v = b.pick_victims(EvictionKind::Fifo, 1, 1, &|s| s == 0);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn pinned_top_entry_yields_to_the_next() {
+        // Slot 3 out-scores every other entry under both policies; pinned,
+        // it must lose to the best unpinned entry, not to the first slot
+        // scanned or to the lowest slot.
+        let mut b = BufferState::new(1000);
+        b.insert(5, 10, 4, 2);
+        b.insert(3, 100, 0, NEVER);
+        b.insert(1, 10, 3, 1);
+        b.insert(4, 50, 2, 9);
+        let pin3 = |s: u32| s == 3;
+        let io = EvictionKind::InvalidOccupation;
+        assert_eq!(b.pick_victims(io, 0, 1, &|_| false), vec![3]);
+        assert_eq!(b.pick_victims(io, 0, 1, &pin3), vec![4]);
+        assert_eq!(b.pick_victims(io, 0, 60, &pin3), vec![4, 5]);
+        assert_eq!(
+            b.pick_victims(EvictionKind::Fifo, 5, 1, &|_| false),
+            vec![3]
+        );
+        assert_eq!(b.pick_victims(EvictionKind::Fifo, 5, 1, &pin3), vec![4]);
     }
 
     #[test]

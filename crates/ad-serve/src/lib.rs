@@ -679,10 +679,7 @@ fn handle_plan(doc: &Json, ctx: &ServeCtx<'_>) -> String {
     if let Some(a) = ctx.admission {
         a.note_admitted();
     }
-    match ctx
-        .store
-        .get_or_plan_pooled(&graph, cfg, strategy, ctx.pool)
-    {
+    match ctx.store.get_or_plan_pooled(graph, cfg, strategy, ctx.pool) {
         // The plan payload is spliced in verbatim (it is already compact
         // JSON), so cache hits return byte-identical plan bytes.
         Ok(out) => format!(
@@ -744,7 +741,14 @@ const PLAN_MEMBERS: [&str; 8] = [
 /// Decodes a `plan` request into (workload, config, strategy). A member
 /// it does not know is an error, never ignored: a misspelt setting must
 /// not plan on its default.
-fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, Strategy), String> {
+///
+/// The workload is the process-wide [`models::shared`] graph, so a cache
+/// hit neither builds the model nor hashes it: both happen once per model
+/// per process, on its first request.
+fn parse_plan(
+    doc: &Json,
+    sc: &ServerConfig,
+) -> Result<(&'static Graph, OptimizerConfig, Strategy), String> {
     if let Some((k, _)) = doc
         .as_object()
         .unwrap_or_default()
@@ -757,7 +761,7 @@ fn parse_plan(doc: &Json, sc: &ServerConfig) -> Result<(Graph, OptimizerConfig, 
         .get("model")
         .and_then(Json::as_str)
         .ok_or_else(|| "plan request must name a `model`".to_string())?;
-    let graph = models::by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?;
+    let graph = models::shared(name).ok_or_else(|| format!("unknown model `{name}`"))?;
     let batch = match doc.get("batch") {
         None => 1,
         Some(v) => v
@@ -1417,6 +1421,42 @@ mod tests {
         }
         // Nothing malformed may touch the planner or the cache.
         assert_eq!(store.stats().misses, 0);
+    }
+
+    #[test]
+    fn a_hit_is_keyed_by_the_named_models_own_fingerprint() {
+        // Requests resolve `model` through the process-wide shared graphs.
+        // Seed each model's key from a freshly built graph; the request
+        // must then hit exactly that key, for every name, so a shared
+        // graph can never answer one name with another model's plan.
+        let store = PlanStore::new(16);
+        let sc = ServerConfig::default();
+        let mut names = models::PAPER_WORKLOADS.to_vec();
+        names.extend(["tiny_cnn", "tiny_branchy"]);
+        for name in names {
+            let want = models::by_name(name).unwrap().canonical_fingerprint();
+            let line = format!("{{\"op\":\"plan\",\"model\":\"{name}\"}}");
+            let (graph, cfg, strategy) = parse_plan(&Json::parse(&line).unwrap(), &sc).unwrap();
+            // Checked first: a wrong graph would make the request below
+            // miss and plan the model for real.
+            assert_eq!(graph.canonical_fingerprint(), want, "{name}");
+            let config_fp = request::config_fingerprint(&cfg, strategy);
+            let stub = format!("{{\"stub\":\"{name}\"}}");
+            store
+                .resolve(want, config_fp, || Ok::<_, ()>(stub.clone()))
+                .unwrap();
+            let doc = Json::parse(handle_line(&line, &store, &sc).text()).unwrap();
+            assert_eq!(
+                doc.get("cached").and_then(Json::as_bool),
+                Some(true),
+                "{name}"
+            );
+            let got = doc.get("graph_fp").and_then(Json::as_str).unwrap();
+            assert_eq!(got, want.to_string(), "{name}");
+            assert_eq!(doc.get("plan").unwrap().to_compact(), stub, "{name}");
+        }
+        let st = store.stats();
+        assert_eq!((st.hits, st.misses), (10, 10));
     }
 
     /// Batch sizes past the `u16` batch-sample space used to reach an

@@ -10,9 +10,12 @@
 //! [`ad_util::WorkerPool`] per thread level, reused across every timed
 //! pass exactly as the serve daemon reuses its pool across requests. The
 //! measurements go to `BENCH_planner.json` so every perf PR has a
-//! trajectory to compare against. A run's `stages` are the returned
-//! plan's; when the layer-order refinement lost, its own rows follow, and
-//! its `simulate` row names the round where it stopped.
+//! trajectory to compare against. Passes are interleaved: pass *i* of
+//! every (workload, thread level) cell runs before pass *i + 1* of any
+//! cell, so host drift over the minutes a sweep takes spreads over every
+//! cell instead of landing on whichever cells ran last. A run's `stages`
+//! are the returned plan's; when the layer-order refinement lost, its own
+//! rows follow, and its `simulate` row names the round where it stopped.
 //!
 //! Two assertions run inside the harness itself:
 //!
@@ -35,7 +38,9 @@
 //! * `--threads=1,8` — comma-separated thread counts to sweep (default
 //!   `1,2,4,8,16`; `--fast` default `1,8`).
 //! * `--iters=N` — timed passes per thread level, N ≥ 1 (default 3 paper / 1
-//!   fast); the *minimum* total wall time is recorded.
+//!   fast); each run records the *minimum* total wall time
+//!   (`total_wall_ms`, with the stages of that pass) and the median
+//!   (`median_wall_ms`).
 //! * `--out=PATH` — output path (default `BENCH_planner.json`).
 //! * `--check-inversion` — exit non-zero if the highest thread level's
 //!   total regresses past serial (see above).
@@ -55,10 +60,10 @@
 //! non-negative wall times, and every workload its peak resident set) and
 //! exits non-zero on malformed output.
 //!
-//! Memory: after each workload's sweep the harness reads the process's
-//! peak resident set (`VmHWM` in `/proc/self/status`, Linux only) into the
-//! workload's `peak_rss_mib`. Workloads run smallest first, so each reading
-//! is that workload's own peak.
+//! Memory: after each workload's cells of the first pass the harness reads
+//! the process's peak resident set (`VmHWM` in `/proc/self/status`, Linux
+//! only) into the workload's `peak_rss_mib`. Workloads run smallest first,
+//! so each reading is that workload's own peak.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -100,39 +105,63 @@ struct Workload {
 struct RunRecord {
     threads: usize,
     total_ms: f64,
+    /// Median total wall time over the cell's passes.
+    median_ms: f64,
     total_cycles: u64,
     plan: String,
     stages: Vec<StageReport>,
 }
 
-/// Minimum-of-`iters` timing of one (workload, thread count) cell. All
-/// passes share one persistent pool, so pool reuse across requests — the
-/// daemon's steady state — is what gets measured.
-fn measure(g: &dnn_graph::Graph, cfg: OptimizerConfig, threads: usize, iters: usize) -> RunRecord {
-    let pool = Arc::new(WorkerPool::new(threads));
-    let mut best: Option<RunRecord> = None;
-    for _ in 0..iters {
+/// One (workload, thread count) cell while its passes accumulate.
+struct Cell {
+    workload: usize,
+    threads: usize,
+    /// The fastest pass so far; its `median_ms` is filled in at the end.
+    best: Option<RunRecord>,
+    times: Vec<f64>,
+}
+
+impl Cell {
+    /// Times one planning request on `pool`, the thread level's persistent
+    /// pool, so pool reuse across requests (the daemon's steady state) is
+    /// what gets measured.
+    fn pass(&mut self, g: &dnn_graph::Graph, cfg: OptimizerConfig, pool: &Arc<WorkerPool>) {
         let t0 = Instant::now();
         let req = PlanRequest::new(g, cfg).with_pool(pool.clone());
         let out = request::plan(&req).expect("planner runs");
         let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|b| total_ms < b.total_ms) {
-            best = Some(RunRecord {
-                threads,
+        self.times.push(total_ms);
+        if self.best.as_ref().is_none_or(|b| total_ms < b.total_ms) {
+            self.best = Some(RunRecord {
+                threads: self.threads,
                 total_ms,
+                median_ms: total_ms,
                 total_cycles: out.stats.total_cycles,
                 plan: out.plan,
                 stages: out.reports,
             });
         }
     }
-    best.expect("at least one timed pass")
+
+    fn finish(self) -> RunRecord {
+        let mut rec = self.best.expect("at least one timed pass");
+        rec.median_ms = median(self.times);
+        rec
+    }
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
 }
 
 fn run_to_json(r: &RunRecord) -> Json {
     Json::Obj(vec![
         ("threads".into(), Json::Num(r.threads as f64)),
         ("total_wall_ms".into(), Json::Num(r.total_ms)),
+        ("median_wall_ms".into(), Json::Num(r.median_ms)),
         (
             "stages".into(),
             Json::Arr(
@@ -294,6 +323,13 @@ fn validate(doc: &Json) -> Result<(), String> {
                 .ok_or("run missing `total_wall_ms`")?;
             if !total.is_finite() || total < 0.0 {
                 return Err(format!("non-finite total_wall_ms {total}"));
+            }
+            let median = run
+                .get("median_wall_ms")
+                .and_then(Json::as_f64)
+                .ok_or("run missing `median_wall_ms`")?;
+            if !median.is_finite() || median < total {
+                return Err(format!("median_wall_ms {median} below minimum {total}"));
             }
             let stages = run
                 .get("stages")
@@ -461,21 +497,52 @@ fn main() {
         .ok()
         .and_then(|text| Json::parse(&text).ok());
 
+    let cfgs: Vec<OptimizerConfig> = workloads
+        .iter()
+        .map(|w| w.cfg.with_sa_chains(w.sa_chains))
+        .collect();
+    let pools: Vec<Arc<WorkerPool>> = threads
+        .iter()
+        .map(|&t| Arc::new(WorkerPool::new(t)))
+        .collect();
+    let mut cells: Vec<Cell> = (0..workloads.len())
+        .flat_map(|wi| {
+            threads.iter().map(move |&t| Cell {
+                workload: wi,
+                threads: t,
+                best: None,
+                times: Vec::new(),
+            })
+        })
+        .collect();
+    let mut rss_of: Vec<Option<f64>> = vec![None; workloads.len()];
+    for pass in 0..iters {
+        println!("pass {}/{iters}", pass + 1);
+        for (ci, cell) in cells.iter_mut().enumerate() {
+            let ti = ci % threads.len();
+            let cfg = cfgs[cell.workload].with_parallelism(cell.threads);
+            cell.pass(&workloads[cell.workload].graph, cfg, &pools[ti]);
+            if pass == 0 && ti + 1 == threads.len() {
+                rss_of[cell.workload] = peak_rss_mib();
+            }
+        }
+    }
+    let mut cells = cells.into_iter();
+
     let mut workloads_json = Vec::new();
     let mut inversion_failures = Vec::new();
     let mut serial_totals = Vec::new();
-    for w in &workloads {
-        let cfg = w.cfg.with_sa_chains(w.sa_chains);
+    for (w, rss) in workloads.iter().zip(rss_of) {
         println!("{} ({}, sa_chains {}):", w.name, w.config, w.sa_chains);
         let mut runs: Vec<RunRecord> = Vec::new();
-        for &t in &threads {
-            let rec = measure(&w.graph, cfg.with_parallelism(t), t, iters);
+        for rec in cells.by_ref().take(threads.len()).map(Cell::finish) {
+            let t = rec.threads;
             let delta = committed_total_ms(committed.as_ref(), w.name, t)
                 .map(|base| format!(" ({:+.1}% vs committed)", (rec.total_ms / base - 1.0) * 1e2))
                 .unwrap_or_default();
             println!(
-                "  threads {t}: total {:.1} ms, {} cycles{delta}",
-                rec.total_ms, rec.total_cycles
+                "  threads {t}: total {:.1} ms (median {:.1}), {} cycles{delta}",
+                rec.total_ms, rec.median_ms, rec.total_cycles
             );
             println!(
                 "    {}",
@@ -511,7 +578,6 @@ fn main() {
                 ));
             }
         }
-        let rss = peak_rss_mib();
         match rss {
             Some(mib) => println!("  peak RSS {mib:.1} MiB"),
             None => eprintln!("  peak RSS unavailable (no VmHWM in /proc/self/status)"),
@@ -629,6 +695,13 @@ mod tests {
         assert!(a.fast && a.check_inversion && !a.set_baseline);
         assert_eq!((a.iters, a.threads), (3, vec![1, 8]));
         assert_eq!(a.out_path, "planner_perf_ci.json");
+    }
+
+    #[test]
+    fn median_of_odd_and_even_pass_counts() {
+        assert_eq!(median(vec![3.0]), 3.0);
+        assert_eq!(median(vec![9.0, 1.0, 4.0]), 4.0);
+        assert_eq!(median(vec![9.0, 1.0, 4.0, 2.0]), 3.0);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! array where the layer allows it, and candidates whose working set
 //! exceeds the engine buffer are discarded.
 
+use std::collections::BTreeMap;
+
 use ad_util::Rng64;
 
 use dnn_graph::{Graph, Layer, TensorShape};
@@ -166,6 +168,11 @@ struct Candidate {
 
 /// Every layer's tiling candidates, sorted by cycles.
 ///
+/// A layer's candidates depend only on its op and its input and output
+/// shapes, so the table keeps one list per class of layers that agree on
+/// all three (deep networks repeat a few shapes many times) and a class
+/// id per layer.
+///
 /// The table depends on the graph, the engine, the dataflow and
 /// [`AtomGenConfig::engines`], never on the granularity target or the
 /// search mode. A planning request therefore builds it once and every
@@ -173,11 +180,13 @@ struct Candidate {
 /// chain) reads it.
 #[derive(Debug)]
 pub struct CandidateTable {
-    /// `layers[layer_id]` — empty for `Input` layers.
-    layers: Vec<Vec<Candidate>>,
+    /// `classes[class]` — the class's candidates; empty for `Input`.
+    classes: Vec<Vec<Candidate>>,
+    /// `class_of[layer_id]` — the layer's class.
+    class_of: Vec<usize>,
     /// Whether the layer's atoms run on the PE array (participate in `Var`).
     is_array: Vec<bool>,
-    /// Best (smallest) achievable estimated wall per layer — the reference
+    /// Best (smallest) achievable estimated wall per class — the reference
     /// point for the selection-time quality penalty.
     min_wall: Vec<u64>,
     /// The SA hot loop's view of the same candidates.
@@ -187,8 +196,9 @@ pub struct CandidateTable {
 }
 
 impl CandidateTable {
-    /// Enumerates every layer's candidates. Layers fan out through `exec`
-    /// and the results are kept in layer order, so the table is the same
+    /// Enumerates every layer's candidates, once per class. Classes are
+    /// numbered in order of first appearance and fan out through `exec`,
+    /// whose results come back in class order, so the table is the same
     /// for every pool and thread count.
     pub fn build(
         graph: &Graph,
@@ -198,21 +208,40 @@ impl CandidateTable {
         exec: &Exec,
     ) -> Self {
         let layers: Vec<&Layer> = graph.layers().collect();
-        let cands = exec.map(layers.len(), |li| {
-            layer_candidates(layers[li], cfg, engine, dataflow)
+        let mut class_ids = BTreeMap::new();
+        let mut first: Vec<&Layer> = Vec::new();
+        let class_of: Vec<usize> = layers
+            .iter()
+            .map(|&l| {
+                *class_ids
+                    .entry((l.op(), l.in_shape(), l.out_shape()))
+                    .or_insert_with(|| {
+                        first.push(l);
+                        first.len() - 1
+                    })
+            })
+            .collect();
+        let classes = exec.map(first.len(), |ci| {
+            layer_candidates(first[ci], cfg, engine, dataflow)
         });
         let mut table = Self {
             is_array: layers.iter().map(|l| l.is_array_op()).collect(),
-            min_wall: cands
+            min_wall: classes
                 .iter()
                 .map(|c| c.iter().map(|c| c.est_wall).min().unwrap_or(0))
                 .collect(),
-            layers: cands,
+            classes,
+            class_of,
             soa: SaSoa::default(),
             built_for: cfg.engines,
         };
         table.soa = SaSoa::build(&table);
         table
+    }
+
+    /// The candidates of layer `li` (its class's list).
+    fn cands(&self, li: usize) -> &[Candidate] {
+        &self.classes[self.class_of[li]]
     }
 }
 
@@ -424,7 +453,8 @@ const EXACT_SUM_LIMIT: u64 = 1 << 52;
 /// bits* the scalar path would produce (`cycles as f64`,
 /// `(est_wall - min_wall) as f64`, `count as f64` and its products with the
 /// same association), and the variance fold visits layers in the same
-/// ascending order.
+/// ascending order. The candidate arrays are per class, like the table;
+/// the fold and the SA loop still visit every layer.
 ///
 /// The per-layer argmin of Alg. 1 line 13 minimizes
 /// `|cycles - S| + (est_wall - min_wall)`: the distance to the unified
@@ -436,37 +466,37 @@ const EXACT_SUM_LIMIT: u64 = 1 << 52;
 /// DESIGN.md §11 gives the rules.
 #[derive(Debug, Default)]
 struct SaSoa {
-    /// `cycles_f[layer][k]` — cycles of the layer's `k`-th argmin
+    /// `cycles_f[class][k]` — cycles of the class's `k`-th argmin
     /// representative, pre-cast to f64 (ascending).
     cycles_f: Vec<Vec<f64>>,
-    /// `quality[layer][k]` — the representative's wall-time penalty
+    /// `quality[class][k]` — the representative's wall-time penalty
     /// `(est_wall - min_wall) as f64` (always ≥ 0).
     quality: Vec<Vec<f64>>,
-    /// `index[layer][k]` — the representative's index in the layer's
+    /// `index[class][k]` — the representative's index in the class's
     /// candidate list.
     index: Vec<Vec<usize>>,
-    /// Layers contributing to the variance objective (non-empty candidate
-    /// list and array op), ascending.
-    active: Vec<usize>,
-    /// Non-array layers with candidates: outside the objective, so SA
-    /// resolves them once, from the final `S`.
-    passive: Vec<usize>,
-    /// `(w, w·c, (w·c)·c)` per candidate of each active layer, indexed like
-    /// the candidate list (empty for other layers).
+    /// `(layer, class)` of the layers contributing to the variance
+    /// objective (non-empty candidate list and array op), ascending.
+    active: Vec<(usize, usize)>,
+    /// `(layer, class)` of the non-array layers with candidates: outside
+    /// the objective, so SA resolves them once, from the final `S`.
+    passive: Vec<(usize, usize)>,
+    /// `(w, w·c, (w·c)·c)` per candidate of each array class, indexed like
+    /// the candidate list (empty for other classes).
     weights: Vec<Vec<(f64, f64, f64)>>,
 }
 
 impl SaSoa {
     fn build(table: &CandidateTable) -> Self {
         let max_cycles = table
-            .layers
+            .classes
             .iter()
             .filter_map(|c| c.last())
             .map(|c| c.cycles)
             .max()
             .unwrap_or(0);
         let max_quality = table
-            .layers
+            .classes
             .iter()
             .zip(&table.min_wall)
             .flat_map(|(cands, &min)| cands.iter().map(move |c| c.est_wall - min))
@@ -476,10 +506,22 @@ impl SaSoa {
         // s0 is a mean of chosen cycles, at least 1), so no distance does.
         let collapse = max_cycles.saturating_mul(6).saturating_add(max_quality) < EXACT_SUM_LIMIT;
         let mut soa = Self::default();
-        for (li, cands) in table.layers.iter().enumerate() {
+        let mut array_class = vec![false; table.classes.len()];
+        for (li, &ci) in table.class_of.iter().enumerate() {
+            if table.classes[ci].is_empty() {
+                continue;
+            }
+            if table.is_array[li] {
+                array_class[ci] = true;
+                soa.active.push((li, ci));
+            } else {
+                soa.passive.push((li, ci));
+            }
+        }
+        for (ci, cands) in table.classes.iter().enumerate() {
             let (mut cycles_f, mut quality, mut index) = (Vec::new(), Vec::new(), Vec::new());
             for (i, c) in cands.iter().enumerate() {
-                let q = (c.est_wall - table.min_wall[li]) as f64;
+                let q = (c.est_wall - table.min_wall[ci]) as f64;
                 let cf = c.cycles as f64;
                 // Equal cycles give bit-identical distances, so within a run
                 // the first minimum-quality member scores strictly best.
@@ -498,25 +540,19 @@ impl SaSoa {
             soa.cycles_f.push(cycles_f);
             soa.quality.push(quality);
             soa.index.push(index);
-            if cands.is_empty() {
-                soa.weights.push(Vec::new());
-            } else if table.is_array[li] {
-                soa.active.push(li);
-                soa.weights.push(
-                    cands
-                        .iter()
-                        .map(|c| {
-                            let w = c.count as f64;
-                            let cf = c.cycles as f64;
-                            let wc = w * cf;
-                            (w, wc, wc * cf)
-                        })
-                        .collect(),
-                );
+            soa.weights.push(if array_class[ci] {
+                cands
+                    .iter()
+                    .map(|c| {
+                        let w = c.count as f64;
+                        let cf = c.cycles as f64;
+                        let wc = w * cf;
+                        (w, wc, wc * cf)
+                    })
+                    .collect()
             } else {
-                soa.passive.push(li);
-                soa.weights.push(Vec::new());
-            }
+                Vec::new()
+            });
         }
         soa
     }
@@ -528,8 +564,8 @@ impl SaSoa {
         let mut n = 0.0;
         let mut sum = 0.0;
         let mut sum2 = 0.0;
-        for &li in &self.active {
-            let (w, wc, wcc) = self.weights[li][choice[li]];
+        for &(li, ci) in &self.active {
+            let (w, wc, wcc) = self.weights[ci][choice[li]];
             n += w;
             sum += wc;
             sum2 += wcc;
@@ -542,7 +578,7 @@ impl SaSoa {
         (mean, if mean > 0.0 { var / (mean * mean) } else { 0.0 })
     }
 
-    /// The argmin candidate index of layer `li` (which must have
+    /// The argmin candidate index of class `ci` (which must have
     /// candidates) at unified cycle `target`, exact for every target up to
     /// 6× the table's largest cycles.
     ///
@@ -553,9 +589,9 @@ impl SaSoa {
     /// non-negatives is monotone), so once the nearer frontier's distance
     /// alone strictly exceeds the best score nothing further out can win
     /// or tie. Ties go to the lower index, as in a left-to-right scan.
-    fn closest(&self, li: usize, target: f64) -> usize {
-        let cycles = &self.cycles_f[li];
-        let quality = &self.quality[li];
+    fn closest(&self, ci: usize, target: f64) -> usize {
+        let cycles = &self.cycles_f[ci];
+        let quality = &self.quality[ci];
         let start = cycles.partition_point(|&c| c < target);
         // The next representative on the left is `lo - 1`, on the right `hi`.
         let (mut lo, mut hi) = (start, start);
@@ -584,7 +620,7 @@ impl SaSoa {
                 best = i;
             }
         }
-        self.index[li][best]
+        self.index[ci][best]
     }
 }
 
@@ -599,7 +635,8 @@ fn report_from_choices(
     let mut stats_in = Vec::new();
     for layer in graph.layers() {
         let li = layer.id().index();
-        if table.layers[li].is_empty() {
+        let cands = table.cands(li);
+        if cands.is_empty() {
             specs.push(AtomSpec {
                 th: 1,
                 tw: 1,
@@ -607,7 +644,7 @@ fn report_from_choices(
             });
             continue;
         }
-        let c = table.layers[li][choice[li]];
+        let c = cands[choice[li]];
         specs.push(c.spec);
         stats_in.push((c.cycles, c.count, table.is_array[li]));
         if table.is_array[li] {
@@ -682,7 +719,8 @@ fn run_sa_chain(
     // free to move `S` anywhere from here.
     let mut choice: Vec<usize> = (0..nl)
         .map(|li| {
-            table.layers[li]
+            table
+                .cands(li)
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
@@ -715,8 +753,8 @@ fn run_sa_chain(
         let s_move = (s + rng.range_f64(-1.0, 1.0) * p.move_len * s).clamp(s0 / 3.0, s0 * 6.0);
         cand_choice.copy_from_slice(&choice);
         let mut changed = false;
-        for &li in &soa.active {
-            let next = soa.closest(li, s_move);
+        for &(li, ci) in &soa.active {
+            let next = soa.closest(ci, s_move);
             if next != cand_choice[li] {
                 cand_choice[li] = next;
                 changed = true;
@@ -744,8 +782,8 @@ fn run_sa_chain(
     // non-array layers end at their argmin for the last accepted `S` (or
     // keep their initialization when no move was accepted).
     if accepted {
-        for &li in &soa.passive {
-            choice[li] = soa.closest(li, s);
+        for &(li, ci) in &soa.passive {
+            choice[li] = soa.closest(ci, s);
         }
     }
 
@@ -761,13 +799,13 @@ fn run_sa_chain(
 fn run_ga(graph: &Graph, table: &CandidateTable, p: GaParams) -> GenReport {
     let mut rng = Rng64::new(p.seed);
     let nl = graph.layer_count();
-    let gene_space: Vec<usize> = (0..nl).map(|li| table.layers[li].len()).collect();
+    let gene_space: Vec<usize> = (0..nl).map(|li| table.cands(li).len()).collect();
 
     let eval = |ind: &[usize]| -> f64 {
         let stats: Vec<(u64, usize, bool)> = (0..nl)
             .filter(|li| gene_space[*li] > 0)
             .map(|li| {
-                let c = table.layers[li][ind[li]];
+                let c = table.cands(li)[ind[li]];
                 (c.cycles, c.count, table.is_array[li])
             })
             .collect();
@@ -843,7 +881,7 @@ fn run_uniform(graph: &Graph, table: &CandidateTable, parts: usize) -> GenReport
     let nl = graph.layer_count();
     let choice: Vec<usize> = (0..nl)
         .map(|li| {
-            let cands = &table.layers[li];
+            let cands = table.cands(li);
             if cands.is_empty() {
                 return 0;
             }
@@ -1168,29 +1206,29 @@ mod tests {
             let table = table(&g, &cfg, &e);
             let soa = &table.soa;
             let mut seen = std::collections::BTreeSet::new();
-            for (li, cands) in table.layers.iter().enumerate() {
+            for (ci, cands) in table.classes.iter().enumerate() {
                 let key: Vec<(u64, u64)> = cands
                     .iter()
-                    .map(|c| (c.cycles, c.est_wall - table.min_wall[li]))
+                    .map(|c| (c.cycles, c.est_wall - table.min_wall[ci]))
                     .collect();
                 if cands.is_empty() || !seen.insert(key) {
                     continue;
                 }
-                collapsed_runs += cands.len() - soa.cycles_f[li].len();
+                collapsed_runs += cands.len() - soa.cycles_f[ci].len();
                 for target in probe_targets(cands) {
                     assert_eq!(
-                        soa.closest(li, target),
-                        closest_candidate(cands, target, table.min_wall[li]),
-                        "{name} layer {li} target {target}"
+                        soa.closest(ci, target),
+                        closest_candidate(cands, target, table.min_wall[ci]),
+                        "{name} class {ci} target {target}"
                     );
                 }
             }
             let nl = g.layer_count();
-            let choice: Vec<usize> = (0..nl).map(|li| table.layers[li].len() / 2).collect();
+            let choice: Vec<usize> = (0..nl).map(|li| table.cands(li).len() / 2).collect();
             let stats: Vec<(u64, usize, bool)> = (0..nl)
-                .filter(|li| !table.layers[*li].is_empty())
+                .filter(|li| !table.cands(*li).is_empty())
                 .map(|li| {
-                    let c = table.layers[li][choice[li]];
+                    let c = table.cands(li)[choice[li]];
                     (c.cycles, c.count, table.is_array[li])
                 })
                 .collect();
@@ -1218,7 +1256,8 @@ mod tests {
         };
         let big = 1u64 << 54;
         let mut table = CandidateTable {
-            layers: vec![vec![c(big, 11), c(big, 10), c(big + 8, 10)]],
+            classes: vec![vec![c(big, 11), c(big, 10), c(big + 8, 10)]],
+            class_of: vec![0],
             is_array: vec![true],
             min_wall: vec![10],
             soa: SaSoa::default(),
@@ -1229,7 +1268,7 @@ mod tests {
         for target in [1.0, 1e9, big as f64, (big + 8) as f64, 6.0 * big as f64] {
             assert_eq!(
                 table.soa.closest(0, target),
-                closest_candidate(&table.layers[0], target, 10),
+                closest_candidate(&table.classes[0], target, 10),
                 "target {target}"
             );
         }
@@ -1237,7 +1276,7 @@ mod tests {
 
         // Below the guard the same run collapses to its cheaper member.
         let small = 1u64 << 40;
-        table.layers[0] = vec![c(small, 11), c(small, 10), c(small + 8, 10)];
+        table.classes[0] = vec![c(small, 11), c(small, 10), c(small + 8, 10)];
         table.soa = SaSoa::build(&table);
         assert_eq!(table.soa.cycles_f[0].len(), 2);
         assert_eq!(table.soa.closest(0, small as f64), 1);
@@ -1257,9 +1296,9 @@ mod tests {
         let nl = g.layer_count();
         let energy = |choice: &[usize]| {
             let stats: Vec<(u64, usize, bool)> = (0..nl)
-                .filter(|li| !table.layers[*li].is_empty())
+                .filter(|li| !table.cands(*li).is_empty())
                 .map(|li| {
-                    let c = table.layers[li][choice[li]];
+                    let c = table.cands(li)[choice[li]];
                     (c.cycles, c.count, table.is_array[li])
                 })
                 .collect();
@@ -1267,7 +1306,8 @@ mod tests {
         };
         let mut choice: Vec<usize> = (0..nl)
             .map(|li| {
-                table.layers[li]
+                table
+                    .cands(li)
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, c)| (c.count.abs_diff(target_count), c.cycles))
@@ -1288,8 +1328,9 @@ mod tests {
             let s_move = (s + rng.range_f64(-1.0, 1.0) * p.move_len * s).clamp(s0 / 3.0, s0 * 6.0);
             let mut cand = choice.clone();
             for (li, slot) in cand.iter_mut().enumerate() {
-                if !table.layers[li].is_empty() {
-                    *slot = closest_candidate(&table.layers[li], s_move, table.min_wall[li]);
+                if !table.cands(li).is_empty() {
+                    let min_wall = table.min_wall[table.class_of[li]];
+                    *slot = closest_candidate(table.cands(li), s_move, min_wall);
                 }
             }
             let e_move = energy(&cand).1;
@@ -1358,15 +1399,40 @@ mod tests {
         let exec = Exec::with_threads(3);
         let pooled = CandidateTable::build(&g, &cfg, &e, Dataflow::KcPartition, &exec);
         let flat = |t: &CandidateTable| -> Vec<(u64, usize, AtomSpec, u64)> {
-            t.layers
-                .iter()
-                .flatten()
+            (0..g.layer_count())
+                .flat_map(|li| t.cands(li))
                 .map(|c| (c.cycles, c.count, c.spec, c.est_wall))
                 .collect()
         };
         assert_eq!(flat(&serial), flat(&pooled));
+        assert_eq!(serial.class_of, pooled.class_of);
         assert_eq!(serial.min_wall, pooled.min_wall);
         assert_eq!(serial.soa.index, pooled.soa.index);
+    }
+
+    #[test]
+    fn class_built_table_equals_per_layer_enumeration() {
+        // The table enumerates once per (op, in_shape, out_shape) class;
+        // every layer must still read exactly the list its own enumeration
+        // gives, in the same order.
+        let e = EngineConfig::paper_default();
+        let cfg = AtomGenConfig::default();
+        let key = |c: &Candidate| (c.cycles, c.count, c.spec, c.est_wall);
+        for name in models::PAPER_WORKLOADS {
+            let g = models::by_name(name).unwrap();
+            let table = table(&g, &cfg, &e);
+            assert_eq!(table.class_of.len(), g.layer_count(), "{name}");
+            assert!(table.classes.len() < g.layer_count(), "{name}");
+            for layer in g.layers() {
+                let got = table.cands(layer.id().index());
+                let want = layer_candidates(layer, &cfg, &e, Dataflow::KcPartition);
+                assert!(
+                    got.iter().map(key).eq(want.iter().map(key)),
+                    "{name} layer {}",
+                    layer.name()
+                );
+            }
+        }
     }
 
     #[test]

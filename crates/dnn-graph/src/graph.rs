@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use ad_util::cast::u32_from_usize;
 
@@ -100,6 +101,9 @@ pub struct Graph {
     preds: Vec<Vec<LayerId>>,
     succs: Vec<Vec<LayerId>>,
     by_name: HashMap<String, LayerId>,
+    /// [`Graph::canonical_fingerprint`], computed on first use. Every
+    /// mutator clears it; a clone keeps it (the clone is the same graph).
+    fingerprint: OnceLock<ad_util::Fingerprint>,
 }
 
 impl Graph {
@@ -111,6 +115,7 @@ impl Graph {
             preds: Vec::new(),
             succs: Vec::new(),
             by_name: HashMap::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -221,7 +226,15 @@ impl Graph {
     /// distinguishes feature map from gate). The graph digest is the sorted
     /// multiset of node hashes, so insertion order cannot leak in. Batch is
     /// not part of the graph and lives in the config fingerprint.
+    ///
+    /// The first call computes the digest and the graph keeps it, so a
+    /// graph is hashed once however many callers (cache lookup, request,
+    /// bench harness) ask for its key.
     pub fn canonical_fingerprint(&self) -> ad_util::Fingerprint {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> ad_util::Fingerprint {
         let mut node_hash = vec![0u64; self.layers.len()];
         for id in self.topo_order() {
             let l = self.layer(id);
@@ -313,6 +326,7 @@ impl Graph {
         // Patch the shape: Input has no producers to infer from.
         self.layers[id.index()].in_shape = shape;
         self.layers[id.index()].out_shape = shape;
+        self.fingerprint = OnceLock::new();
         id
     }
 
@@ -342,6 +356,7 @@ impl Graph {
         let in_shape = shapes.first().copied().unwrap_or(out_shape);
 
         let id = LayerId(u32_from_usize(self.layers.len()));
+        self.fingerprint = OnceLock::new();
         self.layers.push(Layer {
             id,
             name: name.clone(),
@@ -778,6 +793,45 @@ mod tests {
             g.canonical_fingerprint()
         };
         assert_ne!(cat(false), cat(true));
+    }
+
+    #[test]
+    fn stored_fingerprint_is_cleared_by_every_mutator() {
+        // Fingerprint a prefix of `diamond`, then finish building it: the
+        // digest must be the finished graph's, not the stored prefix's.
+        let mut g = Graph::new("diamond");
+        let x = g.add_input(TensorShape::new(16, 16, 8));
+        let input_only = g.canonical_fingerprint();
+        let a = g.add_conv("a", x, ConvParams::new(3, 1, 1, 16));
+        let prefix = g.canonical_fingerprint();
+        assert_ne!(prefix, input_only);
+        let b = g.add_conv("b", a, ConvParams::new(3, 1, 1, 16));
+        let c = g.add_conv("c", a, ConvParams::new(1, 1, 0, 16));
+        let s = g.add_add("sum", &[b, c]);
+        g.add_gap("gap", s);
+        assert_ne!(g.canonical_fingerprint(), prefix);
+        assert_eq!(g.canonical_fingerprint(), diamond().canonical_fingerprint());
+
+        // `add_input` patches the shape after `try_add_layer`: a stored
+        // digest must not survive that either.
+        let mut two = Graph::new("two");
+        two.add_input(TensorShape::new(8, 8, 4));
+        two.canonical_fingerprint();
+        two.add_input(TensorShape::new(4, 4, 2));
+        let mut fresh = Graph::new("two");
+        fresh.add_input(TensorShape::new(8, 8, 4));
+        fresh.add_input(TensorShape::new(4, 4, 2));
+        assert_eq!(two.canonical_fingerprint(), fresh.compute_fingerprint());
+
+        // A failed insertion changes nothing, so it keeps the digest.
+        let before = g.canonical_fingerprint();
+        assert!(g.try_add_layer("a", OpKind::Add, &[x, x]).is_err());
+        assert_eq!(g.fingerprint.get(), Some(&before));
+
+        // A clone is the same graph and keeps the stored digest.
+        let copy = g.clone();
+        assert_eq!(copy.fingerprint.get(), Some(&before));
+        assert_eq!(copy.canonical_fingerprint(), copy.compute_fingerprint());
     }
 
     #[test]

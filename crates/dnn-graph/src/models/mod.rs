@@ -25,6 +25,8 @@ pub use random::{random, RandomGraphConfig};
 pub use resnet::{resnet1001, resnet152, resnet50};
 pub use vgg::vgg19;
 
+use std::sync::OnceLock;
+
 use crate::{ConvParams, Graph, PoolParams, TensorShape};
 
 /// Names of the eight paper workloads, in the paper's Table I order.
@@ -39,24 +41,47 @@ pub const PAPER_WORKLOADS: [&str; 8] = [
     "efficientnet",
 ];
 
+/// Builds one registered model.
+type Builder = fn() -> Graph;
+
+/// Every model [`by_name`] builds, in one list: [`shared`] keeps model `i`
+/// in slot `i` of its cache.
+const REGISTRY: [(&str, Builder); 10] = [
+    ("vgg19", vgg19),
+    ("resnet50", resnet50),
+    ("resnet152", resnet152),
+    ("resnet1001", resnet1001),
+    ("inception_v3", inception_v3),
+    ("nasnet", nasnet),
+    ("pnasnet", pnasnet),
+    ("efficientnet", efficientnet),
+    ("tiny_cnn", tiny_cnn),
+    ("tiny_branchy", tiny_branchy),
+];
+
+/// The registered models, each built on its first [`shared`] call.
+static SHARED: [OnceLock<Graph>; REGISTRY.len()] = [const { OnceLock::new() }; REGISTRY.len()];
+
+fn registry_slot(name: &str) -> Option<usize> {
+    REGISTRY.iter().position(|(n, _)| *n == name)
+}
+
 /// Builds a paper workload by name.
 ///
 /// Accepted names are the entries of [`PAPER_WORKLOADS`] plus the synthetic
 /// `"tiny_cnn"` and `"tiny_branchy"`.
 pub fn by_name(name: &str) -> Option<Graph> {
-    Some(match name {
-        "vgg19" => vgg19(),
-        "resnet50" => resnet50(),
-        "resnet152" => resnet152(),
-        "resnet1001" => resnet1001(),
-        "inception_v3" => inception_v3(),
-        "nasnet" => nasnet(),
-        "pnasnet" => pnasnet(),
-        "efficientnet" => efficientnet(),
-        "tiny_cnn" => tiny_cnn(),
-        "tiny_branchy" => tiny_branchy(),
-        _ => return None,
-    })
+    registry_slot(name).map(|i| (REGISTRY[i].1)())
+}
+
+/// The model [`by_name`] builds, built once per process and shared.
+///
+/// The first call for a name builds the graph; every later call returns
+/// the same graph, whose [`Graph::canonical_fingerprint`] is then also
+/// computed only once. Nothing is built before a name is first asked for.
+/// Unknown names give `None`, as in [`by_name`].
+pub fn shared(name: &str) -> Option<&'static Graph> {
+    registry_slot(name).map(|i| SHARED[i].get_or_init(REGISTRY[i].1))
 }
 
 /// All eight paper workloads (expensive to build for the NAS networks).
@@ -183,5 +208,35 @@ mod tests {
     #[test]
     fn by_name_unknown() {
         assert!(by_name("alexnet").is_none());
+    }
+
+    #[test]
+    fn shared_models_are_built_once_and_match_by_name() {
+        // A shifted slot would answer one name with another model, and a
+        // daemon would then serve that model's plan. Four threads race to
+        // build each model first.
+        for (name, _) in REGISTRY {
+            let from_threads: Vec<usize> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| s.spawn(move || std::ptr::from_ref(shared(name).unwrap()) as usize))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let first = shared(name).unwrap();
+            for p in from_threads {
+                assert_eq!(p, std::ptr::from_ref(first) as usize, "{name}");
+            }
+            assert!(std::ptr::eq(first, shared(name).unwrap()), "{name}");
+            let built = by_name(name).unwrap();
+            assert_eq!(first.name(), built.name(), "{name}");
+            assert_eq!(first.name(), name);
+            assert_eq!(
+                first.canonical_fingerprint(),
+                built.canonical_fingerprint(),
+                "{name}"
+            );
+        }
+        assert!(shared("alexnet").is_none());
+        assert!(shared("").is_none());
     }
 }

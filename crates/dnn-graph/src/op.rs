@@ -5,7 +5,7 @@ use std::fmt;
 /// `groups > 1` expresses grouped convolution; `groups == in_channels`
 /// (with `out == in`) is a depthwise convolution as used by EfficientNet and
 /// the NASNet-family separable convolutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConvParams {
     /// Kernel height `K_h`.
     pub kh: usize,
@@ -72,7 +72,7 @@ impl ConvParams {
 }
 
 /// Pooling flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -81,7 +81,7 @@ pub enum PoolKind {
 }
 
 /// Pooling hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PoolParams {
     /// Max or average.
     pub kind: PoolKind,
@@ -122,7 +122,7 @@ impl PoolParams {
 }
 
 /// Element-wise activation functions executed on the engine's vector unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Activation {
     /// Rectified linear unit.
     Relu,
@@ -136,7 +136,7 @@ pub enum Activation {
 ///
 /// Tensor operators (`Conv`, `Fc`) run on the PE array; all others run on
 /// the per-engine vector unit (Fig. 1(a) of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Network input placeholder (no computation).
     Input,

@@ -14,7 +14,7 @@ use crate::BYTES_PER_ELEM;
 /// let s = TensorShape::new(56, 56, 64);
 /// assert_eq!(s.elements(), 56 * 56 * 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TensorShape {
     /// Feature-map height (`H`).
     pub h: usize,
