@@ -809,11 +809,6 @@ fn parse_plan(
                 .as_u64()
                 .ok_or_else(|| format!("`budget.{k}` must be an integer"))?;
             match k.as_str() {
-                "sa_iters" => {
-                    let iters = u32::try_from(n)
-                        .map_err(|_| "`budget.sa_iters` out of range".to_string())?;
-                    budget = budget.with_sa_iters(iters);
-                }
                 "dp_expansions" => budget = budget.with_dp_expansions(n),
                 other => return Err(format!("unknown budget field `{other}`")),
             }
@@ -1395,6 +1390,10 @@ mod tests {
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"budget\":{\"deadline_ms\":5}}",
                 "unknown budget field",
+            ),
+            (
+                "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"budget\":{\"sa_iters\":5}}",
+                "unknown budget field `sa_iters`",
             ),
             (
                 "{\"op\":\"plan\",\"model\":\"tiny_cnn\",\"validate\":\"deny\"}",

@@ -65,7 +65,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/sa_resnet50", iters, || {
-        atomgen::generate(&g, &table, &sa, None, &Exec::default())
+        atomgen::generate(&g, &table, &sa)
     });
     let ga = AtomGenConfig {
         mode: AtomGenMode::Ga(GaParams {
@@ -75,7 +75,7 @@ fn bench_pipeline(iters: usize) {
         ..AtomGenConfig::default()
     };
     time("atomgen/ga_resnet50", iters, || {
-        atomgen::generate(&g, &table, &ga, None, &Exec::default())
+        atomgen::generate(&g, &table, &ga)
     });
 
     let cfg = small_cfg();

@@ -45,7 +45,7 @@ fn main() {
     );
     for (name, graph) in &w.list {
         let cfg = AtomGenConfig::default();
-        let rep = atomgen::generate(graph, &candidates(graph), &cfg, None, &Exec::default());
+        let rep = atomgen::generate(graph, &candidates(graph), &cfg);
         let total_atoms: usize = rep.layer_cycles.iter().map(|(_, n)| n).sum();
         let near: usize = rep
             .layer_cycles
@@ -83,7 +83,7 @@ fn main() {
             mode,
             ..AtomGenConfig::default()
         };
-        atomgen::generate(graph, &table, &cfg, None, &Exec::default())
+        atomgen::generate(graph, &table, &cfg)
     };
     let sa = run(AtomGenMode::Sa(SaParams {
         max_iters: iters,

@@ -1,12 +1,11 @@
 //! Tracked perf baseline for the planning pipeline (`planner_perf/v2`).
 //!
-//! Runs the full atomic-dataflow planner over a thread-count sweep on three
-//! workloads — ResNet-50 (the paper's headline network, single SA chain),
+//! Runs the full atomic-dataflow planner at each of a few thread levels on
+//! three workloads — ResNet-50 (the paper's headline network),
 //! `resnet50_b8_edge` (ResNet-50 at batch 8 on `configs/edge_4x4.json`
 //! with the fast search: the shape of the serving benchmark's heaviest
 //! planning misses, where buffers bind and the layer-order refinement
-//! loses) and ResNet-1001 (a deep graph where chain-level SA parallelism
-//! has enough independent work to win, 8 chains) — each on one persistent
+//! loses) and ResNet-1001 (the deep graph) — each on one persistent
 //! [`ad_util::WorkerPool`] per thread level, reused across every timed
 //! pass exactly as the serve daemon reuses its pool across requests. The
 //! measurements go to `BENCH_planner.json` so every perf PR has a
@@ -24,9 +23,9 @@
 //!   an execution knob, never a search knob; a mismatch exits non-zero.
 //! * **Anti-inversion** (`--check-inversion`) — the highest thread level's
 //!   total wall time must not regress past `1.25×` serial. Parallelism
-//!   that loses to serial is the regression this PR exists to fix; CI
-//!   fails on it. (The tolerance absorbs scheduler noise on starved
-//!   runners — CI containers often expose a single core.)
+//!   that loses to serial is a regression; CI fails on it. (The tolerance
+//!   absorbs scheduler noise on starved runners — CI containers often
+//!   expose a single core.)
 //!
 //! Flags:
 //!
@@ -35,8 +34,8 @@
 //!   instead of paper scale, and no batch-8 edge workload (its one search
 //!   target leaves a thread sweep nothing to run in parallel); seconds,
 //!   not minutes.
-//! * `--threads=1,8` — comma-separated thread counts to sweep (default
-//!   `1,2,4,8,16`; `--fast` default `1,8`).
+//! * `--threads=1,8` — comma-separated thread counts to run (default `1`
+//!   and the host's available parallelism, once each).
 //! * `--iters=N` — timed passes per thread level, N ≥ 1 (default 3 paper / 1
 //!   fast); each run records the *minimum* total wall time
 //!   (`total_wall_ms`, with the stages of that pass) and the median
@@ -60,10 +59,13 @@
 //! non-negative wall times, and every workload its peak resident set) and
 //! exits non-zero on malformed output.
 //!
-//! Memory: after each workload's cells of the first pass the harness reads
-//! the process's peak resident set (`VmHWM` in `/proc/self/status`, Linux
-//! only) into the workload's `peak_rss_mib`. Workloads run smallest first,
-//! so each reading is that workload's own peak.
+//! Memory: after each workload's serial cell of the first pass the harness
+//! reads the process's peak resident set (`VmHWM` in `/proc/self/status`,
+//! Linux only) into the workload's `peak_rss_mib`. Workloads run smallest
+//! first and the serial cell runs before any other cell of its workload,
+//! so each reading is that workload's own serial peak: no multi-thread
+//! cell, whose live allocations vary with how its threads interleave, has
+//! run yet.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -85,8 +87,7 @@ const STAGES: [&str; 5] = ["atomgen", "schedule", "map", "lower", "simulate"];
 /// `--check-inversion` fails the run.
 const INVERSION_TOLERANCE: f64 = 1.25;
 
-/// One workload of the sweep: a model, its planning configuration and its
-/// SA chain count.
+/// One workload of the sweep: a model and its planning configuration.
 struct Workload {
     /// Row key in the output file.
     name: &'static str,
@@ -95,11 +96,6 @@ struct Workload {
     /// What `cfg` is, for the output file.
     config: &'static str,
     cfg: OptimizerConfig,
-    /// Independent SA chains per layer — the unit of intra-stage
-    /// parallelism. Part of the search configuration (it changes the
-    /// config fingerprint), so it is fixed per workload, never derived
-    /// from the thread count.
-    sa_chains: usize,
 }
 
 struct RunRecord {
@@ -293,9 +289,6 @@ fn validate(doc: &Json) -> Result<(), String> {
         w.get("model")
             .and_then(Json::as_str)
             .ok_or("workload missing `model`")?;
-        w.get("sa_chains")
-            .and_then(Json::as_usize)
-            .ok_or("workload missing `sa_chains`")?;
         w.get("total_cycles")
             .and_then(Json::as_u64)
             .ok_or("workload missing `total_cycles`")?;
@@ -386,17 +379,16 @@ impl Args {
     /// parse (one bad entry of `--threads=` included).
     fn parse(args: &[String]) -> Self {
         let fast = args.iter().any(|a| a == "--fast");
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        let mut threads = vec![1, nproc];
+        threads.dedup();
         let mut parsed = Self {
             fast,
             set_baseline: false,
             check_inversion: false,
             out_path: "BENCH_planner.json".to_string(),
             iters: if fast { 1 } else { 3 },
-            threads: if fast {
-                vec![1, 8]
-            } else {
-                vec![1, 2, 4, 8, 16]
-            },
+            threads,
         };
         for a in args {
             if a == "--fast" {
@@ -445,12 +437,9 @@ fn main() {
     };
 
     let base_name = if fast { "fast_test" } else { "paper_default" };
-    // ResNet-50 is the headline single-chain workload; ResNet-50 at batch 8
-    // on the edge machine is a heavy miss of the serving benchmark's mix;
-    // ResNet-1001 is the deep graph whose multi-chain SA search gives every
-    // thread level enough independent work (8 chains is a search-quality
-    // choice — it enters the config fingerprint and is identical at every
-    // thread count). Smallest peak memory first, so each workload's RSS
+    // ResNet-50 is the headline workload; ResNet-50 at batch 8 on the edge
+    // machine is a heavy miss of the serving benchmark's mix; ResNet-1001
+    // is the deep graph. Smallest peak memory first, so each workload's RSS
     // reading is its own.
     let mut workloads = vec![
         Workload {
@@ -459,7 +448,6 @@ fn main() {
             graph: models::resnet50(),
             config: base_name,
             cfg: base_cfg,
-            sa_chains: 1,
         },
         Workload {
             name: "resnet1001",
@@ -467,7 +455,6 @@ fn main() {
             graph: models::resnet1001(),
             config: base_name,
             cfg: base_cfg,
-            sa_chains: 8,
         },
     ];
     if !fast {
@@ -488,7 +475,6 @@ fn main() {
                 graph: models::resnet50(),
                 config: "edge_4x4.json fast batch 8",
                 cfg: edge_b8,
-                sa_chains: 1,
             },
         );
     }
@@ -497,10 +483,6 @@ fn main() {
         .ok()
         .and_then(|text| Json::parse(&text).ok());
 
-    let cfgs: Vec<OptimizerConfig> = workloads
-        .iter()
-        .map(|w| w.cfg.with_sa_chains(w.sa_chains))
-        .collect();
     let pools: Vec<Arc<WorkerPool>> = threads
         .iter()
         .map(|&t| Arc::new(WorkerPool::new(t)))
@@ -520,9 +502,9 @@ fn main() {
         println!("pass {}/{iters}", pass + 1);
         for (ci, cell) in cells.iter_mut().enumerate() {
             let ti = ci % threads.len();
-            let cfg = cfgs[cell.workload].with_parallelism(cell.threads);
-            cell.pass(&workloads[cell.workload].graph, cfg, &pools[ti]);
-            if pass == 0 && ti + 1 == threads.len() {
+            let w = &workloads[cell.workload];
+            cell.pass(&w.graph, w.cfg.with_parallelism(cell.threads), &pools[ti]);
+            if pass == 0 && ti == 0 {
                 rss_of[cell.workload] = peak_rss_mib();
             }
         }
@@ -533,7 +515,7 @@ fn main() {
     let mut inversion_failures = Vec::new();
     let mut serial_totals = Vec::new();
     for (w, rss) in workloads.iter().zip(rss_of) {
-        println!("{} ({}, sa_chains {}):", w.name, w.config, w.sa_chains);
+        println!("{} ({}):", w.name, w.config);
         let mut runs: Vec<RunRecord> = Vec::new();
         for rec in cells.by_ref().take(threads.len()).map(Cell::finish) {
             let t = rec.threads;
@@ -586,7 +568,6 @@ fn main() {
             ("name".into(), Json::Str(w.name.into())),
             ("model".into(), Json::Str(w.model.into())),
             ("config".into(), Json::Str(w.config.into())),
-            ("sa_chains".into(), Json::Num(w.sa_chains as f64)),
             ("total_cycles".into(), Json::Num(serial.total_cycles as f64)),
             ("peak_rss_mib".into(), rss.map_or(Json::Null, Json::Num)),
             (
@@ -695,6 +676,14 @@ mod tests {
         assert!(a.fast && a.check_inversion && !a.set_baseline);
         assert_eq!((a.iters, a.threads), (3, vec![1, 8]));
         assert_eq!(a.out_path, "planner_perf_ci.json");
+    }
+
+    #[test]
+    fn default_threads_are_serial_and_nproc_once_each() {
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        let want = if nproc == 1 { vec![1] } else { vec![1, nproc] };
+        assert_eq!(parse(&[]).threads, want);
+        assert_eq!(parse(&["--fast"]).threads, want);
     }
 
     #[test]

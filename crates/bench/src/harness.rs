@@ -271,7 +271,6 @@ pub fn ls_layer_utilizations(graph: &Graph, cfg: &OptimizerConfig) -> Vec<(Strin
 ///   byte-identical for every value);
 /// - `--batch=N` — override the experiment's default batch size;
 /// - `--json=PATH` — also dump records as JSON;
-/// - `--sa-budget=N` — cap simulated-annealing iterations per chain;
 /// - `--dp-budget=N` — cap DP scheduling expansions.
 ///
 /// An unknown flag, or a value that does not parse, panics with a message
@@ -291,8 +290,7 @@ pub struct Workloads {
     pub hw_path: Option<String>,
     /// Candidate-search worker threads, if overridden.
     pub parallelism: Option<usize>,
-    /// Planning budget assembled from `--sa-budget` / `--dp-budget`
-    /// (unlimited when none given).
+    /// Planning budget from `--dp-budget` (unlimited when not given).
     pub budget: PlanBudget,
 }
 
@@ -339,8 +337,6 @@ impl Workloads {
                 batch_override = Some(flag_value("--batch=", v));
             } else if let Some(v) = a.strip_prefix("--json=") {
                 json_path = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--sa-budget=") {
-                budget = budget.with_sa_iters(flag_value("--sa-budget=", v));
             } else if let Some(v) = a.strip_prefix("--dp-budget=") {
                 budget = budget.with_dp_expansions(flag_value("--dp-budget=", v));
             } else if !own
@@ -478,12 +474,8 @@ mod tests {
 
     #[test]
     fn budget_flags_parse() {
-        let w = Workloads::from_arg_slice(&[
-            "--workloads=resnet50".into(),
-            "--sa-budget=5".into(),
-            "--dp-budget=1000".into(),
-        ]);
-        assert_eq!(w.budget.sa_iters, Some(5));
+        let w =
+            Workloads::from_arg_slice(&["--workloads=resnet50".into(), "--dp-budget=1000".into()]);
         assert_eq!(w.budget.dp_expansions, Some(1000));
         let cfg = w.config(Dataflow::KcPartition, 1);
         assert_eq!(cfg.budget, w.budget);
@@ -501,7 +493,7 @@ mod tests {
         let cases: [&[&str]; 10] = [
             &["--par=two"],
             &["--batch=-1"],
-            &["--sa-budget=many"],
+            &["--sa-budget=5"],
             &["--dp-budget=1e3"],
             &["--validate=deny"],
             &["--validate"],

@@ -40,13 +40,6 @@ pub struct SaParams {
     pub lambda: f64,
     /// RNG seed (searches are deterministic given the seed).
     pub seed: u64,
-    /// Independently seeded annealing chains. Chain `i` runs with seed
-    /// [`chain_seed`]`(seed, i)` (chain 0 = the base seed, so `chains = 1`
-    /// reproduces the single-chain search exactly); the minimum-variance
-    /// chain wins, earliest chain index breaking ties. The chain *set* is
-    /// part of the search configuration — the request's worker pool only
-    /// controls how many threads evaluate it.
-    pub chains: usize,
 }
 
 impl Default for SaParams {
@@ -58,7 +51,6 @@ impl Default for SaParams {
             temp: 0.5,
             lambda: 0.97,
             seed: 7,
-            chains: 1,
         }
     }
 }
@@ -149,9 +141,6 @@ pub struct GenReport {
     /// Per-array-layer `(cycles, atom_count)` under the chosen specs — the
     /// population of the Fig. 5(a) histogram.
     pub layer_cycles: Vec<(u64, usize)>,
-    /// `true` when a [`crate::PlanBudget`] iteration cap stopped the search
-    /// before it converged (the report still holds the best-so-far specs).
-    pub truncated: bool,
 }
 
 /// One pre-enumerated tiling candidate of a layer.
@@ -176,8 +165,7 @@ struct Candidate {
 /// The table depends on the graph, the engine, the dataflow and
 /// [`AtomGenConfig::engines`], never on the granularity target or the
 /// search mode. A planning request therefore builds it once and every
-/// [`generate`] run of the request (one per granularity target, every SA
-/// chain) reads it.
+/// [`generate`] run of the request (one per granularity target) reads it.
 #[derive(Debug)]
 pub struct CandidateTable {
     /// `classes[class]` — the class's candidates; empty for `Input`.
@@ -247,48 +235,16 @@ impl CandidateTable {
 
 /// Runs the configured generator over `graph`, reading its candidates from
 /// `table` (built by [`CandidateTable::build`] under the same `cfg`).
-///
-/// * `iter_budget` is a deterministic iteration cap
-///   ([`crate::PlanBudget::sa_iters`]). It bounds each SA chain's
-///   iteration count; the chain returns its best-so-far choice vector and
-///   the report is flagged [`GenReport::truncated`] when the cap fired
-///   before convergence.
-/// * `exec` carries the request's worker pool for the SA chain fan-out;
-///   every pool size gives byte-identical output.
-///
-/// GA and uniform generation have a fixed iteration structure and ignore
-/// the cap.
-pub fn generate(
-    graph: &Graph,
-    table: &CandidateTable,
-    cfg: &AtomGenConfig,
-    iter_budget: Option<usize>,
-    exec: &Exec,
-) -> GenReport {
+pub fn generate(graph: &Graph, table: &CandidateTable, cfg: &AtomGenConfig) -> GenReport {
     debug_assert_eq!(
         table.built_for, cfg.engines,
         "candidate table built for a different engine count"
     );
     match cfg.mode {
-        AtomGenMode::Sa(p) => run_sa(
-            graph,
-            table,
-            p,
-            cfg.target_atoms_per_layer,
-            iter_budget,
-            exec,
-        ),
+        AtomGenMode::Sa(p) => run_sa(graph, table, p, cfg.target_atoms_per_layer),
         AtomGenMode::Ga(p) => run_ga(graph, table, p),
         AtomGenMode::Uniform { parts } => run_uniform(graph, table, parts),
     }
-}
-
-/// Seed of SA chain `chain` under base seed `seed`: splitmix64's golden
-/// gamma keeps the chain streams decorrelated while chain 0 stays exactly
-/// the base seed (so `chains = 1` is byte-identical to the single-chain
-/// generator).
-pub fn chain_seed(seed: u64, chain: usize) -> u64 {
-    seed.wrapping_add((chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Upper bound on a layer's atom count (keeps the DAG tractable).
@@ -658,7 +614,6 @@ fn report_from_choices(
         variance: var,
         history,
         layer_cycles,
-        truncated: false,
     }
 }
 
@@ -666,49 +621,9 @@ fn report_from_choices(
 // Simulated annealing (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-/// Runs [`SaParams::chains`] independently seeded annealing chains on the
-/// request's worker pool and keeps the minimum-variance chain, the
-/// earliest chain index breaking ties. The reduction visits chains in
-/// fixed index order, so the result is a pure function of the search
-/// configuration, never of the thread count.
-fn run_sa(
-    graph: &Graph,
-    table: &CandidateTable,
-    p: SaParams,
-    target_count: usize,
-    iter_budget: Option<usize>,
-    exec: &Exec,
-) -> GenReport {
-    let chains = p.chains.max(1);
-    if chains == 1 {
-        return run_sa_chain(graph, table, p, target_count, iter_budget);
-    }
-    let reports = exec.map(chains, |i| {
-        let mut pi = p;
-        pi.seed = chain_seed(p.seed, i);
-        run_sa_chain(graph, table, pi, target_count, iter_budget)
-    });
-    let mut best: Option<GenReport> = None;
-    for r in reports {
-        if best.as_ref().is_none_or(|b| r.variance < b.variance) {
-            best = Some(r);
-        }
-    }
-    // `chains >= 1`, so at least one report exists.
-    best.unwrap_or_else(|| run_sa_chain(graph, table, p, target_count, iter_budget))
-}
-
-/// One annealing chain (Algorithm 1), deterministic given `p.seed`. An
-/// `iter_budget` below `p.max_iters` truncates the chain (flagged in the
-/// report unless the chain converged first); the budget check is a pure
-/// iteration count, so a fixed budget yields byte-identical results.
-fn run_sa_chain(
-    graph: &Graph,
-    table: &CandidateTable,
-    p: SaParams,
-    target_count: usize,
-    iter_budget: Option<usize>,
-) -> GenReport {
+/// Algorithm 1: one annealing chain, deterministic given `p.seed`, that
+/// stops at `p.max_iters` iterations (`ite_max`) or once `E ≤ ε`.
+fn run_sa(graph: &Graph, table: &CandidateTable, p: SaParams, target_count: usize) -> GenReport {
     let soa = &table.soa;
     let mut rng = Rng64::new(p.seed);
     let nl = graph.layer_count();
@@ -736,12 +651,9 @@ fn run_sa_chain(
     // Reusable neighbor buffer, refreshed from `choice` every iteration.
     let mut cand_choice = choice.clone();
 
-    let cap = p.max_iters.min(iter_budget.unwrap_or(usize::MAX));
-    let mut converged = false;
     let mut accepted = false;
-    for _ in 0..cap {
+    for _ in 0..p.max_iters {
         if e <= p.epsilon {
-            converged = true;
             break;
         }
         // Neighboring state (line 10) and per-layer argmin (lines 11-14)
@@ -777,7 +689,6 @@ fn run_sa_chain(
         }
         history.push(e);
     }
-    converged = converged || e <= p.epsilon;
     // Every accepted move re-chose every layer at its `S`, so the
     // non-array layers end at their argmin for the last accepted `S` (or
     // keep their initialization when no move was accepted).
@@ -787,9 +698,7 @@ fn run_sa_chain(
         }
     }
 
-    let mut report = report_from_choices(graph, table, &choice, history);
-    report.truncated = iter_budget.is_some_and(|b| b < p.max_iters) && !converged;
-    report
+    report_from_choices(graph, table, &choice, history)
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,14 +921,9 @@ mod tests {
         CandidateTable::build(g, cfg, e, Dataflow::KcPartition, &Exec::default())
     }
 
-    /// One serial generation run over a freshly built table.
-    fn run(
-        g: &Graph,
-        cfg: &AtomGenConfig,
-        e: &EngineConfig,
-        iter_budget: Option<usize>,
-    ) -> GenReport {
-        generate(g, &table(g, cfg, e), cfg, iter_budget, &Exec::default())
+    /// One generation run over a freshly built table.
+    fn run(g: &Graph, cfg: &AtomGenConfig, e: &EngineConfig) -> GenReport {
+        generate(g, &table(g, cfg, e), cfg)
     }
 
     /// The per-layer argmin spelled out as a left-to-right scan over every
@@ -1043,7 +947,7 @@ mod tests {
     fn sa_reduces_variance() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = run(&g, &cfg, &e, None);
+        let rep = run(&g, &cfg, &e);
         assert!(!rep.history.is_empty());
         let first = rep.history[0];
         let last = *rep.history.last().unwrap();
@@ -1058,8 +962,8 @@ mod tests {
     fn sa_deterministic_given_seed() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let r1 = run(&g, &cfg, &e, None);
-        let r2 = run(&g, &cfg, &e, None);
+        let r1 = run(&g, &cfg, &e);
+        let r2 = run(&g, &cfg, &e);
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
     }
@@ -1067,27 +971,34 @@ mod tests {
     #[test]
     fn sa_budget_truncates_deterministically() {
         let (g, e) = setup();
-        let cfg = AtomGenConfig::default();
-        // Tight cap: far below max_iters, and (for this graph/seed) below
-        // the convergence point, so the truncated flag must be set.
-        let r1 = run(&g, &cfg, &e, Some(3));
-        let r2 = run(&g, &cfg, &e, Some(3));
+        let with_iters = |max_iters| AtomGenConfig {
+            mode: AtomGenMode::Sa(SaParams {
+                max_iters,
+                ..SaParams::default()
+            }),
+            ..AtomGenConfig::default()
+        };
+        // `ite_max` far below the default, and (for this graph and seed)
+        // below the convergence point, stops the chain deterministically.
+        let r1 = run(&g, &with_iters(3), &e);
+        let r2 = run(&g, &with_iters(3), &e);
         assert_eq!(r1.specs, r2.specs);
         assert_eq!(r1.history, r2.history);
-        assert!(r1.history.len() <= 4); // initial E + ≤3 iterations
-                                        // A budget at/above max_iters never truncates.
-        let full = run(&g, &cfg, &e, Some(10_000));
-        assert!(!full.truncated);
-        // An unlimited run is identical to budget=None.
-        let unb = run(&g, &cfg, &e, None);
-        assert_eq!(full.specs, unb.specs);
+        // The initial E and at most 3 iterations.
+        assert!(r1.history.len() <= 4);
+        // The chain converges long before 10 000 iterations, so a larger
+        // `ite_max` is the default run exactly.
+        let long = run(&g, &with_iters(10_000), &e);
+        let default = run(&g, &AtomGenConfig::default(), &e);
+        assert_eq!(long.specs, default.specs);
+        assert_eq!(long.history, default.history);
     }
 
     #[test]
     fn kc_candidates_snap_channels_to_pe_multiple() {
         let (g, e) = setup();
         let cfg = AtomGenConfig::default();
-        let rep = run(&g, &cfg, &e, None);
+        let rep = run(&g, &cfg, &e);
         for layer in g.layers() {
             if !layer.is_array_op() {
                 continue;
@@ -1114,7 +1025,7 @@ mod tests {
             }),
             ..AtomGenConfig::default()
         };
-        let rep = run(&g, &cfg, &e, None);
+        let rep = run(&g, &cfg, &e);
         assert!(rep.history.len() > 10);
         assert!(*rep.history.last().unwrap() <= rep.history[0]);
     }
@@ -1126,7 +1037,7 @@ mod tests {
             mode: AtomGenMode::Uniform { parts: 8 },
             ..AtomGenConfig::default()
         };
-        let rep = run(&g, &cfg, &e, None);
+        let rep = run(&g, &cfg, &e);
         // Large layers should land near 8 atoms.
         let stem = g.layer_by_name("stem").unwrap();
         let n = rep.specs[stem.id().index()].count(stem.out_shape());
@@ -1140,7 +1051,7 @@ mod tests {
         // before streaming-aware candidates was Var > 40).
         let g = models::vgg19();
         let e = EngineConfig::paper_default();
-        let rep = run(&g, &AtomGenConfig::default(), &e, None);
+        let rep = run(&g, &AtomGenConfig::default(), &e);
         assert!(rep.variance < 0.2, "variance = {}", rep.variance);
         // And the resulting specs split large conv layers into many atoms.
         let c12 = g.layer_by_name("conv1_2").unwrap();
@@ -1290,7 +1201,6 @@ mod tests {
         table: &CandidateTable,
         p: SaParams,
         target_count: usize,
-        iter_budget: Option<usize>,
     ) -> GenReport {
         let mut rng = Rng64::new(p.seed);
         let nl = g.layer_count();
@@ -1318,11 +1228,8 @@ mod tests {
         let s0 = s.max(1.0);
         let mut temp = p.temp;
         let mut history = vec![e];
-        let cap = p.max_iters.min(iter_budget.unwrap_or(usize::MAX));
-        let mut converged = false;
-        for _ in 0..cap {
+        for _ in 0..p.max_iters {
             if e <= p.epsilon {
-                converged = true;
                 break;
             }
             let s_move = (s + rng.range_f64(-1.0, 1.0) * p.move_len * s).clamp(s0 / 3.0, s0 * 6.0);
@@ -1343,39 +1250,39 @@ mod tests {
             }
             history.push(e);
         }
-        converged = converged || e <= p.epsilon;
-        let mut report = report_from_choices(g, table, &choice, history);
-        report.truncated = iter_budget.is_some_and(|b| b < p.max_iters) && !converged;
-        report
+        report_from_choices(g, table, &choice, history)
     }
 
     #[test]
     fn sa_chain_matches_the_reference_loop() {
         // Covers what the golden pins cannot enumerate: random graphs (with
         // pooling, element-wise and concat layers outside the objective),
-        // budgets that stop before any move is accepted, and an epsilon
-        // that converges at once.
+        // iteration counts that stop before any move is accepted, and an
+        // epsilon that converges at once.
         let e = EngineConfig::paper_default();
         let mut graphs = vec![models::tiny_branchy(), models::tiny_cnn()];
         graphs.extend((0..8).map(|seed| models::random(&models::RandomGraphConfig::seeded(seed))));
         for (gi, g) in graphs.iter().enumerate() {
             for (epsilon, target) in [(0.02, 128), (0.0, 16), (10.0, 64)] {
-                let p = SaParams {
-                    max_iters: 120,
-                    epsilon,
-                    seed: 11 + gi as u64,
-                    ..SaParams::default()
-                };
-                let cfg = AtomGenConfig {
-                    mode: AtomGenMode::Sa(p),
+                let base = AtomGenConfig {
                     target_atoms_per_layer: target,
                     ..AtomGenConfig::default()
                 };
-                let table = table(g, &cfg, &e);
-                for budget in [None, Some(0), Some(1), Some(7)] {
-                    let fast = generate(g, &table, &cfg, budget, &Exec::default());
-                    let slow = reference_chain(g, &table, p, target, budget);
-                    let case = format!("graph {gi}, epsilon {epsilon}, budget {budget:?}");
+                let table = table(g, &base, &e);
+                for max_iters in [120, 0, 1, 7] {
+                    let p = SaParams {
+                        max_iters,
+                        epsilon,
+                        seed: 11 + gi as u64,
+                        ..SaParams::default()
+                    };
+                    let cfg = AtomGenConfig {
+                        mode: AtomGenMode::Sa(p),
+                        ..base
+                    };
+                    let fast = generate(g, &table, &cfg);
+                    let slow = reference_chain(g, &table, p, target);
+                    let case = format!("graph {gi}, epsilon {epsilon}, max_iters {max_iters}");
                     assert_eq!(fast.specs, slow.specs, "{case}");
                     assert_eq!(fast.history, slow.history, "{case}");
                     assert_eq!(
@@ -1384,7 +1291,6 @@ mod tests {
                         "{case}"
                     );
                     assert_eq!(fast.variance.to_bits(), slow.variance.to_bits(), "{case}");
-                    assert_eq!(fast.truncated, slow.truncated, "{case}");
                 }
             }
         }

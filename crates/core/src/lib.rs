@@ -36,9 +36,9 @@
 //! Two robustness layers sit on top: the [`validate`] module independently
 //! re-checks every plan against the paper's invariants before it is handed
 //! out, in every build ([`admit`]; a violation is a bug, returned as
-//! [`PipelineError::Validation`]), and [`PlanBudget`] bounds the SA and DP
-//! searches so planning is *anytime* — on exhaustion the best plan so far
-//! is returned ([`BudgetOutcome`]).
+//! [`PipelineError::Validation`]), and [`PlanBudget`] bounds the DP
+//! scheduling search so planning is *anytime* — on exhaustion the best
+//! plan so far is returned ([`BudgetOutcome`]).
 //!
 //! ```rust
 //! use atomic_dataflow::{Optimizer, OptimizerConfig};

@@ -40,12 +40,12 @@ pub struct OptimizerConfig {
     /// cheapest simulated solution is kept. Zero entries are skipped.
     pub search_targets: [usize; 3],
     /// Worker threads for the candidate search (granularity-scale
-    /// pipelines, SA chains, baseline sub-searches). Purely an *execution*
+    /// pipelines, baseline sub-searches). Purely an *execution*
     /// knob: the candidate set is fixed by the configuration and reductions
     /// always visit candidates in index order, so every value of this field
     /// produces byte-identical results (1 = fully sequential, the default).
     pub parallelism: usize,
-    /// Anytime-planning budget (SA and DP iteration caps); the default is
+    /// Anytime-planning budget (the DP iteration cap); the default is
     /// unlimited.
     pub budget: PlanBudget,
 }
@@ -147,19 +147,6 @@ impl OptimizerConfig {
     /// candidate search (results are identical for every value).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns a copy running `chains` independent SA chains per atom
-    /// generation (see [`crate::SaParams::chains`]). Unlike
-    /// [`OptimizerConfig::with_parallelism`], this changes the *search*
-    /// itself — more chains explore more of the annealing space and the
-    /// minimum-variance chain wins — so it honestly enters the plan
-    /// fingerprint. No-op for non-SA generation modes.
-    pub fn with_sa_chains(mut self, chains: usize) -> Self {
-        if let crate::atomgen::AtomGenMode::Sa(ref mut p) = self.atomgen.mode {
-            p.chains = chains.max(1);
-        }
         self
     }
 
@@ -279,7 +266,7 @@ impl Optimizer {
             self.cfg.dataflow,
             &exec,
         );
-        let report = atomgen::generate(graph, &table, &gen_cfg, None, &exec);
+        let report = atomgen::generate(graph, &table, &gen_cfg);
         let dag = AtomicDag::build(
             graph,
             &report.specs,
@@ -348,9 +335,9 @@ impl Optimizer {
         if targets.is_empty() {
             targets.push(self.cfg.atomgen.target_atoms_per_layer);
         }
-        // Every fan-out runs on the request's worker pool (nested SA chain
-        // fan-outs reuse it, so live threads stay bounded by its size), and
-        // the candidates share one cost-oracle interner — atom costs are
+        // Every fan-out runs on the request's worker pool (nested fan-outs
+        // reuse it, so live threads stay bounded by its size), and the
+        // candidates share one cost-oracle interner — atom costs are
         // pure functions of (layer, extent), so each extent is evaluated
         // once across the search.
         let exec = self.exec();
@@ -366,13 +353,8 @@ impl Optimizer {
         );
         let generated = exec.map(targets.len(), |i| {
             let started = Instant::now(); // ad-lint: allow(d2) — reporting only
-            let report = atomgen::generate(
-                graph,
-                &table,
-                &self.cfg.atomgen_config(Some(targets[i])),
-                self.cfg.budget.sa_iter_cap(),
-                &exec,
-            );
+            let report =
+                atomgen::generate(graph, &table, &self.cfg.atomgen_config(Some(targets[i])));
             (report, started.elapsed().as_secs_f64() * 1e3)
         });
         // Judging never reads the table; free it before the DAGs exist.
@@ -427,7 +409,7 @@ impl Optimizer {
             let stats = ctx.stats.take();
             let reports = std::mem::take(&mut ctx.reports);
             // The refined plan's reports start with the winner's atomgen
-            // report, so an atomgen truncation still sets its budget.
+            // report: its DAG is the one the refinement schedules.
             ctx.reports.extend(reports.first().cloned());
             Pipeline::refine(bound).run(&mut ctx)?;
             if cycles(&ctx) >= judged_cycles {

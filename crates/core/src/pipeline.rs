@@ -421,13 +421,7 @@ impl Stage for AtomGenStage {
             ctx.cfg.dataflow,
             &ctx.exec,
         );
-        ctx.gen_report = Some(atomgen::generate(
-            graph,
-            &table,
-            &gen_cfg,
-            ctx.cfg.budget.sa_iter_cap(),
-            &ctx.exec,
-        ));
+        ctx.gen_report = Some(atomgen::generate(graph, &table, &gen_cfg));
         AtomDagStage.run(ctx)
     }
 }
@@ -468,12 +462,8 @@ impl Stage for AtomDagStage {
             report.unified_cycle,
             report.variance
         );
-        let mut stage_report = StageReport::new(self.name(), summary);
-        if report.truncated {
-            stage_report.budget = BudgetOutcome::Truncated { stage: self.name() };
-        }
         ctx.dag = Some(dag);
-        Ok(stage_report)
+        Ok(StageReport::new(self.name(), summary))
     }
 }
 

@@ -386,7 +386,8 @@ fn hash_atomgen(h: &mut FpHasher, g: &AtomGenConfig) {
             h.write_f64(p.temp);
             h.write_f64(p.lambda);
             h.write_u64(p.seed);
-            h.write_usize(p.chains);
+            // A retired chain count: Alg. 1 runs one chain.
+            h.write_usize(1);
         }
         AtomGenMode::Ga(p) => {
             h.write_u64(1);
@@ -419,17 +420,17 @@ fn hash_schedule_mode(h: &mut FpHasher, mode: ScheduleMode) {
 }
 
 fn hash_budget(h: &mut FpHasher, b: &PlanBudget) {
-    for cap in [b.sa_iters.map(u64::from), b.dp_expansions] {
-        match cap {
-            None => h.write_u64(0),
-            Some(v) => {
-                h.write_u64(1);
-                h.write_u64(v);
-            }
+    // Two retired caps, an SA iteration cap before the DP cap and a
+    // wall-clock deadline after it, hash as the `None` they always are now
+    // so every existing digest stays the same.
+    h.write_u64(0);
+    match b.dp_expansions {
+        None => h.write_u64(0),
+        Some(v) => {
+            h.write_u64(1);
+            h.write_u64(v);
         }
     }
-    // A retired third cap (a wall-clock deadline), hashed as the `None`
-    // it always is now so every existing digest stays the same.
     h.write_u64(0);
 }
 
@@ -464,7 +465,7 @@ mod tests {
         assert_ne!(config_fingerprint(&cfg, Strategy::LayerSequential), base);
         assert_ne!(
             config_fingerprint(
-                &cfg.with_budget(PlanBudget::unlimited().with_sa_iters(10)),
+                &cfg.with_budget(PlanBudget::unlimited().with_dp_expansions(10)),
                 Strategy::AtomicDataflow
             ),
             base

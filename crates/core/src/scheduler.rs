@@ -1460,15 +1460,14 @@ mod tests {
     fn planned_dag(g: &dnn_graph::Graph, target: usize) -> AtomicDag {
         let cfg = crate::OptimizerConfig::paper_default();
         let gen_cfg = cfg.atomgen_config(Some(target));
-        let exec = crate::Exec::default();
         let table = crate::atomgen::CandidateTable::build(
             g,
             &gen_cfg,
             &cfg.sim.engine,
             cfg.dataflow,
-            &exec,
+            &crate::Exec::default(),
         );
-        let report = crate::atomgen::generate(g, &table, &gen_cfg, None, &exec);
+        let report = crate::atomgen::generate(g, &table, &gen_cfg);
         AtomicDag::build(g, &report.specs, 1, &cfg.sim.engine, cfg.dataflow)
     }
 

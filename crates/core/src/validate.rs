@@ -23,9 +23,9 @@
 //! [`PipelineError::Validation`](crate::PipelineError) naming the
 //! invariant; no caller falls back to another plan.
 //!
-//! The second half of the admission layer is [`PlanBudget`]: deterministic
-//! iteration caps threaded through SA atom generation and DP scheduling. On
-//! exhaustion the search keeps its best-so-far plan and surfaces the
+//! The second half of the admission layer is [`PlanBudget`]: a
+//! deterministic iteration cap on DP scheduling. On exhaustion the search
+//! keeps its best-so-far plan and surfaces the
 //! outcome as a [`BudgetOutcome`] in [`StageReport`](crate::StageReport)
 //! and [`OptimizeResult`](crate::OptimizeResult).
 
@@ -176,15 +176,15 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Deterministic anytime-planning budget (ISSUE 5 second half).
+/// Deterministic anytime-planning budget.
 ///
-/// Both caps are checked against seeded iteration counters, so two runs at
-/// the same budget visit the same search prefix and produce byte-identical
+/// The cap is checked against an iteration counter, so two runs at the
+/// same budget visit the same search prefix and produce byte-identical
 /// plans. The wall clock has no say: a plan is a function of its request.
+/// Atom generation needs no cap of its own: Alg. 1 already stops at
+/// [`crate::SaParams::max_iters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanBudget {
-    /// Cap on SA iterations per annealing chain (atom generation, Alg. 1).
-    pub sa_iters: Option<u32>,
     /// Cap on DP combination evaluations (scheduling, Alg. 2).
     pub dp_expansions: Option<u64>,
 }
@@ -193,17 +193,6 @@ impl PlanBudget {
     /// No limits: planning runs to completion.
     pub fn unlimited() -> Self {
         PlanBudget::default()
-    }
-
-    pub fn with_sa_iters(mut self, iters: u32) -> Self {
-        self.sa_iters = Some(iters);
-        self
-    }
-
-    /// [`PlanBudget::sa_iters`] as the generator's iteration cap.
-    pub(crate) fn sa_iter_cap(&self) -> Option<usize> {
-        self.sa_iters
-            .map(|n| ad_util::cast::usize_from_u64(u64::from(n)))
     }
 
     pub fn with_dp_expansions(mut self, expansions: u64) -> Self {

@@ -2,13 +2,13 @@
 //!
 //! One contract — *results never depend on the thread count* — and one
 //! vehicle: [`WorkerPool`], a persistent pool created once per planning
-//! request and reused by every stage (optimizer candidates, SA chains, the
-//! serve daemon's connection handling). Spawning a thread costs tens of
-//! microseconds; a planning run fans out dozens of times across nested
-//! stages, and a spawn-per-call scheme whose 4-way optimizer map runs
-//! 4-way chain maps briefly holds 16 live threads. The pool bounds live
-//! threads to its configured size for the whole request and keeps worker
-//! stacks (and their thread-local malloc caches) warm across stages.
+//! request and reused by every stage (the candidate table, optimizer
+//! candidates, the serve daemon's connection handling). Spawning a thread
+//! costs tens of microseconds, and a spawn-per-call scheme whose 4-way
+//! daemon connection fan-out runs 4-way planning maps briefly holds 16
+//! live threads. The pool bounds live threads to its configured size for
+//! the whole request and keeps worker stacks (and their thread-local
+//! malloc caches) warm across stages.
 //! One-shot callers (bench sweeps, baselines) build a pool for the call.
 //!
 //! [`WorkerPool::map`] splits the index space statically — contiguous
@@ -34,8 +34,8 @@
 //!
 //! A caller blocked in [`WorkerPool::map`] *helps*: it pops and runs jobs
 //! of its own batch from the shared queue instead of sleeping. That makes
-//! nested maps (optimizer candidates running chain-level maps on the same
-//! pool) deadlock-free by induction: any runner waiting on a batch can
+//! nested maps (a daemon connection task running a planning request's maps
+//! on the same pool) deadlock-free by induction: any runner waiting on a batch can
 //! always execute that batch's queued jobs itself, so every batch whose
 //! in-flight jobs sit on deeper runners eventually drains. Helpers only
 //! take jobs of the batch they are waiting on — never unrelated work —

@@ -113,24 +113,30 @@ fn multi_candidate_search_is_deterministic_across_thread_counts() {
     }
 }
 
+/// `cfg` with Alg. 1 stopped after `iters` annealing iterations
+/// (`ite_max`).
+fn with_max_iters(mut cfg: OptimizerConfig, iters: usize) -> OptimizerConfig {
+    if let AtomGenMode::Sa(ref mut p) = cfg.atomgen.mode {
+        p.max_iters = iters;
+    }
+    cfg
+}
+
 /// Anytime planning under a tight budget: a ResNet-50 plan cut short by
-/// iteration caps must still pass admission, report the
-/// truncation, and — because the caps count iterations, never wall-clock —
+/// the DP expansion cap must still pass admission, report the
+/// truncation, and — because the cap counts iterations, never wall-clock —
 /// serialize byte-identically across reruns.
 #[test]
 fn tight_budget_resnet50_is_deterministic_and_truncated() {
     let g = models::resnet50();
-    let cfg = OptimizerConfig::fast_test().with_budget(
-        PlanBudget::unlimited()
-            .with_sa_iters(5)
-            .with_dp_expansions(1_000),
-    );
+    let cfg = with_max_iters(OptimizerConfig::fast_test(), 5)
+        .with_budget(PlanBudget::unlimited().with_dp_expansions(10));
     let a = Optimizer::new(cfg).optimize(&g).unwrap();
     let b = Optimizer::new(cfg).optimize(&g).unwrap();
-    assert!(
-        a.budget.is_truncated(),
-        "a 5-iteration SA cap on ResNet-50 must truncate, got {}",
-        a.budget
+    assert_eq!(
+        a.budget,
+        BudgetOutcome::Truncated { stage: "schedule" },
+        "a 10-expansion DP cap on ResNet-50 must truncate"
     );
     assert_eq!(
         a.stats.to_json().to_compact(),
@@ -142,20 +148,25 @@ fn tight_budget_resnet50_is_deterministic_and_truncated() {
     assert_eq!(a.atoms, b.atoms);
 }
 
-/// Deep-graph determinism at scale: a ResNet-1001 plan searched with
-/// multiple independent SA chains must serialize byte-identically at
-/// parallelism 1, 4 and 16 — the worker pool and chain-level fan-out
-/// distribute the work, never change it.
-/// The iteration budget (an honest part of the search configuration,
-/// identical at every thread count) keeps the debug-mode runtime sane.
+/// Two granularity targets, so the deep-graph pins below fan candidates
+/// out on the worker pool.
+fn deep_graph_config(sa_iters: usize, dp_expansions: u64) -> OptimizerConfig {
+    let mut cfg = with_max_iters(OptimizerConfig::fast_test(), sa_iters)
+        .with_budget(PlanBudget::unlimited().with_dp_expansions(dp_expansions));
+    cfg.search_targets = [32, 64, 0];
+    cfg
+}
+
+/// Deep-graph determinism at scale: a ResNet-1001 plan searched at two
+/// granularity targets must serialize byte-identically at parallelism 1,
+/// 4 and 16 — the worker pool distributes the work, never changes it.
+/// The short anneal and the DP cap (honest parts of the search
+/// configuration, identical at every thread count) keep the debug-mode
+/// runtime sane.
 #[test]
-fn deep_graph_multi_chain_optimizer_is_byte_identical_across_parallelism() {
+fn deep_graph_optimizer_is_byte_identical_across_parallelism() {
     let g = models::resnet1001();
-    let cfg = OptimizerConfig::fast_test().with_sa_chains(4).with_budget(
-        PlanBudget::unlimited()
-            .with_sa_iters(20)
-            .with_dp_expansions(20_000),
-    );
+    let cfg = deep_graph_config(20, 20_000);
     let runs: Vec<_> = [1usize, 4, 16]
         .iter()
         .map(|&p| {
@@ -184,11 +195,7 @@ fn deep_graph_multi_chain_optimizer_is_byte_identical_across_parallelism() {
 #[test]
 fn deep_graph_tight_budget_is_byte_identical_across_parallelism() {
     let g = models::resnet1001();
-    let cfg = OptimizerConfig::fast_test().with_sa_chains(4).with_budget(
-        PlanBudget::unlimited()
-            .with_sa_iters(5)
-            .with_dp_expansions(1_000),
-    );
+    let cfg = deep_graph_config(5, 1_000);
     let runs: Vec<_> = [1usize, 4, 16]
         .iter()
         .map(|&p| {
@@ -197,10 +204,8 @@ fn deep_graph_tight_budget_is_byte_identical_across_parallelism() {
                 .unwrap()
         })
         .collect();
-    // The deep graph's many identical layers let SA hit its epsilon within
-    // the cap, so the outcome may legitimately be `completed` — what is
-    // pinned is that the budget *accounting* and every artifact agree at
-    // every thread count, truncated or not.
+    // What is pinned is that the budget *accounting* and every artifact
+    // agree at every thread count, truncated or not.
     let (a, rest) = runs.split_first().unwrap();
     for (b, p) in rest.iter().zip([4usize, 16]) {
         assert_eq!(a.budget, b.budget, "parallelism {p} changed the outcome");
@@ -306,11 +311,11 @@ fn duplicate_forcing_config() -> OptimizerConfig {
 
 /// Deduplicated candidate judging is a pure speedup: the optimizer
 /// returns the reference loop's plan on the hand-written graphs and ten
-/// random ones, with and without a tight SA budget.
+/// random ones, with the default anneal and a 5-iteration one.
 #[test]
 fn candidate_search_matches_the_reference_loop() {
     let cfg = duplicate_forcing_config();
-    let tight = cfg.with_budget(PlanBudget::unlimited().with_sa_iters(5));
+    let tight = with_max_iters(cfg, 5);
     let mut cases = vec![
         ("tiny_branchy".to_string(), models::tiny_branchy()),
         ("tiny_cnn".to_string(), models::tiny_cnn()),
@@ -326,24 +331,26 @@ fn candidate_search_matches_the_reference_loop() {
 }
 
 /// The refinement reuses the winner's DAG instead of re-running atomgen,
-/// so its plan must still carry the winner's atomgen truncation: random
-/// seed 3 under a 5-iteration SA cap is a case where `LayerOrder` wins
-/// *and* atomgen was cut short.
+/// so its plan must still carry the winner's atomgen report: random seed 3
+/// is a case where `LayerOrder` wins, both after the default anneal and
+/// after one stopped at 5 iterations.
 #[test]
-fn layer_order_refinement_keeps_the_atomgen_budget_outcome() {
+fn layer_order_refinement_keeps_the_winners_atomgen_report() {
     let g = models::random(&models::RandomGraphConfig::seeded(3));
     let cfg = duplicate_forcing_config();
     assert!(
         assert_matches_reference("random seed 3", &g, cfg),
         "LayerOrder must win this case"
     );
-    let tight = cfg.with_budget(PlanBudget::unlimited().with_sa_iters(5));
+    let tight = with_max_iters(cfg, 5);
     assert!(
         assert_matches_reference("random seed 3, 5 SA iterations", &g, tight),
         "LayerOrder must win this case"
     );
     let r = Optimizer::new(tight).optimize(&g).unwrap();
-    assert_eq!(r.budget, BudgetOutcome::Truncated { stage: "atomgen" });
+    assert_eq!(r.stage_reports[0].stage, "atomgen");
+    assert_eq!(r.gen_report.history.len(), 6, "initial E + 5 iterations");
+    assert_eq!(r.budget, BudgetOutcome::Completed);
 }
 
 /// Recovery replans after an injected engine failure; the replan path

@@ -6,7 +6,7 @@
 //! once) and before the candidate table became a per-request value. Every
 //! run below must keep reproducing them bit for bit: the chosen specs, the
 //! final `S` and `E` as IEEE-754 bit patterns, the convergence history
-//! (length and a digest of its bits) and the truncation flag.
+//! (length and a digest of its bits).
 
 use ad_repro::prelude::*;
 use ad_util::{FpHasher, Json};
@@ -35,7 +35,6 @@ fn pin(case: &str, r: &GenReport) -> Json {
             "history_bits".into(),
             Json::from(history.finish().to_string()),
         ),
-        ("truncated".into(), Json::Bool(r.truncated)),
         (
             "specs".into(),
             Json::Arr(
@@ -49,15 +48,19 @@ fn pin(case: &str, r: &GenReport) -> Json {
 }
 
 /// Generates atoms for `g` on the paper machine exactly as the optimizer
-/// does for one granularity target: one candidate table, then the SA run.
+/// does for one granularity target: one candidate table, then the SA run,
+/// stopped after `max_iters` iterations when given.
 fn generate(
     g: &Graph,
     table: &CandidateTable,
     target: usize,
-    sa_iters: Option<usize>,
+    max_iters: Option<usize>,
 ) -> GenReport {
-    let cfg = OptimizerConfig::paper_default().atomgen_config(Some(target));
-    atomgen::generate(g, table, &cfg, sa_iters, &Exec::default())
+    let mut cfg = OptimizerConfig::paper_default().atomgen_config(Some(target));
+    if let (AtomGenMode::Sa(p), Some(n)) = (&mut cfg.mode, max_iters) {
+        p.max_iters = n;
+    }
+    atomgen::generate(g, table, &cfg)
 }
 
 fn table(g: &Graph) -> CandidateTable {
@@ -88,7 +91,7 @@ fn golden_atomgen_resnet50_targets_and_sa_budget() {
         .map(|t| pin(&format!("target {t}"), &generate(&g, &table, t, None)))
         .collect();
     let capped = generate(&g, &table, 64, Some(5));
-    assert!(capped.truncated);
+    assert_eq!(capped.history.len(), 6, "initial E + 5 iterations");
     cases.push(pin("target 64, 5 SA iterations", &capped));
     assert_pins(
         cases,

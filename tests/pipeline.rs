@@ -4,8 +4,7 @@
 //! level, across real workloads:
 //!
 //! 1. **Parallelism is invisible.** `OptimizerConfig::parallelism` is an
-//!    execution knob: the candidate set (search targets, SA chains, CLP
-//!    variants) is fixed by the configuration and reduced in index order,
+//!    execution knob: the candidate set (search targets, CLP variants) is fixed by the configuration and reduced in index order,
 //!    so any thread count serializes to byte-identical statistics.
 //! 2. **Stage order is typed.** Running a stage before its producer is a
 //!    [`PipelineError::StageOrder`] naming both the stage and the missing
@@ -14,15 +13,11 @@
 use ad_repro::prelude::*;
 use atomic_dataflow::pipeline::{MapStage, SimulateStage};
 
-/// A configuration that exercises every parallel site: three search
-/// targets for the optimizer's candidate sweep and three SA chains per
-/// generation.
+/// A configuration that exercises the optimizer's parallel site: three
+/// search targets for its candidate sweep.
 fn searchy_cfg() -> OptimizerConfig {
     let mut cfg = OptimizerConfig::fast_test();
     cfg.search_targets = [16, 32, 48];
-    if let AtomGenMode::Sa(ref mut p) = cfg.atomgen.mode {
-        p.chains = 3;
-    }
     cfg
 }
 
@@ -34,7 +29,7 @@ fn optimize_json(cfg: OptimizerConfig, g: &Graph) -> Result<String, PipelineErro
         .to_compact())
 }
 
-/// tiny_branchy: full SA + DP search, three targets × three chains, at
+/// tiny_branchy: full SA + DP search, three targets, at
 /// parallelism 1 vs 4 — byte-identical statistics.
 #[test]
 fn parallel_candidate_search_is_byte_identical_tiny_branchy() {
@@ -54,7 +49,6 @@ fn parallel_candidate_search_is_byte_identical_resnet() {
     cfg.schedule_mode = ScheduleMode::PriorityGreedy;
     if let AtomGenMode::Sa(ref mut p) = cfg.atomgen.mode {
         p.max_iters = 20;
-        p.chains = 2;
     }
     let seq = optimize_json(cfg.with_parallelism(1), &g).unwrap();
     let par = optimize_json(cfg.with_parallelism(4), &g).unwrap();
